@@ -30,6 +30,45 @@ EXIT_INFEASIBLE = 3
 EXIT_CAPACITY = 4
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# RunConfig field annotations (strings, as annotations are postponed) mapped
+# to the check a JSON value must pass; ints are accepted where floats are
+_TYPE_CHECKS = {
+    "int": _is_int,
+    "float": _is_number,
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "list[int]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "list[float]": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+}
+
+
+def _typed(key: str, value, annotation: str):
+    """`value` unchanged if it fits the field annotation, else a ParameterError
+    naming `key`."""
+    optional = annotation.endswith(" | None")
+    check = _TYPE_CHECKS[annotation.removesuffix(" | None")]
+    if (value is None and optional) or (value is not None and check(value)):
+        return value
+    raise ParameterError(f"config key {key} must be {annotation}, got {value!r}")
+
+
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ParameterError(f"cannot read {what} {path}: {exc.strerror}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParameterError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 @dataclasses.dataclass
 class RunConfig:
     """Full run description; every field has a JSON key of the same name
@@ -73,24 +112,20 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
+        annotations = {f.name: f.type for f in dataclasses.fields(cls)}
         flat: dict = {}
         for key, value in doc.items():
-            if key == "link":
-                extra = set(value) - set(cls._NESTED["link"])
+            if key in cls._NESTED:
+                if not isinstance(value, dict):
+                    raise ParameterError(f"config key {key} must be an object, got {value!r}")
+                extra = set(value) - set(cls._NESTED[key])
                 if extra:
-                    raise ParameterError(f"unknown config key(s) in link: {sorted(extra)}")
-                flat.update(value)
-            elif key == "weights":
-                extra = set(value) - set(cls._NESTED["weights"])
-                if extra:
-                    raise ParameterError(f"unknown config key(s) in weights: {sorted(extra)}")
-                if "fidelity" in value:
-                    flat["weight_fidelity"] = value["fidelity"]
-                if "cost" in value:
-                    flat["weight_cost"] = value["cost"]
-            elif key in known:
-                flat[key] = value
+                    raise ParameterError(f"unknown config key(s) in {key}: {sorted(extra)}")
+                for sub, sub_value in value.items():
+                    name = sub if key == "link" else f"weight_{sub}"
+                    flat[name] = _typed(f"{key}.{sub}", sub_value, annotations[name])
+            elif key in annotations:
+                flat[key] = _typed(key, value, annotations[key])
             else:
                 raise ParameterError(f"unknown config key: {key}")
         cfg = cls(**flat)
@@ -143,7 +178,7 @@ class RunConfig:
 def load_config(args: argparse.Namespace) -> RunConfig:
     doc = {}
     if args.config:
-        doc = json.loads(Path(args.config).read_text())
+        doc = _read_json(args.config, "config file")
         if not isinstance(doc, dict):
             raise ParameterError("config file must hold a JSON object")
     cfg = RunConfig.from_dict(doc)
@@ -166,7 +201,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 def _build_topology(cfg: RunConfig) -> topo.NetworkTopology:
     if cfg.topology_file:
-        return topo.NetworkTopology.from_json(Path(cfg.topology_file).read_text())
+        return topo.NetworkTopology.from_json_dict(_read_json(cfg.topology_file, "topology_file"))
     if cfg.scenario == 1:
         model = None
         if cfg.delta is not None:

@@ -8,19 +8,19 @@ before its pair exists, then spends the link latency in flight. Every
 completed hop beyond the first costs one extra sync step for the entanglement
 swap at the junction node. A ready pair left idle longer than the qubit
 lifetime while the next hop keeps retrying aborts the trial. On quantum-net
-regimes the delivered pair is tracked as an explicit two-qubit density matrix:
-each hop contributes a depolarizing channel of strength 1 - exp(-rate * held),
-where `held` runs from the hop pair's creation to final delivery. Classical
-regimes skip generation and decoherence entirely: one sync step plus latency
-per hop, fidelity pinned to the product of the links' fidelity payoffs.
+regimes each hop depolarizes the delivered Bell pair with strength
+1 - exp(-rate * held), where `held` runs from the hop pair's creation to final
+delivery. Depolarizing a Bell pair only rescales its Werner parameter, so the
+delivered fidelity has the closed form 1/4 + 3/4 * exp(-sum(rate_i * held_i));
+the dense engine in `quantum` is the reference tests compare it against.
+Classical regimes skip generation and decoherence entirely: one sync step plus
+latency per hop, fidelity pinned to the product of the links' fidelity payoffs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,8 +30,6 @@ import numpy as np
 from . import quantum as q
 from .errors import ParameterError
 from .topology import LinkParams, NetworkTopology, build_scenario1
-
-THREADS_ENV = "ENTANGLE_GAMES_THREADS"
 
 
 class Regime(Enum):
@@ -137,13 +135,8 @@ def run_trial(
     if total > budget:
         return _metrics(total, hops, 0.0, False)
 
-    rho = q.bell_pair().density_matrix()
-    for i, link in enumerate(links):
-        held = total - created[i]
-        strength = q.depolarizing_strength(link.params.decoherence_rate, held)
-        rho = q.apply_channel(rho, i % 2, q.NoiseChannel(q.ChannelKind.DEPOLARIZING, strength))
-    fidelity = q.fidelity(rho, q.bell_pair())
-    return _metrics(total, hops, fidelity, True)
+    decay = sum(l.params.decoherence_rate * (total - t0) for l, t0 in zip(links, created))
+    return _metrics(total, hops, 0.25 + 0.75 * math.exp(-decay), True)
 
 
 def _metrics(total: float, hops: int, fidelity: float, success: bool) -> TrialMetrics:
@@ -166,7 +159,8 @@ def aggregate(trials: list[TrialMetrics]) -> tuple[dict[str, float], dict[str, f
     """
     if not trials:
         raise ParameterError("cannot aggregate an empty trial list")
-    columns = {f: np.array([t.as_numbers()[f] for t in trials]) for f in METRIC_FIELDS}
+    rows = [t.as_numbers() for t in trials]
+    columns = {f: np.array([row[f] for row in rows]) for f in METRIC_FIELDS}
     means = {f: float(np.mean(col)) for f, col in columns.items()}
     stds = {
         f: float(np.std(col, ddof=1)) if len(trials) > 1 else 0.0
@@ -175,33 +169,18 @@ def aggregate(trials: list[TrialMetrics]) -> tuple[dict[str, float], dict[str, f
     return means, stds
 
 
-def _trial_workers() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ParameterError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-
-
 def run_trials(
     topology: NetworkTopology,
     path: list[int],
     cfg: SimConfig,
     seed_parts: tuple[int, ...],
 ) -> list[TrialMetrics]:
-    """cfg.trials independent trials with per-trial generators derived from
-    (seed_parts, trial index); aggregation order is by trial index regardless
-    of the worker count, so results are reproducible under ENTANGLE_GAMES_THREADS.
-    """
-
-    def one(i: int) -> TrialMetrics:
-        return run_trial(topology, path, cfg, np.random.default_rng([*seed_parts, i]))
-
-    workers = _trial_workers()
-    if workers == 1:
-        return [one(i) for i in range(cfg.trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(cfg.trials)))
+    """cfg.trials independent trials, in trial-index order, each with its own
+    generator derived from (seed_parts, trial index)."""
+    return [
+        run_trial(topology, path, cfg, np.random.default_rng([*seed_parts, i]))
+        for i in range(cfg.trials)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,9 @@ class Link:
     cost: float
     payoff: float
 
+    def __post_init__(self) -> None:
+        _check_payoff(self.payoff)
+
     def endpoints(self) -> frozenset[int]:
         return frozenset((self.a, self.b))
 
@@ -95,6 +98,15 @@ class ChoiceOption:
     next_hop: int
     cost: float
     payoff: float
+
+    def __post_init__(self) -> None:
+        _check_payoff(self.payoff)
+
+
+def _check_payoff(payoff: float) -> None:
+    # the classical fidelity proxy multiplies payoffs along a path
+    if not 0.0 <= payoff <= 1.0:
+        raise ParameterError(f"payoff must be in [0, 1], got {payoff}")
 
 
 @dataclass(frozen=True)

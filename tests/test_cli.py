@@ -47,6 +47,46 @@ def test_weights_nested_parsing():
     assert cfg.weights() == (2.0, 0.5)
 
 
+def _malformed_config(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"trials": 3,')
+    return str(path), "not valid JSON"
+
+
+def _missing_config(tmp_path):
+    return str(tmp_path / "absent.json"), "absent.json"
+
+
+def _missing_topology_file(tmp_path):
+    doc = {"topology_file": str(tmp_path / "absent-topology.json"), "source": 0, "destination": 1}
+    return write_config(tmp_path, doc), "absent-topology.json"
+
+
+def _mistyped_value(tmp_path):
+    return write_config(tmp_path, {"trials": "many"}), "trials"
+
+
+def _out_of_range_payoff(tmp_path):
+    doc = line_topology(3).to_json_dict()
+    doc["links"][1]["payoff"] = 7.5
+    topo_file = tmp_path / "line.json"
+    topo_file.write_text(json.dumps(doc))
+    return write_config(tmp_path, {"topology_file": str(topo_file)}), "payoff"
+
+
+@pytest.mark.parametrize(
+    "make_config",
+    [_malformed_config, _missing_config, _missing_topology_file, _mistyped_value, _out_of_range_payoff],
+)
+def test_bad_config_input_exits_2(tmp_path, capsys, make_config):
+    cfg, named = make_config(tmp_path)
+    rc = main(["gen", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert named in err
+
+
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------

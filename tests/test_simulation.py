@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entangle_games import quantum as q
 from entangle_games import simulation as sim
 from entangle_games import topology as topo
 from entangle_games.errors import ParameterError
@@ -266,25 +269,83 @@ def test_sweep_csv_shape():
     assert body == sorted(body, key=lambda l: (float(l.split(",")[0]), l.split(",")[1], l.split(",")[2]))
 
 
-def test_thread_env_does_not_change_results(monkeypatch):
-    t = line_topology(3, gen_prob=0.8)
-    cfg = sim.SimConfig(trials=40)
-    monkeypatch.setenv(sim.THREADS_ENV, "1")
-    serial = sim.run_trials(t, [0, 1, 2], cfg, (1, 2))
-    monkeypatch.setenv(sim.THREADS_ENV, "4")
-    threaded = sim.run_trials(t, [0, 1, 2], cfg, (1, 2))
-    assert serial == threaded
-
-
-def test_bad_thread_env_rejected(monkeypatch):
-    monkeypatch.setenv(sim.THREADS_ENV, "lots")
-    t = line_topology(2)
-    with pytest.raises(ParameterError):
-        sim.run_trials(t, [0, 1], sim.SimConfig(trials=1), (0,))
-
-
 def test_sim_config_domain():
     with pytest.raises(ParameterError):
         sim.SimConfig(sync_step_us=600.0, qubit_lifetime_us=500.0)
     with pytest.raises(ParameterError):
         sim.SimConfig(trials=0)
+
+
+# ---------------------------------------------------------------------------
+# differential check: closed-form fidelity against the dense engine
+# ---------------------------------------------------------------------------
+
+_path_links = sim._path_links
+_metrics = sim._metrics
+
+
+def dense_run_trial(topology, path, cfg, rng):
+    """Reference trial that tracks the delivered pair as a 4x4 density matrix,
+    one depolarizing channel per hop."""
+    links = _path_links(topology, path)
+    hops = len(links)
+    budget = min(l.params.coherence_us for l in links)
+    payoff_proxy = math.prod(l.payoff for l in links)
+
+    if not cfg.regime.quantum_net:
+        total = sum(l.params.latency_us + cfg.sync_step_us for l in links)
+        success = total <= budget
+        return _metrics(total, hops, payoff_proxy, success)
+
+    total = 0.0
+    created: list[float] = []
+    for i, link in enumerate(links):
+        attempts = int(rng.geometric(link.params.gen_prob))
+        wait = (attempts - 1) * cfg.sync_step_us
+        if i > 0 and wait > cfg.qubit_lifetime_us:
+            # the pair waiting at the junction sat idle too long
+            total += wait
+            return _metrics(total, hops, 0.0, False)
+        total += wait
+        created.append(total)
+        total += link.params.latency_us
+        if i > 0:
+            total += cfg.sync_step_us  # swap at the junction node
+    if total > budget:
+        return _metrics(total, hops, 0.0, False)
+
+    rho = q.bell_pair().density_matrix()
+    for i, link in enumerate(links):
+        held = total - created[i]
+        strength = q.depolarizing_strength(link.params.decoherence_rate, held)
+        rho = q.apply_channel(rho, i % 2, q.NoiseChannel(q.ChannelKind.DEPOLARIZING, strength))
+    fidelity = q.fidelity(rho, q.bell_pair())
+    return _metrics(total, hops, fidelity, True)
+
+
+_link_params = st.builds(
+    topo.LinkParams,
+    latency_us=st.floats(1.0, 2000.0),
+    coherence_us=st.sampled_from([500.0, 5_000.0, 50_000.0]),
+    decoherence_rate=st.floats(0.0, 1e-2),
+    gen_prob=st.floats(0.0, 1.0, exclude_min=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    params=st.lists(_link_params, min_size=1, max_size=11),
+    regime=st.sampled_from(sim.ALL_REGIMES),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_trial_matches_dense_oracle(params, regime, seed):
+    nodes = tuple(topo.Node(i, topo.NodeRole.REPEATER, float(i), 0.0) for i in range(len(params) + 1))
+    links = tuple(topo.Link(i, i + 1, p, p.latency_us, 0.95) for i, p in enumerate(params))
+    t = topo.NetworkTopology(nodes, links, topo.ScenarioTag.CUSTOM)
+    path = list(range(len(nodes)))
+    cfg = quantum_cfg(regime=regime)
+    got = sim.run_trial(t, path, cfg, np.random.default_rng(seed)).as_numbers()
+    want = dense_run_trial(t, path, cfg, np.random.default_rng(seed)).as_numbers()
+    fidelity = want.pop("end_to_end_fidelity")
+    assert got.pop("end_to_end_fidelity") == pytest.approx(fidelity, abs=1e-12, rel=0)
+    assert got == want

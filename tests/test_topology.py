@@ -223,3 +223,15 @@ def test_unknown_schema_version_rejected():
     doc["schema"] = 99
     with pytest.raises(ParameterError):
         topo.NetworkTopology.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("payoff", [-0.1, 1.5, 7.5, math.nan])
+def test_out_of_range_payoff_rejected(payoff):
+    with pytest.raises(ParameterError, match="payoff"):
+        topo.Link(0, 1, topo.LinkParams(), 1.0, payoff)
+    with pytest.raises(ParameterError, match="payoff"):
+        topo.ChoiceOption(1, 1.0, payoff)
+    doc = topo.canonical_two_tree_topology().to_json_dict()
+    doc["choices"][0]["options"][1]["payoff"] = payoff
+    with pytest.raises(ParameterError, match="payoff"):
+        topo.NetworkTopology.from_json_dict(doc)
