@@ -6,7 +6,8 @@ combined characteristic value of the coalitions involved. Quantum variant:
 the referee (the leader next to the source) prepares an entangled multi-party
 state, each player rotates its own qubit, and the measured bitstring selects
 the candidate coalition; strategies evolve by discretized best response until
-the measured coalition holds steady.
+the measured coalition holds steady. A best response scores the whole 9x9
+rotation grid at once, as a quadratic form in the player's own 2x2 unitary.
 
 The characteristic value of a node set combines the three routing objectives:
 rate capped at the target throughput, plus path fidelity, minus a per-hop
@@ -161,16 +162,16 @@ class ValueModel:
             )
         return sorted(nodes)
 
-    def split_payoffs(self, coalition: Coalition) -> dict[int, float]:
-        members = sorted(coalition.members)
-        if not members:
-            return {}
+    def split_weight(self, node: int) -> int:
+        """Relative share of a coalition's value that `node` receives."""
         if self.cfg.payoff_split is PayoffSplit.EQUAL:
-            share = coalition.value / len(members)
-            return {m: share for m in members}
-        degrees = {m: max(self.graph.degree(m), 1) for m in members}
-        total = sum(degrees.values())
-        return {m: coalition.value * degrees[m] / total for m in members}
+            return 1
+        return max(self.graph.degree(node), 1)
+
+    def split_payoffs(self, coalition: Coalition) -> dict[int, float]:
+        weights = {m: self.split_weight(m) for m in sorted(coalition.members)}
+        total = sum(weights.values())
+        return {m: coalition.value * w / total for m, w in weights.items()}
 
 
 def characteristic_value(members, cfg: CoalitionGameConfig, topology: NetworkTopology) -> float:
@@ -342,24 +343,31 @@ def find_referee(topology: NetworkTopology, source: int) -> int:
 THETA_GRID = np.linspace(0.0, math.pi, 9)
 PHI_GRID = np.linspace(0.0, 2.0 * math.pi, 9, endpoint=False)
 
-# fixed best-response search grid, theta-major; ties keep the earliest entry
-GRID_STRATEGIES = tuple(
-    q.SingleQubitUnitary(float(theta), float(phi))
-    for theta in THETA_GRID
-    for phi in PHI_GRID
-)
-GRID_MATRICES = tuple(u.matrix() for u in GRID_STRATEGIES)
+# fixed best-response search grid of (theta, phi), theta-major; ties keep the
+# earliest entry
+GRID_STRATEGIES = tuple((float(theta), float(phi)) for theta in THETA_GRID for phi in PHI_GRID)
+GRID_MATRICES = np.stack([q.SingleQubitUnitary(*tp).matrix() for tp in GRID_STRATEGIES])
 
 
 class _QuantumRound:
-    """Per-game machinery: payoff tables over bitstrings and best responses."""
+    """Per-game machinery: the payoff table over bitstrings and best responses."""
 
     def __init__(self, model: ValueModel, players: list[int], gamma: float):
-        self.model = model
         self.players = players
         self.base = referee_state(len(players), gamma)
-        self._coalition_values = None
-        self._payoffs_by_player: dict[int, np.ndarray] = {}
+        m = len(players)
+        # joins[bits, i] = 1 when outcome `bits` has player i's bit set; small
+        # dtypes and in-place updates keep 12-player tables near 0.5 MB
+        bits = np.arange(2**m, dtype=np.uint16)[:, None]
+        self.joins = (bits >> np.arange(m - 1, -1, -1, dtype=np.uint16)) & 1
+        values = np.array(
+            [0.0] + [model.value(self.coalition_of(b)) for b in range(1, 2**m)]
+        )
+        # payoffs[bits, i]: player i's split of the value of outcome `bits`
+        self.payoffs = self.joins * np.array([float(model.split_weight(p)) for p in players])
+        totals = np.maximum(self.payoffs.sum(axis=1), 1.0)  # row 0 is the empty coalition
+        self.payoffs *= values[:, None]
+        self.payoffs /= totals[:, None]
 
     def coalition_of(self, outcome_bits: int) -> frozenset[int]:
         m = len(self.players)
@@ -367,57 +375,45 @@ class _QuantumRound:
             p for i, p in enumerate(self.players) if (outcome_bits >> (m - 1 - i)) & 1
         )
 
-    def coalition_values(self) -> np.ndarray:
-        if self._coalition_values is None:
-            vals = np.zeros(2 ** len(self.players))
-            for bits in range(1, vals.size):
-                vals[bits] = self.model.value(self.coalition_of(bits))
-            self._coalition_values = vals
-        return self._coalition_values
-
-    def payoff_table(self, player_index: int) -> np.ndarray:
-        """Expected payoff of one player for every measured bitstring."""
-        table = self._payoffs_by_player.get(player_index)
-        if table is None:
-            m = len(self.players)
-            values = self.coalition_values()
-            table = np.zeros_like(values)
-            for bits in range(1, values.size):
-                if not (bits >> (m - 1 - player_index)) & 1:
-                    continue
-                coalition = Coalition(self.coalition_of(bits), float(values[bits]))
-                table[bits] = self.model.split_payoffs(coalition)[
-                    self.players[player_index]
-                ]
-            self._payoffs_by_player[player_index] = table
-        return table
-
     def played_state(self, strategies: dict[int, q.SingleQubitUnitary]) -> q.StateVector:
         state = self.base
         for i, p in enumerate(self.players):
             state = q.apply_unitary(state, i, strategies[p])
         return state
 
+    def join_marginals(self, strategies: dict[int, q.SingleQubitUnitary]) -> np.ndarray:
+        """P(bit i = 1) of each player i in the played state."""
+        probs = self.played_state(strategies).probabilities()
+        # one masked sum per player, not a matrix product: the grid often
+        # yields marginals of exactly 1/2, and a reordered sum moves them
+        # across the >= 1/2 decoding threshold
+        return np.array([probs[col == 1].sum() for col in self.joins.T])
+
     def best_response(
         self, player_index: int, strategies: dict[int, q.SingleQubitUnitary]
     ) -> q.SingleQubitUnitary:
         """Exact expected-payoff argmax over the 9x9 (theta, phi) grid.
 
-        Ties keep the earliest grid point (theta-major order), so updates are
+        With psi the other players' state viewed as (2**k, 2, rest) around
+        qubit k, playing U yields amplitudes U[a, b] psi[l, b, r], so the
+        expected payoff is sum_abc U[a, b] conj(U[a, c]) form[a, b, c]. Ties
+        keep the earliest grid point (theta-major order), so updates are
         reproducible.
         """
         others = self.base
         for i, p in enumerate(self.players):
             if i != player_index:
                 others = q.apply_unitary(others, i, strategies[p])
-        payoffs = self.payoff_table(player_index)
-        best_u, best_val = None, -math.inf
-        for u, matrix in zip(GRID_STRATEGIES, GRID_MATRICES):
-            probs = q.apply_unitary(others, player_index, matrix).probabilities()
-            val = float(probs @ payoffs)
+        shape = (2**player_index, 2, -1)
+        psi = others.amplitudes.reshape(shape)
+        payoffs = self.payoffs[:, player_index].reshape(shape)
+        form = np.einsum("lbr,lcr,lar->abc", psi, psi.conj(), payoffs)
+        scores = np.einsum("gab,gac,abc->g", GRID_MATRICES, GRID_MATRICES.conj(), form).real
+        best, best_val = 0, -math.inf
+        for k, val in enumerate(scores.tolist()):
             if val > best_val + STRICT_EPS:
-                best_u, best_val = u, val
-        return best_u
+                best, best_val = k, val
+        return q.SingleQubitUnitary(*GRID_STRATEGIES[best])
 
 
 def quantum_coalition_form(
@@ -508,8 +504,7 @@ def quantum_coalition_form(
     elif best_seen is not None:
         chosen = best_seen[1]
     else:
-        final = engine.played_state(strategies)
-        marginals = _join_marginals(final)
+        marginals = engine.join_marginals(strategies)
         chosen = frozenset(p for i, p in enumerate(players) if marginals[i] >= 0.5)
         if model.evaluate(chosen)[1] is None:
             chosen = frozenset(players)
@@ -523,13 +518,4 @@ def quantum_coalition_form(
         rounds=rounds,
         history=history,
         referee=find_referee(topology, cfg.source),
-    )
-
-
-def _join_marginals(state: q.StateVector) -> np.ndarray:
-    probs = state.probabilities()
-    n = state.n_qubits
-    idx = np.arange(probs.size)
-    return np.array(
-        [probs[((idx >> (n - 1 - i)) & 1) == 1].sum() for i in range(n)]
     )

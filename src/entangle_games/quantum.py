@@ -460,25 +460,18 @@ def ewl_game(
 # ---------------------------------------------------------------------------
 
 
-def coin_flip_agreement_probability(angle: float) -> float:
-    """P(both parties record the same bit) when B's basis is rotated by angle."""
-    rho = bell_pair().density_matrix()
-    rotated = apply_unitary(rho, 1, _real_rotation(-angle))
-    probs = measurement_probabilities(rotated)
-    return float(probs[0] + probs[3])
-
-
 def coin_flip_consensus(rng: np.random.Generator, angle: float) -> tuple[int, int, bool]:
     """One shared coin flip over a Bell pair.
 
     Party A measures in the computational basis, party B in a basis rotated by
     `angle`. Returns (bit_a, bit_b, agree); P(agree) = cos^2(angle) and each
-    marginal is uniform.
+    marginal is uniform. The outcomes 00, 01, 10, 11 of the rotated Bell pair
+    have the closed-form probabilities [cos^2, sin^2, sin^2, cos^2] / 2, which
+    are sampled directly.
     """
     if not 0.0 <= angle <= math.pi / 2.0 + 1e-12:
         raise ParameterError(f"angle {angle} outside [0, pi/2]")
-    rho = bell_pair().density_matrix()
-    rotated = apply_unitary(rho, 1, _real_rotation(-angle))
-    outcome, _ = measure_computational(rotated, rng)
-    bit_a, bit_b = int(outcome[0]), int(outcome[1])
+    same, differ = math.cos(angle) ** 2 / 2.0, math.sin(angle) ** 2 / 2.0
+    outcome = int(rng.choice(4, p=[same, differ, differ, same]))
+    bit_a, bit_b = outcome >> 1, outcome & 1
     return bit_a, bit_b, bit_a == bit_b

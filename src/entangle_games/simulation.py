@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import networkx as nx
@@ -302,13 +302,7 @@ def sweep_nodes(
         topology = backbone_topology(count, link_defaults)
         source, destination = _sweep_endpoints(topology)
         for ri, regime in enumerate(regimes):
-            cfg = SimConfig(
-                sync_step_us=base_cfg.sync_step_us,
-                qubit_lifetime_us=base_cfg.qubit_lifetime_us,
-                trials=base_cfg.trials,
-                regime=regime,
-                seed=base_cfg.seed,
-            )
+            cfg = replace(base_cfg, regime=regime)
             path = select_path(topology, source, destination, regime, [seed, xi, ri], count)
             trials = run_trials(topology, path, cfg, (seed, xi, ri))
             cells[(float(count), regime.value)] = aggregate(trials)
@@ -367,14 +361,11 @@ def sweep_decoherence(
     for xi, rate in enumerate(rates):
         rated = base_topology.with_link_updates(decoherence_rate=rate)
         for variant in variants:
-            cfg = SimConfig(
-                sync_step_us=base_cfg.sync_step_us,
-                qubit_lifetime_us=base_cfg.qubit_lifetime_us,
-                trials=base_cfg.trials,
+            cfg = replace(
+                base_cfg,
                 regime=Regime.QUANTUM_GAME_QUANTUM_NET
                 if variant == "quantum"
                 else Regime.CLASSICAL_GAME_QUANTUM_NET,
-                seed=base_cfg.seed,
             )
             outcome = run_consensus(
                 rated, source, destination, variant=variant, seed=seed, sim_config=cfg

@@ -103,6 +103,26 @@ class ChoiceOption:
         _check_payoff(self.payoff)
 
 
+def _fields(doc, where: str, **kinds) -> list:
+    """Values of the keys of one topology document object, each checked
+    against its kind (int, float, list or an Enum); numbers as written."""
+    if not isinstance(doc, dict):
+        raise ParameterError(f"topology {where} must be an object, got {doc!r}")
+    out = []
+    for key, kind in kinds.items():
+        if key not in doc:
+            raise ParameterError(f"topology {where} lacks key {key!r}")
+        value = doc[key]
+        if issubclass(kind, Enum) and value in [m.value for m in kind]:
+            value = kind(value)
+        elif isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise ParameterError(
+                f"topology {where} key {key!r} holds {value!r}, expected {kind.__name__}"
+            )
+        out.append(value)
+    return out
+
+
 def _check_payoff(payoff: float) -> None:
     # the classical fidelity proxy multiplies payoffs along a path
     if not 0.0 <= payoff <= 1.0:
@@ -232,32 +252,32 @@ class NetworkTopology:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "NetworkTopology":
-        if doc.get("schema") != SCHEMA_VERSION:
-            raise ParameterError(f"unsupported topology schema {doc.get('schema')!r}")
-        nodes = tuple(
-            Node(d["id"], NodeRole(d["role"]), float(d["x"]), float(d["y"]))
-            for d in sorted(doc["nodes"], key=lambda d: d["id"])
-        )
-        links = tuple(
-            Link(
-                d["a"],
-                d["b"],
-                LinkParams(
-                    d["latency_us"], d["coherence_us"], d["decoherence_rate"], d["gen_prob"]
-                ),
-                float(d["cost"]),
-                float(d["payoff"]),
+        schema = doc.get("schema") if isinstance(doc, dict) else None
+        if schema != SCHEMA_VERSION:
+            raise ParameterError(f"unsupported topology schema {schema!r}")
+        node_docs, link_docs, scenario = _fields(doc, "document", nodes=list, links=list, scenario=ScenarioTag)
+        nodes = []
+        for i, d in enumerate(node_docs):
+            node_id, role, x, y = _fields(d, f"node {i}", id=int, role=NodeRole, x=float, y=float)
+            nodes.append(Node(node_id, role, float(x), float(y)))
+        links = []
+        for i, d in enumerate(link_docs):
+            a, b, *params, cost, payoff = _fields(
+                d, f"link {i}", a=int, b=int, latency_us=float, coherence_us=float,
+                decoherence_rate=float, gen_prob=float, cost=float, payoff=float,
             )
-            for d in doc["links"]
-        )
-        choices = {
-            c["node"]: tuple(
-                ChoiceOption(o["next_hop"], float(o["cost"]), float(o["payoff"]))
-                for o in c["options"]
+            links.append(Link(a, b, LinkParams(*params), float(cost), float(payoff)))
+        choices = {}
+        for i, c in enumerate(_fields(doc, "document", choices=list)[0] if "choices" in doc else []):
+            node_id, option_docs = _fields(c, f"choice {i}", node=int, options=list)
+            options = (
+                _fields(o, f"choice {i} option {j}", next_hop=int, cost=float, payoff=float)
+                for j, o in enumerate(option_docs)
             )
-            for c in doc.get("choices", [])
-        }
-        return cls(nodes, links, ScenarioTag(doc["scenario"]), choices)
+            choices[node_id] = tuple(
+                ChoiceOption(hop, float(cost), float(payoff)) for hop, cost, payoff in options
+            )
+        return cls(tuple(sorted(nodes, key=lambda n: n.id)), tuple(links), scenario, choices)
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkTopology":

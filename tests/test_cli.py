@@ -74,9 +74,31 @@ def _out_of_range_payoff(tmp_path):
     return write_config(tmp_path, {"topology_file": str(topo_file)}), "payoff"
 
 
+def _topology_without_nodes(tmp_path):
+    topo_file = tmp_path / "bare.json"
+    topo_file.write_text(json.dumps({"schema": 1}))
+    return write_config(tmp_path, {"topology_file": str(topo_file)}), "nodes"
+
+
+def _non_numeric_link_field(tmp_path):
+    doc = line_topology(3).to_json_dict()
+    doc["links"][0]["latency_us"] = "fast"
+    topo_file = tmp_path / "line.json"
+    topo_file.write_text(json.dumps(doc))
+    return write_config(tmp_path, {"topology_file": str(topo_file)}), "latency_us"
+
+
 @pytest.mark.parametrize(
     "make_config",
-    [_malformed_config, _missing_config, _missing_topology_file, _mistyped_value, _out_of_range_payoff],
+    [
+        _malformed_config,
+        _missing_config,
+        _missing_topology_file,
+        _mistyped_value,
+        _out_of_range_payoff,
+        _topology_without_nodes,
+        _non_numeric_link_field,
+    ],
 )
 def test_bad_config_input_exits_2(tmp_path, capsys, make_config):
     cfg, named = make_config(tmp_path)

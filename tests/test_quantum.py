@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entangle_games import quantum as q
 from entangle_games.errors import CapacityError, ParameterError
@@ -371,3 +373,24 @@ def test_coin_marginals_are_unbiased():
     rng = np.random.default_rng(13)
     flips = [q.coin_flip_consensus(rng, 0.0)[0] for _ in range(10_000)]
     assert np.mean(flips) == pytest.approx(0.5, abs=0.05)
+
+
+def dense_coin_flip(rng, angle):
+    """Reference coin flip: measure the rotated Bell-pair density matrix."""
+    rho = q.bell_pair().density_matrix()
+    rotated = q.apply_unitary(rho, 1, q._real_rotation(-angle))
+    outcome, _ = q.measure_computational(rotated, rng)
+    bit_a, bit_b = int(outcome[0]), int(outcome[1])
+    return bit_a, bit_b, bit_a == bit_b
+
+
+@settings(max_examples=200, deadline=None)
+@given(angle=st.floats(0.0, math.pi / 2), seed=st.integers(0, 2**32 - 1))
+def test_closed_form_coin_matches_dense_bell_pair(angle, seed):
+    rho = q.bell_pair().density_matrix()
+    dense = q.measurement_probabilities(q.apply_unitary(rho, 1, q._real_rotation(-angle)))
+    c, s = math.cos(angle) ** 2, math.sin(angle) ** 2
+    assert np.allclose([c / 2, s / 2, s / 2, c / 2], dense, rtol=0, atol=1e-15)
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        assert q.coin_flip_consensus(fast, angle) == dense_coin_flip(slow, angle)
