@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, islice
 
 import networkx as nx
 import numpy as np
@@ -30,6 +30,7 @@ from .errors import CapacityError, ParameterError, UnreachableError
 from .topology import NetworkTopology, NodeRole
 
 STRICT_EPS = 1e-12
+MAX_PATHS = 10_000
 
 
 class PayoffSplit(Enum):
@@ -91,7 +92,8 @@ def link_rate(link) -> float:
 
 
 class ValueModel:
-    """Characteristic-value evaluator with memoization over node subsets."""
+    """Characteristic-value evaluator over one path table: the simple
+    source->destination paths within `max_path_hops`, at most `MAX_PATHS`."""
 
     def __init__(self, cfg: CoalitionGameConfig, topology: NetworkTopology) -> None:
         n = len(topology.nodes)
@@ -100,16 +102,17 @@ class ValueModel:
         self.cfg = cfg
         self.topology = topology
         self.graph = topology.graph()
-        self._cache: dict[frozenset[int], tuple[float, tuple[int, ...] | None]] = {}
-
-    def _paths_within(self, members: frozenset[int]):
-        cfg = self.cfg
-        if cfg.source not in members or cfg.destination not in members:
-            return
-        sub = self.graph.subgraph(members)
-        if not (sub.has_node(cfg.source) and sub.has_node(cfg.destination)):
-            return
-        yield from nx.all_simple_paths(sub, cfg.source, cfg.destination, cutoff=cfg.max_path_hops)
+        found = list(islice(
+            nx.all_simple_paths(self.graph, cfg.source, cfg.destination, cutoff=cfg.max_path_hops),
+            MAX_PATHS + 1,
+        ))
+        if len(found) > MAX_PATHS:
+            raise CapacityError(
+                f"more than {MAX_PATHS} simple paths between {cfg.source} and {cfg.destination}"
+            )
+        # kept in enumeration order: filtering it gives the order a DFS inside
+        # the node set would, which the tie-break in evaluate depends on
+        self.paths = [(frozenset(p), self.path_score(p), tuple(p)) for p in found]
 
     def path_score(self, path: list[int]) -> float:
         rate = math.inf
@@ -124,21 +127,14 @@ class ValueModel:
     def evaluate(self, members: frozenset[int]) -> tuple[float, tuple[int, ...] | None]:
         """(value, best path) for a node set; (0.0, None) when no path exists."""
         members = frozenset(members)
-        hit = self._cache.get(members)
-        if hit is not None:
-            return hit
         best_score, best_path = -math.inf, None
-        for path in self._paths_within(members):
-            score = self.path_score(path)
-            if score > best_score + STRICT_EPS or (
-                abs(score - best_score) <= STRICT_EPS
-                and best_path is not None
-                and tuple(path) < best_path
+        for nodes, score, path in self.paths:
+            if nodes <= members and (
+                score > best_score + STRICT_EPS
+                or (abs(score - best_score) <= STRICT_EPS and best_path is not None and path < best_path)
             ):
-                best_score, best_path = score, tuple(path)
-        result = (best_score, best_path) if best_path is not None else (0.0, None)
-        self._cache[members] = result
-        return result
+                best_score, best_path = score, path
+        return (best_score, best_path) if best_path is not None else (0.0, None)
 
     def value(self, members) -> float:
         return self.evaluate(frozenset(members))[0]
@@ -146,21 +142,12 @@ class ValueModel:
     def candidate_nodes(self) -> list[int]:
         """Nodes lying on at least one simple source->destination path."""
         cfg = self.cfg
-        if not nx.has_path(self.graph, cfg.source, cfg.destination):
-            raise UnreachableError(
-                f"no path between {cfg.source} and {cfg.destination}"
-            )
-        nodes: set[int] = set()
-        for path in nx.all_simple_paths(
-            self.graph, cfg.source, cfg.destination, cutoff=cfg.max_path_hops
-        ):
-            nodes.update(path)
-        if not nodes:
-            raise UnreachableError(
-                f"no path between {cfg.source} and {cfg.destination} within "
-                f"{cfg.max_path_hops} hops"
-            )
-        return sorted(nodes)
+        if not self.paths:
+            # only a hop limit can hide a path that exists
+            within = f" within {cfg.max_path_hops} hops" if nx.has_path(
+                self.graph, cfg.source, cfg.destination) else ""
+            raise UnreachableError(f"no path between {cfg.source} and {cfg.destination}{within}")
+        return sorted(frozenset().union(*(nodes for nodes, _, _ in self.paths)))
 
     def split_weight(self, node: int) -> int:
         """Relative share of a coalition's value that `node` receives."""

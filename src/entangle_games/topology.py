@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 import networkx as nx
 import numpy as np
@@ -184,12 +185,15 @@ class NetworkTopology:
     def roles(self) -> set[NodeRole]:
         return {n.role for n in self.nodes}
 
-    def link_between(self, a: int, b: int) -> Link | None:
-        key = frozenset((a, b))
+    @cached_property
+    def _links_by_endpoints(self) -> dict[frozenset[int], Link]:
+        index: dict[frozenset[int], Link] = {}
         for link in self.links:
-            if link.endpoints() == key:
-                return link
-        return None
+            index.setdefault(link.endpoints(), link)  # the first listed link wins
+        return index
+
+    def link_between(self, a: int, b: int) -> Link | None:
+        return self._links_by_endpoints.get(frozenset((a, b)))
 
     def graph(self) -> nx.Graph:
         """networkx view; rebuilt on each call so the topology stays immutable."""

@@ -159,14 +159,24 @@ def test_coalition_quantum_variant_runs(tmp_path):
     assert outcome["path"][0] == 3 and outcome["path"][-1] == 7
 
 
-def test_coalition_capacity_exit_4(tmp_path, capsys):
-    t = line_topology(13)
+def _quantum_line_of_13(tmp_path):
     topo_file = tmp_path / "line.json"
-    topo_file.write_text(t.to_json())
-    cfg = write_config(
-        tmp_path,
-        {"topology_file": str(topo_file), "source": 0, "destination": 12, "variant": "quantum"},
-    )
+    topo_file.write_text(line_topology(13).to_json())
+    return {"topology_file": str(topo_file), "source": 0, "destination": 12, "variant": "quantum"}
+
+
+def _probabilistic_mesh(variant):
+    # distance-decay links give the canonical mesh millions of simple paths
+    return lambda tmp_path: {"probabilistic_links": True, "variant": variant}
+
+
+@pytest.mark.parametrize(
+    "make_config",
+    [_quantum_line_of_13, _probabilistic_mesh("classical"), _probabilistic_mesh("quantum")],
+    ids=["quantum-line-of-13", "probabilistic-mesh-classical", "probabilistic-mesh-quantum"],
+)
+def test_coalition_capacity_exit_4(tmp_path, capsys, make_config):
+    cfg = write_config(tmp_path, make_config(tmp_path))
     rc = main(["coalition", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 4
     assert "capacity" in capsys.readouterr().err

@@ -1,9 +1,10 @@
 import math
 from itertools import combinations
 
+import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entangle_games import coalition as co
@@ -68,6 +69,139 @@ def test_config_domain_checks():
         co.CoalitionGameConfig(source=0, destination=1, target_throughput=0.0)
     with pytest.raises(ParameterError):
         co.CoalitionGameConfig(source=0, destination=1, hop_cost=-1.0)
+
+
+class SubgraphValueModel:
+    """The value model before the path table, kept verbatim as the oracle:
+    one networkx subgraph and one DFS per node set, memoized."""
+
+    def __init__(self, cfg, topology):
+        self.cfg = cfg
+        self.topology = topology
+        self.graph = topology.graph()
+        self._cache = {}
+
+    def _paths_within(self, members: frozenset[int]):
+        cfg = self.cfg
+        if cfg.source not in members or cfg.destination not in members:
+            return
+        sub = self.graph.subgraph(members)
+        if not (sub.has_node(cfg.source) and sub.has_node(cfg.destination)):
+            return
+        yield from nx.all_simple_paths(sub, cfg.source, cfg.destination, cutoff=cfg.max_path_hops)
+
+    def path_score(self, path: list[int]) -> float:
+        rate = math.inf
+        fidelity = 1.0
+        for a, b in zip(path, path[1:]):
+            link = self.graph.edges[a, b]["link"]
+            rate = min(rate, co.link_rate(link))
+            fidelity *= link.payoff
+        hops = len(path) - 1
+        return min(self.cfg.target_throughput, rate) + fidelity - self.cfg.hop_cost * hops
+
+    def evaluate(self, members: frozenset[int]) -> tuple[float, tuple[int, ...] | None]:
+        """(value, best path) for a node set; (0.0, None) when no path exists."""
+        members = frozenset(members)
+        hit = self._cache.get(members)
+        if hit is not None:
+            return hit
+        best_score, best_path = -math.inf, None
+        for path in self._paths_within(members):
+            score = self.path_score(path)
+            if score > best_score + co.STRICT_EPS or (
+                abs(score - best_score) <= co.STRICT_EPS
+                and best_path is not None
+                and tuple(path) < best_path
+            ):
+                best_score, best_path = score, tuple(path)
+        result = (best_score, best_path) if best_path is not None else (0.0, None)
+        self._cache[members] = result
+        return result
+
+    def candidate_nodes(self) -> list[int]:
+        """Nodes lying on at least one simple source->destination path."""
+        cfg = self.cfg
+        if not nx.has_path(self.graph, cfg.source, cfg.destination):
+            raise UnreachableError(
+                f"no path between {cfg.source} and {cfg.destination}"
+            )
+        nodes: set[int] = set()
+        for path in nx.all_simple_paths(
+            self.graph, cfg.source, cfg.destination, cutoff=cfg.max_path_hops
+        ):
+            nodes.update(path)
+        if not nodes:
+            raise UnreachableError(
+                f"no path between {cfg.source} and {cfg.destination} within "
+                f"{cfg.max_path_hops} hops"
+            )
+        return sorted(nodes)
+
+
+@st.composite
+def _random_graph_games(draw):
+    n = draw(st.integers(3, 8))
+    graph = nx.gnp_random_graph(n, draw(st.floats(0.2, 1.0)), seed=draw(st.integers(0, 2**16)))
+    # shared values make exact ties between paths common; payoffs 6e-13
+    # apart make chains of scores each within STRICT_EPS of the next, where
+    # the earliest-wins scan depends on the order of the paths
+    gen_prob = st.sampled_from([0.5, 1.0]) | st.floats(0.05, 1.0)
+    latency = st.sampled_from([10.0, 25.0, 200.0]) | st.floats(10.0, 5000.0)
+    payoff = (
+        st.sampled_from([0.3, 1.0])
+        | st.sampled_from([0.9 + k * 6e-13 for k in range(4)])
+        | st.floats(0.0, 1.0)
+    )
+    links = tuple(
+        topo.Link(a, b, topo.LinkParams(latency_us=lat, gen_prob=draw(gen_prob)), lat, draw(payoff))
+        for a, b in graph.edges
+        for lat in [draw(latency)]
+    )
+    nodes = tuple(topo.Node(i, topo.NodeRole.REPEATER, float(i), 0.0) for i in range(n))
+    ends = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    source, destination = draw(ends)
+    cfg = co.CoalitionGameConfig(
+        source=source,
+        destination=destination,
+        target_throughput=draw(st.sampled_from([1.0, 1000.0, 5000.0, 1e5])),
+        hop_cost=draw(st.floats(0.0, 0.5)),
+        max_path_hops=draw(st.sampled_from([None, 1, 2, 3, 4])),
+    )
+    return cfg, topo.NetworkTopology(nodes, links, topo.ScenarioTag.CUSTOM)
+
+
+def _near_tie_fan():
+    """Three two-hop paths 0-m-4 with scores s, s + 1.2e-12 and s + 6e-13 in
+    enumeration order: (0, 2, 4) wins as listed, another path under any other
+    order (sorted by path or score, or reversed)."""
+    nodes = tuple(topo.Node(i, topo.NodeRole.REPEATER, float(i), 0.0) for i in range(5))
+    fan = [(1, 0.9), (3, 0.9 + 12e-13), (2, 0.9 + 6e-13)]
+    links = [topo.Link(0, m, topo.LinkParams(), 25.0, payoff) for m, payoff in fan]
+    links += [topo.Link(m, 4, topo.LinkParams(), 25.0, 1.0) for m, _ in fan]
+    t = topo.NetworkTopology(nodes, tuple(links), topo.ScenarioTag.CUSTOM)
+    return co.CoalitionGameConfig(source=0, destination=4), t
+
+
+@settings(max_examples=300, deadline=None)
+@given(game=_random_graph_games())
+@example(game=_near_tie_fan())
+def test_path_table_matches_subgraph_oracle(game):
+    cfg, t = game
+    model = co.ValueModel(cfg, t)
+    oracle = SubgraphValueModel(cfg, t)
+    try:
+        want = oracle.candidate_nodes()
+    except UnreachableError as exc:
+        with pytest.raises(UnreachableError) as got:
+            model.candidate_nodes()
+        assert str(got.value) == str(exc)
+    else:
+        assert model.candidate_nodes() == want
+    n = len(t.nodes)
+    for r in range(n + 1):
+        for members in combinations(range(n), r):
+            assert model.evaluate(frozenset(members)) == oracle.evaluate(frozenset(members))
 
 
 # ---------------------------------------------------------------------------

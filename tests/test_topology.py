@@ -65,6 +65,26 @@ def test_degenerate_pair_directly_linked():
     assert t.link_between(0, 1) is not None  # leaders 0 and 1
 
 
+@pytest.mark.parametrize(
+    "t", [topo.canonical_leader_mesh_topology(), topo.canonical_two_tree_topology()]
+)
+def test_link_between_finds_every_link_both_ways(t):
+    for l in t.links:
+        assert t.link_between(l.a, l.b) is l
+        assert t.link_between(l.b, l.a) is l
+    linked = {l.endpoints() for l in t.links}
+    a, b = next((a, b) for a in range(len(t.nodes)) for b in range(a + 1, len(t.nodes))
+                if frozenset((a, b)) not in linked)
+    assert t.link_between(a, b) is None
+    # a copy with a second link on the same endpoints keeps the first, and
+    # an updated copy looks up its own links
+    first = t.links[0]
+    dup = replace(t, links=t.links + (replace(first, payoff=0.1),))
+    assert dup.link_between(first.b, first.a) is first
+    slower = t.with_link_updates(latency_us=99.0)
+    assert slower.link_between(first.a, first.b).params.latency_us == 99.0
+
+
 def test_builder_determinism():
     a = topo.build_scenario1(3, 2, 1, seed=5)
     b = topo.build_scenario1(3, 2, 1, seed=5)
