@@ -2,7 +2,11 @@
 
 Classical variant: merge-and-split over candidate node coalitions, accepting
 any merge (pairwise or wider) or two-way split that strictly increases the
-combined characteristic value of the coalitions involved. Quantum variant:
+combined characteristic value of the coalitions involved. The search tries
+only moves that can pay: merges of groups that are unions of path covers
+(the coalitions meeting one listed path's nodes), and splits of coalitions
+worth less than -STRICT_EPS; it returns the same first improving move as an
+exhaustive search in the same order. Quantum variant:
 the referee (the leader next to the source) prepares an entangled multi-party
 state, each player rotates its own qubit, and the measured bitstring selects
 the candidate coalition; strategies evolve by discretized best response until
@@ -20,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations, islice
+from itertools import islice
 
 import networkx as nx
 import numpy as np
@@ -182,25 +186,50 @@ def _find_merge(model: ValueModel, partition: list[frozenset[int]]):
 
     Pairs are tried before wider merges so the dynamics stay local when they
     can; wider merges are what let zero-value singletons assemble a full path.
+    Groups go by size, then lexicographically by the rank of their parts'
+    sorted members.
+
+    Only unions of path covers are tried, where a listed path's cover is the
+    set of parts meeting its nodes. Every other group is skipped without
+    changing which group comes first: a part of such a group lies in no cover
+    of a path its union holds, so the part holds no path, is worth 0, and the
+    group without it holds the same paths, is worth the same and is tried
+    earlier.
     """
     order = sorted(range(len(partition)), key=lambda i: sorted(partition[i]))
-    for k in range(2, len(partition) + 1):
-        for group in combinations(order, k):
-            parts = [partition[i] for i in group]
-            union = frozenset().union(*parts)
-            if model.value(union) > sum(model.value(p) for p in parts) + STRICT_EPS:
-                return group, union
+    rank_of = {m: r for r, i in enumerate(order) for m in partition[i]}
+    covers = {
+        frozenset(rank_of[m] for m in nodes)
+        for nodes, _, _ in model.paths
+        if rank_of.keys() >= nodes
+    }
+    unions: set[frozenset[int]] = set()
+    for cover in covers:
+        unions |= {cover | u for u in unions}
+        unions.add(cover)
+    values = [model.value(p) for p in partition]
+    for ranks in sorted((sorted(u) for u in unions if len(u) > 1), key=lambda g: (len(g), g)):
+        group = tuple(order[r] for r in ranks)
+        union = frozenset().union(*(partition[i] for i in group))
+        if model.value(union) > sum(values[i] for i in group) + STRICT_EPS:
+            return group, union
     return None
 
 
 def _find_split(model: ValueModel, partition: list[frozenset[int]]):
-    # exhaustive 2-way splits; intended for the small candidate sets these
-    # games produce (the search is exponential in coalition size)
+    # Every listed path holds the source, so at most one side of a split
+    # holds one, and no side is worth more than the whole up to STRICT_EPS
+    # (the earliest-wins scan in evaluate ends within STRICT_EPS of the best
+    # score). So only a coalition worth less than -STRICT_EPS can split
+    # profitably; its 2-way splits are scanned in full, and the scan stops
+    # no later than the first split that separates the endpoints.
     for i, coalition in enumerate(partition):
         if len(coalition) < 2:
             continue
-        members = sorted(coalition)
         whole = model.value(coalition)
+        if whole >= -STRICT_EPS:
+            continue
+        members = sorted(coalition)
         # enumerate 2-way splits; fix members[0] on one side to halve the count
         for mask in range(1, 2 ** (len(members) - 1)):
             left = frozenset(
@@ -336,6 +365,18 @@ GRID_STRATEGIES = tuple((float(theta), float(phi)) for theta in THETA_GRID for p
 GRID_MATRICES = np.stack([q.SingleQubitUnitary(*tp).matrix() for tp in GRID_STRATEGIES])
 
 
+def _rotate(amps: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
+    """`u` applied to one qubit of an amplitude vector, not normalized.
+
+    These are np.tensordot's own steps in q.apply_unitary (the qubit's axis
+    moved first, one np.dot, the axis moved back), so the result matches it
+    bit for bit without a validated StateVector per step.
+    """
+    low = amps.size >> (qubit + 1)
+    psi = amps.reshape(-1, 2, low).transpose(1, 0, 2).reshape(2, -1)
+    return np.dot(u, psi).reshape(2, -1, low).transpose(1, 0, 2).reshape(-1)
+
+
 class _QuantumRound:
     """Per-game machinery: the payoff table over bitstrings and best responses."""
 
@@ -362,11 +403,24 @@ class _QuantumRound:
             p for i, p in enumerate(self.players) if (outcome_bits >> (m - 1 - i)) & 1
         )
 
-    def played_state(self, strategies: dict[int, q.SingleQubitUnitary]) -> q.StateVector:
-        state = self.base
+    def _turned(
+        self, strategies: dict[int, q.SingleQubitUnitary], skip: int | None = None
+    ) -> np.ndarray:
+        """Amplitudes after every player but the one at index `skip` turns its
+        qubit, each step divided by its norm as StateVector.__init__ does, so
+        they equal a chain of q.apply_unitary calls bit for bit."""
+        amps = self.base.amplitudes
         for i, p in enumerate(self.players):
-            state = q.apply_unitary(state, i, strategies[p])
-        return state
+            if i != skip:
+                amps = _rotate(amps, i, strategies[p].matrix())
+                amps = amps / float(np.linalg.norm(amps))
+        return amps
+
+    def played_state(self, strategies: dict[int, q.SingleQubitUnitary]) -> q.StateVector:
+        last = len(self.players) - 1
+        amps = self._turned(strategies, skip=last)
+        # the StateVector divides the last step by its norm
+        return q.StateVector(_rotate(amps, last, strategies[self.players[last]].matrix()))
 
     def join_marginals(self, strategies: dict[int, q.SingleQubitUnitary]) -> np.ndarray:
         """P(bit i = 1) of each player i in the played state."""
@@ -387,12 +441,8 @@ class _QuantumRound:
         keep the earliest grid point (theta-major order), so updates are
         reproducible.
         """
-        others = self.base
-        for i, p in enumerate(self.players):
-            if i != player_index:
-                others = q.apply_unitary(others, i, strategies[p])
         shape = (2**player_index, 2, -1)
-        psi = others.amplitudes.reshape(shape)
+        psi = self._turned(strategies, skip=player_index).reshape(shape)
         payoffs = self.payoffs[:, player_index].reshape(shape)
         form = np.einsum("lbr,lcr,lar->abc", psi, psi.conj(), payoffs)
         scores = np.einsum("gab,gac,abc->g", GRID_MATRICES, GRID_MATRICES.conj(), form).real

@@ -108,7 +108,10 @@ def run_trial(
     topology: NetworkTopology, path: list[int], cfg: SimConfig, rng: np.random.Generator
 ) -> TrialMetrics:
     """One distribution attempt over `path` under the configured regime."""
-    links = _path_links(topology, path)
+    return _run_on_links(_path_links(topology, path), cfg, rng)
+
+
+def _run_on_links(links, cfg: SimConfig, rng: np.random.Generator) -> TrialMetrics:
     hops = len(links)
     budget = min(l.params.coherence_us for l in links)
     payoff_proxy = math.prod(l.payoff for l in links)
@@ -177,8 +180,9 @@ def run_trials(
 ) -> list[TrialMetrics]:
     """cfg.trials independent trials, in trial-index order, each with its own
     generator derived from (seed_parts, trial index)."""
+    links = _path_links(topology, path)
     return [
-        run_trial(topology, path, cfg, np.random.default_rng([*seed_parts, i]))
+        _run_on_links(links, cfg, np.random.default_rng([*seed_parts, i]))
         for i in range(cfg.trials)
     ]
 

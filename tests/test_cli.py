@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import entangle_games
 from entangle_games import topology as topo
 from entangle_games.cli import RunConfig, main
 from entangle_games.errors import ParameterError
@@ -233,6 +237,21 @@ def test_sweep_nodes_csv_shape(tmp_path):
     assert lines[0] == "x,regime,metric,mean,stddev,n"
     assert len(lines) == 1 + 2 * 4 * 7  # counts x regimes x metrics
     assert (tmp_path / "sweep.json").exists()
+
+
+def test_sweep_nodes_past_paper_range_finishes(tmp_path):
+    # a subprocess with a deadline, so a merge-and-split that grows with
+    # 2**nodes fails here instead of stalling the suite
+    cfg = write_config(tmp_path, {"node_counts": [2, 20], "trials": 20})
+    src = Path(entangle_games.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "entangle_games.cli", "sweep", "--kind", "nodes",
+         "--config", cfg, "--out", str(tmp_path), "--quiet"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_decoherence_fidelity_decreasing(tmp_path):

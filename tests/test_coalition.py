@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import combinations
 
 import networkx as nx
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from entangle_games import coalition as co
 from entangle_games import quantum as q
+from entangle_games import simulation as sim
 from entangle_games import topology as topo
 from entangle_games.errors import CapacityError, ParameterError, UnreachableError
 
@@ -140,7 +142,7 @@ class SubgraphValueModel:
 
 
 @st.composite
-def _random_graph_games(draw):
+def _random_graph_games(draw, targets=(1.0, 1000.0, 5000.0, 1e5), hop_cost=st.floats(0.0, 0.5)):
     n = draw(st.integers(3, 8))
     graph = nx.gnp_random_graph(n, draw(st.floats(0.2, 1.0)), seed=draw(st.integers(0, 2**16)))
     # shared values make exact ties between paths common; payoffs 6e-13
@@ -164,8 +166,8 @@ def _random_graph_games(draw):
     cfg = co.CoalitionGameConfig(
         source=source,
         destination=destination,
-        target_throughput=draw(st.sampled_from([1.0, 1000.0, 5000.0, 1e5])),
-        hop_cost=draw(st.floats(0.0, 0.5)),
+        target_throughput=draw(st.sampled_from(targets)),
+        hop_cost=draw(hop_cost),
         max_path_hops=draw(st.sampled_from([None, 1, 2, 3, 4])),
     )
     return cfg, topo.NetworkTopology(nodes, links, topo.ScenarioTag.CUSTOM)
@@ -278,6 +280,116 @@ def test_exhaustive_stability_on_six_node_fixture():
     seen = set(out.stable_coalition.members)
     partition.extend(frozenset([n]) for n in range(6) if n not in seen)
     assert co.stability_violations(model, partition) == []
+
+
+def exhaustive_find_merge(model, partition):
+    """`_find_merge` before the path-cover pruning, kept verbatim as the oracle."""
+    order = sorted(range(len(partition)), key=lambda i: sorted(partition[i]))
+    for k in range(2, len(partition) + 1):
+        for group in combinations(order, k):
+            parts = [partition[i] for i in group]
+            union = frozenset().union(*parts)
+            if model.value(union) > sum(model.value(p) for p in parts) + co.STRICT_EPS:
+                return group, union
+    return None
+
+
+def exhaustive_find_split(model, partition):
+    """`_find_split` before the pruning, kept verbatim as the oracle."""
+    for i, coalition in enumerate(partition):
+        if len(coalition) < 2:
+            continue
+        members = sorted(coalition)
+        whole = model.value(coalition)
+        # enumerate 2-way splits; fix members[0] on one side to halve the count
+        for mask in range(1, 2 ** (len(members) - 1)):
+            left = frozenset(
+                m for j, m in enumerate(members) if j == 0 or (mask >> (j - 1)) & 1
+            )
+            right = coalition - left
+            if not right:
+                continue
+            if model.value(left) + model.value(right) > whole + co.STRICT_EPS:
+                return i, left, right
+    return None
+
+
+@st.composite
+def _random_partitions(draw):
+    # hop costs up to 3000 make many coalitions worth less than zero, where
+    # the split search keeps its full scan
+    cfg, t = draw(_random_graph_games(
+        targets=(1.0, 1000.0, 5000.0), hop_cost=st.floats(0.0, 0.5) | st.floats(0.0, 3000.0)
+    ))
+    n = len(t.nodes)
+    # label -1 leaves a node out; the other labels name the parts
+    labels = st.integers(-1, draw(st.integers(0, n - 1)))
+    by_node = draw(st.lists(labels, min_size=n, max_size=n))
+    parts = [
+        frozenset(v for v in range(n) if by_node[v] == label)
+        for label in sorted(set(by_node) - {-1})
+    ]
+    return co.ValueModel(cfg, t), draw(st.permutations(parts))
+
+
+def _wider_than_minimal_cover():
+    """A direct link 0-3 too slow to pay for its hop, and two equal two-hop
+    paths 0-2-3 (listed first) and 0-1-3. From singletons the first improving
+    group is {0}, {1}, {3}: wider than the cover {0}, {3} of the direct link,
+    and first in rank order although its path is listed second."""
+    nodes = tuple(topo.Node(i, topo.NodeRole.REPEATER, float(i), 0.0) for i in range(4))
+    slow = topo.LinkParams(latency_us=1e6, gen_prob=0.01)
+    links = [topo.Link(0, 3, slow, 1e6, 0.0)]
+    good = [(0, 2), (2, 3), (0, 1), (1, 3)]
+    links += [topo.Link(a, b, topo.LinkParams(), 25.0, 0.9) for a, b in good]
+    t = topo.NetworkTopology(nodes, tuple(links), topo.ScenarioTag.CUSTOM)
+    cfg = co.CoalitionGameConfig(source=0, destination=3)
+    return co.ValueModel(cfg, t), [frozenset([v]) for v in (3, 2, 1, 0)]
+
+
+def _union_of_two_covers():
+    """Scores 1.5 + {0, 0.3, 0.9, 1.5} * 1e-12 on the paths 0-5-9 (inside the
+    part A = {0, 5, 9, 10}), 0-1-9, 0-2-9 and 0-2-10-9, listed in that order.
+    The earliest-wins scan keeps each of the covers {A, {1}} and {A, {2}} within
+    STRICT_EPS of the part's own value, while their union reaches 0-2-10-9 by
+    way of 0-1-9 and improves: the first improving group is a union of two
+    covers and the cover of no single path."""
+    nodes = tuple(topo.Node(i, topo.NodeRole.REPEATER, float(i), 0.0) for i in range(11))
+    payoffs = {
+        (0, 5): 1.0, (5, 9): 0.5,
+        (0, 1): 1.0, (1, 9): 0.5 + 0.3e-12,
+        (0, 2): 1.0, (2, 9): 0.5 + 0.9e-12,
+        (2, 10): 1.0, (10, 9): 0.5 + 1.5e-12,
+    }
+    links = tuple(topo.Link(a, b, topo.LinkParams(), 25.0, f) for (a, b), f in payoffs.items())
+    t = topo.NetworkTopology(nodes, links, topo.ScenarioTag.CUSTOM)
+    cfg = co.CoalitionGameConfig(source=0, destination=9, target_throughput=1.0, hop_cost=0.0)
+    return co.ValueModel(cfg, t), [frozenset([2]), frozenset([0, 5, 9, 10]), frozenset([1])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(game=_random_partitions())
+@example(game=_wider_than_minimal_cover())
+@example(game=_union_of_two_covers())
+def test_pruned_merge_and_split_match_exhaustive_search(game):
+    model, partition = game
+    merge = exhaustive_find_merge(model, partition)
+    split = exhaustive_find_split(model, partition)
+    assert co._find_merge(model, partition) == merge
+    assert co._find_split(model, partition) == split
+    want = ["an improving merge remains"] * (merge is not None)
+    want += ["an improving split remains"] * (split is not None)
+    assert co.stability_violations(model, partition) == want
+
+
+def test_backbone_of_40_settles_within_a_second():
+    t = sim.backbone_topology(40)
+    cfg = co.CoalitionGameConfig(source=2, destination=3)
+    start = time.perf_counter()
+    out = co.classical_coalition_form(cfg, t)
+    assert time.perf_counter() - start < 1.0
+    assert out.rounds == 1
+    assert out.path[0] == 2 and out.path[-1] == 3 and len(out.path) == 42
 
 
 def test_unreachable_destination_raises():
@@ -539,3 +651,27 @@ def test_quantum_round_matches_state_scan(game):
         assert engine.best_response(i, strategies) == oracle.best_response(i, strategies)
     want = scan_join_marginals(engine.played_state(strategies))
     assert engine.join_marginals(strategies).tolist() == want.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(2, 12),
+    gamma=st.sampled_from([0.0, math.pi / 2]) | st.floats(0.0, math.pi / 2),
+    data=st.data(),
+)
+def test_turned_amplitudes_match_apply_unitary_chain(m, gamma, data):
+    cfg = co.CoalitionGameConfig(source=0, destination=m - 1)
+    engine = co._QuantumRound(co.ValueModel(cfg, line_topology(m)), list(range(m)), gamma)
+    turn = st.sampled_from(co.GRID_STRATEGIES) | st.tuples(
+        st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi)
+    )
+    strategies = {p: q.SingleQubitUnitary(*data.draw(turn)) for p in range(m)}
+    skip = data.draw(st.none() | st.integers(0, m - 1))
+    chain = engine.base
+    for i in range(m):
+        if i != skip:
+            chain = q.apply_unitary(chain, i, strategies[i])
+    assert engine._turned(strategies, skip).tobytes() == chain.amplitudes.tobytes()
+    if skip is None:
+        played = engine.played_state(strategies).amplitudes
+        assert played.tobytes() == chain.amplitudes.tobytes()
