@@ -231,13 +231,11 @@ def _find_split(model: ValueModel, partition: list[frozenset[int]]):
             continue
         members = sorted(coalition)
         # enumerate 2-way splits; fix members[0] on one side to halve the count
-        for mask in range(1, 2 ** (len(members) - 1)):
+        for mask in range(2 ** (len(members) - 1) - 1):
             left = frozenset(
                 m for j, m in enumerate(members) if j == 0 or (mask >> (j - 1)) & 1
             )
             right = coalition - left
-            if not right:
-                continue
             if model.value(left) + model.value(right) > whole + STRICT_EPS:
                 return i, left, right
     return None

@@ -1,6 +1,6 @@
 """Equilibrium solvers: damped best-response Nash iteration for the 2-player
-classical games, and a latency-equalizing Wardrop assignment for allocating
-entanglement-attempt rate across a node's outgoing links.
+classical games, and an exact water-filling Wardrop assignment for allocating
+entanglement-attempt rate across a node's outgoing links (affine latencies).
 
 Both solvers are pure functions of their inputs and safe to call concurrently.
 """
@@ -122,8 +122,8 @@ class AffineLatency:
     slope: float
 
     def __post_init__(self) -> None:
-        if self.intercept < 0 or self.slope < 0:
-            raise ParameterError("latency coefficients must be non-negative")
+        if not (0 <= self.intercept < math.inf and 0 <= self.slope < math.inf):
+            raise ParameterError(f"latency coefficients must be finite and >= 0, got {self}")
 
     def __call__(self, x: float) -> float:
         return self.intercept + self.slope * x
@@ -136,16 +136,14 @@ class WardropProblem:
     latencies: tuple[AffineLatency, ...]
     demand: float
     tol: float = 1e-9
-    step: float = 0.1
-    max_iter: int = 200_000
 
     def __post_init__(self) -> None:
         if len(self.latencies) < 1:
             raise ParameterError("need at least one outgoing link")
-        if not self.demand > 0:
-            raise ParameterError(f"demand must be > 0, got {self.demand}")
-        if not self.tol > 0:
-            raise ParameterError(f"tol must be > 0, got {self.tol}")
+        if not 0 < self.demand < math.inf:
+            raise ParameterError(f"demand must be finite and > 0, got {self.demand}")
+        if not 0 < self.tol < math.inf:
+            raise ParameterError(f"tol must be finite and > 0, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -162,15 +160,15 @@ USED_FLOW_EPS = 1e-12
 def wardrop_gap(flows: Sequence[float], problem: WardropProblem) -> float:
     """Max spread between any used link's latency and the best link's latency.
 
-    Zero exactly at equilibrium. Raises on infeasible flows (negative entries
-    or wrong total).
+    Zero exactly at equilibrium. Raises on infeasible flows (negative entries,
+    or a total off the demand by more than 1e-9 relative to max(1, demand)).
     """
     flows = list(flows)
     if len(flows) != len(problem.latencies):
         raise ParameterError("flow vector length does not match link count")
     if any(x < -1e-9 for x in flows):
         raise ParameterError(f"negative flow in {flows}")
-    if abs(sum(flows) - problem.demand) > 1e-9:
+    if abs(sum(flows) - problem.demand) > 1e-9 * max(1.0, problem.demand):
         raise ParameterError(f"flows sum to {sum(flows)}, demand is {problem.demand}")
     lat = [l(x) for l, x in zip(problem.latencies, flows)]
     floor = min(lat)
@@ -178,49 +176,52 @@ def wardrop_gap(flows: Sequence[float], problem: WardropProblem) -> float:
     return max(used) - floor if used else 0.0
 
 
+def _fill(problem: WardropProblem, used: list[int], base: float, level: float) -> list[float]:
+    """Flows at latency `base + level`; a cap's leftover demand goes to its zero-slope ties."""
+    lat = problem.latencies
+    flows = [0.0] * len(lat)
+    for i in used:
+        if lat[i].slope > 0.0:
+            flows[i] = (level - (lat[i].intercept - base)) / lat[i].slope
+    if lat[used[-1]].slope == 0.0:
+        cap = lat[used[-1]].intercept
+        ties = [i for i, l in enumerate(lat) if l.slope == 0.0 and l.intercept <= cap + problem.tol]
+        # rounding can leave the sloped links a hair over the demand
+        share = max(0.0, problem.demand - sum(flows)) / len(ties)
+        for i in ties:
+            flows[i] = share
+    return flows
+
+
 def solve_wardrop(problem: WardropProblem, trace_sink=None) -> WardropFlow:
-    """Iterative flow shifting until the Wardrop condition holds.
+    """Exact Wardrop flows for affine latencies: water-filling in one sorted pass.
 
-    Each step moves flow from the highest-latency used link to the
-    lowest-latency link, sized as `step` times the exact pairwise equalizer,
-    with the step halved whenever the gap fails to shrink. All-constant equal
-    latencies are split uniformly (documented tie rule).
+    Links enter in ascending intercept order (ties in index order) while their
+    intercept is below the level c = (demand + sum a/b) / sum 1/b of the sloped
+    links in use. A zero-slope link that enters caps c at its intercept, and the
+    zero-slope links within `tol` of the cap share the rest of the demand equally.
+    `iterations` counts the used sets tried; `trace_sink`, when given, receives
+    one "k,flows,gap" CSV line per set tried, flows semicolon-joined.
     """
-    m = len(problem.latencies)
-    slopes = [l.slope for l in problem.latencies]
-    if all(s == 0.0 for s in slopes):
-        # constant latencies: route everything to the cheapest links,
-        # splitting uniformly among ties
-        vals = [l(0.0) for l in problem.latencies]
-        best = min(vals)
-        winners = [i for i, v in enumerate(vals) if v <= best + problem.tol]
-        flows = [problem.demand / len(winners) if i in winners else 0.0 for i in range(m)]
-        return WardropFlow(tuple(flows), best, wardrop_gap(flows, problem), 0)
-
-    flows = [problem.demand / m] * m
-    eta = problem.step
-    prev_gap = math.inf
-    iterations = 0
-    for iterations in range(1, problem.max_iter + 1):
-        lat = [l(x) for l, x in zip(problem.latencies, flows)]
-        lo = min(range(m), key=lambda i: lat[i])
-        used = [i for i in range(m) if flows[i] > USED_FLOW_EPS]
-        hi = max(used, key=lambda i: lat[i])
-        gap = lat[hi] - lat[lo]
-        if trace_sink is not None:
-            flows_cell = ";".join(repr(x) for x in flows)
-            trace_sink.write(f"{iterations},{flows_cell},{gap!r}\n")
-        if gap <= problem.tol:
+    lat = problem.latencies
+    # levels are relative to the lowest intercept, so large intercepts keep flows exact
+    base = min(l(0.0) for l in lat)
+    used: list[int] = []
+    inv = lin = 0.0
+    level = math.inf
+    for i in sorted(range(len(lat)), key=lambda i: lat[i].intercept):
+        a, b = lat[i].intercept - base, lat[i].slope
+        if a >= level:
             break
-        if gap > prev_gap:  # oscillating: damp the step
-            eta = max(eta / 2.0, 1e-6)
-        prev_gap = gap
-        denom = slopes[hi] + slopes[lo]
-        shift = gap if denom == 0.0 else gap / denom
-        move = min(flows[hi], eta * shift)
-        flows[hi] -= move
-        flows[lo] += move
-    lat = [l(x) for l, x in zip(problem.latencies, flows)]
-    used = [i for i in range(m) if flows[i] > USED_FLOW_EPS]
-    common = sum(lat[i] for i in used) / len(used)
-    return WardropFlow(tuple(flows), common, wardrop_gap(flows, problem), iterations)
+        used.append(i)
+        if b == 0.0:
+            level = a  # every later intercept is >= a, so the pass ends here
+        else:
+            inv, lin = inv + 1.0 / b, lin + a / b
+            level = (problem.demand + lin) / inv
+        if trace_sink is not None:
+            flows = _fill(problem, used, base, level)
+            cells = ";".join(map(repr, flows))
+            trace_sink.write(f"{len(used)},{cells},{wardrop_gap(flows, problem)!r}\n")
+    flows = _fill(problem, used, base, level)
+    return WardropFlow(tuple(flows), base + level, wardrop_gap(flows, problem), len(used))

@@ -282,6 +282,17 @@ def test_exhaustive_stability_on_six_node_fixture():
     assert co.stability_violations(model, partition) == []
 
 
+@pytest.mark.parametrize("n, want", [(2, ({0}, {1})), (3, ({0}, {1, 2}))])
+def test_split_search_starts_with_the_first_member_alone(n, want):
+    # a hop cost of 1e5 makes the whole line worth far less than its parts
+    cfg = co.CoalitionGameConfig(source=0, destination=n - 1, hop_cost=1e5)
+    model = co.ValueModel(cfg, line_topology(n))
+    whole = frozenset(range(n))
+    assert model.value(whole) < -9e4
+    assert co._find_split(model, [whole]) == (0, *map(frozenset, want))
+    assert co.stability_violations(model, [whole]) == ["an improving split remains"]
+
+
 def exhaustive_find_merge(model, partition):
     """`_find_merge` before the path-cover pruning, kept verbatim as the oracle."""
     order = sorted(range(len(partition)), key=lambda i: sorted(partition[i]))
@@ -295,20 +306,19 @@ def exhaustive_find_merge(model, partition):
 
 
 def exhaustive_find_split(model, partition):
-    """`_find_split` before the pruning, kept verbatim as the oracle."""
+    """`_find_split` before the pruning, kept verbatim as the oracle apart
+    from its mask range, which now starts at mask 0 as `_find_split`'s does."""
     for i, coalition in enumerate(partition):
         if len(coalition) < 2:
             continue
         members = sorted(coalition)
         whole = model.value(coalition)
         # enumerate 2-way splits; fix members[0] on one side to halve the count
-        for mask in range(1, 2 ** (len(members) - 1)):
+        for mask in range(2 ** (len(members) - 1) - 1):
             left = frozenset(
                 m for j, m in enumerate(members) if j == 0 or (mask >> (j - 1)) & 1
             )
             right = coalition - left
-            if not right:
-                continue
             if model.value(left) + model.value(right) > whole + co.STRICT_EPS:
                 return i, left, right
     return None
