@@ -148,6 +148,8 @@ class RunConfig:
             raise ParameterError(f"scenario must be 1 or 2, got {self.scenario}")
         if self.variant not in ("classical", "quantum"):
             raise ParameterError(f"variant must be classical or quantum, got {self.variant!r}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         self.link_params()  # raises with the offending field named
         if self.delta is not None:
             topo.LinkModelParams(self.mu, self.lam, self.delta)

@@ -176,16 +176,18 @@ def wardrop_gap(flows: Sequence[float], problem: WardropProblem) -> float:
     return max(used) - floor if used else 0.0
 
 
-def _fill(problem: WardropProblem, used: list[int], base: float, level: float) -> list[float]:
+def _fill(
+    problem: WardropProblem, slopes: list[float], used: list[int], base: float, level: float
+) -> list[float]:
     """Flows at latency `base + level`; a cap's leftover demand goes to its zero-slope ties."""
     lat = problem.latencies
     flows = [0.0] * len(lat)
     for i in used:
-        if lat[i].slope > 0.0:
-            flows[i] = (level - (lat[i].intercept - base)) / lat[i].slope
-    if lat[used[-1]].slope == 0.0:
+        if slopes[i] > 0.0:
+            flows[i] = (level - (lat[i].intercept - base)) / slopes[i]
+    if slopes[used[-1]] == 0.0:
         cap = lat[used[-1]].intercept
-        ties = [i for i, l in enumerate(lat) if l.slope == 0.0 and l.intercept <= cap + problem.tol]
+        ties = [i for i, l in enumerate(lat) if slopes[i] == 0.0 and l.intercept <= cap + problem.tol]
         # rounding can leave the sloped links a hair over the demand
         share = max(0.0, problem.demand - sum(flows)) / len(ties)
         for i in ties:
@@ -200,17 +202,20 @@ def solve_wardrop(problem: WardropProblem, trace_sink=None) -> WardropFlow:
     intercept is below the level c = (demand + sum a/b) / sum 1/b of the sloped
     links in use. A zero-slope link that enters caps c at its intercept, and the
     zero-slope links within `tol` of the cap share the rest of the demand equally.
+    A slope whose reciprocal overflows counts as zero slope.
     `iterations` counts the used sets tried; `trace_sink`, when given, receives
     one "k,flows,gap" CSV line per set tried, flows semicolon-joined.
     """
     lat = problem.latencies
+    # a slope whose reciprocal overflows leaves its link flat at any flow the pass can compute
+    slopes = [l.slope if l.slope > 0.0 and math.isfinite(1.0 / l.slope) else 0.0 for l in lat]
     # levels are relative to the lowest intercept, so large intercepts keep flows exact
     base = min(l(0.0) for l in lat)
     used: list[int] = []
     inv = lin = 0.0
     level = math.inf
     for i in sorted(range(len(lat)), key=lambda i: lat[i].intercept):
-        a, b = lat[i].intercept - base, lat[i].slope
+        a, b = lat[i].intercept - base, slopes[i]
         if a >= level:
             break
         used.append(i)
@@ -220,8 +225,8 @@ def solve_wardrop(problem: WardropProblem, trace_sink=None) -> WardropFlow:
             inv, lin = inv + 1.0 / b, lin + a / b
             level = (problem.demand + lin) / inv
         if trace_sink is not None:
-            flows = _fill(problem, used, base, level)
+            flows = _fill(problem, slopes, used, base, level)
             cells = ";".join(map(repr, flows))
             trace_sink.write(f"{len(used)},{cells},{wardrop_gap(flows, problem)!r}\n")
-    flows = _fill(problem, used, base, level)
+    flows = _fill(problem, slopes, used, base, level)
     return WardropFlow(tuple(flows), base + level, wardrop_gap(flows, problem), len(used))

@@ -15,6 +15,12 @@ delivered fidelity has the closed form 1/4 + 3/4 * exp(-sum(rate_i * held_i));
 the dense engine in `quantum` is the reference tests compare it against.
 Classical regimes skip generation and decoherence entirely: one sync step plus
 latency per hop, fidelity pinned to the product of the links' fidelity payoffs.
+
+Each trial of a sweep cell has its own generator, seeded from (seed, sweep
+indices, trial index). Only geometric draws at gen_prob < 1 make trials
+differ: a classical-net cell, or a quantum-net cell whose path links all have
+gen_prob 1, runs trial 0 once and repeats its metrics, which is exactly the
+list the per-trial loop returns.
 """
 
 from __future__ import annotations
@@ -179,8 +185,17 @@ def run_trials(
     seed_parts: tuple[int, ...],
 ) -> list[TrialMetrics]:
     """cfg.trials independent trials, in trial-index order, each with its own
-    generator derived from (seed_parts, trial index)."""
+    generator derived from (seed_parts, trial index).
+
+    A cell whose trials draw no random number runs trial 0 alone and repeats
+    it: classical-net regimes never touch the generator, and on a quantum-net
+    path whose links all have gen_prob 1 every geometric draw is 1. Each trial
+    of such a cell would return equal metrics, so the list (and `aggregate` of
+    it) is exactly what the per-trial loop gives.
+    """
     links = _path_links(topology, path)
+    if not cfg.regime.quantum_net or all(l.params.gen_prob == 1.0 for l in links):
+        return [_run_on_links(links, cfg, np.random.default_rng([*seed_parts, 0]))] * cfg.trials
     return [
         _run_on_links(links, cfg, np.random.default_rng([*seed_parts, i]))
         for i in range(cfg.trials)
@@ -299,8 +314,8 @@ def sweep_nodes(
     link_defaults: LinkParams | None = None,
 ) -> SweepResult:
     """Normalized-delay sweep across network sizes for each strategy regime."""
-    if list(node_counts) != sorted(node_counts):
-        raise ParameterError("node_counts must be ascending")
+    if any(a >= b for a, b in zip(node_counts, node_counts[1:])):
+        raise ParameterError(f"node_counts must be strictly ascending, got {list(node_counts)}")
     cells = {}
     for xi, count in enumerate(node_counts):
         topology = backbone_topology(count, link_defaults)
@@ -352,8 +367,8 @@ def sweep_decoherence(
     from .consensus import run_consensus  # deferred: consensus pulls trial fidelities
     from .topology import canonical_two_tree_topology
 
-    if list(rates) != sorted(rates) or (rates and rates[0] < 0):
-        raise ParameterError("rates must be ascending and non-negative")
+    if any(a >= b for a, b in zip(rates, rates[1:])) or (rates and rates[0] < 0):
+        raise ParameterError(f"rates must be strictly ascending and non-negative, got {list(rates)}")
     base_topology = (
         topology
         if topology is not None

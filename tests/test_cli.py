@@ -92,6 +92,10 @@ def _non_numeric_link_field(tmp_path):
     return write_config(tmp_path, {"topology_file": str(topo_file)}), "latency_us"
 
 
+def _negative_seed(tmp_path):
+    return write_config(tmp_path, {"seed": -1}), "seed"
+
+
 @pytest.mark.parametrize(
     "make_config",
     [
@@ -102,6 +106,7 @@ def _non_numeric_link_field(tmp_path):
         _out_of_range_payoff,
         _topology_without_nodes,
         _non_numeric_link_field,
+        _negative_seed,
     ],
 )
 def test_bad_config_input_exits_2(tmp_path, capsys, make_config):
@@ -111,6 +116,15 @@ def test_bad_config_input_exits_2(tmp_path, capsys, make_config):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert named in err
+
+
+@pytest.mark.parametrize("command", ["gen", "coalition", "consensus", "sweep"])
+def test_negative_seed_flag_exits_2(tmp_path, capsys, command):
+    rc = main([command, "--seed", "-1", "--trials", "1", "--out", str(tmp_path), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "seed" in err
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +281,19 @@ def test_sweep_decoherence_fidelity_decreasing(tmp_path):
         fids = [f for _, f in sorted(points)]
         assert fids == sorted(fids, reverse=True)
         assert fids[0] > fids[-1]
+
+
+@pytest.mark.parametrize(
+    "kind, doc",
+    [("nodes", {"node_counts": [2, 2]}), ("decoherence", {"rates": [1e-5, 1e-5]})],
+)
+def test_sweep_duplicate_grid_point_exits_2(tmp_path, capsys, kind, doc):
+    # a repeated grid point would overwrite its cell and drop rows silently
+    cfg = write_config(tmp_path, {"trials": 1, **doc})
+    rc = main(["sweep", "--kind", kind, "--config", cfg, "--out", str(tmp_path), "--quiet"])
+    assert rc == 2
+    assert "strictly ascending" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_rerun_byte_identical(tmp_path):

@@ -232,6 +232,23 @@ def test_zero_slope_ties_at_a_capped_level_share_equally():
     assert res.gap == 0.0
 
 
+@pytest.mark.parametrize(
+    "coeffs, flows",
+    [
+        ([(0.0, 1e-320), (1.0, 1.0)], (1.0, 0.0)),
+        ([(1.0, 1.0), (0.0, 1e-320)], (0.0, 1.0)),
+        ([(0.0, 1e-320), (0.0, 1e-320), (1.0, 1.0)], (0.5, 0.5, 0.0)),
+    ],
+    ids=["subnormal-first", "subnormal-last", "subnormal-tie"],
+)
+def test_subnormal_slope_counts_as_flat(coeffs, flows):
+    # 1 / 1e-320 overflows to inf; the link is flat at any reachable flow
+    res = eq.solve_wardrop(affine_problem(coeffs, 1.0))
+    assert res.flows == flows
+    assert res.common_latency == 0.0
+    assert res.gap == 0.0
+
+
 def test_trace_rows_count_the_used_sets_tried():
     sink = io.StringIO()
     problem = affine_problem([(0.0, 1.0), (0.5, 2.0), (3.0, 1.0), (0.7, 0.0)], 2.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -216,8 +217,10 @@ def test_sweep_nodes_single_cell_matches_single_trial():
 
 
 def test_sweep_nodes_requires_ascending_counts():
-    with pytest.raises(ParameterError):
-        sim.sweep_nodes(sim.SimConfig(trials=1), [4, 2])
+    # a repeated count would write its cell twice and drop one silently
+    for counts in ([4, 2], [2, 2], [2, 4, 4]):
+        with pytest.raises(ParameterError, match="strictly ascending"):
+            sim.sweep_nodes(sim.SimConfig(trials=1), counts)
 
 
 def test_sweep_nodes_delay_trend_small():
@@ -244,8 +247,9 @@ def test_sweep_decoherence_orderings_small():
 
 
 def test_sweep_decoherence_rejects_unsorted_rates():
-    with pytest.raises(ParameterError):
-        sim.sweep_decoherence(sim.SimConfig(trials=1), [0.1, 0.01])
+    for rates in ([0.1, 0.01], [1e-5, 1e-5], [0.0, 1e-5, 1e-5]):
+        with pytest.raises(ParameterError, match="strictly ascending"):
+            sim.sweep_decoherence(sim.SimConfig(trials=1), rates)
 
 
 def test_sweep_serialization_is_deterministic():
@@ -323,6 +327,13 @@ def dense_run_trial(topology, path, cfg, rng):
     return _metrics(total, hops, fidelity, True)
 
 
+def _line(params):
+    """A chain with one link per LinkParams, payoff 0.95 each."""
+    nodes = tuple(topo.Node(i, topo.NodeRole.REPEATER, float(i), 0.0) for i in range(len(params) + 1))
+    links = tuple(topo.Link(i, i + 1, p, p.latency_us, 0.95) for i, p in enumerate(params))
+    return topo.NetworkTopology(nodes, links, topo.ScenarioTag.CUSTOM)
+
+
 _link_params = st.builds(
     topo.LinkParams,
     latency_us=st.floats(1.0, 2000.0),
@@ -339,13 +350,85 @@ _link_params = st.builds(
     seed=st.integers(0, 2**32 - 1),
 )
 def test_closed_form_trial_matches_dense_oracle(params, regime, seed):
-    nodes = tuple(topo.Node(i, topo.NodeRole.REPEATER, float(i), 0.0) for i in range(len(params) + 1))
-    links = tuple(topo.Link(i, i + 1, p, p.latency_us, 0.95) for i, p in enumerate(params))
-    t = topo.NetworkTopology(nodes, links, topo.ScenarioTag.CUSTOM)
-    path = list(range(len(nodes)))
+    t = _line(params)
+    path = list(range(len(params) + 1))
     cfg = quantum_cfg(regime=regime)
     got = sim.run_trial(t, path, cfg, np.random.default_rng(seed)).as_numbers()
     want = dense_run_trial(t, path, cfg, np.random.default_rng(seed)).as_numbers()
     fidelity = want.pop("end_to_end_fidelity")
     assert got.pop("end_to_end_fidelity") == pytest.approx(fidelity, abs=1e-12, rel=0)
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# differential check: run_trials against the per-trial loop
+# ---------------------------------------------------------------------------
+
+
+def per_trial_run_trials(topology, path, cfg, seed_parts):
+    """Reference run_trials: a fresh generator for every trial, no shortcut."""
+    links = _path_links(topology, path)
+    return [
+        sim._run_on_links(links, cfg, np.random.default_rng([*seed_parts, i]))
+        for i in range(cfg.trials)
+    ]
+
+
+_mixed_link_params = st.builds(
+    topo.LinkParams,
+    latency_us=st.floats(1.0, 2000.0),
+    coherence_us=st.sampled_from([500.0, 5_000.0, 50_000.0]),
+    decoherence_rate=st.floats(0.0, 1e-2),
+    gen_prob=st.just(1.0) | st.floats(0.05, 1.0, exclude_max=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    params=st.lists(_mixed_link_params, min_size=1, max_size=8),
+    all_certain=st.booleans(),
+    regime=st.sampled_from(sim.ALL_REGIMES),
+    seed_parts=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3).map(tuple),
+    trials=st.integers(1, 50),
+)
+def test_run_trials_matches_per_trial_loop(params, all_certain, regime, seed_parts, trials):
+    if all_certain:  # long paths with every gen_prob 1 are otherwise rare
+        params = [replace(p, gen_prob=1.0) for p in params]
+    t = _line(params)
+    path = list(range(len(params) + 1))
+    cfg = quantum_cfg(regime=regime, trials=trials)
+    want = per_trial_run_trials(t, path, cfg, seed_parts)
+    assert sim.run_trials(t, path, cfg, seed_parts) == want
+
+
+@pytest.mark.parametrize(
+    "gen_probs, regime, generators",
+    [
+        ([1.0, 1.0, 1.0], sim.Regime.QUANTUM_GAME_QUANTUM_NET, 1),
+        ([1.0, 1.0, 1.0], sim.Regime.CLASSICAL_GAME_QUANTUM_NET, 1),
+        ([0.5, 0.5, 0.5], sim.Regime.CLASSICAL_GAME_CLASSICAL_NET, 1),
+        ([0.5, 0.5, 0.5], sim.Regime.NO_GAME_CLASSICAL_NET, 1),
+        ([0.9, 0.9, 0.9], sim.Regime.QUANTUM_GAME_QUANTUM_NET, 7),
+        ([1.0, 0.9, 1.0], sim.Regime.CLASSICAL_GAME_QUANTUM_NET, 7),
+    ],
+    ids=[
+        "certain-quantum-game", "certain-classical-game", "classical-net", "no-game", "lossy",
+        "one-lossy-link",
+    ],
+)
+def test_run_trials_builds_a_generator_only_where_trials_differ(
+    monkeypatch, gen_probs, regime, generators
+):
+    built = []
+    real = np.random.default_rng
+
+    def counting(seed):
+        built.append(list(seed))
+        return real(seed)
+
+    monkeypatch.setattr(sim.np.random, "default_rng", counting)
+    t = _line([topo.LinkParams(latency_us=50.0, gen_prob=p) for p in gen_probs])
+    cfg = quantum_cfg(regime=regime, trials=7)
+    got = sim.run_trials(t, [0, 1, 2, 3], cfg, (4, 2))
+    assert len(got) == 7
+    assert built == [[4, 2, i] for i in range(generators)]
