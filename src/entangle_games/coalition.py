@@ -26,12 +26,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
 
-import networkx as nx
 import numpy as np
 
 from . import quantum as q
 from .errors import CapacityError, ParameterError, UnreachableError
-from .topology import NetworkTopology, NodeRole
+from .topology import NetworkTopology, NodeRole, shortest_path, simple_paths
 
 STRICT_EPS = 1e-12
 MAX_PATHS = 10_000
@@ -105,16 +104,15 @@ class ValueModel:
             raise ParameterError("source/destination must be nodes of the topology")
         self.cfg = cfg
         self.topology = topology
-        self.graph = topology.graph()
         found = list(islice(
-            nx.all_simple_paths(self.graph, cfg.source, cfg.destination, cutoff=cfg.max_path_hops),
+            simple_paths(topology.adjacency, cfg.source, cfg.destination, cfg.max_path_hops),
             MAX_PATHS + 1,
         ))
         if len(found) > MAX_PATHS:
             raise CapacityError(
                 f"more than {MAX_PATHS} simple paths between {cfg.source} and {cfg.destination}"
             )
-        # kept in enumeration order: filtering it gives the order a DFS inside
+        # kept in DFS order: filtering it gives the order a DFS inside
         # the node set would, which the tie-break in evaluate depends on
         self.paths = [(frozenset(p), self.path_score(p), tuple(p)) for p in found]
 
@@ -122,7 +120,7 @@ class ValueModel:
         rate = math.inf
         fidelity = 1.0
         for a, b in zip(path, path[1:]):
-            link = self.graph.edges[a, b]["link"]
+            link = self.topology.adjacency[a][b]
             rate = min(rate, link_rate(link))
             fidelity *= link.payoff
         hops = len(path) - 1
@@ -148,8 +146,8 @@ class ValueModel:
         cfg = self.cfg
         if not self.paths:
             # only a hop limit can hide a path that exists
-            within = f" within {cfg.max_path_hops} hops" if nx.has_path(
-                self.graph, cfg.source, cfg.destination) else ""
+            within = f" within {cfg.max_path_hops} hops" if shortest_path(
+                self.topology.adjacency, cfg.source, cfg.destination) else ""
             raise UnreachableError(f"no path between {cfg.source} and {cfg.destination}{within}")
         return sorted(frozenset().union(*(nodes for nodes, _, _ in self.paths)))
 
@@ -157,7 +155,7 @@ class ValueModel:
         """Relative share of a coalition's value that `node` receives."""
         if self.cfg.payoff_split is PayoffSplit.EQUAL:
             return 1
-        return max(self.graph.degree(node), 1)
+        return max(self.topology.degree(node), 1)
 
     def split_payoffs(self, coalition: Coalition) -> dict[int, float]:
         weights = {m: self.split_weight(m) for m in sorted(coalition.members)}
@@ -347,8 +345,7 @@ def referee_state(n_players: int, gamma: float) -> q.StateVector:
 
 def find_referee(topology: NetworkTopology, source: int) -> int:
     """The leader adjacent to the source arbitrates; the source itself if none."""
-    g = topology.graph()
-    for nb in sorted(g.neighbors(source)):
+    for nb in sorted(topology.adjacency[source]):
         if topology.nodes[nb].role is NodeRole.LEADER:
             return nb
     return source

@@ -19,12 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-import networkx as nx
 import numpy as np
 
 from . import quantum as q
 from .errors import ParameterError, UnreachableError
-from .topology import Link, NetworkTopology, NodeRole
+from .topology import Link, NetworkTopology, NodeRole, connected_components
 
 TIE_EPSILON = 1e-6
 
@@ -293,15 +292,12 @@ def quantum_consensus_round(
 
 
 def _tree_components(topology: NetworkTopology):
-    g = topology.graph()
-    leader_edges = [
-        (l.a, l.b)
-        for l in topology.links
-        if topology.nodes[l.a].role is NodeRole.LEADER
-        and topology.nodes[l.b].role is NodeRole.LEADER
-    ]
-    g.remove_edges_from(leader_edges)
-    return [set(c) for c in nx.connected_components(g)]
+    leader = {n.id for n in topology.nodes if n.role is NodeRole.LEADER}
+    trees = {
+        u: [v for v in nbrs if not (u in leader and v in leader)]
+        for u, nbrs in topology.adjacency.items()
+    }
+    return connected_components(trees)
 
 
 def _chain_to_leader(state: dict[int, ChoiceSet], start: int, topology: NetworkTopology) -> list[int]:

@@ -202,7 +202,8 @@ def solve_wardrop(problem: WardropProblem, trace_sink=None) -> WardropFlow:
     intercept is below the level c = (demand + sum a/b) / sum 1/b of the sloped
     links in use. A zero-slope link that enters caps c at its intercept, and the
     zero-slope links within `tol` of the cap share the rest of the demand equally.
-    A slope whose reciprocal overflows counts as zero slope.
+    A slope whose reciprocal overflows counts as zero slope, and so does a link
+    whose a/b, or whose entry into the running sums, overflows.
     `iterations` counts the used sets tried; `trace_sink`, when given, receives
     one "k,flows,gap" CSV line per set tried, flows semicolon-joined.
     """
@@ -219,11 +220,16 @@ def solve_wardrop(problem: WardropProblem, trace_sink=None) -> WardropFlow:
         if a >= level:
             break
         used.append(i)
+        if b > 0.0:
+            inv_i, lin_i = inv + 1.0 / b, lin + a / b
+            if math.isfinite(inv_i) and math.isfinite(lin_i):
+                inv, lin = inv_i, lin_i
+                level = (problem.demand + lin) / inv
+            else:
+                # no flow the finite sums can express moves its latency
+                slopes[i] = b = 0.0
         if b == 0.0:
             level = a  # every later intercept is >= a, so the pass ends here
-        else:
-            inv, lin = inv + 1.0 / b, lin + a / b
-            level = (problem.demand + lin) / inv
         if trace_sink is not None:
             flows = _fill(problem, slopes, used, base, level)
             cells = ";".join(map(repr, flows))

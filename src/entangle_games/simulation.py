@@ -30,12 +30,11 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-import networkx as nx
 import numpy as np
 
 from . import quantum as q
-from .errors import ParameterError
-from .topology import LinkParams, NetworkTopology, build_scenario1
+from .errors import ParameterError, UnreachableError
+from .topology import LinkParams, NetworkTopology, build_scenario1, shortest_path
 
 
 class Regime(Enum):
@@ -69,6 +68,13 @@ class SimConfig:
             )
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed: int) -> None:
+    # numpy seeds take non-negative integers only
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -287,15 +293,20 @@ def select_path(
     player_count: int,
 ) -> list[int]:
     """Per-regime path choice: hop-shortest for no-game, coalition outcomes
-    for the game regimes. The quantum game needs more than two coordinating
-    nodes to differ from the classical one and falls back below that (and
-    above the dense-simulation qubit cap, which admits the backbone player
-    set only up to player_count + 2 qubits).
+    for the game regimes. Among hop-shortest paths, the first that a
+    breadth-first search with neighbours in link order reaches wins; on the
+    sweep backbones the hop-shortest path is unique. The quantum game needs
+    more than two coordinating nodes to differ from the classical one and
+    falls back below that (and above the dense-simulation qubit cap, which
+    admits the backbone player set only up to player_count + 2 qubits).
     """
     from . import coalition as co  # deferred: coalition builds on simulation clients
 
     if regime is Regime.NO_GAME_CLASSICAL_NET:
-        return nx.shortest_path(topology.graph(), source, destination)
+        path = shortest_path(topology.adjacency, source, destination)
+        if path is None:
+            raise UnreachableError(f"no path between {source} and {destination}")
+        return path
     cfg = co.CoalitionGameConfig(source=source, destination=destination)
     if (
         regime is Regime.QUANTUM_GAME_QUANTUM_NET
@@ -314,8 +325,9 @@ def sweep_nodes(
     link_defaults: LinkParams | None = None,
 ) -> SweepResult:
     """Normalized-delay sweep across network sizes for each strategy regime."""
-    if any(a >= b for a, b in zip(node_counts, node_counts[1:])):
-        raise ParameterError(f"node_counts must be strictly ascending, got {list(node_counts)}")
+    _check_seed(seed)
+    if not node_counts or any(a >= b for a, b in zip(node_counts, node_counts[1:])):
+        raise ParameterError(f"node_counts must be non-empty and strictly ascending, got {list(node_counts)}")
     cells = {}
     for xi, count in enumerate(node_counts):
         topology = backbone_topology(count, link_defaults)
@@ -367,8 +379,11 @@ def sweep_decoherence(
     from .consensus import run_consensus  # deferred: consensus pulls trial fidelities
     from .topology import canonical_two_tree_topology
 
-    if any(a >= b for a, b in zip(rates, rates[1:])) or (rates and rates[0] < 0):
-        raise ParameterError(f"rates must be strictly ascending and non-negative, got {list(rates)}")
+    _check_seed(seed)
+    if not rates or any(a >= b for a, b in zip(rates, rates[1:])) or rates[0] < 0:
+        raise ParameterError(
+            f"rates must be non-empty, strictly ascending and non-negative, got {list(rates)}"
+        )
     base_topology = (
         topology
         if topology is not None

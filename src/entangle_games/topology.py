@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 
-import networkx as nx
 import numpy as np
 
 from .errors import ParameterError
@@ -195,8 +196,26 @@ class NetworkTopology:
     def link_between(self, a: int, b: int) -> Link | None:
         return self._links_by_endpoints.get(frozenset((a, b)))
 
-    def graph(self) -> nx.Graph:
-        """networkx view; rebuilt on each call so the topology stays immutable."""
+    @cached_property
+    def adjacency(self) -> dict[int, dict[int, Link]]:
+        """{node id: {neighbour: link}}, neighbours in order of first
+        appearance in `links`; the link is the one `link_between` returns."""
+        adjacency: dict[int, dict[int, Link]] = {n.id: {} for n in self.nodes}
+        for link in self._links_by_endpoints.values():
+            adjacency.setdefault(link.a, {})[link.b] = link
+            adjacency.setdefault(link.b, {})[link.a] = link
+        return adjacency
+
+    def degree(self, node_id: int) -> int:
+        """Links at the node; a self-loop counts twice."""
+        neighbours = self.adjacency[node_id]
+        return len(neighbours) + (node_id in neighbours)
+
+    def graph(self) -> "networkx.Graph":
+        """networkx view; rebuilt on each call so the topology stays immutable.
+        Needs networkx, which the package itself does not."""
+        import networkx as nx
+
         g = nx.Graph()
         for n in self.nodes:
             g.add_node(n.id, role=n.role)
@@ -281,11 +300,35 @@ class NetworkTopology:
             choices[node_id] = tuple(
                 ChoiceOption(hop, float(cost), float(payoff)) for hop, cost, payoff in options
             )
-        return cls(tuple(sorted(nodes, key=lambda n: n.id)), tuple(links), scenario, choices)
+        topology = cls(tuple(sorted(nodes, key=lambda n: n.id)), tuple(links), scenario, choices)
+        errors = _structure_errors(topology)
+        if errors:
+            raise ParameterError("malformed topology: " + "; ".join(errors))
+        return topology
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkTopology":
         return cls.from_json_dict(json.loads(text))
+
+
+def _structure_errors(topology: NetworkTopology) -> list[str]:
+    """Violations of the graph every game relies on: node ids 0..n-1, links
+    between two distinct nodes, at most one link per node pair."""
+    out: list[str] = []
+    ids = [n.id for n in topology.nodes]
+    if ids != list(range(len(ids))):
+        out.append(f"node ids must be the dense range 0..{len(ids) - 1}, got {ids}")
+    seen: set[frozenset[int]] = set()
+    for l in topology.links:
+        tag = f"link {l.a}-{l.b}"
+        if l.a == l.b:
+            out.append(f"{tag}: self-loop")
+        elif not (0 <= l.a < len(ids) and 0 <= l.b < len(ids)):
+            out.append(f"{tag}: endpoint is not a node id")
+        elif l.endpoints() in seen:
+            out.append(f"{tag}: duplicate edge")
+        seen.add(l.endpoints())
+    return out
 
 
 def validate(topology: NetworkTopology) -> list[str]:
@@ -294,11 +337,7 @@ def validate(topology: NetworkTopology) -> list[str]:
     Violations are data, not exceptions: builders are tested to return zero of
     them, but hand-built or deserialized topologies may carry any number.
     """
-    out: list[str] = []
-    ids = [n.id for n in topology.nodes]
-    if ids != list(range(len(ids))):
-        out.append(f"node ids must be the dense range 0..{len(ids) - 1}, got {ids}")
-
+    out = _structure_errors(topology)
     allowed = {
         ScenarioTag.SCENARIO1: {NodeRole.LEADER, NodeRole.REPEATER, NodeRole.END_NODE},
         ScenarioTag.SCENARIO2: {NodeRole.LEADER, NodeRole.LEAF},
@@ -308,22 +347,10 @@ def validate(topology: NetworkTopology) -> list[str]:
             if n.role not in allowed:
                 out.append(f"node {n.id}: role {n.role.value} not allowed in {topology.scenario.name}")
 
-    seen: set[frozenset[int]] = set()
     n_count = len(topology.nodes)
     for l in topology.links:
-        tag = f"link {l.a}-{l.b}"
-        if l.a == l.b:
-            out.append(f"{tag}: self-loop")
-            continue
-        if not (0 <= l.a < n_count and 0 <= l.b < n_count):
-            out.append(f"{tag}: endpoint outside node range")
-            continue
-        key = l.endpoints()
-        if key in seen:
-            out.append(f"{tag}: duplicate edge")
-        seen.add(key)
         if l.params.latency_us >= l.params.coherence_us:
-            out.append(f"{tag}: unusable, latency {l.params.latency_us} >= coherence {l.params.coherence_us}")
+            out.append(f"link {l.a}-{l.b}: unusable, latency {l.params.latency_us} >= coherence {l.params.coherence_us}")
 
     if topology.scenario is ScenarioTag.SCENARIO2:
         leader_edges = [
@@ -336,8 +363,8 @@ def validate(topology: NetworkTopology) -> list[str]:
             out.append(f"scenario 2 needs exactly one leader-leader edge, found {len(leader_edges)}")
         # trees joined by the single leader-leader edge stay acyclic, so the
         # whole link graph must be a forest
-        g = nx.Graph((l.a, l.b) for l in topology.links if l.a != l.b)
-        if g.number_of_nodes() and not nx.is_forest(g):
+        loopless = {u: [v for v in nbrs if v != u] for u, nbrs in topology.adjacency.items()}
+        if not is_forest(loopless):
             out.append("scenario 2 links must form a forest plus the one leader-leader edge")
         for node_id, opts in topology.choices.items():
             if not 0 <= node_id < n_count:
@@ -348,6 +375,85 @@ def validate(topology: NetworkTopology) -> list[str]:
             if topology.nodes[node_id].role is NodeRole.LEADER:
                 out.append(f"node {node_id}: leaders do not carry a next-hop choice")
     return out
+
+
+# ---------------------------------------------------------------------------
+# graph search over an adjacency map {node: neighbours}, each link listed at
+# both of its ends
+# ---------------------------------------------------------------------------
+
+
+def simple_paths(
+    adjacency: Mapping[int, Iterable[int]], source: int, target: int, cutoff: int | None = None
+) -> Iterator[list[int]]:
+    """Simple source->target paths of at most `cutoff` links (no limit when
+    None), depth first with neighbours in adjacency order, never expanding
+    through the target: the order of networkx 3.6's all_simple_paths, on
+    which the earliest-wins tie-break of coalition scoring depends."""
+    if cutoff is None:
+        cutoff = len(adjacency) - 1
+    if source == target:
+        if cutoff >= 0:
+            yield [source]
+        return
+    if cutoff < 1:
+        return
+    path, on_path, stack = [source], {source}, [iter(adjacency[source])]
+    while stack:
+        node = next((v for v in stack[-1] if v not in on_path), None)
+        if node is None:
+            stack.pop()
+            on_path.discard(path.pop())
+        elif node == target:
+            yield path + [node]
+        elif len(path) < cutoff:
+            path.append(node)
+            on_path.add(node)
+            stack.append(iter(adjacency[node]))
+
+
+def shortest_path(adjacency: Mapping[int, Iterable[int]], source: int, target: int) -> list[int] | None:
+    """A source->target path with the fewest links, or None if there is none.
+    Breadth first with neighbours in adjacency order, so among equal-length
+    paths the first one found wins."""
+    parent = {source: source}
+    queue = deque([source])
+    while queue and target not in parent:
+        node = queue.popleft()
+        for v in adjacency[node]:
+            if v not in parent:
+                parent[v] = node
+                queue.append(v)
+    if target not in parent:
+        return None
+    path = [target]
+    while path[-1] != source:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def connected_components(adjacency: Mapping[int, Iterable[int]]) -> list[set[int]]:
+    """Node sets of the connected components, in order of their first node."""
+    seen: set[int] = set()
+    components = []
+    for start in adjacency:
+        if start in seen:
+            continue
+        component, stack = {start}, [start]
+        while stack:
+            for v in adjacency[stack.pop()]:
+                if v not in component:
+                    component.add(v)
+                    stack.append(v)
+        seen |= component
+        components.append(component)
+    return components
+
+
+def is_forest(adjacency: Mapping[int, Iterable[int]]) -> bool:
+    """No cycle, a self-loop being one: |links| = |nodes| - |components|."""
+    ends = sum(len(nbrs) + (node in nbrs) for node, nbrs in adjacency.items())
+    return ends // 2 == len(adjacency) - len(connected_components(adjacency))
 
 
 # ---------------------------------------------------------------------------

@@ -70,12 +70,16 @@ def _mistyped_value(tmp_path):
     return write_config(tmp_path, {"trials": "many"}), "trials"
 
 
+def _topology_config(tmp_path, doc):
+    topo_file = tmp_path / "line.json"
+    topo_file.write_text(json.dumps(doc))
+    return write_config(tmp_path, {"topology_file": str(topo_file)})
+
+
 def _out_of_range_payoff(tmp_path):
     doc = line_topology(3).to_json_dict()
     doc["links"][1]["payoff"] = 7.5
-    topo_file = tmp_path / "line.json"
-    topo_file.write_text(json.dumps(doc))
-    return write_config(tmp_path, {"topology_file": str(topo_file)}), "payoff"
+    return _topology_config(tmp_path, doc), "payoff"
 
 
 def _topology_without_nodes(tmp_path):
@@ -87,9 +91,32 @@ def _topology_without_nodes(tmp_path):
 def _non_numeric_link_field(tmp_path):
     doc = line_topology(3).to_json_dict()
     doc["links"][0]["latency_us"] = "fast"
-    topo_file = tmp_path / "line.json"
-    topo_file.write_text(json.dumps(doc))
-    return write_config(tmp_path, {"topology_file": str(topo_file)}), "latency_us"
+    return _topology_config(tmp_path, doc), "latency_us"
+
+
+def _line_with_links(tmp_path, *pairs):
+    doc = line_topology(5).to_json_dict()
+    doc["links"] += [{**doc["links"][0], "a": a, "b": b} for a, b in pairs]
+    return _topology_config(tmp_path, doc)
+
+
+def _link_to_missing_node(tmp_path):
+    return _line_with_links(tmp_path, (1, 9), (9, 2)), "not a node id"
+
+
+def _self_loop_link(tmp_path):
+    return _line_with_links(tmp_path, (2, 2)), "self-loop"
+
+
+def _second_link_between_a_pair(tmp_path):
+    return _line_with_links(tmp_path, (1, 0)), "duplicate"
+
+
+def _sparse_node_ids(tmp_path):
+    doc = line_topology(3).to_json_dict()
+    doc["nodes"][2]["id"] = 5
+    doc["links"][1]["b"] = 5
+    return _topology_config(tmp_path, doc), "dense range"
 
 
 def _negative_seed(tmp_path):
@@ -107,6 +134,10 @@ def _negative_seed(tmp_path):
         _topology_without_nodes,
         _non_numeric_link_field,
         _negative_seed,
+        _link_to_missing_node,
+        _self_loop_link,
+        _second_link_between_a_pair,
+        _sparse_node_ids,
     ],
 )
 def test_bad_config_input_exits_2(tmp_path, capsys, make_config):
@@ -294,6 +325,28 @@ def test_sweep_duplicate_grid_point_exits_2(tmp_path, capsys, kind, doc):
     assert rc == 2
     assert "strictly ascending" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("kind, doc", [("nodes", {"node_counts": []}), ("decoherence", {"rates": []})])
+def test_sweep_empty_grid_exits_2(tmp_path, capsys, kind, doc):
+    cfg = write_config(tmp_path, {"trials": 1, **doc})
+    rc = main(["sweep", "--kind", kind, "--config", cfg, "--out", str(tmp_path), "--quiet"])
+    assert rc == 2
+    assert "non-empty" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_cli_import_leaves_networkx_out():
+    src = Path(entangle_games.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, entangle_games.cli; print('networkx' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
 
 
 def test_sweep_rerun_byte_identical(tmp_path):

@@ -64,6 +64,15 @@ def test_value_rejects_empty_set(five_line):
         co.characteristic_value(set(), five_line_cfg(), five_line)
 
 
+def test_value_reads_the_first_of_duplicate_links():
+    params = topo.LinkParams(latency_us=1000.0, gen_prob=1.0)
+    links = tuple(topo.Link(0, 1, params, 1000.0, p) for p in (0.25, 0.75))
+    nodes = tuple(topo.Node(i, topo.NodeRole.REPEATER, float(i), 0.0) for i in range(2))
+    t = topo.NetworkTopology(nodes, links, topo.ScenarioTag.CUSTOM)
+    cfg = co.CoalitionGameConfig(source=0, destination=1, target_throughput=500.0, hop_cost=0.0)
+    assert co.characteristic_value({0, 1}, cfg, t) == 500.0 + 0.25
+
+
 def test_config_domain_checks():
     with pytest.raises(ParameterError):
         co.CoalitionGameConfig(source=1, destination=1)
@@ -550,6 +559,7 @@ class ScanRound:
 
     def __init__(self, model, players, gamma):
         self.model = model
+        self.graph = model.topology.graph()
         self.players = players
         self.base = co.referee_state(len(players), gamma)
         self._coalition_values = None
@@ -568,7 +578,7 @@ class ScanRound:
         if self.model.cfg.payoff_split is co.PayoffSplit.EQUAL:
             share = coalition.value / len(members)
             return {m: share for m in members}
-        degrees = {m: max(self.model.graph.degree(m), 1) for m in members}
+        degrees = {m: max(self.graph.degree(m), 1) for m in members}
         total = sum(degrees.values())
         return {m: coalition.value * degrees[m] / total for m in members}
 

@@ -315,6 +315,8 @@ _SLOPES = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.1, 2.0)
     demand=st.floats(0.2, 5.0) | st.just(1e8),
 )
 @example(coeffs=[(1.0, 0.0), (1.0, 0.0), (0.0, 1.0)], demand=5.0)
+@example(coeffs=[(0.0, 1e-308), (0.0, 1e-308)], demand=1.0)  # sum of 1/b overflows
+@example(coeffs=[(0.0, 1.0), (1e10, 1e-300)], demand=1e11)  # a/b overflows
 def test_water_filling_meets_kkt_conditions(coeffs, demand):
     problem = affine_problem(coeffs, demand)
     res = eq.solve_wardrop(problem)

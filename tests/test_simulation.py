@@ -218,7 +218,7 @@ def test_sweep_nodes_single_cell_matches_single_trial():
 
 def test_sweep_nodes_requires_ascending_counts():
     # a repeated count would write its cell twice and drop one silently
-    for counts in ([4, 2], [2, 2], [2, 4, 4]):
+    for counts in ([4, 2], [2, 2], [2, 4, 4], []):
         with pytest.raises(ParameterError, match="strictly ascending"):
             sim.sweep_nodes(sim.SimConfig(trials=1), counts)
 
@@ -247,7 +247,7 @@ def test_sweep_decoherence_orderings_small():
 
 
 def test_sweep_decoherence_rejects_unsorted_rates():
-    for rates in ([0.1, 0.01], [1e-5, 1e-5], [0.0, 1e-5, 1e-5]):
+    for rates in ([0.1, 0.01], [1e-5, 1e-5], [0.0, 1e-5, 1e-5], []):
         with pytest.raises(ParameterError, match="strictly ascending"):
             sim.sweep_decoherence(sim.SimConfig(trials=1), rates)
 
@@ -278,6 +278,14 @@ def test_sim_config_domain():
         sim.SimConfig(sync_step_us=600.0, qubit_lifetime_us=500.0)
     with pytest.raises(ParameterError):
         sim.SimConfig(trials=0)
+    with pytest.raises(ParameterError, match="seed"):
+        sim.SimConfig(seed=-3)
+
+
+@pytest.mark.parametrize("sweep, grid", [(sim.sweep_nodes, [2]), (sim.sweep_decoherence, [1e-5])])
+def test_sweeps_reject_negative_seed(sweep, grid):
+    with pytest.raises(ParameterError, match="seed"):
+        sweep(sim.SimConfig(trials=1), grid, seed=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 import math
 from dataclasses import replace
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entangle_games import simulation as sim
 from entangle_games import topology as topo
 from entangle_games.errors import ParameterError
 
@@ -136,8 +140,6 @@ def test_minimal_trees_form_path_graph():
     t = topo.build_scenario2([1, 1])
     assert len(t.nodes) == 4
     g = t.graph()
-    import networkx as nx
-
     assert nx.is_tree(g)
     assert sorted(d for _, d in g.degree()) == [1, 1, 2, 2]
 
@@ -255,3 +257,69 @@ def test_out_of_range_payoff_rejected(payoff):
     doc["choices"][0]["options"][1]["payoff"] = payoff
     with pytest.raises(ParameterError, match="payoff"):
         topo.NetworkTopology.from_json_dict(doc)
+
+
+# ---------------------------------------------------------------------------
+# graph search, against networkx
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _random_graphs(draw):
+    """Topologies on 1-8 nodes whose links, self-loops included, join
+    distinct node pairs in a random order and orientation."""
+    n = draw(st.integers(1, 8))
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    links = tuple(
+        topo.Link(*(pair if draw(st.booleans()) else pair[::-1]), topo.LinkParams(), 1.0, 0.5)
+        for pair in draw(st.lists(st.sampled_from(pairs), unique=True))
+    )
+    nodes = tuple(topo.Node(i, topo.NodeRole.REPEATER, float(i), 0.0) for i in range(n))
+    return topo.NetworkTopology(nodes, links, topo.ScenarioTag.CUSTOM)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=_random_graphs(), data=st.data())
+def test_graph_search_matches_networkx(t, data):
+    g = t.graph()
+    adjacency = t.adjacency
+    for u in g.nodes:
+        assert list(adjacency[u]) == list(g.neighbors(u))
+        assert t.degree(u) == g.degree(u)
+    for a, b in g.edges:
+        assert adjacency[a][b] is adjacency[b][a] is g.edges[a, b]["link"]
+    assert topo.connected_components(adjacency) == list(nx.connected_components(g))
+    assert topo.is_forest(adjacency) == nx.is_forest(g)
+    ends = st.integers(0, len(t.nodes) - 1)
+    source, target = data.draw(ends), data.draw(ends)
+    for cutoff in (None, 0, 1, 2, 3, 4):
+        assert list(topo.simple_paths(adjacency, source, target, cutoff)) == list(
+            nx.all_simple_paths(g, source, target, cutoff=cutoff)
+        )
+    lengths = dict(nx.all_pairs_shortest_path_length(g))
+    for source in g.nodes:
+        for target in g.nodes:
+            path = topo.shortest_path(adjacency, source, target)
+            if target in lengths[source]:
+                assert len(path) == lengths[source][target] + 1
+                assert path[0] == source and path[-1] == target
+                assert all(b in adjacency[a] for a, b in zip(path, path[1:]))
+            else:
+                assert path is None
+
+
+@pytest.mark.parametrize("count", range(2, 21))
+def test_shortest_path_matches_networkx_on_backbones(count):
+    t = sim.backbone_topology(count)
+    g = t.graph()
+    for source in g.nodes:
+        for target in g.nodes:
+            assert topo.shortest_path(t.adjacency, source, target) == nx.shortest_path(g, source, target)
+
+
+def test_first_of_duplicate_links_is_the_one_read():
+    first, second = (topo.Link(0, 1, topo.LinkParams(), 1.0, p) for p in (0.25, 0.75))
+    nodes = tuple(topo.Node(i, topo.NodeRole.REPEATER, float(i), 0.0) for i in range(2))
+    t = topo.NetworkTopology(nodes, (first, second), topo.ScenarioTag.CUSTOM)
+    assert t.adjacency[0][1] is t.adjacency[1][0] is t.link_between(0, 1) is first
+    assert t.degree(0) == 1
