@@ -22,7 +22,7 @@ from . import consensus as cons
 from . import quantum as q
 from . import simulation as sim
 from . import topology as topo
-from .errors import CapacityError, ParameterError, UnreachableError
+from .errors import CapacityError, ParameterError, UnreachableError, check_seed
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -35,7 +35,12 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # json reads NaN and Infinity as floats, and ints of any size
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
 
 
 # RunConfig field annotations (strings, as annotations are postponed) mapped
@@ -148,8 +153,8 @@ class RunConfig:
             raise ParameterError(f"scenario must be 1 or 2, got {self.scenario}")
         if self.variant not in ("classical", "quantum"):
             raise ParameterError(f"variant must be classical or quantum, got {self.variant!r}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
+        q.check_angle(self.gamma)
         self.link_params()  # raises with the offending field named
         if self.delta is not None:
             topo.LinkModelParams(self.mu, self.lam, self.delta)
@@ -300,7 +305,6 @@ def cmd_consensus(cfg: RunConfig) -> int:
         weights=cfg.weights(),
         variant=cfg.variant,
         seed=cfg.seed,
-        gamma=cfg.gamma,
         sim_config=cfg.sim_config(sim.Regime.QUANTUM_GAME_QUANTUM_NET),
     )
     out_dir = Path(cfg.out_dir)

@@ -29,7 +29,7 @@ from itertools import islice
 import numpy as np
 
 from . import quantum as q
-from .errors import CapacityError, ParameterError, UnreachableError
+from .errors import CapacityError, ParameterError, UnreachableError, check_seed
 from .topology import NetworkTopology, NodeRole, shortest_path, simple_paths
 
 STRICT_EPS = 1e-12
@@ -327,8 +327,7 @@ def referee_state(n_players: int, gamma: float) -> q.StateVector:
     (each player's rotation alone decides its bit), while gamma = pi/2
     produces exactly the linear cluster state.
     """
-    if not 0.0 <= gamma <= math.pi / 2.0 + 1e-12:
-        raise ParameterError(f"gamma {gamma} outside [0, pi/2]")
+    q.check_angle(gamma)
     if not 2 <= n_players <= q.MAX_QUBITS:
         raise CapacityError(
             f"{n_players} players outside supported range 2..{q.MAX_QUBITS}"
@@ -479,6 +478,7 @@ def quantum_coalition_form(
     all-in starting point whose gamma = 0 behavior coincides with the
     classical game on path fixtures.
     """
+    check_seed(seed)
     model = model or ValueModel(cfg, topology)
     if players is None:
         players = model.candidate_nodes()

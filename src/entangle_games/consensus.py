@@ -1,17 +1,13 @@
 """Two-way next-hop consensus over the tree network.
 
 Every non-leader node owns a choice between exactly two uplink candidates,
-each carrying a latency cost and a fidelity payoff. Rounds evaluate all nodes
-against the pre-round snapshot and apply switches in ascending node order; a
-switch that would loop the next-hop pointer chain is blocked and recorded.
+each carrying a latency cost and a fidelity payoff. Rounds evaluate every node
+on its own choice set and apply switches in ascending node order; a switch
+that would loop the next-hop pointer chain is blocked and recorded.
 
-The classical round switches on strict utility improvement only. The quantum
-round settles utility ties with a shared-Bell-pair coin flip (both parties
-record the same bit) and runs every improving switch through an
-entangled accept/decline game between the switcher and its new hop, built from
-the (cost delta, payoff delta) of the move; at zero entanglement that game
-reduces to the plain utility comparison, so tie-free fixtures behave
-identically under both variants.
+Both variants switch on strict utility improvement. The quantum variant also
+settles utility ties with a shared-Bell-pair coin flip (both parties record
+the same bit); on tie-free fixtures the two variants behave identically.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import quantum as q
-from .errors import ParameterError, UnreachableError
+from .errors import ParameterError, UnreachableError, check_seed
 from .topology import Link, NetworkTopology, NodeRole, connected_components
 
 TIE_EPSILON = 1e-6
@@ -113,8 +109,8 @@ def hop_utility(est: HopEstimate, weights: tuple[float, float], cost_scale: floa
     cost term onto [0, 1] and makes it commensurable with the fidelity term.
     """
     w_f, w_c = weights
-    if w_f < 0 or w_c < 0 or (w_f == 0 and w_c == 0):
-        raise ParameterError(f"weights must be non-negative and not both zero, got {weights}")
+    if not (0 <= w_f < math.inf and 0 <= w_c < math.inf) or w_f == w_c == 0:
+        raise ParameterError(f"weights must be finite, non-negative and not both zero, got {weights}")
     if not cost_scale > 0:
         raise ParameterError(f"cost_scale must be > 0, got {cost_scale}")
     return w_f * est.fidelity_payoff - w_c * est.latency_cost / cost_scale
@@ -160,130 +156,65 @@ def _creates_cycle(state: dict[int, ChoiceSet], node: int, new_hop: int) -> bool
     return False
 
 
-def _apply_switches(state, desires, tie_nodes=frozenset()):
-    """Commit desired switches in ascending node order, blocking cycles.
+def consensus_round(
+    state: dict[int, ChoiceSet],
+    weights: tuple[float, float] = (1.0, 1.0),
+    rng: np.random.Generator | None = None,
+    settled: set[int] | None = None,
+) -> tuple[dict[int, ChoiceSet], list[SwitchRecord], list[dict], list[dict]]:
+    """One simultaneous-decision round: every node decides on its own choice
+    set, and the moves commit in ascending node order.
 
-    Moves by nodes in `tie_nodes` were settled by a coin rather than a strict
-    improvement, so they are reported separately from the switch records.
+    A node switches iff its alternative hop has strictly higher utility. With
+    `rng` (the quantum round), utilities within TIE_EPSILON are a tie, settled
+    by a shared coin between the node and its candidate hop; both parties see
+    the same bit (bit 1 = take the alternative). A settled tie is final: nodes
+    in `settled` (updated in place) hold their hop in later rounds, so the
+    rounds still reach a fixed point. A move that would loop the next-hop
+    chain is blocked. Returns (new state, switches, tie events, blocked
+    moves); coin-settled moves appear in the tie events, not in the switches.
     """
+    settled = settled if settled is not None else set()
     new_state = dict(state)
     switches: list[SwitchRecord] = []
-    tie_moves: list[SwitchRecord] = []
+    ties: list[dict] = []
     blocked: list[dict] = []
-    for node in sorted(desires):
-        target = desires[node]
-        cs = new_state[node]
-        if target == cs.current:
+    for node in sorted(state):
+        cs = state[node]
+        cur, alt = _utilities(cs, weights)
+        tie = rng is not None and abs(alt - cur) <= TIE_EPSILON
+        if tie:
+            if node in settled:
+                continue
+            bit_a, bit_b, agree = q.coin_flip_consensus(rng, 0.0)
+            settled.add(node)
+            target = cs.alternative() if bit_a == 1 else cs.current
+            ties.append(
+                {"node": node, "bit_node": bit_a, "bit_hop": bit_b, "agree": agree,
+                 "chosen": target}
+            )
+            if target == cs.current:
+                continue
+        elif alt > cur:
+            target = cs.alternative()
+        else:
             continue
         if _creates_cycle(new_state, node, target):
             blocked.append({"node": node, "to": target, "reason": "cycle"})
             continue
-        old = cs.estimate_for(cs.current)
-        new = cs.estimate_for(target)
-        record = SwitchRecord(
-            node=node,
-            from_hop=cs.current,
-            to_hop=target,
-            d_cost=new.latency_cost - old.latency_cost,
-            d_payoff=new.fidelity_payoff - old.fidelity_payoff,
-        )
-        (tie_moves if node in tie_nodes else switches).append(record)
-        new_state[node] = replace(cs, current=target)
-    return new_state, switches, tie_moves, blocked
-
-
-def classical_consensus_round(
-    state: dict[int, ChoiceSet],
-    weights: tuple[float, float] = (1.0, 1.0),
-    order: list[int] | None = None,
-    blocked_sink: list[dict] | None = None,
-) -> tuple[dict[int, ChoiceSet], list[SwitchRecord]]:
-    """One simultaneous-decision round: switch iff strictly better utility.
-
-    Cycle-blocked switch attempts are appended to `blocked_sink` when given.
-    """
-    nodes = order if order is not None else sorted(state)
-    desires: dict[int, int] = {}
-    for node in nodes:
-        cs = state[node]
-        cur, alt = _utilities(cs, weights)
-        desires[node] = cs.alternative() if alt > cur else cs.current
-    new_state, switches, _, blocked = _apply_switches(state, desires)
-    if blocked_sink is not None:
-        blocked_sink.extend(blocked)
-    return new_state, switches
-
-
-def _ewl_accepts(gamma: float, d_utility: float, d_payoff: float) -> bool:
-    """Accept/decline between switcher and new hop as a quantized 2x2 game.
-
-    Outcome 11 (both commit) pays (utility gain, fidelity gain) and every
-    other outcome pays nothing; the switch is accepted when joint commitment
-    is a mutual best response over the classical moves.
-    """
-    matrix = np.zeros((4, 2))
-    matrix[3] = (d_utility, max(d_payoff, 0.0))
-    commit = q.SingleQubitUnitary(math.pi, 0.0)
-    hold = q.SingleQubitUnitary(0.0, 0.0)
-    joint = q.ewl_game(gamma, (commit, commit), matrix)
-    switcher_holds = q.ewl_game(gamma, (hold, commit), matrix)
-    hop_declines = q.ewl_game(gamma, (commit, hold), matrix)
-    return joint[0] >= switcher_holds[0] - 1e-12 and joint[1] >= hop_declines[1] - 1e-12
-
-
-def quantum_consensus_round(
-    state: dict[int, ChoiceSet],
-    weights: tuple[float, float],
-    gamma: float,
-    rng: np.random.Generator,
-    tie_epsilon: float = TIE_EPSILON,
-    coin_angle: float = 0.0,
-    order: list[int] | None = None,
-    settled: set[int] | None = None,
-    blocked_sink: list[dict] | None = None,
-) -> tuple[dict[int, ChoiceSet], list[SwitchRecord], list[dict]]:
-    """Quantum round: coin-flip consensus on ties, entangled accept/decline
-    on improvements.
-
-    Ties within `tie_epsilon` are settled by a shared coin between the node
-    and its candidate hop; both parties see the same bit (bit 1 = take the
-    alternative). A settled tie is final: nodes listed in `settled` (updated
-    in place) hold their decision in later rounds, so the round sequence
-    still reaches a fixed point. Strict improvements must additionally pass
-    `_ewl_accepts`. Returns (new state, switches, tie events); coin-settled
-    moves appear in the tie events, not among the strict switches.
-    """
-    nodes = order if order is not None else sorted(state)
-    settled = settled if settled is not None else set()
-    desires: dict[int, int] = {}
-    ties: list[dict] = []
-    tie_nodes: set[int] = set()
-    for node in nodes:
-        cs = state[node]
-        cur, alt = _utilities(cs, weights)
-        if abs(alt - cur) <= tie_epsilon:
-            if node in settled:
-                desires[node] = cs.current
-                continue
-            bit_a, bit_b, agree = q.coin_flip_consensus(rng, coin_angle)
-            desires[node] = cs.alternative() if bit_a == 1 else cs.current
-            settled.add(node)
-            tie_nodes.add(node)
-            ties.append(
-                {"node": node, "bit_node": bit_a, "bit_hop": bit_b, "agree": agree,
-                 "chosen": desires[node]}
+        if not tie:
+            old, new = cs.estimate_for(cs.current), cs.estimate_for(target)
+            switches.append(
+                SwitchRecord(
+                    node=node,
+                    from_hop=cs.current,
+                    to_hop=target,
+                    d_cost=new.latency_cost - old.latency_cost,
+                    d_payoff=new.fidelity_payoff - old.fidelity_payoff,
+                )
             )
-        elif alt > cur:
-            old = cs.estimate_for(cs.current)
-            new = cs.estimate_for(cs.alternative())
-            accepted = _ewl_accepts(gamma, alt - cur, new.fidelity_payoff - old.fidelity_payoff)
-            desires[node] = cs.alternative() if accepted else cs.current
-        else:
-            desires[node] = cs.current
-    new_state, switches, _, blocked = _apply_switches(state, desires, tie_nodes)
-    if blocked_sink is not None:
-        blocked_sink.extend(blocked)
-    return new_state, switches, ties
+        new_state[node] = replace(cs, current=target)
+    return new_state, switches, ties, blocked
 
 
 # ---------------------------------------------------------------------------
@@ -387,23 +318,21 @@ def run_consensus(
     destination: int,
     weights: tuple[float, float] = (1.0, 1.0),
     variant: str = "classical",
-    max_rounds: int | None = None,
     seed: int = 0,
-    gamma: float = math.pi / 2.0,
-    tie_epsilon: float = TIE_EPSILON,
-    coin_angle: float = 0.0,
     sim_config=None,
 ) -> ConsensusOutcome:
-    """Iterate consensus rounds until a fixed point, then score the path.
+    """Iterate consensus rounds until a fixed point, at most 2 * |nodes| of
+    them, then score the path.
 
-    `variant` is "classical" or "quantum" (the latter at entangling level
-    `gamma`). The end-to-end fidelity of the converged path comes from one
+    `variant` is "classical" or "quantum" (ties settled by the seeded shared
+    coin). The end-to-end fidelity of the converged path comes from one
     seeded distribution trial of the `simulation` module; the per-round trace
     carries the static product-of-payoffs proxy instead, which needs no
     sampling.
     """
     if variant not in ("classical", "quantum"):
         raise ParameterError(f"unknown variant {variant!r}")
+    check_seed(seed)
     for endpoint in (source, destination):
         if not 0 <= endpoint < len(topology.nodes):
             raise ParameterError(f"node {endpoint} not in topology")
@@ -418,8 +347,7 @@ def run_consensus(
         raise ParameterError("source and destination must sit in different trees")
 
     state = choice_state(topology)
-    rng = np.random.default_rng(seed)
-    rounds_cap = max_rounds if max_rounds is not None else 2 * len(topology.nodes)
+    rng = np.random.default_rng(seed) if variant == "quantum" else None
 
     switches: list[SwitchRecord] = []
     tie_events: list[dict] = []
@@ -428,23 +356,9 @@ def run_consensus(
     settled: set[int] = set()
     converged = False
     rounds = 0
-    for rounds in range(1, rounds_cap + 1):
-        if variant == "classical":
-            state, new_switches = classical_consensus_round(
-                state, weights, blocked_sink=blocked
-            )
-            new_ties: list[dict] = []
-        else:
-            state, new_switches, new_ties = quantum_consensus_round(
-                state,
-                weights,
-                gamma,
-                rng,
-                tie_epsilon=tie_epsilon,
-                coin_angle=coin_angle,
-                settled=settled,
-                blocked_sink=blocked,
-            )
+    for rounds in range(1, 2 * len(topology.nodes) + 1):
+        state, new_switches, new_ties, new_blocked = consensus_round(state, weights, rng, settled)
+        blocked.extend(new_blocked)
         switches.extend(new_switches)
         for t in new_ties:
             tie_events.append({"round": rounds, **t})

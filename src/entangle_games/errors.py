@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the seed check.
 
 The CLI maps these onto process exit codes, so library code should raise
 these rather than bare ValueError/RuntimeError for the corresponding
@@ -16,3 +16,9 @@ class UnreachableError(RuntimeError):
 
 class CapacityError(ValueError):
     """A request exceeds the dense-simulation capacity limits (exit code 4)."""
+
+
+def check_seed(seed) -> None:
+    """numpy seeds take non-negative integers, or sequences of them."""
+    if any(part < 0 for part in (seed if isinstance(seed, (list, tuple)) else [seed])):
+        raise ParameterError(f"seed must be >= 0, got {seed}")

@@ -415,10 +415,15 @@ def chsh_classical_optimum() -> tuple[float, ClassicalDeterministic]:
 # ---------------------------------------------------------------------------
 
 
+def check_angle(value: float, name: str = "gamma") -> None:
+    """Entangling levels and measurement angles lie in [0, pi/2]."""
+    if not 0.0 <= value <= math.pi / 2.0 + 1e-12:
+        raise ParameterError(f"{name} {value} outside [0, pi/2]")
+
+
 def ewl_entangler(gamma: float) -> np.ndarray:
     """J(gamma) = cos(gamma/2) I x I + i sin(gamma/2) X x X."""
-    if not 0.0 <= gamma <= math.pi / 2.0 + 1e-12:
-        raise ParameterError(f"gamma {gamma} outside [0, pi/2]")
+    check_angle(gamma)
     return math.cos(gamma / 2.0) * np.kron(_I2, _I2) + 1j * math.sin(gamma / 2.0) * np.kron(
         _X, _X
     )
@@ -469,8 +474,7 @@ def coin_flip_consensus(rng: np.random.Generator, angle: float) -> tuple[int, in
     have the closed-form probabilities [cos^2, sin^2, sin^2, cos^2] / 2, which
     are sampled directly.
     """
-    if not 0.0 <= angle <= math.pi / 2.0 + 1e-12:
-        raise ParameterError(f"angle {angle} outside [0, pi/2]")
+    check_angle(angle, "angle")
     same, differ = math.cos(angle) ** 2 / 2.0, math.sin(angle) ** 2 / 2.0
     outcome = int(rng.choice(4, p=[same, differ, differ, same]))
     bit_a, bit_b = outcome >> 1, outcome & 1

@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from . import quantum as q
-from .errors import ParameterError, UnreachableError
+from .errors import ParameterError, UnreachableError, check_seed
 from .topology import LinkParams, NetworkTopology, build_scenario1, shortest_path
 
 
@@ -68,13 +68,7 @@ class SimConfig:
             )
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
-        _check_seed(self.seed)
-
-
-def _check_seed(seed: int) -> None:
-    # numpy seeds take non-negative integers only
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -325,7 +319,7 @@ def sweep_nodes(
     link_defaults: LinkParams | None = None,
 ) -> SweepResult:
     """Normalized-delay sweep across network sizes for each strategy regime."""
-    _check_seed(seed)
+    check_seed(seed)
     if not node_counts or any(a >= b for a, b in zip(node_counts, node_counts[1:])):
         raise ParameterError(f"node_counts must be non-empty and strictly ascending, got {list(node_counts)}")
     cells = {}
@@ -379,7 +373,7 @@ def sweep_decoherence(
     from .consensus import run_consensus  # deferred: consensus pulls trial fidelities
     from .topology import canonical_two_tree_topology
 
-    _check_seed(seed)
+    check_seed(seed)
     if not rates or any(a >= b for a, b in zip(rates, rates[1:])) or rates[0] < 0:
         raise ParameterError(
             f"rates must be non-empty, strictly ascending and non-negative, got {list(rates)}"

@@ -353,11 +353,12 @@ def validate(topology: NetworkTopology) -> list[str]:
             out.append(f"link {l.a}-{l.b}: unusable, latency {l.params.latency_us} >= coherence {l.params.coherence_us}")
 
     if topology.scenario is ScenarioTag.SCENARIO2:
+        # a link whose endpoint is not a node id is reported above
+        role = {n.id: n.role for n in topology.nodes}
         leader_edges = [
             l
             for l in topology.links
-            if topology.nodes[l.a].role is NodeRole.LEADER
-            and topology.nodes[l.b].role is NodeRole.LEADER
+            if role.get(l.a) is NodeRole.LEADER and role.get(l.b) is NodeRole.LEADER
         ]
         if len(leader_edges) != 1:
             out.append(f"scenario 2 needs exactly one leader-leader edge, found {len(leader_edges)}")

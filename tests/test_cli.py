@@ -123,6 +123,26 @@ def _negative_seed(tmp_path):
     return write_config(tmp_path, {"seed": -1}), "seed"
 
 
+def _nan_weight(tmp_path):
+    return write_config(tmp_path, {"weights": {"fidelity": math.nan}}), "weights.fidelity"
+
+
+def _infinite_weight(tmp_path):
+    return write_config(tmp_path, {"weights": {"cost": math.inf}}), "weights.cost"
+
+
+def _infinite_rate(tmp_path):
+    return write_config(tmp_path, {"rates": [0.0, -math.inf]}), "rates"
+
+
+def _int_past_float_range(tmp_path):
+    return write_config(tmp_path, {"link": {"latency_us": 10**400}}), "link.latency_us"
+
+
+def _gamma_past_half_pi(tmp_path):
+    return write_config(tmp_path, {"gamma": 1.5708}), "gamma"
+
+
 @pytest.mark.parametrize(
     "make_config",
     [
@@ -134,6 +154,11 @@ def _negative_seed(tmp_path):
         _topology_without_nodes,
         _non_numeric_link_field,
         _negative_seed,
+        _nan_weight,
+        _infinite_weight,
+        _infinite_rate,
+        _int_past_float_range,
+        _gamma_past_half_pi,
         _link_to_missing_node,
         _self_loop_link,
         _second_link_between_a_pair,
@@ -156,6 +181,26 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert "seed" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen"],
+        ["coalition"],
+        ["consensus", "--variant", "classical"],
+        ["consensus", "--variant", "quantum"],
+        ["sweep"],
+        ["chsh"],
+    ],
+    ids=["gen", "coalition", "consensus-classical", "consensus-quantum", "sweep", "chsh"],
+)
+def test_gamma_flag_out_of_range_exits_2(tmp_path, capsys, argv):
+    rc = main([*argv, "--gamma", "5", "--trials", "1", "--out", str(tmp_path), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "gamma" in err
 
 
 # ---------------------------------------------------------------------------

@@ -491,6 +491,11 @@ def test_quantum_outcome_deterministic_per_seed(five_line):
     assert a.history == b.history
 
 
+def test_quantum_negative_seed_rejected(five_line):
+    with pytest.raises(ParameterError, match="seed"):
+        co.quantum_coalition_form(five_line_cfg(), five_line, seed=-1)
+
+
 def test_quantum_capacity_error():
     t = line_topology(13)
     cfg = co.CoalitionGameConfig(source=0, destination=12)

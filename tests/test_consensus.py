@@ -1,9 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entangle_games import consensus as cons
+from entangle_games import quantum as q
 from entangle_games import simulation as sim
 from entangle_games import topology as topo
 from entangle_games.errors import ParameterError, UnreachableError
@@ -45,6 +49,11 @@ def test_hop_utility_rejects_bad_weights():
         cons.hop_utility(est, (0.0, 0.0), 10.0)
     with pytest.raises(ParameterError):
         cons.hop_utility(est, (-1.0, 1.0), 10.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            cons.hop_utility(est, (bad, 1.0), 10.0)
+        with pytest.raises(ParameterError):
+            cons.hop_utility(est, (1.0, bad), 10.0)
 
 
 def test_estimate_domain_checks():
@@ -61,25 +70,26 @@ def test_estimate_domain_checks():
 
 def test_classical_round_switches_featured_node():
     state = cons.choice_state(canonical())
-    new_state, switches = cons.classical_consensus_round(state)
+    new_state, switches, ties, blocked = cons.consensus_round(state)
     assert len(switches) == 1
     s = switches[0]
     assert (s.node, s.from_hop, s.to_hop) == (1, 0, 2)
     assert s.d_cost == pytest.approx(-40.0)
     assert s.d_payoff == pytest.approx(0.5)
     assert new_state[1].current == 2
+    assert ties == [] and blocked == []
 
 
 def test_classical_round_is_idempotent():
     state = cons.choice_state(canonical())
-    state, first = cons.classical_consensus_round(state)
-    state, second = cons.classical_consensus_round(state)
+    state, first, _, _ = cons.consensus_round(state)
+    state, second, _, _ = cons.consensus_round(state)
     assert first and not second
 
 
 def test_every_switch_strictly_improves_utility():
     state = cons.choice_state(canonical())
-    new_state, switches = cons.classical_consensus_round(state)
+    new_state, switches, _, _ = cons.consensus_round(state)
     for s in switches:
         cs = state[s.node]
         scale = max(e.latency_cost for e in cs.estimates)
@@ -100,12 +110,12 @@ def _mutual_switch_state():
 
 def test_cycle_creating_switch_is_blocked():
     state = _mutual_switch_state()
-    desires = {1: 2, 2: 1}
-    new_state, switches, tie_moves, blocked = cons._apply_switches(state, desires)
+    new_state, switches, ties, blocked = cons.consensus_round(state)
     assert [s.node for s in switches] == [1]
     assert blocked == [{"node": 2, "to": 1, "reason": "cycle"}]
     assert new_state[1].current == 2
     assert new_state[2].current == 0
+    assert ties == []
 
 
 # ---------------------------------------------------------------------------
@@ -113,22 +123,29 @@ def test_cycle_creating_switch_is_blocked():
 # ---------------------------------------------------------------------------
 
 
-def test_ewl_accept_reduces_to_utility_comparison():
-    for gamma in (0.0, 0.4, math.pi / 2):
-        for du in (0.01, 0.3, 2.0):
-            assert cons._ewl_accepts(gamma, du, 0.4)
-            assert cons._ewl_accepts(gamma, du, -0.4)
-            assert not cons._ewl_accepts(gamma, -du, 0.4)
+@settings(max_examples=200, deadline=None)
+@given(
+    gamma=st.floats(0.0, math.pi / 2),
+    magnitude=st.floats(1e-6, 1e12),
+    sign=st.sampled_from((1.0, -1.0)),
+    d_payoff=st.floats(-1.0, 1.0),
+)
+@example(gamma=0.0, magnitude=1e-6, sign=1.0, d_payoff=-1.0)
+@example(gamma=math.pi / 2, magnitude=1e12, sign=-1.0, d_payoff=1.0)
+def test_ewl_accept_reduces_to_utility_comparison(gamma, magnitude, sign, d_payoff):
+    # the entangled accept/decline game the quantum round used to play on
+    # every strict improvement accepts exactly the utility gains, at every
+    # gamma, so the round switches on the gain alone
+    d_utility = sign * magnitude
+    assert _old_ewl_accepts(gamma, d_utility, d_payoff) == (d_utility > 0)
 
 
 def test_quantum_round_equals_classical_without_ties():
     t = topo.build_scenario2([3, 4], seed=12)
     state = cons.choice_state(t)
-    classical_state, classical_switches = cons.classical_consensus_round(state)
+    classical_state, classical_switches, _, _ = cons.consensus_round(state)
     rng = np.random.default_rng(5)
-    quantum_state, quantum_switches, ties = cons.quantum_consensus_round(
-        state, (1.0, 1.0), math.pi / 2, rng
-    )
+    quantum_state, quantum_switches, ties, _ = cons.consensus_round(state, (1.0, 1.0), rng)
     assert ties == []
     assert {n: cs.current for n, cs in quantum_state.items()} == {
         n: cs.current for n, cs in classical_state.items()
@@ -141,8 +158,8 @@ def test_tie_coin_agreement_over_seeds():
     flips = []
     for seed in range(1000):
         settled: set[int] = set()
-        _, _, ties = cons.quantum_consensus_round(
-            state, (1.0, 1.0), 0.0, np.random.default_rng(seed), settled=settled
+        _, _, ties, _ = cons.consensus_round(
+            state, (1.0, 1.0), np.random.default_rng(seed), settled
         )
         assert len(ties) == 1 and ties[0]["node"] == 8
         assert ties[0]["agree"] is True
@@ -156,8 +173,8 @@ def test_settled_tie_is_not_reflipped():
     state = cons.choice_state(canonical())
     settled: set[int] = set()
     rng = np.random.default_rng(3)
-    state, _, first = cons.quantum_consensus_round(state, (1.0, 1.0), 0.0, rng, settled=settled)
-    state, _, second = cons.quantum_consensus_round(state, (1.0, 1.0), 0.0, rng, settled=settled)
+    state, _, first, _ = cons.consensus_round(state, (1.0, 1.0), rng, settled)
+    state, _, second, _ = cons.consensus_round(state, (1.0, 1.0), rng, settled)
     assert len(first) == 1 and second == []
 
 
@@ -259,6 +276,12 @@ def test_same_tree_endpoints_rejected():
         cons.run_consensus(canonical(), 1, 2)
 
 
+def test_negative_seed_rejected():
+    for variant in ("classical", "quantum"):
+        with pytest.raises(ParameterError, match="seed"):
+            cons.run_consensus(canonical(), 1, 8, variant=variant, seed=-1)
+
+
 def test_missing_trunk_is_unreachable():
     t = canonical()
     no_trunk = [l for l in t.links if not (l.a == 0 and l.b == 5 or l.a == 5 and l.b == 0)]
@@ -281,3 +304,188 @@ def test_realized_topology_moves_switched_link():
     assert realized.link_between(1, 2) is not None
     assert realized.link_between(1, 0) is None
     assert topo.validate(realized) == []
+
+
+# ---------------------------------------------------------------------------
+# differential test against the two rounds before `consensus_round`
+# ---------------------------------------------------------------------------
+
+
+def _old_apply_switches(state, desires, tie_nodes=frozenset()):
+    """`_apply_switches` before `consensus_round`, kept verbatim as the oracle."""
+    new_state = dict(state)
+    switches: list[cons.SwitchRecord] = []
+    tie_moves: list[cons.SwitchRecord] = []
+    blocked: list[dict] = []
+    for node in sorted(desires):
+        target = desires[node]
+        cs = new_state[node]
+        if target == cs.current:
+            continue
+        if cons._creates_cycle(new_state, node, target):
+            blocked.append({"node": node, "to": target, "reason": "cycle"})
+            continue
+        old = cs.estimate_for(cs.current)
+        new = cs.estimate_for(target)
+        record = cons.SwitchRecord(
+            node=node,
+            from_hop=cs.current,
+            to_hop=target,
+            d_cost=new.latency_cost - old.latency_cost,
+            d_payoff=new.fidelity_payoff - old.fidelity_payoff,
+        )
+        (tie_moves if node in tie_nodes else switches).append(record)
+        new_state[node] = replace(cs, current=target)
+    return new_state, switches, tie_moves, blocked
+
+
+def _old_classical_round(state, weights=(1.0, 1.0), order=None, blocked_sink=None):
+    """`classical_consensus_round`, kept verbatim as the oracle."""
+    nodes = order if order is not None else sorted(state)
+    desires: dict[int, int] = {}
+    for node in nodes:
+        cs = state[node]
+        cur, alt = cons._utilities(cs, weights)
+        desires[node] = cs.alternative() if alt > cur else cs.current
+    new_state, switches, _, blocked = _old_apply_switches(state, desires)
+    if blocked_sink is not None:
+        blocked_sink.extend(blocked)
+    return new_state, switches
+
+
+def _old_ewl_accepts(gamma: float, d_utility: float, d_payoff: float) -> bool:
+    """`_ewl_accepts`, the accept/decline game on the dense engine, kept
+    verbatim as the oracle."""
+    matrix = np.zeros((4, 2))
+    matrix[3] = (d_utility, max(d_payoff, 0.0))
+    commit = q.SingleQubitUnitary(math.pi, 0.0)
+    hold = q.SingleQubitUnitary(0.0, 0.0)
+    joint = q.ewl_game(gamma, (commit, commit), matrix)
+    switcher_holds = q.ewl_game(gamma, (hold, commit), matrix)
+    hop_declines = q.ewl_game(gamma, (commit, hold), matrix)
+    return joint[0] >= switcher_holds[0] - 1e-12 and joint[1] >= hop_declines[1] - 1e-12
+
+
+def _old_quantum_round(
+    state, weights, gamma, rng, tie_epsilon=cons.TIE_EPSILON, coin_angle=0.0, order=None,
+    settled=None, blocked_sink=None,
+):
+    """`quantum_consensus_round`, kept verbatim as the oracle."""
+    nodes = order if order is not None else sorted(state)
+    settled = settled if settled is not None else set()
+    desires: dict[int, int] = {}
+    ties: list[dict] = []
+    tie_nodes: set[int] = set()
+    for node in nodes:
+        cs = state[node]
+        cur, alt = cons._utilities(cs, weights)
+        if abs(alt - cur) <= tie_epsilon:
+            if node in settled:
+                desires[node] = cs.current
+                continue
+            bit_a, bit_b, agree = q.coin_flip_consensus(rng, coin_angle)
+            desires[node] = cs.alternative() if bit_a == 1 else cs.current
+            settled.add(node)
+            tie_nodes.add(node)
+            ties.append(
+                {"node": node, "bit_node": bit_a, "bit_hop": bit_b, "agree": agree,
+                 "chosen": desires[node]}
+            )
+        elif alt > cur:
+            old = cs.estimate_for(cs.current)
+            new = cs.estimate_for(cs.alternative())
+            accepted = _old_ewl_accepts(gamma, alt - cur, new.fidelity_payoff - old.fidelity_payoff)
+            desires[node] = cs.alternative() if accepted else cs.current
+        else:
+            desires[node] = cs.current
+    new_state, switches, _, blocked = _old_apply_switches(state, desires, tie_nodes)
+    if blocked_sink is not None:
+        blocked_sink.extend(blocked)
+    return new_state, switches, ties
+
+
+def _old_run_consensus(topology, source, destination, weights, variant, seed, gamma=math.pi / 2):
+    """The round loop of `run_consensus` before `consensus_round`, verbatim
+    apart from the endpoint checks, which are unchanged and run first."""
+    state = cons.choice_state(topology)
+    rng = np.random.default_rng(seed)
+    rounds_cap = 2 * len(topology.nodes)
+    switches, tie_events, blocked, trace = [], [], [], []
+    settled: set[int] = set()
+    converged = False
+    rounds = 0
+    for rounds in range(1, rounds_cap + 1):
+        if variant == "classical":
+            state, new_switches = _old_classical_round(state, weights, blocked_sink=blocked)
+            new_ties: list[dict] = []
+        else:
+            state, new_switches, new_ties = _old_quantum_round(
+                state, weights, gamma, rng, settled=settled, blocked_sink=blocked
+            )
+        switches.extend(new_switches)
+        for t in new_ties:
+            tie_events.append({"round": rounds, **t})
+        path = cons.current_path(state, topology, source, destination)
+        cost, proxy = cons.path_cost_and_payoff(state, topology, path)
+        trace.append(
+            {
+                "round": rounds,
+                "switches": [s.to_json_dict() for s in new_switches],
+                "total_cost": cost,
+                "fidelity": proxy,
+            }
+        )
+        if not new_switches and not new_ties:
+            converged = True
+            break
+    path = cons.current_path(state, topology, source, destination)
+    total_cost, _ = cons.path_cost_and_payoff(state, topology, path)
+    realized = cons.realize_topology(topology, state)
+    fidelity = cons._simulated_path_fidelity(realized, path, seed, None)
+    return cons.ConsensusOutcome(
+        path=path, switches=switches, total_cost=total_cost, end_to_end_fidelity=fidelity,
+        converged=converged, rounds=rounds, tie_events=tie_events, blocked=blocked,
+        trace=trace, realized_topology=realized,
+    )
+
+
+@st.composite
+def _consensus_games(draw):
+    """Random scenario-2 trees; half draw every choice link from two values,
+    which makes utility ties and mutual sibling preferences (cycles) common."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=3))
+    t = topo.build_scenario2(sizes)
+    link_weights = None
+    if draw(st.booleans()):
+        pair = draw(st.lists(
+            st.tuples(st.sampled_from((50.0, 60.0, 100.0)), st.sampled_from((0.3, 0.5, 0.9))),
+            min_size=2, max_size=2,
+        ))
+        link_weights = {
+            (node, opt.next_hop): draw(st.sampled_from(pair))
+            for node, opts in t.choices.items() for opt in opts
+        }
+    topology = topo.build_scenario2(sizes, link_weights=link_weights, seed=draw(st.integers(0, 99)))
+    first = range(1, sizes[0] + 1)
+    second = range(sizes[0] + 2, sizes[0] + sizes[1] + 2)
+    weights = draw(st.sampled_from([(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)]) | st.tuples(
+        st.floats(0.01, 3.0), st.floats(0.0, 3.0)))
+    return (
+        topology,
+        draw(st.sampled_from(first)),
+        draw(st.sampled_from(second)),
+        weights,
+        draw(st.sampled_from(("classical", "quantum"))),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(game=_consensus_games())
+def test_run_consensus_matches_old_rounds(game):
+    topology, source, destination, weights, variant, seed = game
+    new = cons.run_consensus(topology, source, destination, weights, variant, seed)
+    old = _old_run_consensus(topology, source, destination, weights, variant, seed)
+    assert new.to_json_dict() == old.to_json_dict()
+    assert new.trace == old.trace
+    assert new.realized_topology.to_json_dict() == old.realized_topology.to_json_dict()

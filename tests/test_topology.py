@@ -182,6 +182,15 @@ def test_validate_flags_self_loop():
     assert any("self-loop" in v and "0-0" in v for v in violations)
 
 
+def test_validate_reports_links_to_missing_nodes():
+    # the leader-edge scan must not index the node list by a bad endpoint:
+    # 99 is past its end, and -1 would read the last node's role
+    t = topo.canonical_two_tree_topology()
+    for far in (99, -1):
+        bad = replace(t, links=t.links + (topo.Link(0, far, topo.LinkParams(), 1.0, 0.9),))
+        assert topo.validate(bad) == [f"link 0-{far}: endpoint is not a node id"]
+
+
 def test_validate_flags_unusable_link():
     params = topo.LinkParams(latency_us=500.0, coherence_us=400.0)
     t = topo.build_scenario1(2, 1, 0, link_defaults=params, probabilistic_links=False)
