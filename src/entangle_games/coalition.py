@@ -12,6 +12,10 @@ state, each player rotates its own qubit, and the measured bitstring selects
 the candidate coalition; strategies evolve by discretized best response until
 the measured coalition holds steady. A best response scores the whole 9x9
 rotation grid at once, as a quadratic form in the player's own 2x2 unitary.
+No best response reads a measured outcome, so each strategy profile's best
+responses and outcome distribution depend on the game alone: a ValueModel
+keeps one referee engine per (players, gamma), which computes them once per
+profile, and the seed only picks which outcomes are drawn.
 
 The characteristic value of a node set combines the three routing objectives:
 rate capped at the target throughput, plus path fidelity, minus a per-hop
@@ -115,6 +119,8 @@ class ValueModel:
         # kept in DFS order: filtering it gives the order a DFS inside
         # the node set would, which the tie-break in evaluate depends on
         self.paths = [(frozenset(p), self.path_score(p), tuple(p)) for p in found]
+        # referee engines of the quantum game, by (players, gamma)
+        self.referee_rounds: dict[tuple[tuple[int, ...], float], _QuantumRound] = {}
 
     def path_score(self, path: list[int]) -> float:
         rate = math.inf
@@ -372,10 +378,13 @@ def _rotate(amps: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
 
 
 class _QuantumRound:
-    """Per-game machinery: the payoff table over bitstrings and best responses."""
+    """Per-game machinery: the payoff table over bitstrings, and best
+    responses and outcome distributions memoized by strategy profile."""
 
-    def __init__(self, model: ValueModel, players: list[int], gamma: float):
+    def __init__(self, model: ValueModel, players: tuple[int, ...], gamma: float):
         self.players = players
+        self._responses: dict[tuple, q.SingleQubitUnitary] = {}
+        self._outcomes: dict[tuple, np.ndarray] = {}
         self.base = referee_state(len(players), gamma)
         m = len(players)
         # joins[bits, i] = 1 when outcome `bits` has player i's bit set; small
@@ -396,6 +405,16 @@ class _QuantumRound:
         return frozenset(
             p for i, p in enumerate(self.players) if (outcome_bits >> (m - 1 - i)) & 1
         )
+
+    def profile(self, strategies: dict[int, q.SingleQubitUnitary]) -> tuple:
+        return tuple(strategies[p] for p in self.players)
+
+    def outcome_probabilities(self, strategies: dict[int, q.SingleQubitUnitary]) -> np.ndarray:
+        """The table q.measure_computational samples for the played state."""
+        key = self.profile(strategies)
+        if key not in self._outcomes:
+            self._outcomes[key] = q.measurement_probabilities(self.played_state(strategies))
+        return self._outcomes[key]
 
     def _turned(
         self, strategies: dict[int, q.SingleQubitUnitary], skip: int | None = None
@@ -435,6 +454,9 @@ class _QuantumRound:
         keep the earliest grid point (theta-major order), so updates are
         reproducible.
         """
+        key = (player_index, self.profile(strategies))
+        if key in self._responses:
+            return self._responses[key]
         shape = (2**player_index, 2, -1)
         psi = self._turned(strategies, skip=player_index).reshape(shape)
         payoffs = self.payoffs[:, player_index].reshape(shape)
@@ -444,7 +466,8 @@ class _QuantumRound:
         for k, val in enumerate(scores.tolist()):
             if val > best_val + STRICT_EPS:
                 best, best_val = k, val
-        return q.SingleQubitUnitary(*GRID_STRATEGIES[best])
+        self._responses[key] = q.SingleQubitUnitary(*GRID_STRATEGIES[best])
+        return self._responses[key]
 
 
 def quantum_coalition_form(
@@ -476,7 +499,9 @@ def quantum_coalition_form(
 
     `strategies` defaults to everyone proposing to join (theta = pi), the
     all-in starting point whose gamma = 0 behavior coincides with the
-    classical game on path fixtures.
+    classical game on path fixtures. `players` defaults to the candidate
+    nodes; given, they must be distinct nodes that hold a
+    source->destination path.
     """
     check_seed(seed)
     model = model or ValueModel(cfg, topology)
@@ -486,10 +511,18 @@ def quantum_coalition_form(
         raise CapacityError(f"{len(players)} candidate players exceed {q.MAX_QUBITS}")
     if len(players) < 2:
         raise ParameterError("quantum game needs at least two players")
-    players = sorted(players)
-    index_of = {p: i for i, p in enumerate(players)}
-    if cfg.source not in index_of or cfg.destination not in index_of:
+    strangers = [p for p in players if p not in topology.adjacency]
+    if strangers:
+        raise ParameterError(f"players {strangers} are not nodes of the topology")
+    if len(set(players)) < len(players):
+        raise ParameterError(f"players {sorted(players)} repeat a node")
+    players = tuple(sorted(players))
+    if cfg.source not in players or cfg.destination not in players:
         raise ParameterError("source and destination must be players")
+    if model.evaluate(frozenset(players))[1] is None:
+        raise UnreachableError(
+            f"players {list(players)} hold no path between {cfg.source} and {cfg.destination}"
+        )
 
     if strategies is None:
         strategies = {p: q.SingleQubitUnitary(math.pi, 0.0) for p in players}
@@ -500,7 +533,9 @@ def quantum_coalition_form(
         strategies = dict(strategies)
 
     rng = np.random.default_rng(seed)
-    engine = _QuantumRound(model, players, gamma)
+    engine = model.referee_rounds.get((players, gamma))
+    if engine is None:
+        engine = model.referee_rounds[players, gamma] = _QuantumRound(model, players, gamma)
     history: list[dict] = []
     recent: list[frozenset[int]] = []
     best_seen: tuple[float, frozenset[int]] | None = None
@@ -508,9 +543,11 @@ def quantum_coalition_form(
     rounds = 0
 
     for rounds in range(1, max_rounds + 1):
-        state = engine.played_state(strategies)
-        outcome_bits, _ = q.measure_computational(state, rng)
-        measured = engine.coalition_of(int(outcome_bits, 2))
+        # drawn as q.measure_computational draws, so the stream is unchanged
+        probs = engine.outcome_probabilities(strategies)
+        outcome = int(rng.choice(probs.size, p=probs))
+        outcome_bits = format(outcome, f"0{len(players)}b")
+        measured = engine.coalition_of(outcome)
         value, path = model.evaluate(measured) if measured else (0.0, None)
         history.append(
             {

@@ -62,8 +62,9 @@ class LinkParams:
     gen_prob: float = DEFAULT_GEN_PROB
 
     def __post_init__(self) -> None:
-        if not self.latency_us > 0:
-            raise ParameterError(f"latency_us must be > 0, got {self.latency_us}")
+        # rates divide by the latency in seconds, which must not underflow to 0
+        if not self.latency_us * 1e-6 > 0:
+            raise ParameterError(f"latency_us must be > 0 in seconds too, got {self.latency_us}")
         if not self.coherence_us > 0:
             raise ParameterError(f"coherence_us must be > 0, got {self.coherence_us}")
         if not (self.decoherence_rate >= 0 and math.isfinite(self.decoherence_rate)):

@@ -139,6 +139,10 @@ def _int_past_float_range(tmp_path):
     return write_config(tmp_path, {"link": {"latency_us": 10**400}}), "link.latency_us"
 
 
+def _latency_underflowing_in_seconds(tmp_path):
+    return write_config(tmp_path, {"link": {"latency_us": 1e-320}}), "latency_us"
+
+
 def _gamma_past_half_pi(tmp_path):
     return write_config(tmp_path, {"gamma": 1.5708}), "gamma"
 
@@ -158,6 +162,7 @@ def _gamma_past_half_pi(tmp_path):
         _infinite_weight,
         _infinite_rate,
         _int_past_float_range,
+        _latency_underflowing_in_seconds,
         _gamma_past_half_pi,
         _link_to_missing_node,
         _self_loop_link,

@@ -536,6 +536,41 @@ def test_quantum_joint_join_beats_independent_play():
     assert joint / len(out.history) > 0.25
 
 
+@pytest.mark.parametrize(
+    "players, error",
+    [
+        ([0, 4], UnreachableError),
+        ([0, 2, 4], UnreachableError),
+        ([0, 0, 4], ParameterError),
+        ([0, 1, 2, 3, 4, 7], ParameterError),
+    ],
+)
+def test_quantum_players_checked_before_round_one(five_line, players, error):
+    model = co.ValueModel(five_line_cfg(), five_line)
+    with pytest.raises(error, match="players"):
+        co.quantum_coalition_form(five_line_cfg(), five_line, players=players, model=model)
+    assert model.referee_rounds == {}
+
+
+def test_calls_on_one_model_share_one_engine(five_line, monkeypatch):
+    built = []
+    init = co._QuantumRound.__init__
+
+    def counting_init(self, *args):
+        built.append(args[1:])
+        init(self, *args)
+
+    monkeypatch.setattr(co._QuantumRound, "__init__", counting_init)
+    cfg = five_line_cfg()
+    model = co.ValueModel(cfg, five_line)
+    for seed in (0, 1):
+        co.quantum_coalition_form(cfg, five_line, seed=seed, model=model)
+    assert built == [((0, 1, 2, 3, 4), math.pi / 2)]
+    co.quantum_coalition_form(cfg, five_line, gamma=0.0, seed=0, model=model)
+    co.quantum_coalition_form(cfg, five_line, gamma=0.0, seed=0)
+    assert len(built) == 3
+
+
 def test_quantum_outcome_serialization_shape(five_line):
     out = co.quantum_coalition_form(five_line_cfg(), five_line, gamma=0.0, seed=0)
     doc = out.to_json_dict()
@@ -700,3 +735,113 @@ def test_turned_amplitudes_match_apply_unitary_chain(m, gamma, data):
     if skip is None:
         played = engine.played_state(strategies).amplitudes
         assert played.tobytes() == chain.amplitudes.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# differential check: memoized referee engine against the per-call loop
+# ---------------------------------------------------------------------------
+
+
+def old_best_response(engine, player_index, strategies):
+    """The quadratic-form best response before memoization, verbatim."""
+    shape = (2**player_index, 2, -1)
+    psi = engine._turned(strategies, skip=player_index).reshape(shape)
+    payoffs = engine.payoffs[:, player_index].reshape(shape)
+    form = np.einsum("lbr,lcr,lar->abc", psi, psi.conj(), payoffs)
+    scores = np.einsum("gab,gac,abc->g", co.GRID_MATRICES, co.GRID_MATRICES.conj(), form).real
+    best, best_val = 0, -math.inf
+    for k, val in enumerate(scores.tolist()):
+        if val > best_val + co.STRICT_EPS:
+            best, best_val = k, val
+    return q.SingleQubitUnitary(*co.GRID_STRATEGIES[best])
+
+
+def old_quantum_coalition_form(
+    cfg, topology, strategies=None, gamma=math.pi / 2.0, seed=0, players=None,
+    max_rounds=60, confirm_window=3, model=None,
+):
+    """The referee game before the shared engine: a fresh engine per call and
+    one measure_computational per round."""
+    model = model or co.ValueModel(cfg, topology)
+    if players is None:
+        players = model.candidate_nodes()
+    players = sorted(players)
+    if strategies is None:
+        strategies = {p: q.SingleQubitUnitary(math.pi, 0.0) for p in players}
+    else:
+        strategies = dict(strategies)
+
+    rng = np.random.default_rng(seed)
+    engine = co._QuantumRound(model, players, gamma)
+    history: list[dict] = []
+    recent: list[frozenset[int]] = []
+    best_seen = None
+    stable = None
+    rounds = 0
+
+    for rounds in range(1, max_rounds + 1):
+        state = engine.played_state(strategies)
+        outcome_bits, _ = q.measure_computational(state, rng)
+        measured = engine.coalition_of(int(outcome_bits, 2))
+        value, path = model.evaluate(measured) if measured else (0.0, None)
+        history.append(
+            {
+                "round": rounds,
+                "strategies": {p: [strategies[p].theta, strategies[p].phi] for p in players},
+                "outcome": outcome_bits,
+                "members": sorted(measured),
+                "value": value,
+            }
+        )
+        if path is not None and (best_seen is None or value > best_seen[0] + co.STRICT_EPS):
+            best_seen = (value, measured)
+        recent.append(measured)
+        if len(recent) >= confirm_window and len(set(recent[-confirm_window:])) == 1:
+            stable = measured
+            break
+        updater = (rounds - 1) % len(players)
+        strategies[players[updater]] = old_best_response(engine, updater, strategies)
+
+    chosen = None
+    if stable is not None and model.evaluate(stable)[1] is not None:
+        chosen = stable
+    elif best_seen is not None:
+        chosen = best_seen[1]
+    else:
+        marginals = engine.join_marginals(strategies)
+        chosen = frozenset(p for i, p in enumerate(players) if marginals[i] >= 0.5)
+        if model.evaluate(chosen)[1] is None:
+            chosen = frozenset(players)
+
+    value, path = model.evaluate(chosen)
+    coalition = co.Coalition(chosen, value)
+    return co.CoalitionOutcome(
+        stable_coalition=coalition,
+        path=list(path),
+        per_node_payoff=model.split_payoffs(coalition),
+        rounds=rounds,
+        history=history,
+        referee=co.find_referee(topology, cfg.source),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(game=_line_games(), data=st.data())
+def test_shared_engine_replays_the_per_call_loop(game, data):
+    model, _, gamma, _ = game
+    players = model.candidate_nodes()
+    turn = st.sampled_from(co.GRID_STRATEGIES) | st.tuples(
+        st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi)
+    )
+    start = st.none() | st.fixed_dictionaries(
+        {p: turn.map(lambda tp: q.SingleQubitUnitary(*tp)) for p in players}
+    )
+    runs = data.draw(st.lists(st.tuples(st.integers(0, 2**32 - 1), start), min_size=2, max_size=4))
+    for seed, strategies in runs:
+        kwargs = dict(strategies=strategies, gamma=gamma, seed=seed, model=model)
+        got = co.quantum_coalition_form(model.cfg, model.topology, **kwargs)
+        want = old_quantum_coalition_form(model.cfg, model.topology, **kwargs)
+        assert got.to_json_dict() == want.to_json_dict()
+        assert got.rounds == want.rounds
+        assert got.history == want.history
+    assert list(model.referee_rounds) == [(tuple(players), gamma)]
