@@ -15,12 +15,18 @@ rotation grid at once, as a quadratic form in the player's own 2x2 unitary.
 No best response reads a measured outcome, so each strategy profile's best
 responses and outcome distribution depend on the game alone: a ValueModel
 keeps one referee engine per (players, gamma), which computes them once per
-profile, and the seed only picks which outcomes are drawn.
+profile, and the seed only picks which outcomes are drawn. The engine scores
+every outcome's coalition in one vectorized pass over the path table, and
+keeps the state of the last profile it played: the next profile, one
+player's strategy away, is one rotation from it, and a best response undoes
+the player's own rotation with one more.
 
 The characteristic value of a node set combines the three routing objectives:
 rate capped at the target throughput, plus path fidelity, minus a per-hop
 operation cost. Outsiders receive nothing and cannot tax the coalition, so
-payoffs always sum exactly to the coalition value.
+payoffs always sum exactly to the coalition value. Ties between values are
+decided with a tolerance of STRICT_EPS relative to their magnitude (absolute
+below 1), so that rounding noise never picks among points that tie exactly.
 """
 
 from __future__ import annotations
@@ -38,6 +44,12 @@ from .topology import NetworkTopology, NodeRole, shortest_path, simple_paths
 
 STRICT_EPS = 1e-12
 MAX_PATHS = 10_000
+
+
+def _tolerance(*values: float) -> float:
+    """Tie tolerance between compared values: STRICT_EPS, scaled by the
+    largest magnitude above 1, so rounding noise never decides a tie."""
+    return STRICT_EPS * max(1.0, *map(abs, values))
 
 
 class PayoffSplit(Enum):
@@ -135,14 +147,16 @@ class ValueModel:
     def evaluate(self, members: frozenset[int]) -> tuple[float, tuple[int, ...] | None]:
         """(value, best path) for a node set; (0.0, None) when no path exists."""
         members = frozenset(members)
-        best_score, best_path = -math.inf, None
+        best_score, best_path = 0.0, None
         for nodes, score, path in self.paths:
-            if nodes <= members and (
-                score > best_score + STRICT_EPS
-                or (abs(score - best_score) <= STRICT_EPS and best_path is not None and path < best_path)
+            if not nodes <= members:
+                continue
+            tol = _tolerance(score, best_score)
+            if best_path is None or score > best_score + tol or (
+                abs(score - best_score) <= tol and path < best_path
             ):
                 best_score, best_path = score, path
-        return (best_score, best_path) if best_path is not None else (0.0, None)
+        return best_score, best_path
 
     def value(self, members) -> float:
         return self.evaluate(frozenset(members))[0]
@@ -215,23 +229,24 @@ def _find_merge(model: ValueModel, partition: list[frozenset[int]]):
     for ranks in sorted((sorted(u) for u in unions if len(u) > 1), key=lambda g: (len(g), g)):
         group = tuple(order[r] for r in ranks)
         union = frozenset().union(*(partition[i] for i in group))
-        if model.value(union) > sum(values[i] for i in group) + STRICT_EPS:
+        value, parts = model.value(union), sum(values[i] for i in group)
+        if value > parts + _tolerance(value, parts):
             return group, union
     return None
 
 
 def _find_split(model: ValueModel, partition: list[frozenset[int]]):
     # Every listed path holds the source, so at most one side of a split
-    # holds one, and no side is worth more than the whole up to STRICT_EPS
-    # (the earliest-wins scan in evaluate ends within STRICT_EPS of the best
-    # score). So only a coalition worth less than -STRICT_EPS can split
+    # holds one, and no side is worth more than the whole up to the tie
+    # tolerance (the earliest-wins scan in evaluate ends within it of the
+    # best score). So only a coalition worth less than -STRICT_EPS can split
     # profitably; its 2-way splits are scanned in full, and the scan stops
     # no later than the first split that separates the endpoints.
     for i, coalition in enumerate(partition):
         if len(coalition) < 2:
             continue
         whole = model.value(coalition)
-        if whole >= -STRICT_EPS:
+        if whole >= -_tolerance(whole):
             continue
         members = sorted(coalition)
         # enumerate 2-way splits; fix members[0] on one side to halve the count
@@ -240,7 +255,8 @@ def _find_split(model: ValueModel, partition: list[frozenset[int]]):
                 m for j, m in enumerate(members) if j == 0 or (mask >> (j - 1)) & 1
             )
             right = coalition - left
-            if model.value(left) + model.value(right) > whole + STRICT_EPS:
+            parts = model.value(left) + model.value(right)
+            if parts > whole + _tolerance(parts, whole):
                 return i, left, right
     return None
 
@@ -260,27 +276,31 @@ def classical_coalition_form(
     The result is deterministic: `seed` is accepted for interface symmetry
     with the quantum variant but never consulted.
     """
+    if max_rounds < 1:
+        raise ParameterError(f"max_rounds must be >= 1, got {max_rounds}")
     model = model or ValueModel(cfg, topology)
     candidates = model.candidate_nodes()
     partition: list[frozenset[int]] = [frozenset([n]) for n in candidates]
     history: list[dict] = []
     rounds = 0
-    while rounds < max_rounds:
+    while True:
         merge = _find_merge(model, partition)
+        split = _find_split(model, partition) if merge is None else None
+        if merge is None and split is None:
+            break
+        if rounds == max_rounds:
+            raise RuntimeError(f"merge-and-split did not stabilize within {max_rounds} operations")
+        rounds += 1
         if merge is not None:
             group, union = merge
             partition = [p for i, p in enumerate(partition) if i not in group]
             partition.append(union)
-            rounds += 1
             history.append(
                 {"round": rounds, "op": "merge", "members": sorted(union), "value": model.value(union)}
             )
-            continue
-        split = _find_split(model, partition)
-        if split is not None:
+        else:
             i, left, right = split
             partition = [p for j, p in enumerate(partition) if j != i] + [left, right]
-            rounds += 1
             history.append(
                 {
                     "round": rounds,
@@ -289,10 +309,6 @@ def classical_coalition_form(
                     "value": model.value(left) + model.value(right),
                 }
             )
-            continue
-        break
-    else:
-        raise RuntimeError(f"merge-and-split did not stabilize within {max_rounds} operations")
 
     best = max(partition, key=lambda p: (model.value(p), -len(p)))
     value, path = model.evaluate(best)
@@ -366,12 +382,8 @@ GRID_MATRICES = np.stack([q.SingleQubitUnitary(*tp).matrix() for tp in GRID_STRA
 
 
 def _rotate(amps: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
-    """`u` applied to one qubit of an amplitude vector, not normalized.
-
-    These are np.tensordot's own steps in q.apply_unitary (the qubit's axis
-    moved first, one np.dot, the axis moved back), so the result matches it
-    bit for bit without a validated StateVector per step.
-    """
+    """`u` applied to one qubit of an amplitude vector, not normalized: the
+    qubit's axis moved first, one np.dot, and the axis moved back."""
     low = amps.size >> (qubit + 1)
     psi = amps.reshape(-1, 2, low).transpose(1, 0, 2).reshape(2, -1)
     return np.dot(u, psi).reshape(2, -1, low).transpose(1, 0, 2).reshape(-1)
@@ -379,26 +391,60 @@ def _rotate(amps: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
 
 class _QuantumRound:
     """Per-game machinery: the payoff table over bitstrings, and best
-    responses and outcome distributions memoized by strategy profile."""
+    responses and outcome distributions memoized by strategy profile.
+
+    A profile is a tuple of indices into `strategies`: the grid, then each
+    off-grid strategy a caller starts from. The engine keeps the amplitudes of
+    the last profile it played, so a profile that changes one player's
+    strategy costs one rotation, and a best response undoes the player's own
+    turn with one more.
+    """
 
     def __init__(self, model: ValueModel, players: tuple[int, ...], gamma: float):
         self.players = players
-        self._responses: dict[tuple, q.SingleQubitUnitary] = {}
-        self._outcomes: dict[tuple, np.ndarray] = {}
+        self.strategies = list(GRID_STRATEGIES)
+        self.matrices = list(GRID_MATRICES)
+        self._index = {tp: k for k, tp in enumerate(GRID_STRATEGIES)}
+        self._responses: dict[tuple[int, tuple[int, ...]], int] = {}
+        self._outcomes: dict[tuple[int, ...], np.ndarray] = {}
         self.base = referee_state(len(players), gamma)
         m = len(players)
+        # grid point 0 is the identity, so the referee state is the profile
+        # of all zeros
+        self._profile = (0,) * m
+        self._amps = self.base.amplitudes
         # joins[bits, i] = 1 when outcome `bits` has player i's bit set; small
         # dtypes and in-place updates keep 12-player tables near 0.5 MB
         bits = np.arange(2**m, dtype=np.uint16)[:, None]
         self.joins = (bits >> np.arange(m - 1, -1, -1, dtype=np.uint16)) & 1
-        values = np.array(
-            [0.0] + [model.value(self.coalition_of(b)) for b in range(1, 2**m)]
-        )
+        values = self._values(model)
         # payoffs[bits, i]: player i's split of the value of outcome `bits`
         self.payoffs = self.joins * np.array([float(model.split_weight(p)) for p in players])
         totals = np.maximum(self.payoffs.sum(axis=1), 1.0)  # row 0 is the empty coalition
         self.payoffs *= values[:, None]
         self.payoffs /= totals[:, None]
+
+    def _values(self, model: ValueModel) -> np.ndarray:
+        """`model.value` of every outcome's coalition: evaluate's earliest-wins
+        scan over the path table, run on all outcomes at once."""
+        m = len(self.players)
+        bit_of = {p: 1 << (m - 1 - i) for i, p in enumerate(self.players)}
+        rank_of = {path: r for r, path in enumerate(sorted(path for _, _, path in model.paths))}
+        outcomes = np.arange(2**m)
+        best = np.zeros(2**m)
+        unheld = len(rank_of)  # rank of outcomes that hold no path yet
+        rank = np.full(2**m, unheld)
+        for nodes, score, path in model.paths:
+            if not bit_of.keys() >= nodes:
+                continue
+            mask = sum(bit_of[n] for n in nodes)
+            r = rank_of[path]
+            tol = STRICT_EPS * np.maximum(1.0, np.maximum(abs(score), np.abs(best)))
+            tie = (np.abs(score - best) <= tol) & (r < rank)
+            take = ((outcomes & mask) == mask) & ((rank == unheld) | (score > best + tol) | tie)
+            best = np.where(take, score, best)
+            rank = np.where(take, r, rank)
+        return best
 
     def coalition_of(self, outcome_bits: int) -> frozenset[int]:
         m = len(self.players)
@@ -406,46 +452,49 @@ class _QuantumRound:
             p for i, p in enumerate(self.players) if (outcome_bits >> (m - 1 - i)) & 1
         )
 
-    def profile(self, strategies: dict[int, q.SingleQubitUnitary]) -> tuple:
-        return tuple(strategies[p] for p in self.players)
+    def profile(self, strategies: dict[int, q.SingleQubitUnitary]) -> tuple[int, ...]:
+        """The players' strategies as indices, registering off-grid ones."""
+        out = []
+        for p in self.players:
+            u = strategies[p]
+            k = self._index.get((u.theta, u.phi))
+            if k is None:
+                k = self._index[u.theta, u.phi] = len(self.strategies)
+                self.strategies.append((u.theta, u.phi))
+                self.matrices.append(u.matrix())
+            out.append(k)
+        return tuple(out)
 
-    def outcome_probabilities(self, strategies: dict[int, q.SingleQubitUnitary]) -> np.ndarray:
+    def _amplitudes(self, profile: tuple[int, ...]) -> np.ndarray:
+        """Amplitudes after every player turns its qubit, not normalized."""
+        if profile != self._profile:
+            changed = [i for i, (a, b) in enumerate(zip(self._profile, profile)) if a != b]
+            if len(changed) == 1:
+                (i,) = changed
+                u = self.matrices[profile[i]] @ self.matrices[self._profile[i]].conj().T
+                self._amps = _rotate(self._amps, i, u)
+            else:
+                self._amps = self.base.amplitudes
+                for i, k in enumerate(profile):
+                    self._amps = _rotate(self._amps, i, self.matrices[k])
+            self._profile = profile
+        return self._amps
+
+    def played_state(self, profile: tuple[int, ...]) -> q.StateVector:
+        return q.StateVector(self._amplitudes(profile))
+
+    def outcome_probabilities(self, profile: tuple[int, ...]) -> np.ndarray:
         """The table q.measure_computational samples for the played state."""
-        key = self.profile(strategies)
-        if key not in self._outcomes:
-            self._outcomes[key] = q.measurement_probabilities(self.played_state(strategies))
-        return self._outcomes[key]
+        if profile not in self._outcomes:
+            self._outcomes[profile] = q.measurement_probabilities(self.played_state(profile))
+        return self._outcomes[profile]
 
-    def _turned(
-        self, strategies: dict[int, q.SingleQubitUnitary], skip: int | None = None
-    ) -> np.ndarray:
-        """Amplitudes after every player but the one at index `skip` turns its
-        qubit, each step divided by its norm as StateVector.__init__ does, so
-        they equal a chain of q.apply_unitary calls bit for bit."""
-        amps = self.base.amplitudes
-        for i, p in enumerate(self.players):
-            if i != skip:
-                amps = _rotate(amps, i, strategies[p].matrix())
-                amps = amps / float(np.linalg.norm(amps))
-        return amps
-
-    def played_state(self, strategies: dict[int, q.SingleQubitUnitary]) -> q.StateVector:
-        last = len(self.players) - 1
-        amps = self._turned(strategies, skip=last)
-        # the StateVector divides the last step by its norm
-        return q.StateVector(_rotate(amps, last, strategies[self.players[last]].matrix()))
-
-    def join_marginals(self, strategies: dict[int, q.SingleQubitUnitary]) -> np.ndarray:
+    def join_marginals(self, profile: tuple[int, ...]) -> np.ndarray:
         """P(bit i = 1) of each player i in the played state."""
-        probs = self.played_state(strategies).probabilities()
-        # one masked sum per player, not a matrix product: the grid often
-        # yields marginals of exactly 1/2, and a reordered sum moves them
-        # across the >= 1/2 decoding threshold
+        probs = self.played_state(profile).probabilities()
         return np.array([probs[col == 1].sum() for col in self.joins.T])
 
-    def best_response(
-        self, player_index: int, strategies: dict[int, q.SingleQubitUnitary]
-    ) -> q.SingleQubitUnitary:
+    def best_response(self, player_index: int, profile: tuple[int, ...]) -> int:
         """Exact expected-payoff argmax over the 9x9 (theta, phi) grid.
 
         With psi the other players' state viewed as (2**k, 2, rest) around
@@ -454,19 +503,21 @@ class _QuantumRound:
         keep the earliest grid point (theta-major order), so updates are
         reproducible.
         """
-        key = (player_index, self.profile(strategies))
-        if key in self._responses:
-            return self._responses[key]
-        shape = (2**player_index, 2, -1)
-        psi = self._turned(strategies, skip=player_index).reshape(shape)
-        payoffs = self.payoffs[:, player_index].reshape(shape)
-        form = np.einsum("lbr,lcr,lar->abc", psi, psi.conj(), payoffs)
-        scores = np.einsum("gab,gac,abc->g", GRID_MATRICES, GRID_MATRICES.conj(), form).real
-        best, best_val = 0, -math.inf
-        for k, val in enumerate(scores.tolist()):
-            if val > best_val + STRICT_EPS:
-                best, best_val = k, val
-        self._responses[key] = q.SingleQubitUnitary(*GRID_STRATEGIES[best])
+        key = (player_index, profile)
+        if key not in self._responses:
+            undo = self.matrices[profile[player_index]].conj().T
+            shape = (2**player_index, 2, -1)
+            psi = _rotate(self._amplitudes(profile), player_index, undo).reshape(shape)
+            payoffs = self.payoffs[:, player_index].reshape(shape)
+            form = np.einsum("lbr,lcr,lar->abc", psi, psi.conj(), payoffs)
+            scores = np.einsum("gab,gac,abc->g", GRID_MATRICES, GRID_MATRICES.conj(), form)
+            scores = scores.real.tolist()
+            tol = _tolerance(*scores)
+            best = 0
+            for k, val in enumerate(scores):
+                if val > scores[best] + tol:
+                    best = k
+            self._responses[key] = best
         return self._responses[key]
 
 
@@ -489,12 +540,12 @@ def quantum_coalition_form(
     configured split of the coalition's value; between rounds one player at a
     time replaces its strategy with a grid best response. The game stops once
     the measured coalition repeats across `confirm_window` consecutive rounds
-    (or at `max_rounds`).
+    (or at `max_rounds`); both must be at least 1.
 
     The reported coalition is the stabilized one when it carries a
     source->destination path; otherwise the best-valued path-carrying
     coalition seen in any round; otherwise the maximum-likelihood decoding
-    (join iff P(bit=1) >= 1/2) of the final strategy state, with the grand
+    (join iff P(bit=1) >= 1/2 - STRICT_EPS) of the final strategy state, with the grand
     candidate coalition as the last resort (it always carries a path).
 
     `strategies` defaults to everyone proposing to join (theta = pi), the
@@ -504,6 +555,10 @@ def quantum_coalition_form(
     source->destination path.
     """
     check_seed(seed)
+    if max_rounds < 1 or confirm_window < 1:
+        raise ParameterError(
+            f"max_rounds and confirm_window must be >= 1, got {max_rounds} and {confirm_window}"
+        )
     model = model or ValueModel(cfg, topology)
     if players is None:
         players = model.candidate_nodes()
@@ -530,12 +585,12 @@ def quantum_coalition_form(
         missing = [p for p in players if p not in strategies]
         if missing:
             raise ParameterError(f"strategies missing for players {missing}")
-        strategies = dict(strategies)
 
     rng = np.random.default_rng(seed)
     engine = model.referee_rounds.get((players, gamma))
     if engine is None:
         engine = model.referee_rounds[players, gamma] = _QuantumRound(model, players, gamma)
+    profile = engine.profile(strategies)
     history: list[dict] = []
     recent: list[frozenset[int]] = []
     best_seen: tuple[float, frozenset[int]] | None = None
@@ -544,7 +599,7 @@ def quantum_coalition_form(
 
     for rounds in range(1, max_rounds + 1):
         # drawn as q.measure_computational draws, so the stream is unchanged
-        probs = engine.outcome_probabilities(strategies)
+        probs = engine.outcome_probabilities(profile)
         outcome = int(rng.choice(probs.size, p=probs))
         outcome_bits = format(outcome, f"0{len(players)}b")
         measured = engine.coalition_of(outcome)
@@ -552,20 +607,23 @@ def quantum_coalition_form(
         history.append(
             {
                 "round": rounds,
-                "strategies": {p: [strategies[p].theta, strategies[p].phi] for p in players},
+                "strategies": {p: list(engine.strategies[k]) for p, k in zip(players, profile)},
                 "outcome": outcome_bits,
                 "members": sorted(measured),
                 "value": value,
             }
         )
-        if path is not None and (best_seen is None or value > best_seen[0] + STRICT_EPS):
+        if path is not None and (
+            best_seen is None or value > best_seen[0] + _tolerance(value, best_seen[0])
+        ):
             best_seen = (value, measured)
         recent.append(measured)
         if len(recent) >= confirm_window and len(set(recent[-confirm_window:])) == 1:
             stable = measured
             break
         updater = (rounds - 1) % len(players)
-        strategies[players[updater]] = engine.best_response(updater, strategies)
+        response = engine.best_response(updater, profile)
+        profile = profile[:updater] + (response,) + profile[updater + 1:]
 
     chosen: frozenset[int] | None = None
     if stable is not None and model.evaluate(stable)[1] is not None:
@@ -573,8 +631,9 @@ def quantum_coalition_form(
     elif best_seen is not None:
         chosen = best_seen[1]
     else:
-        marginals = engine.join_marginals(strategies)
-        chosen = frozenset(p for i, p in enumerate(players) if marginals[i] >= 0.5)
+        marginals = engine.join_marginals(profile)
+        # grid strategies give marginals of exactly 1/2 up to rounding
+        chosen = frozenset(p for i, p in enumerate(players) if marginals[i] >= 0.5 - STRICT_EPS)
         if model.evaluate(chosen)[1] is None:
             chosen = frozenset(players)
 

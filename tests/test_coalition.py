@@ -83,8 +83,9 @@ def test_config_domain_checks():
 
 
 class SubgraphValueModel:
-    """The value model before the path table, kept verbatim as the oracle:
-    one networkx subgraph and one DFS per node set, memoized."""
+    """The value model before the path table, kept as the oracle: one
+    networkx subgraph and one DFS per node set, memoized. Its tie tolerance
+    scales with the compared scores, as evaluate's does."""
 
     def __init__(self, cfg, topology):
         self.cfg = cfg
@@ -120,10 +121,9 @@ class SubgraphValueModel:
         best_score, best_path = -math.inf, None
         for path in self._paths_within(members):
             score = self.path_score(path)
-            if score > best_score + co.STRICT_EPS or (
-                abs(score - best_score) <= co.STRICT_EPS
-                and best_path is not None
-                and tuple(path) < best_path
+            tol = co.STRICT_EPS * max(1.0, abs(score), abs(best_score))
+            if best_path is None or score > best_score + tol or (
+                abs(score - best_score) <= tol and tuple(path) < best_path
             ):
                 best_score, best_path = score, tuple(path)
         result = (best_score, best_path) if best_path is not None else (0.0, None)
@@ -154,14 +154,16 @@ class SubgraphValueModel:
 def _random_graph_games(draw, targets=(1.0, 1000.0, 5000.0, 1e5), hop_cost=st.floats(0.0, 0.5)):
     n = draw(st.integers(3, 8))
     graph = nx.gnp_random_graph(n, draw(st.floats(0.2, 1.0)), seed=draw(st.integers(0, 2**16)))
-    # shared values make exact ties between paths common; payoffs 6e-13
-    # apart make chains of scores each within STRICT_EPS of the next, where
-    # the earliest-wins scan depends on the order of the paths
+    # shared values make exact ties between paths common; payoffs about 0.6
+    # of a tie tolerance apart (STRICT_EPS times a score near 1, 1000 or
+    # 1e5) make chains of scores each within the tolerance of the next,
+    # where the earliest-wins scan depends on the order of the paths
+    step = draw(st.sampled_from([6e-13, 6e-10, 6e-8]))
     gen_prob = st.sampled_from([0.5, 1.0]) | st.floats(0.05, 1.0)
     latency = st.sampled_from([10.0, 25.0, 200.0]) | st.floats(10.0, 5000.0)
     payoff = (
         st.sampled_from([0.3, 1.0])
-        | st.sampled_from([0.9 + k * 6e-13 for k in range(4)])
+        | st.sampled_from([0.9 + k * step for k in range(4)])
         | st.floats(0.0, 1.0)
     )
     links = tuple(
@@ -183,11 +185,12 @@ def _random_graph_games(draw, targets=(1.0, 1000.0, 5000.0, 1e5), hop_cost=st.fl
 
 
 def _near_tie_fan():
-    """Three two-hop paths 0-m-4 with scores s, s + 1.2e-12 and s + 6e-13 in
-    enumeration order: (0, 2, 4) wins as listed, another path under any other
-    order (sorted by path or score, or reversed)."""
+    """Three two-hop paths 0-m-4 with scores s, s + 1.2e-9 and s + 6e-10 in
+    enumeration order, where s = 1000.8 makes the tie tolerance 1.0008e-9:
+    (0, 2, 4) wins as listed, another path under any other order (sorted by
+    path or score, or reversed)."""
     nodes = tuple(topo.Node(i, topo.NodeRole.REPEATER, float(i), 0.0) for i in range(5))
-    fan = [(1, 0.9), (3, 0.9 + 12e-13), (2, 0.9 + 6e-13)]
+    fan = [(1, 0.9), (3, 0.9 + 12e-10), (2, 0.9 + 6e-10)]
     links = [topo.Link(0, m, topo.LinkParams(), 25.0, payoff) for m, payoff in fan]
     links += [topo.Link(m, 4, topo.LinkParams(), 25.0, 1.0) for m, _ in fan]
     t = topo.NetworkTopology(nodes, tuple(links), topo.ScenarioTag.CUSTOM)
@@ -302,21 +305,28 @@ def test_split_search_starts_with_the_first_member_alone(n, want):
     assert co.stability_violations(model, [whole]) == ["an improving split remains"]
 
 
+def tolerance(*values):
+    return co.STRICT_EPS * max(1.0, *map(abs, values))
+
+
 def exhaustive_find_merge(model, partition):
-    """`_find_merge` before the path-cover pruning, kept verbatim as the oracle."""
+    """`_find_merge` before the path-cover pruning, kept as the oracle with
+    the tie tolerance that scales with the compared values."""
     order = sorted(range(len(partition)), key=lambda i: sorted(partition[i]))
     for k in range(2, len(partition) + 1):
         for group in combinations(order, k):
             parts = [partition[i] for i in group]
             union = frozenset().union(*parts)
-            if model.value(union) > sum(model.value(p) for p in parts) + co.STRICT_EPS:
+            value, total = model.value(union), sum(model.value(p) for p in parts)
+            if value > total + tolerance(value, total):
                 return group, union
     return None
 
 
 def exhaustive_find_split(model, partition):
-    """`_find_split` before the pruning, kept verbatim as the oracle apart
-    from its mask range, which now starts at mask 0 as `_find_split`'s does."""
+    """`_find_split` before the pruning, kept as the oracle apart from its
+    mask range, which now starts at mask 0 as `_find_split`'s does, and its
+    tie tolerance, which scales with the compared values."""
     for i, coalition in enumerate(partition):
         if len(coalition) < 2:
             continue
@@ -328,7 +338,8 @@ def exhaustive_find_split(model, partition):
                 m for j, m in enumerate(members) if j == 0 or (mask >> (j - 1)) & 1
             )
             right = coalition - left
-            if model.value(left) + model.value(right) > whole + co.STRICT_EPS:
+            parts = model.value(left) + model.value(right)
+            if parts > whole + tolerance(parts, whole):
                 return i, left, right
     return None
 
@@ -367,18 +378,19 @@ def _wider_than_minimal_cover():
 
 
 def _union_of_two_covers():
-    """Scores 1.5 + {0, 0.3, 0.9, 1.5} * 1e-12 on the paths 0-5-9 (inside the
-    part A = {0, 5, 9, 10}), 0-1-9, 0-2-9 and 0-2-10-9, listed in that order.
-    The earliest-wins scan keeps each of the covers {A, {1}} and {A, {2}} within
-    STRICT_EPS of the part's own value, while their union reaches 0-2-10-9 by
-    way of 0-1-9 and improves: the first improving group is a union of two
-    covers and the cover of no single path."""
+    """Scores 1.5 + {0, 0.3, 0.9, 1.5} * 1.5e-12 on the paths 0-5-9 (inside
+    the part A = {0, 5, 9, 10}), 0-1-9, 0-2-9 and 0-2-10-9, listed in that
+    order, where the tie tolerance is 1.5e-12. The earliest-wins scan keeps
+    each of the covers {A, {1}} and {A, {2}} within the tolerance of the
+    part's own value, while their union reaches 0-2-10-9 by way of 0-1-9 and
+    improves: the first improving group is a union of two covers and the
+    cover of no single path."""
     nodes = tuple(topo.Node(i, topo.NodeRole.REPEATER, float(i), 0.0) for i in range(11))
     payoffs = {
         (0, 5): 1.0, (5, 9): 0.5,
-        (0, 1): 1.0, (1, 9): 0.5 + 0.3e-12,
-        (0, 2): 1.0, (2, 9): 0.5 + 0.9e-12,
-        (2, 10): 1.0, (10, 9): 0.5 + 1.5e-12,
+        (0, 1): 1.0, (1, 9): 0.5 + 0.45e-12,
+        (0, 2): 1.0, (2, 9): 0.5 + 1.35e-12,
+        (2, 10): 1.0, (10, 9): 0.5 + 2.25e-12,
     }
     links = tuple(topo.Link(a, b, topo.LinkParams(), 25.0, f) for (a, b), f in payoffs.items())
     t = topo.NetworkTopology(nodes, links, topo.ScenarioTag.CUSTOM)
@@ -552,6 +564,30 @@ def test_quantum_players_checked_before_round_one(five_line, players, error):
     assert model.referee_rounds == {}
 
 
+@pytest.mark.parametrize(
+    "limits",
+    [{"max_rounds": 0}, {"max_rounds": -5}, {"confirm_window": 0}, {"confirm_window": -2}],
+    ids=lambda limits: "{}={}".format(*next(iter(limits.items()))),
+)
+def test_quantum_round_limits_must_be_positive(five_line, limits):
+    model = co.ValueModel(five_line_cfg(), five_line)
+    with pytest.raises(ParameterError, match="must be >= 1"):
+        co.quantum_coalition_form(five_line_cfg(), five_line, model=model, **limits)
+    assert model.referee_rounds == {}
+
+
+@pytest.mark.parametrize("max_rounds", [0, -1])
+def test_classical_round_limit_must_be_positive(five_line, max_rounds):
+    with pytest.raises(ParameterError, match="max_rounds must be >= 1"):
+        co.classical_coalition_form(five_line_cfg(), five_line, max_rounds=max_rounds)
+
+
+def test_classical_game_settling_at_the_round_limit_is_stable(five_line):
+    # one merge settles the game; only a move past the limit breaks it
+    out = co.classical_coalition_form(five_line_cfg(), five_line, max_rounds=1)
+    assert out.rounds == 1 and out.path == [0, 1, 2, 3, 4]
+
+
 def test_calls_on_one_model_share_one_engine(five_line, monkeypatch):
     built = []
     init = co._QuantumRound.__init__
@@ -652,13 +688,16 @@ class ScanRound:
             if i != player_index:
                 others = q.apply_unitary(others, i, strategies[p])
         payoffs = self.payoff_table(player_index)
-        best_u, best_val = None, -math.inf
-        for u, matrix in zip(OLD_GRID_STRATEGIES, OLD_GRID_MATRICES):
-            probs = q.apply_unitary(others, player_index, matrix).probabilities()
-            val = float(probs @ payoffs)
-            if val > best_val + co.STRICT_EPS:
-                best_u, best_val = u, val
-        return best_u
+        vals = [
+            float(q.apply_unitary(others, player_index, matrix).probabilities() @ payoffs)
+            for matrix in OLD_GRID_MATRICES
+        ]
+        tol = tolerance(*vals)
+        best = 0
+        for k, val in enumerate(vals):
+            if val > vals[best] + tol:
+                best = k
+        return OLD_GRID_STRATEGIES[best]
 
 
 def scan_join_marginals(state):
@@ -684,10 +723,7 @@ def _line_games(draw):
     cfg = co.CoalitionGameConfig(
         source=source,
         destination=destination,
-        # up to 5000 payoffs stay where STRICT_EPS exceeds the rounding of an
-        # expected payoff; at targets near 1e5 it does not, and both scans
-        # then break exact ties between grid points by rounding noise
-        target_throughput=draw(st.sampled_from([1.0, 1000.0, 5000.0])),
+        target_throughput=draw(st.sampled_from([1.0, 1000.0, 5000.0, 1e5])),
         hop_cost=draw(st.floats(0.0, 0.5)),
         payoff_split=draw(st.sampled_from(co.PayoffSplit)),
     )
@@ -697,8 +733,26 @@ def _line_games(draw):
     return co.ValueModel(cfg, t), list(range(n)), gamma, strategies
 
 
+def _pinned_line_game(n, source, destination, target, gamma, grid_points, gen_prob=1.0,
+                      payoff=0.0):
+    """A line game with 10 us links, no hop cost and the equal split, whose
+    players start at the given indices into the grid."""
+    t = line_topology(n, gen_prob=gen_prob, latency_us=10.0, payoff=payoff)
+    cfg = co.CoalitionGameConfig(
+        source=source, destination=destination, target_throughput=target, hop_cost=0.0
+    )
+    grid = co.GRID_STRATEGIES
+    strategies = {p: q.SingleQubitUnitary(*grid[k]) for p, k in enumerate(grid_points)}
+    return co.ValueModel(cfg, t), list(range(n)), gamma, strategies
+
+
 @settings(max_examples=150, deadline=None)
 @given(game=_line_games())
+# payoffs in the thousands, where grid points that tie exactly differ by
+# more than an absolute 1e-12 of rounding noise: with that tolerance the
+# state scan and the quadratic form picked different points of a tie
+@example(game=_pinned_line_game(2, 0, 1, 5000.0, 0.5, [0, 74]))
+@example(game=_pinned_line_game(3, 1, 2, 1e5, math.pi / 2, [16, 76, 4], payoff=1.0))
 def test_quantum_round_matches_state_scan(game):
     model, players, gamma, strategies = game
     engine = co._QuantumRound(model, players, gamma)
@@ -707,10 +761,54 @@ def test_quantum_round_matches_state_scan(game):
         members = engine.coalition_of(bits)
         split = model.split_payoffs(co.Coalition(members, model.value(members)))
         assert row.tolist() == [split.get(p, 0.0) for p in players]
+    profile = engine.profile(strategies)
     for i in range(len(players)):
-        assert engine.best_response(i, strategies) == oracle.best_response(i, strategies)
-    want = scan_join_marginals(engine.played_state(strategies))
-    assert engine.join_marginals(strategies).tolist() == want.tolist()
+        want = oracle.best_response(i, strategies)
+        assert engine.strategies[engine.best_response(i, profile)] == (want.theta, want.phi)
+    want = scan_join_marginals(engine.played_state(profile))
+    assert engine.join_marginals(profile).tolist() == want.tolist()
+
+
+# ---------------------------------------------------------------------------
+# differential check: incremental referee engine against the dense chain and
+# the per-call loop
+# ---------------------------------------------------------------------------
+
+
+def old_turned(engine, strategies, skip=None):
+    """`_QuantumRound._turned` before the incremental engine, verbatim.
+
+    Amplitudes after every player but the one at index `skip` turns its
+    qubit, each step divided by its norm as StateVector.__init__ does, so
+    they equal a chain of q.apply_unitary calls bit for bit."""
+    amps = engine.base.amplitudes
+    for i, p in enumerate(engine.players):
+        if i != skip:
+            amps = co._rotate(amps, i, strategies[p].matrix())
+            amps = amps / float(np.linalg.norm(amps))
+    return amps
+
+
+def old_played_state(engine, strategies):
+    last = len(engine.players) - 1
+    amps = old_turned(engine, strategies, skip=last)
+    return q.StateVector(co._rotate(amps, last, strategies[engine.players[last]].matrix()))
+
+
+def old_best_response(engine, player_index, strategies):
+    """The quadratic-form best response before memoization, verbatim apart
+    from the tie tolerance, which scales with the scores."""
+    shape = (2**player_index, 2, -1)
+    psi = old_turned(engine, strategies, skip=player_index).reshape(shape)
+    payoffs = engine.payoffs[:, player_index].reshape(shape)
+    form = np.einsum("lbr,lcr,lar->abc", psi, psi.conj(), payoffs)
+    scores = np.einsum("gab,gac,abc->g", co.GRID_MATRICES, co.GRID_MATRICES.conj(), form).real
+    tol = tolerance(*scores.tolist())
+    best, best_val = 0, -math.inf
+    for k, val in enumerate(scores.tolist()):
+        if val > best_val + tol:
+            best, best_val = k, val
+    return q.SingleQubitUnitary(*co.GRID_STRATEGIES[best])
 
 
 @settings(max_examples=100, deadline=None)
@@ -719,49 +817,40 @@ def test_quantum_round_matches_state_scan(game):
     gamma=st.sampled_from([0.0, math.pi / 2]) | st.floats(0.0, math.pi / 2),
     data=st.data(),
 )
-def test_turned_amplitudes_match_apply_unitary_chain(m, gamma, data):
+def test_played_state_matches_apply_unitary_chain(m, gamma, data):
     cfg = co.CoalitionGameConfig(source=0, destination=m - 1)
-    engine = co._QuantumRound(co.ValueModel(cfg, line_topology(m)), list(range(m)), gamma)
+    engine = co._QuantumRound(co.ValueModel(cfg, line_topology(m)), tuple(range(m)), gamma)
     turn = st.sampled_from(co.GRID_STRATEGIES) | st.tuples(
         st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi)
     )
     strategies = {p: q.SingleQubitUnitary(*data.draw(turn)) for p in range(m)}
-    skip = data.draw(st.none() | st.integers(0, m - 1))
-    chain = engine.base
-    for i in range(m):
-        if i != skip:
+    # a walk of profiles, each one player (or none, or several) away from
+    # the last, as best responses and a new start move the kept state
+    one = st.lists(st.integers(0, m - 1), max_size=1)
+    several = st.lists(st.integers(0, m - 1), min_size=2, max_size=m, unique=True)
+    for step in range(data.draw(st.integers(1, 6))):
+        if step:
+            for p in data.draw(one | several):
+                strategies[p] = q.SingleQubitUnitary(*data.draw(turn))
+        chain = engine.base
+        for i in range(m):
             chain = q.apply_unitary(chain, i, strategies[i])
-    assert engine._turned(strategies, skip).tobytes() == chain.amplitudes.tobytes()
-    if skip is None:
-        played = engine.played_state(strategies).amplitudes
-        assert played.tobytes() == chain.amplitudes.tobytes()
-
-
-# ---------------------------------------------------------------------------
-# differential check: memoized referee engine against the per-call loop
-# ---------------------------------------------------------------------------
-
-
-def old_best_response(engine, player_index, strategies):
-    """The quadratic-form best response before memoization, verbatim."""
-    shape = (2**player_index, 2, -1)
-    psi = engine._turned(strategies, skip=player_index).reshape(shape)
-    payoffs = engine.payoffs[:, player_index].reshape(shape)
-    form = np.einsum("lbr,lcr,lar->abc", psi, psi.conj(), payoffs)
-    scores = np.einsum("gab,gac,abc->g", co.GRID_MATRICES, co.GRID_MATRICES.conj(), form).real
-    best, best_val = 0, -math.inf
-    for k, val in enumerate(scores.tolist()):
-        if val > best_val + co.STRICT_EPS:
-            best, best_val = k, val
-    return q.SingleQubitUnitary(*co.GRID_STRATEGIES[best])
+        profile = engine.profile(strategies)
+        played = engine.played_state(profile).amplitudes
+        np.testing.assert_allclose(played, chain.amplitudes, rtol=0, atol=1e-12)
+        k = data.draw(st.integers(0, m - 1))
+        want = old_best_response(engine, k, strategies)
+        assert engine.strategies[engine.best_response(k, profile)] == (want.theta, want.phi)
 
 
 def old_quantum_coalition_form(
     cfg, topology, strategies=None, gamma=math.pi / 2.0, seed=0, players=None,
     max_rounds=60, confirm_window=3, model=None,
 ):
-    """The referee game before the shared engine: a fresh engine per call and
-    one measure_computational per round."""
+    """The referee game before the shared engine: a fresh engine per call,
+    one dense chain of turns per state and one measure_computational per
+    round. Ties between values, and marginals at 1/2, are decided with a
+    tolerance, as in quantum_coalition_form."""
     model = model or co.ValueModel(cfg, topology)
     if players is None:
         players = model.candidate_nodes()
@@ -780,7 +869,7 @@ def old_quantum_coalition_form(
     rounds = 0
 
     for rounds in range(1, max_rounds + 1):
-        state = engine.played_state(strategies)
+        state = old_played_state(engine, strategies)
         outcome_bits, _ = q.measure_computational(state, rng)
         measured = engine.coalition_of(int(outcome_bits, 2))
         value, path = model.evaluate(measured) if measured else (0.0, None)
@@ -793,7 +882,9 @@ def old_quantum_coalition_form(
                 "value": value,
             }
         )
-        if path is not None and (best_seen is None or value > best_seen[0] + co.STRICT_EPS):
+        if path is not None and (
+            best_seen is None or value > best_seen[0] + tolerance(value, best_seen[0])
+        ):
             best_seen = (value, measured)
         recent.append(measured)
         if len(recent) >= confirm_window and len(set(recent[-confirm_window:])) == 1:
@@ -808,8 +899,11 @@ def old_quantum_coalition_form(
     elif best_seen is not None:
         chosen = best_seen[1]
     else:
-        marginals = engine.join_marginals(strategies)
-        chosen = frozenset(p for i, p in enumerate(players) if marginals[i] >= 0.5)
+        probs = old_played_state(engine, strategies).probabilities()
+        marginals = [probs[col == 1].sum() for col in engine.joins.T]
+        chosen = frozenset(
+            p for i, p in enumerate(players) if marginals[i] >= 0.5 - co.STRICT_EPS
+        )
         if model.evaluate(chosen)[1] is None:
             chosen = frozenset(players)
 
@@ -845,3 +939,18 @@ def test_shared_engine_replays_the_per_call_loop(game, data):
         assert got.rounds == want.rounds
         assert got.history == want.history
     assert list(model.referee_rounds) == [(tuple(players), gamma)]
+
+
+@pytest.mark.parametrize("count", [2, 4, 6, 8, 10])
+def test_backbone_games_replay_the_per_call_loop(count):
+    # count + 2 players: the two end nodes and `count` leaders and repeaters
+    t = sim.backbone_topology(count)
+    cfg = co.CoalitionGameConfig(source=2, destination=3)
+    model = co.ValueModel(cfg, t)
+    for gamma in (math.pi / 2, 0.7, 0.0):
+        for seed in (0, 1):
+            got = co.quantum_coalition_form(cfg, t, gamma=gamma, seed=seed, model=model)
+            want = old_quantum_coalition_form(cfg, t, gamma=gamma, seed=seed)
+            assert got.to_json_dict() == want.to_json_dict()
+            assert got.rounds == want.rounds
+            assert got.history == want.history
