@@ -391,7 +391,9 @@ def _rotate(amps: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
 
 class _QuantumRound:
     """Per-game machinery: the payoff table over bitstrings, and best
-    responses and outcome distributions memoized by strategy profile.
+    responses and outcome distributions memoized by strategy profile. An
+    engine that no later game shares (`keep_outcomes` false) keeps only the
+    last profile's outcome distribution.
 
     A profile is a tuple of indices into `strategies`: the grid, then each
     off-grid strategy a caller starts from. The engine keeps the amplitudes of
@@ -400,8 +402,11 @@ class _QuantumRound:
     turn with one more.
     """
 
-    def __init__(self, model: ValueModel, players: tuple[int, ...], gamma: float):
+    def __init__(
+        self, model: ValueModel, players: tuple[int, ...], gamma: float, keep_outcomes: bool = True
+    ):
         self.players = players
+        self.keep_outcomes = keep_outcomes
         self.strategies = list(GRID_STRATEGIES)
         self.matrices = list(GRID_MATRICES)
         self._index = {tp: k for k, tp in enumerate(GRID_STRATEGIES)}
@@ -486,6 +491,8 @@ class _QuantumRound:
     def outcome_probabilities(self, profile: tuple[int, ...]) -> np.ndarray:
         """The table q.measure_computational samples for the played state."""
         if profile not in self._outcomes:
+            if not self.keep_outcomes:
+                self._outcomes.clear()
             self._outcomes[profile] = q.measurement_probabilities(self.played_state(profile))
         return self._outcomes[profile]
 
@@ -559,6 +566,7 @@ def quantum_coalition_form(
         raise ParameterError(
             f"max_rounds and confirm_window must be >= 1, got {max_rounds} and {confirm_window}"
         )
+    shared = model is not None
     model = model or ValueModel(cfg, topology)
     if players is None:
         players = model.candidate_nodes()
@@ -589,7 +597,9 @@ def quantum_coalition_form(
     rng = np.random.default_rng(seed)
     engine = model.referee_rounds.get((players, gamma))
     if engine is None:
-        engine = model.referee_rounds[players, gamma] = _QuantumRound(model, players, gamma)
+        engine = model.referee_rounds[players, gamma] = _QuantumRound(
+            model, players, gamma, keep_outcomes=shared
+        )
     profile = engine.profile(strategies)
     history: list[dict] = []
     recent: list[frozenset[int]] = []

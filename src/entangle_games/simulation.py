@@ -16,15 +16,26 @@ the dense engine in `quantum` is the reference tests compare it against.
 Classical regimes skip generation and decoherence entirely: one sync step plus
 latency per hop, fidelity pinned to the product of the links' fidelity payoffs.
 
-Each trial of a sweep cell has its own generator, seeded from (seed, sweep
-indices, trial index). Only geometric draws at gen_prob < 1 make trials
-differ: a classical-net cell, or a quantum-net cell whose path links all have
-gen_prob 1, runs trial 0 once and repeats its metrics, which is exactly the
-list the per-trial loop returns.
+Each trial of a sweep cell draws from its own stream: trial i starts from the
+PCG64 state of `np.random.default_rng([*seed_parts, i])`, with seed_parts the
+(seed, sweep indices) of the cell. The states of all trials of a cell are
+hashed in one numpy uint32 pass that replays numpy's SeedSequence and PCG64
+seeding (O'Neill, "PCG", 2014; numpy NEP 19), and one reused generator is set
+to each in turn. A check run once per process compares the hash with
+`default_rng`; on a mismatch the states come from `default_rng` itself.
+
+A sweep cell is a set of metric columns, one float64 entry per trial. Only
+geometric draws at gen_prob < 1 make trials differ: a classical-net cell, or a
+quantum-net cell whose path links all have gen_prob 1, runs trial 0 once and
+fills its columns with it. A lossy cell makes only the scalar draws per trial
+and times all trials hop by hop as array updates, with the float operations
+of `run_trial` in the same order, so every column entry equals the metric of
+the per-trial loop.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -33,7 +44,7 @@ from enum import Enum
 import numpy as np
 
 from . import quantum as q
-from .errors import ParameterError, UnreachableError, check_seed
+from .errors import CapacityError, ParameterError, UnreachableError, check_seed
 from .topology import LinkParams, NetworkTopology, build_scenario1, shortest_path
 
 
@@ -49,6 +60,10 @@ class Regime(Enum):
 
 
 ALL_REGIMES = tuple(Regime)
+
+# trials per sweep cell; the paper uses 1000, and the cap keeps every trial
+# index in one uint32 word of its seed
+MAX_TRIALS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -68,6 +83,8 @@ class SimConfig:
             )
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
+        if self.trials > MAX_TRIALS:
+            raise CapacityError(f"trials must be <= {MAX_TRIALS}, got {self.trials}")
         check_seed(self.seed)
 
 
@@ -161,20 +178,17 @@ def _metrics(total: float, hops: int, fidelity: float, success: bool) -> TrialMe
     )
 
 
-def aggregate(trials: list[TrialMetrics]) -> tuple[dict[str, float], dict[str, float]]:
-    """Arithmetic mean and sample standard deviation per metric field.
+def aggregate(columns: dict[str, np.ndarray]) -> tuple[dict[str, float], dict[str, float]]:
+    """Arithmetic mean and sample standard deviation of each metric column of
+    `run_trials`.
 
     Success contributes as a 0/1 fraction. A single trial has stddev 0.
     """
-    if not trials:
+    n = len(columns["success"])
+    if n == 0:
         raise ParameterError("cannot aggregate an empty trial list")
-    rows = [t.as_numbers() for t in trials]
-    columns = {f: np.array([row[f] for row in rows]) for f in METRIC_FIELDS}
-    means = {f: float(np.mean(col)) for f, col in columns.items()}
-    stds = {
-        f: float(np.std(col, ddof=1)) if len(trials) > 1 else 0.0
-        for f, col in columns.items()
-    }
+    means = {f: float(np.mean(columns[f])) for f in METRIC_FIELDS}
+    stds = {f: float(np.std(columns[f], ddof=1)) if n > 1 else 0.0 for f in METRIC_FIELDS}
     return means, stds
 
 
@@ -183,23 +197,152 @@ def run_trials(
     path: list[int],
     cfg: SimConfig,
     seed_parts: tuple[int, ...],
-) -> list[TrialMetrics]:
-    """cfg.trials independent trials, in trial-index order, each with its own
-    generator derived from (seed_parts, trial index).
+) -> dict[str, np.ndarray]:
+    """cfg.trials independent trials as metric columns, keyed by
+    METRIC_FIELDS, in trial-index order. Trial i draws from the stream of
+    `np.random.default_rng([*seed_parts, i])`, and each column entry equals
+    `run_trial`'s metric for that generator.
 
-    A cell whose trials draw no random number runs trial 0 alone and repeats
-    it: classical-net regimes never touch the generator, and on a quantum-net
-    path whose links all have gen_prob 1 every geometric draw is 1. Each trial
-    of such a cell would return equal metrics, so the list (and `aggregate` of
-    it) is exactly what the per-trial loop gives.
+    A cell whose trials draw no random number runs trial 0 alone and fills
+    the columns with it: classical-net regimes never touch the generator, and
+    on a quantum-net path whose links all have gen_prob 1 every geometric draw
+    is 1.
     """
+    check_seed(seed_parts)
     links = _path_links(topology, path)
-    if not cfg.regime.quantum_net or all(l.params.gen_prob == 1.0 for l in links):
-        return [_run_on_links(links, cfg, np.random.default_rng([*seed_parts, 0]))] * cfg.trials
-    return [
-        _run_on_links(links, cfg, np.random.default_rng([*seed_parts, i]))
-        for i in range(cfg.trials)
+    if cfg.regime.quantum_net and any(l.params.gen_prob != 1.0 for l in links):
+        return _lossy_columns(links, cfg, seed_parts)
+    first = _run_on_links(links, cfg, np.random.default_rng([*seed_parts, 0]))
+    return {f: np.full(cfg.trials, v) for f, v in first.as_numbers().items()}
+
+
+def _lossy_columns(links, cfg: SimConfig, seed_parts: tuple[int, ...]) -> dict[str, np.ndarray]:
+    """`_run_on_links` on the quantum-net branch for every trial at once: the
+    draws per trial, then each hop's float operations on all trials."""
+    n, hops = cfg.trials, len(links)
+    probs = [l.params.gen_prob for l in links]
+    draws: list[int] = []
+    for rng in _trial_generators(seed_parts, n):
+        # a trial that aborts early draws for later hops too; its stream is
+        # its own, so no other trial sees the difference
+        draws.extend(map(rng.geometric, probs))
+    attempts = np.array(draws).reshape(n, hops).T
+    budget = min(l.params.coherence_us for l in links)
+    total = np.zeros(n)
+    alive = np.ones(n, dtype=bool)
+    created = []
+    for i, link in enumerate(links):
+        wait = (attempts[i] - 1) * cfg.sync_step_us
+        np.add(total, wait, out=total, where=alive)
+        if i > 0:
+            # the pair waiting at the junction sat idle too long
+            alive &= ~(wait > cfg.qubit_lifetime_us)
+        created.append(total.copy())
+        np.add(total, link.params.latency_us, out=total, where=alive)
+        if i > 0:
+            np.add(total, cfg.sync_step_us, out=total, where=alive)  # swap at the junction
+    alive &= ~(total > budget)
+
+    decay = sum(l.params.decoherence_rate * (total - t0) for l, t0 in zip(links, created))
+    fidelity = np.zeros(n)
+    fidelity[alive] = [0.25 + 0.75 * math.exp(-d) for d in decay[alive].tolist()]
+    success = alive.astype(float)
+    return {
+        "total_latency_us": total,
+        "hops": np.full(n, float(hops)),
+        "normalized_delay_us": total / hops,
+        "end_to_end_fidelity": fidelity,
+        "ebits_delivered": success,
+        "entanglement_rate": success / (total * 1e-6),
+        "success": success,
+    }
+
+
+# ---------------------------------------------------------------------------
+# per-trial seeding
+# ---------------------------------------------------------------------------
+
+# numpy's SeedSequence: a pool of four uint32 words, hashed with these
+# constants; PCG64 then runs its srandom on generate_state(4, uint64)
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash of uint32 words; each call steps the constant."""
+
+    def hash_words(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    return hash_words
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_L - y * _MIX_R
+    return result ^ result >> 16
+
+
+def _hashed_states(seed_parts: tuple[int, ...], n: int) -> list[dict]:
+    """`default_rng([*seed_parts, i]).bit_generator.state` for every i < n,
+    with all trial indices hashed at once in uint32 columns."""
+    # each part split into little-endian uint32 words, as SeedSequence does
+    words = [
+        p >> s & _MASK32 for p in map(int, seed_parts) for s in range(0, max(p.bit_length(), 1), 32)
     ]
+    entropy = [np.full(n, w, dtype=np.uint32) for w in words] + [np.arange(n, dtype=np.uint32)]
+    entropy += [np.zeros(n, np.uint32)] * (4 - len(entropy))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    generate = _hasher(_INIT_B, _MULT_B)
+    out = [generate(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    # generate_state(4, uint64): pairs of words, low word first
+    seed_hi, seed_lo, seq_hi, seq_lo = (
+        (out[2 * k] | out[2 * k + 1] << 32).tolist() for k in range(4)
+    )
+    states = []
+    for a, b, c, d in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+        # PCG64's srandom: state 0, step, add the seed, step
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        state = (((a << 64 | b) + inc) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+@functools.cache
+def _hashing_matches_numpy() -> bool:
+    """Whether `_hashed_states` reproduces this numpy's `default_rng`, checked
+    on one index of a multi-word seed."""
+    parts = (2**32 + 7, 0, 5)
+    return _hashed_states(parts, 4)[3] == np.random.default_rng([*parts, 3]).bit_generator.state
+
+
+def _trial_generators(seed_parts: tuple[int, ...], n: int):
+    """One generator, set in turn to the starting state of
+    `default_rng([*seed_parts, i])` for i < n."""
+    if _hashing_matches_numpy():
+        states = _hashed_states(seed_parts, n)
+    else:
+        states = (np.random.default_rng([*seed_parts, i]).bit_generator.state for i in range(n))
+    rng = np.random.default_rng(0)
+    for state in states:
+        rng.bit_generator.state = state
+        yield rng
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +472,8 @@ def sweep_nodes(
         for ri, regime in enumerate(regimes):
             cfg = replace(base_cfg, regime=regime)
             path = select_path(topology, source, destination, regime, [seed, xi, ri], count)
-            trials = run_trials(topology, path, cfg, (seed, xi, ri))
-            cells[(float(count), regime.value)] = aggregate(trials)
+            columns = run_trials(topology, path, cfg, (seed, xi, ri))
+            cells[(float(count), regime.value)] = aggregate(columns)
     return SweepResult(
         x_label="node_count",
         x_values=[float(c) for c in node_counts],
@@ -398,8 +541,8 @@ def sweep_decoherence(
             outcome = run_consensus(
                 rated, source, destination, variant=variant, seed=seed, sim_config=cfg
             )
-            trials = run_trials(outcome.realized_topology, outcome.path, cfg, (seed, xi))
-            cells[(float(rate), variant)] = aggregate(trials)
+            columns = run_trials(outcome.realized_topology, outcome.path, cfg, (seed, xi))
+            cells[(float(rate), variant)] = aggregate(columns)
     return SweepResult(
         x_label="decoherence_rate",
         x_values=[float(r) for r in rates],

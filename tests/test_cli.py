@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import entangle_games
+from entangle_games import simulation as sim
 from entangle_games import topology as topo
 from entangle_games.cli import RunConfig, main
 from entangle_games.errors import ParameterError
@@ -279,6 +280,18 @@ def test_coalition_capacity_exit_4(tmp_path, capsys, make_config):
     rc = main(["coalition", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 4
     assert "capacity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", [1_000_001, 10**19], ids=["one-past-cap", "ten-to-the-19"])
+def test_sweep_trials_over_cap_exit_4(tmp_path, capsys, monkeypatch, trials):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the trial cap must be checked before the sweep starts")
+
+    monkeypatch.setattr(sim, "sweep_nodes", unreachable)
+    rc = main(["sweep", "--kind", "nodes", "--trials", str(trials), "--out", str(tmp_path)])
+    assert rc == 4
+    assert f"trials must be <= {sim.MAX_TRIALS}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -592,9 +592,9 @@ def test_calls_on_one_model_share_one_engine(five_line, monkeypatch):
     built = []
     init = co._QuantumRound.__init__
 
-    def counting_init(self, *args):
+    def counting_init(self, *args, **kwargs):
         built.append(args[1:])
-        init(self, *args)
+        init(self, *args, **kwargs)
 
     monkeypatch.setattr(co._QuantumRound, "__init__", counting_init)
     cfg = five_line_cfg()
@@ -605,6 +605,22 @@ def test_calls_on_one_model_share_one_engine(five_line, monkeypatch):
     co.quantum_coalition_form(cfg, five_line, gamma=0.0, seed=0, model=model)
     co.quantum_coalition_form(cfg, five_line, gamma=0.0, seed=0)
     assert len(built) == 3
+
+
+def test_unshared_engine_keeps_one_outcome_table(monkeypatch):
+    # the 12-player backbone game of the node sweep, as select_path plays it
+    t = sim.backbone_topology(10)
+    cfg = co.CoalitionGameConfig(source=2, destination=3)
+    shared = co.ValueModel(cfg, t)
+    built = []
+    real = co.ValueModel
+    monkeypatch.setattr(co, "ValueModel", lambda *args: built.append(real(*args)) or built[-1])
+    got = co.quantum_coalition_form(cfg, t, seed=0)
+    want = co.quantum_coalition_form(cfg, t, seed=0, model=shared)
+    assert got.to_json_dict() == want.to_json_dict() and got.history == want.history
+    (engine,) = built[0].referee_rounds.values()
+    (shared_engine,) = shared.referee_rounds.values()
+    assert len(engine._outcomes) == 1 < len(shared_engine._outcomes)
 
 
 def test_quantum_outcome_serialization_shape(five_line):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from entangle_games import quantum as q
 from entangle_games import simulation as sim
 from entangle_games import topology as topo
-from entangle_games.errors import ParameterError
+from entangle_games.errors import CapacityError, ParameterError
 
 from conftest import line_topology
 
@@ -145,32 +145,37 @@ def _const_trial(latency=100.0):
     return sim.TrialMetrics(latency, 2, latency / 2, 0.9, 1, 1 / (latency * 1e-6), True)
 
 
+def columns_of(trials):
+    """The metric columns `run_trials` returns for these trials."""
+    return {f: np.array([t.as_numbers()[f] for t in trials]) for f in sim.METRIC_FIELDS}
+
+
 def test_aggregate_identical_trials_zero_stddev():
-    means, stds = sim.aggregate([_const_trial(), _const_trial(), _const_trial()])
+    means, stds = sim.aggregate(columns_of([_const_trial(), _const_trial(), _const_trial()]))
     assert stds["total_latency_us"] == 0.0
     assert means["total_latency_us"] == 100.0
 
 
 def test_aggregate_two_point_sample_stddev():
-    means, stds = sim.aggregate([_const_trial(100.0), _const_trial(300.0)])
+    means, stds = sim.aggregate(columns_of([_const_trial(100.0), _const_trial(300.0)]))
     assert means["total_latency_us"] == pytest.approx(200.0)
     assert stds["total_latency_us"] == pytest.approx(math.sqrt(2 * 100.0**2 / 1))
 
 
 def test_aggregate_success_fraction_in_unit_interval():
     trials = [_const_trial(), sim.TrialMetrics(50.0, 1, 50.0, 0.0, 0, 0.0, False)]
-    means, _ = sim.aggregate(trials)
+    means, _ = sim.aggregate(columns_of(trials))
     assert 0.0 <= means["success"] <= 1.0
     assert means["success"] == pytest.approx(0.5)
 
 
 def test_aggregate_rejects_empty():
     with pytest.raises(ParameterError):
-        sim.aggregate([])
+        sim.aggregate(columns_of([]))
 
 
 def test_single_trial_aggregate_matches_trial():
-    means, stds = sim.aggregate([_const_trial(120.0)])
+    means, stds = sim.aggregate(columns_of([_const_trial(120.0)]))
     assert means["total_latency_us"] == 120.0
     assert all(v == 0.0 for v in stds.values())
 
@@ -278,6 +283,9 @@ def test_sim_config_domain():
         sim.SimConfig(sync_step_us=600.0, qubit_lifetime_us=500.0)
     with pytest.raises(ParameterError):
         sim.SimConfig(trials=0)
+    assert sim.SimConfig(trials=sim.MAX_TRIALS).trials == sim.MAX_TRIALS
+    with pytest.raises(CapacityError, match="trials"):
+        sim.SimConfig(trials=sim.MAX_TRIALS + 1)
     with pytest.raises(ParameterError, match="seed"):
         sim.SimConfig(seed=-3)
 
@@ -382,6 +390,18 @@ def per_trial_run_trials(topology, path, cfg, seed_parts):
     ]
 
 
+def list_aggregate(trials):
+    """Reference aggregate over a list of TrialMetrics."""
+    rows = [t.as_numbers() for t in trials]
+    columns = {f: np.array([row[f] for row in rows]) for f in sim.METRIC_FIELDS}
+    means = {f: float(np.mean(col)) for f, col in columns.items()}
+    stds = {
+        f: float(np.std(col, ddof=1)) if len(trials) > 1 else 0.0
+        for f, col in columns.items()
+    }
+    return means, stds
+
+
 _mixed_link_params = st.builds(
     topo.LinkParams,
     latency_us=st.floats(1.0, 2000.0),
@@ -390,13 +410,15 @@ _mixed_link_params = st.builds(
     gen_prob=st.just(1.0) | st.floats(0.05, 1.0, exclude_max=True),
 )
 
+_seed_parts = st.lists(st.integers(0, 2**64 - 1), max_size=4).map(tuple)
+
 
 @settings(max_examples=300, deadline=None)
 @given(
     params=st.lists(_mixed_link_params, min_size=1, max_size=8),
     all_certain=st.booleans(),
     regime=st.sampled_from(sim.ALL_REGIMES),
-    seed_parts=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3).map(tuple),
+    seed_parts=_seed_parts,
     trials=st.integers(1, 50),
 )
 def test_run_trials_matches_per_trial_loop(params, all_certain, regime, seed_parts, trials):
@@ -406,7 +428,56 @@ def test_run_trials_matches_per_trial_loop(params, all_certain, regime, seed_par
     path = list(range(len(params) + 1))
     cfg = quantum_cfg(regime=regime, trials=trials)
     want = per_trial_run_trials(t, path, cfg, seed_parts)
-    assert sim.run_trials(t, path, cfg, seed_parts) == want
+    got = sim.run_trials(t, path, cfg, seed_parts)
+    assert list(got) == list(sim.METRIC_FIELDS)
+    for f in sim.METRIC_FIELDS:
+        assert got[f].dtype == np.float64
+        assert got[f].tolist() == [m.as_numbers()[f] for m in want], f
+    assert sim.aggregate(got) == list_aggregate(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed_parts=_seed_parts | st.lists(st.integers(0, 2**200), max_size=3).map(tuple),
+    n=st.integers(1, 300),
+)
+def test_hashed_states_equal_default_rng(seed_parts, n):
+    assert sim._hashing_matches_numpy()
+    want = [np.random.default_rng([*seed_parts, i]).bit_generator.state for i in range(n)]
+    assert sim._hashed_states(seed_parts, n) == want
+
+
+def test_run_trials_rejects_negative_seed_parts():
+    t = _line([topo.LinkParams(gen_prob=0.5)])
+    with pytest.raises(ParameterError, match="seed"):
+        sim.run_trials(t, [0, 1], quantum_cfg(trials=3), (1, -1))
+
+
+def test_failed_self_check_falls_back_to_default_rng(monkeypatch):
+    t = _line([topo.LinkParams(latency_us=80.0, gen_prob=p) for p in (0.3, 0.6, 0.9)])
+    cfg = quantum_cfg(trials=200)
+    parts = (2**40 + 3, 1, 2)
+    hashed = sim.run_trials(t, [0, 1, 2, 3], cfg, parts)
+    drawn = []
+    real = np.random.default_rng
+    monkeypatch.setattr(sim, "_hashing_matches_numpy", lambda: False)
+    monkeypatch.setattr(sim.np.random, "default_rng", lambda seed: drawn.append(seed) or real(seed))
+    fallback = sim.run_trials(t, [0, 1, 2, 3], cfg, parts)
+    assert drawn == [0] + [[*parts, i] for i in range(200)]
+    assert {f: c.tolist() for f, c in fallback.items()} == {
+        f: c.tolist() for f, c in hashed.items()
+    }
+
+
+class CountingDraws:
+    """A generator that records each geometric draw."""
+
+    def __init__(self, rng, draws):
+        self.rng, self.draws = rng, draws
+
+    def geometric(self, p):
+        self.draws.append(p)
+        return self.rng.geometric(p)
 
 
 @pytest.mark.parametrize(
@@ -427,16 +498,29 @@ def test_run_trials_matches_per_trial_loop(params, all_certain, regime, seed_par
 def test_run_trials_builds_a_generator_only_where_trials_differ(
     monkeypatch, gen_probs, regime, generators
 ):
-    built = []
-    real = np.random.default_rng
+    # a certain cell runs trial 0 alone; a lossy cell draws every hop of every trial
+    built, started, draws, single = [], [], [], []
+    real_rng = np.random.default_rng
+    real_generators, real_run = sim._trial_generators, sim._run_on_links
 
-    def counting(seed):
-        built.append(list(seed))
-        return real(seed)
+    def counting_generators(seed_parts, n):
+        for rng in real_generators(seed_parts, n):
+            started.append(list(seed_parts))
+            yield CountingDraws(rng, draws)
 
-    monkeypatch.setattr(sim.np.random, "default_rng", counting)
+    assert sim._hashing_matches_numpy()  # run the once-per-process check before counting
+    monkeypatch.setattr(
+        sim.np.random, "default_rng", lambda seed: built.append(seed) or real_rng(seed)
+    )
+    monkeypatch.setattr(sim, "_trial_generators", counting_generators)
+    monkeypatch.setattr(sim, "_run_on_links", lambda *a: single.append(1) or real_run(*a))
     t = _line([topo.LinkParams(latency_us=50.0, gen_prob=p) for p in gen_probs])
     cfg = quantum_cfg(regime=regime, trials=7)
     got = sim.run_trials(t, [0, 1, 2, 3], cfg, (4, 2))
-    assert len(got) == 7
-    assert built == [[4, 2, i] for i in range(generators)]
+    assert all(len(col) == 7 for col in got.values())
+    if generators == 1:
+        assert (built, started, len(single)) == ([[4, 2, 0]], [], 1)
+    else:
+        # one generator, set to each trial's state in turn
+        assert (built, started, len(single)) == ([0], [[4, 2]] * generators, 0)
+        assert len(draws) == 3 * generators
