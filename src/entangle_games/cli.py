@@ -22,7 +22,9 @@ from . import consensus as cons
 from . import quantum as q
 from . import simulation as sim
 from . import topology as topo
-from .errors import CapacityError, ParameterError, UnreachableError, check_seed
+from .errors import (
+    CapacityError, ParameterError, UnreachableError, check_seed, is_int, is_number,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -30,28 +32,15 @@ EXIT_INFEASIBLE = 3
 EXIT_CAPACITY = 4
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    # json reads NaN and Infinity as floats, and ints of any size
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
-    )
-
-
 # RunConfig field annotations (strings, as annotations are postponed) mapped
 # to the check a JSON value must pass; ints are accepted where floats are
 _TYPE_CHECKS = {
-    "int": _is_int,
-    "float": _is_number,
+    "int": is_int,
+    "float": is_number,
     "bool": lambda v: isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
-    "list[int]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
-    "list[float]": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    "list[int]": lambda v: isinstance(v, list) and all(map(is_int, v)),
+    "list[float]": lambda v: isinstance(v, list) and all(map(is_number, v)),
 }
 
 

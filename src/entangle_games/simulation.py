@@ -24,13 +24,14 @@ seeding (O'Neill, "PCG", 2014; numpy NEP 19), and one reused generator is set
 to each in turn. A check run once per process compares the hash with
 `default_rng`; on a mismatch the states come from `default_rng` itself.
 
-A sweep cell is a set of metric columns, one float64 entry per trial. Only
-geometric draws at gen_prob < 1 make trials differ: a classical-net cell, or a
-quantum-net cell whose path links all have gen_prob 1, runs trial 0 once and
-fills its columns with it. A lossy cell makes only the scalar draws per trial
-and times all trials hop by hop as array updates, with the float operations
-of `run_trial` in the same order, so every column entry equals the metric of
-the per-trial loop.
+One column kernel times every trial, `run_trial`'s single trial and all
+trials of a sweep cell alike: given each trial's attempts per hop, it builds
+the trial's clock as one running sum over the hop steps [wait, latency, swap]
+and returns float64 metric columns, one entry per trial. Only geometric draws
+at gen_prob < 1 make trials differ: a classical-net cell, or a quantum-net
+cell whose path links all have gen_prob 1, times one trial on one attempt per
+hop and fills its columns with it. A lossy cell makes the scalar draws of
+every hop of every trial, also past an abort, and times all trials at once.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -98,21 +99,8 @@ class TrialMetrics:
     entanglement_rate: float  # e-bits per second of simulated time
     success: bool
 
-    def as_numbers(self) -> dict[str, float]:
-        return {
-            "total_latency_us": self.total_latency_us,
-            "hops": float(self.hops),
-            "normalized_delay_us": self.normalized_delay_us,
-            "end_to_end_fidelity": self.end_to_end_fidelity,
-            "ebits_delivered": float(self.ebits_delivered),
-            "entanglement_rate": self.entanglement_rate,
-            "success": 1.0 if self.success else 0.0,
-        }
 
-
-METRIC_FIELDS = tuple(
-    TrialMetrics(1.0, 1, 1.0, 1.0, 1, 1.0, True).as_numbers().keys()
-)
+METRIC_FIELDS = tuple(f.name for f in fields(TrialMetrics))
 
 
 def _path_links(topology: NetworkTopology, path: list[int]):
@@ -130,52 +118,56 @@ def _path_links(topology: NetworkTopology, path: list[int]):
 def run_trial(
     topology: NetworkTopology, path: list[int], cfg: SimConfig, rng: np.random.Generator
 ) -> TrialMetrics:
-    """One distribution attempt over `path` under the configured regime."""
-    return _run_on_links(_path_links(topology, path), cfg, rng)
+    """One distribution attempt over `path` under the configured regime. A
+    quantum-net trial draws one geometric per hop, every hop also after an
+    abort; a classical-net trial draws nothing."""
+    links = _path_links(topology, path)
+    quantum_net = cfg.regime.quantum_net
+    draws = [[rng.geometric(l.params.gen_prob) if quantum_net else 1] for l in links]
+    columns = _columns(links, cfg, np.array(draws))
+    total, hops, delay, fidelity, ebits, rate, success = (c.item() for c in columns.values())
+    return TrialMetrics(total, int(hops), delay, fidelity, int(ebits), rate, bool(success))
 
 
-def _run_on_links(links, cfg: SimConfig, rng: np.random.Generator) -> TrialMetrics:
-    hops = len(links)
+def _columns(links, cfg: SimConfig, attempts: np.ndarray) -> dict[str, np.ndarray]:
+    """Metric columns, keyed by METRIC_FIELDS, of the trials whose hop i took
+    attempts[i, j] generation attempts in trial j."""
+    hops, n = attempts.shape
     budget = min(l.params.coherence_us for l in links)
-    payoff_proxy = math.prod(l.payoff for l in links)
-
     if not cfg.regime.quantum_net:
-        total = sum(l.params.latency_us + cfg.sync_step_us for l in links)
+        total = np.full(n, sum(l.params.latency_us + cfg.sync_step_us for l in links))
         success = total <= budget
-        return _metrics(total, hops, payoff_proxy, success)
-
-    total = 0.0
-    created: list[float] = []
-    for i, link in enumerate(links):
-        attempts = int(rng.geometric(link.params.gen_prob))
+        fidelity = np.full(n, math.prod(l.payoff for l in links))
+    else:
+        # each trial's clock is one running sum over the hop steps [wait,
+        # latency, swap]; the first hop has no junction to swap at
         wait = (attempts - 1) * cfg.sync_step_us
-        if i > 0 and wait > cfg.qubit_lifetime_us:
-            # the pair waiting at the junction sat idle too long
-            total += wait
-            return _metrics(total, hops, 0.0, False)
-        total += wait
-        created.append(total)
-        total += link.params.latency_us
-        if i > 0:
-            total += cfg.sync_step_us  # swap at the junction node
-    if total > budget:
-        return _metrics(total, hops, 0.0, False)
-
-    decay = sum(l.params.decoherence_rate * (total - t0) for l, t0 in zip(links, created))
-    return _metrics(total, hops, 0.25 + 0.75 * math.exp(-decay), True)
-
-
-def _metrics(total: float, hops: int, fidelity: float, success: bool) -> TrialMetrics:
-    ebits = 1 if success else 0
-    return TrialMetrics(
-        total_latency_us=total,
-        hops=hops,
-        normalized_delay_us=total / hops,
-        end_to_end_fidelity=fidelity,
-        ebits_delivered=ebits,
-        entanglement_rate=ebits / (total * 1e-6),
-        success=success,
-    )
+        steps = np.empty((hops, 3, n))
+        steps[:, 0] = wait
+        steps[:, 1] = [[l.params.latency_us] for l in links]
+        steps[1:, 2] = cfg.sync_step_us
+        steps[0, 2] = 0.0
+        # cumsum adds in hop order; a sum over the hop axis may add pairwise
+        clock = np.cumsum(steps.reshape(3 * hops, n), axis=0).reshape(hops, 3, n)
+        created = clock[:, 0]
+        # a pair waiting at a junction sat idle too long: the trial ends at
+        # the first such wait
+        idle = wait > cfg.qubit_lifetime_us
+        idle[0] = False
+        aborted = idle.any(axis=0)
+        first_idle = created[idle.argmax(axis=0), np.arange(n)]
+        total = np.where(aborted, first_idle, clock[-1, 2])
+        success = ~aborted & (total <= budget)
+        rates = np.array([[l.params.decoherence_rate] for l in links])
+        decay = np.cumsum(rates * (total - created), axis=0)[-1]
+        fidelity = np.zeros(n)
+        # math.exp per trial: numpy's exp rounds some results differently
+        fidelity[success] = [0.25 + 0.75 * math.exp(-d) for d in decay[success].tolist()]
+    ebits = success.astype(float)
+    rate = ebits / (total * 1e-6)
+    return dict(zip(METRIC_FIELDS, (
+        total, np.full(n, float(hops)), total / hops, fidelity, ebits, rate, ebits
+    )))
 
 
 def aggregate(columns: dict[str, np.ndarray]) -> tuple[dict[str, float], dict[str, float]]:
@@ -203,59 +195,25 @@ def run_trials(
     `np.random.default_rng([*seed_parts, i])`, and each column entry equals
     `run_trial`'s metric for that generator.
 
-    A cell whose trials draw no random number runs trial 0 alone and fills
-    the columns with it: classical-net regimes never touch the generator, and
-    on a quantum-net path whose links all have gen_prob 1 every geometric draw
-    is 1.
+    Both run the same column kernel. A lossy cell draws every hop of every
+    trial, then times all trials at once. A cell whose trials draw no random
+    number times one trial on one attempt per hop, with no generator, and
+    fills the columns with it: classical-net regimes never touch the
+    generator, and on a quantum-net path whose links all have gen_prob 1
+    every geometric draw is 1.
     """
     check_seed(seed_parts)
     links = _path_links(topology, path)
-    if cfg.regime.quantum_net and any(l.params.gen_prob != 1.0 for l in links):
-        return _lossy_columns(links, cfg, seed_parts)
-    first = _run_on_links(links, cfg, np.random.default_rng([*seed_parts, 0]))
-    return {f: np.full(cfg.trials, v) for f, v in first.as_numbers().items()}
-
-
-def _lossy_columns(links, cfg: SimConfig, seed_parts: tuple[int, ...]) -> dict[str, np.ndarray]:
-    """`_run_on_links` on the quantum-net branch for every trial at once: the
-    draws per trial, then each hop's float operations on all trials."""
-    n, hops = cfg.trials, len(links)
     probs = [l.params.gen_prob for l in links]
+    if not cfg.regime.quantum_net or all(p == 1.0 for p in probs):
+        first = _columns(links, cfg, np.ones((len(links), 1), dtype=np.int64))
+        return {f: np.repeat(c, cfg.trials) for f, c in first.items()}
     draws: list[int] = []
-    for rng in _trial_generators(seed_parts, n):
+    for rng in _trial_generators(seed_parts, cfg.trials):
         # a trial that aborts early draws for later hops too; its stream is
         # its own, so no other trial sees the difference
         draws.extend(map(rng.geometric, probs))
-    attempts = np.array(draws).reshape(n, hops).T
-    budget = min(l.params.coherence_us for l in links)
-    total = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
-    created = []
-    for i, link in enumerate(links):
-        wait = (attempts[i] - 1) * cfg.sync_step_us
-        np.add(total, wait, out=total, where=alive)
-        if i > 0:
-            # the pair waiting at the junction sat idle too long
-            alive &= ~(wait > cfg.qubit_lifetime_us)
-        created.append(total.copy())
-        np.add(total, link.params.latency_us, out=total, where=alive)
-        if i > 0:
-            np.add(total, cfg.sync_step_us, out=total, where=alive)  # swap at the junction
-    alive &= ~(total > budget)
-
-    decay = sum(l.params.decoherence_rate * (total - t0) for l, t0 in zip(links, created))
-    fidelity = np.zeros(n)
-    fidelity[alive] = [0.25 + 0.75 * math.exp(-d) for d in decay[alive].tolist()]
-    success = alive.astype(float)
-    return {
-        "total_latency_us": total,
-        "hops": np.full(n, float(hops)),
-        "normalized_delay_us": total / hops,
-        "end_to_end_fidelity": fidelity,
-        "ebits_delivered": success,
-        "entanglement_rate": success / (total * 1e-6),
-        "success": success,
-    }
+    return _columns(links, cfg, np.array(draws).reshape(cfg.trials, len(links)).T)
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +374,6 @@ def backbone_topology(count: int, link_defaults: LinkParams | None = None) -> Ne
     )
 
 
-def _sweep_endpoints(topology: NetworkTopology) -> tuple[int, int]:
-    # build_scenario1 ids: leaders 0..N-1, then end-nodes per leader
-    return 2, 3
-
-
 def select_path(
     topology: NetworkTopology,
     source: int,
@@ -468,10 +421,10 @@ def sweep_nodes(
     cells = {}
     for xi, count in enumerate(node_counts):
         topology = backbone_topology(count, link_defaults)
-        source, destination = _sweep_endpoints(topology)
         for ri, regime in enumerate(regimes):
             cfg = replace(base_cfg, regime=regime)
-            path = select_path(topology, source, destination, regime, [seed, xi, ri], count)
+            # build_scenario1 ids: leaders 0 and 1, then their end-nodes 2 and 3
+            path = select_path(topology, 2, 3, regime, [seed, xi, ri], count)
             columns = run_trials(topology, path, cfg, (seed, xi, ri))
             cells[(float(count), regime.value)] = aggregate(columns)
     return SweepResult(
@@ -497,21 +450,13 @@ DECOHERENCE_SWEEP_RATES = (1e-6, 3e-6, 1e-5, 3e-5, 1e-4)
 SWEEP_COST_TO_US = 10.0
 
 
-def sweep_decoherence(
-    base_cfg: SimConfig,
-    rates: list[float],
-    variants: tuple[str, ...] = ("classical", "quantum"),
-    seed: int = 0,
-    topology: NetworkTopology | None = None,
-    source: int | None = None,
-    destination: int | None = None,
-) -> SweepResult:
+def sweep_decoherence(base_cfg: SimConfig, rates: list[float], seed: int = 0) -> SweepResult:
     """End-to-end fidelity sweep over link decoherence rates.
 
     For each rate the two-tree consensus fixture is rebuilt with that rate on
-    every link, consensus runs per variant, and the converged path is measured
-    over `trials` quantum-net trials. Trial seeds pair across variants so the
-    comparison is noise-matched.
+    every link, consensus runs per variant from leaf 1 to leaf 8, and the
+    converged path is measured over `trials` quantum-net trials. Trial seeds
+    pair across variants so the comparison is noise-matched.
     """
     from .consensus import run_consensus  # deferred: consensus pulls trial fidelities
     from .topology import canonical_two_tree_topology
@@ -521,13 +466,8 @@ def sweep_decoherence(
         raise ParameterError(
             f"rates must be non-empty, strictly ascending and non-negative, got {list(rates)}"
         )
-    base_topology = (
-        topology
-        if topology is not None
-        else canonical_two_tree_topology(cost_to_us=SWEEP_COST_TO_US)
-    )
-    if source is None or destination is None:
-        source, destination = 1, 8
+    variants = ("classical", "quantum")
+    base_topology = canonical_two_tree_topology(cost_to_us=SWEEP_COST_TO_US)
     cells = {}
     for xi, rate in enumerate(rates):
         rated = base_topology.with_link_updates(decoherence_rate=rate)
@@ -538,9 +478,7 @@ def sweep_decoherence(
                 if variant == "quantum"
                 else Regime.CLASSICAL_GAME_QUANTUM_NET,
             )
-            outcome = run_consensus(
-                rated, source, destination, variant=variant, seed=seed, sim_config=cfg
-            )
+            outcome = run_consensus(rated, 1, 8, variant=variant, seed=seed, sim_config=cfg)
             columns = run_trials(outcome.realized_topology, outcome.path, cfg, (seed, xi))
             cells[(float(rate), variant)] = aggregate(columns)
     return SweepResult(

@@ -1,9 +1,9 @@
 """Fixed network topologies: the leader/repeater/end-node mesh, the two-tree
 leaf network, and the distance-decay random link model.
 
-Topologies are immutable after construction and safe to share across trial
-workers; all randomness is drawn from an explicit seed, so identical arguments
-always produce byte-identical serialized output.
+Topologies are immutable after construction; all randomness is drawn from an
+explicit seed, so identical arguments always produce byte-identical serialized
+output.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, is_number
 
 SCHEMA_VERSION = 1
 
@@ -108,7 +108,9 @@ class ChoiceOption:
 
 def _fields(doc, where: str, **kinds) -> list:
     """Values of the keys of one topology document object, each checked
-    against its kind (int, float, list or an Enum); numbers as written."""
+    against its kind (int, float, list or an Enum); numbers as written. A
+    float is any finite number, since json reads NaN, Infinity and ints of
+    any size."""
     if not isinstance(doc, dict):
         raise ParameterError(f"topology {where} must be an object, got {doc!r}")
     out = []
@@ -118,7 +120,9 @@ def _fields(doc, where: str, **kinds) -> list:
         value = doc[key]
         if issubclass(kind, Enum) and value in [m.value for m in kind]:
             value = kind(value)
-        elif isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        elif isinstance(value, bool) or not (
+            is_number(value) if kind is float else isinstance(value, kind)
+        ):
             raise ParameterError(
                 f"topology {where} key {key!r} holds {value!r}, expected {kind.__name__}"
             )
@@ -181,12 +185,6 @@ class NetworkTopology:
     scenario: ScenarioTag
     choices: dict[int, tuple[ChoiceOption, ChoiceOption]] = field(default_factory=dict)
 
-    def node(self, node_id: int) -> Node:
-        return self.nodes[node_id]
-
-    def roles(self) -> set[NodeRole]:
-        return {n.role for n in self.nodes}
-
     @cached_property
     def _links_by_endpoints(self) -> dict[frozenset[int], Link]:
         index: dict[frozenset[int], Link] = {}
@@ -223,10 +221,6 @@ class NetworkTopology:
         for l in self.links:
             g.add_edge(l.a, l.b, link=l, latency=l.params.latency_us, cost=l.cost)
         return g
-
-    def distance(self, a: int, b: int) -> float:
-        na, nb = self.nodes[a], self.nodes[b]
-        return math.hypot(na.x - nb.x, na.y - nb.y)
 
     def with_link_updates(self, **param_overrides) -> "NetworkTopology":
         """Copy with every link's LinkParams fields replaced by the overrides."""

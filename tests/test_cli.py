@@ -95,6 +95,24 @@ def _non_numeric_link_field(tmp_path):
     return _topology_config(tmp_path, doc), "latency_us"
 
 
+def _nan_link_cost(tmp_path):
+    doc = line_topology(3).to_json_dict()
+    doc["links"][0]["cost"] = math.nan
+    return _topology_config(tmp_path, doc), "'cost'"
+
+
+def _infinite_node_coordinate(tmp_path):
+    doc = line_topology(3).to_json_dict()
+    doc["nodes"][1]["x"] = math.inf
+    return _topology_config(tmp_path, doc), "'x'"
+
+
+def _node_coordinate_past_float_range(tmp_path):
+    doc = line_topology(3).to_json_dict()
+    doc["nodes"][1]["x"] = 10**400
+    return _topology_config(tmp_path, doc), "'x'"
+
+
 def _line_with_links(tmp_path, *pairs):
     doc = line_topology(5).to_json_dict()
     doc["links"] += [{**doc["links"][0], "a": a, "b": b} for a, b in pairs]
@@ -158,6 +176,9 @@ def _gamma_past_half_pi(tmp_path):
         _out_of_range_payoff,
         _topology_without_nodes,
         _non_numeric_link_field,
+        _nan_link_cost,
+        _infinite_node_coordinate,
+        _node_coordinate_past_float_range,
         _negative_seed,
         _nan_weight,
         _infinite_weight,

@@ -1,9 +1,9 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entangle_games import quantum as q
@@ -145,9 +145,14 @@ def _const_trial(latency=100.0):
     return sim.TrialMetrics(latency, 2, latency / 2, 0.9, 1, 1 / (latency * 1e-6), True)
 
 
+def numbers(trial):
+    """A trial's metrics as floats, keyed by METRIC_FIELDS."""
+    return {f: float(v) for f, v in asdict(trial).items()}
+
+
 def columns_of(trials):
     """The metric columns `run_trials` returns for these trials."""
-    return {f: np.array([t.as_numbers()[f] for t in trials]) for f in sim.METRIC_FIELDS}
+    return {f: np.array([numbers(t)[f] for t in trials]) for f in sim.METRIC_FIELDS}
 
 
 def test_aggregate_identical_trials_zero_stddev():
@@ -297,11 +302,56 @@ def test_sweeps_reject_negative_seed(sweep, grid):
 
 
 # ---------------------------------------------------------------------------
-# differential check: closed-form fidelity against the dense engine
+# reference trials: the scalar per-hop loop and the dense engine
 # ---------------------------------------------------------------------------
 
 _path_links = sim._path_links
-_metrics = sim._metrics
+
+
+def _run_on_links(links, cfg: sim.SimConfig, rng: np.random.Generator) -> sim.TrialMetrics:
+    """Reference trial: the timing model written out hop by hop, one scalar
+    float operation at a time."""
+    hops = len(links)
+    budget = min(l.params.coherence_us for l in links)
+    payoff_proxy = math.prod(l.payoff for l in links)
+
+    if not cfg.regime.quantum_net:
+        total = sum(l.params.latency_us + cfg.sync_step_us for l in links)
+        success = total <= budget
+        return _metrics(total, hops, payoff_proxy, success)
+
+    total = 0.0
+    created: list[float] = []
+    for i, link in enumerate(links):
+        attempts = int(rng.geometric(link.params.gen_prob))
+        wait = (attempts - 1) * cfg.sync_step_us
+        if i > 0 and wait > cfg.qubit_lifetime_us:
+            # the pair waiting at the junction sat idle too long
+            total += wait
+            return _metrics(total, hops, 0.0, False)
+        total += wait
+        created.append(total)
+        total += link.params.latency_us
+        if i > 0:
+            total += cfg.sync_step_us  # swap at the junction node
+    if total > budget:
+        return _metrics(total, hops, 0.0, False)
+
+    decay = sum(l.params.decoherence_rate * (total - t0) for l, t0 in zip(links, created))
+    return _metrics(total, hops, 0.25 + 0.75 * math.exp(-decay), True)
+
+
+def _metrics(total: float, hops: int, fidelity: float, success: bool) -> sim.TrialMetrics:
+    ebits = 1 if success else 0
+    return sim.TrialMetrics(
+        total_latency_us=total,
+        hops=hops,
+        normalized_delay_us=total / hops,
+        end_to_end_fidelity=fidelity,
+        ebits_delivered=ebits,
+        entanglement_rate=ebits / (total * 1e-6),
+        success=success,
+    )
 
 
 def dense_run_trial(topology, path, cfg, rng):
@@ -369,8 +419,8 @@ def test_closed_form_trial_matches_dense_oracle(params, regime, seed):
     t = _line(params)
     path = list(range(len(params) + 1))
     cfg = quantum_cfg(regime=regime)
-    got = sim.run_trial(t, path, cfg, np.random.default_rng(seed)).as_numbers()
-    want = dense_run_trial(t, path, cfg, np.random.default_rng(seed)).as_numbers()
+    got = numbers(sim.run_trial(t, path, cfg, np.random.default_rng(seed)))
+    want = numbers(dense_run_trial(t, path, cfg, np.random.default_rng(seed)))
     fidelity = want.pop("end_to_end_fidelity")
     assert got.pop("end_to_end_fidelity") == pytest.approx(fidelity, abs=1e-12, rel=0)
     assert got == want
@@ -385,14 +435,14 @@ def per_trial_run_trials(topology, path, cfg, seed_parts):
     """Reference run_trials: a fresh generator for every trial, no shortcut."""
     links = _path_links(topology, path)
     return [
-        sim._run_on_links(links, cfg, np.random.default_rng([*seed_parts, i]))
+        _run_on_links(links, cfg, np.random.default_rng([*seed_parts, i]))
         for i in range(cfg.trials)
     ]
 
 
 def list_aggregate(trials):
     """Reference aggregate over a list of TrialMetrics."""
-    rows = [t.as_numbers() for t in trials]
+    rows = [numbers(t) for t in trials]
     columns = {f: np.array([row[f] for row in rows]) for f in sim.METRIC_FIELDS}
     means = {f: float(np.mean(col)) for f, col in columns.items()}
     stds = {
@@ -413,26 +463,55 @@ _mixed_link_params = st.builds(
 _seed_parts = st.lists(st.integers(0, 2**64 - 1), max_size=4).map(tuple)
 
 
+# eight hops whose decay a pairwise sum over the hop axis moves in the last bit
+_PAIRWISE_SENSITIVE = [
+    topo.LinkParams(latency_us=latency, coherence_us=1e9, decoherence_rate=rate)
+    for latency, rate in zip(
+        [300.0, 500.0, 300.0, 300.0, 400.0, 100.0, 100.0, 500.0],
+        [2e-6, 3e-6, 2e-6, 3e-6, 2e-6, 3e-6, 2e-6, 5e-6],
+    )
+]
+
+
 @settings(max_examples=300, deadline=None)
+@example(
+    params=_PAIRWISE_SENSITIVE,
+    all_certain=True,
+    long_lived=False,
+    regime=sim.Regime.QUANTUM_GAME_QUANTUM_NET,
+    seed_parts=(),
+    trials=2,
+)
 @given(
-    params=st.lists(_mixed_link_params, min_size=1, max_size=8),
+    params=st.lists(_mixed_link_params, min_size=1, max_size=14),
     all_certain=st.booleans(),
+    long_lived=st.booleans(),
     regime=st.sampled_from(sim.ALL_REGIMES),
     seed_parts=_seed_parts,
     trials=st.integers(1, 50),
 )
-def test_run_trials_matches_per_trial_loop(params, all_certain, regime, seed_parts, trials):
+def test_run_trials_matches_per_trial_loop(
+    params, all_certain, long_lived, regime, seed_parts, trials
+):
     if all_certain:  # long paths with every gen_prob 1 are otherwise rare
         params = [replace(p, gen_prob=1.0) for p in params]
+    if long_lived:
+        # a budget that paths of up to 14 hops deliver within, and rates that
+        # keep their fidelity off the 1/4 floor
+        params = [
+            replace(p, coherence_us=1e9, decoherence_rate=p.decoherence_rate / 1000)
+            for p in params
+        ]
     t = _line(params)
     path = list(range(len(params) + 1))
     cfg = quantum_cfg(regime=regime, trials=trials)
     want = per_trial_run_trials(t, path, cfg, seed_parts)
+    assert sim.run_trial(t, path, cfg, np.random.default_rng([*seed_parts, 0])) == want[0]
     got = sim.run_trials(t, path, cfg, seed_parts)
     assert list(got) == list(sim.METRIC_FIELDS)
     for f in sim.METRIC_FIELDS:
         assert got[f].dtype == np.float64
-        assert got[f].tolist() == [m.as_numbers()[f] for m in want], f
+        assert got[f].tolist() == [numbers(m)[f] for m in want], f
     assert sim.aggregate(got) == list_aggregate(want)
 
 
@@ -481,12 +560,12 @@ class CountingDraws:
 
 
 @pytest.mark.parametrize(
-    "gen_probs, regime, generators",
+    "gen_probs, regime, drawn",
     [
-        ([1.0, 1.0, 1.0], sim.Regime.QUANTUM_GAME_QUANTUM_NET, 1),
-        ([1.0, 1.0, 1.0], sim.Regime.CLASSICAL_GAME_QUANTUM_NET, 1),
-        ([0.5, 0.5, 0.5], sim.Regime.CLASSICAL_GAME_CLASSICAL_NET, 1),
-        ([0.5, 0.5, 0.5], sim.Regime.NO_GAME_CLASSICAL_NET, 1),
+        ([1.0, 1.0, 1.0], sim.Regime.QUANTUM_GAME_QUANTUM_NET, 0),
+        ([1.0, 1.0, 1.0], sim.Regime.CLASSICAL_GAME_QUANTUM_NET, 0),
+        ([0.5, 0.5, 0.5], sim.Regime.CLASSICAL_GAME_CLASSICAL_NET, 0),
+        ([0.5, 0.5, 0.5], sim.Regime.NO_GAME_CLASSICAL_NET, 0),
         ([0.9, 0.9, 0.9], sim.Regime.QUANTUM_GAME_QUANTUM_NET, 7),
         ([1.0, 0.9, 1.0], sim.Regime.CLASSICAL_GAME_QUANTUM_NET, 7),
     ],
@@ -496,31 +575,36 @@ class CountingDraws:
     ],
 )
 def test_run_trials_builds_a_generator_only_where_trials_differ(
-    monkeypatch, gen_probs, regime, generators
+    monkeypatch, gen_probs, regime, drawn
 ):
-    # a certain cell runs trial 0 alone; a lossy cell draws every hop of every trial
-    built, started, draws, single = [], [], [], []
+    # a certain cell times one trial with no generator; a lossy cell draws
+    # every hop of every trial
+    built, started, draws, timed = [], [], [], []
     real_rng = np.random.default_rng
-    real_generators, real_run = sim._trial_generators, sim._run_on_links
+    real_generators, real_columns = sim._trial_generators, sim._columns
 
     def counting_generators(seed_parts, n):
         for rng in real_generators(seed_parts, n):
             started.append(list(seed_parts))
             yield CountingDraws(rng, draws)
 
+    def counting_columns(links, cfg, attempts):
+        timed.append(attempts.shape)
+        return real_columns(links, cfg, attempts)
+
     assert sim._hashing_matches_numpy()  # run the once-per-process check before counting
     monkeypatch.setattr(
         sim.np.random, "default_rng", lambda seed: built.append(seed) or real_rng(seed)
     )
     monkeypatch.setattr(sim, "_trial_generators", counting_generators)
-    monkeypatch.setattr(sim, "_run_on_links", lambda *a: single.append(1) or real_run(*a))
+    monkeypatch.setattr(sim, "_columns", counting_columns)
     t = _line([topo.LinkParams(latency_us=50.0, gen_prob=p) for p in gen_probs])
     cfg = quantum_cfg(regime=regime, trials=7)
     got = sim.run_trials(t, [0, 1, 2, 3], cfg, (4, 2))
     assert all(len(col) == 7 for col in got.values())
-    if generators == 1:
-        assert (built, started, len(single)) == ([[4, 2, 0]], [], 1)
+    if drawn == 0:
+        assert (built, started, timed) == ([], [], [(3, 1)])
     else:
         # one generator, set to each trial's state in turn
-        assert (built, started, len(single)) == ([0], [[4, 2]] * generators, 0)
-        assert len(draws) == 3 * generators
+        assert (built, started, timed) == ([0], [[4, 2]] * drawn, [(3, drawn)])
+        assert len(draws) == 3 * drawn
