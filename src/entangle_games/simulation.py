@@ -16,13 +16,20 @@ the dense engine in `quantum` is the reference tests compare it against.
 Classical regimes skip generation and decoherence entirely: one sync step plus
 latency per hop, fidelity pinned to the product of the links' fidelity payoffs.
 
-Each trial of a sweep cell draws from its own stream: trial i starts from the
-PCG64 state of `np.random.default_rng([*seed_parts, i])`, with seed_parts the
-(seed, sweep indices) of the cell. The states of all trials of a cell are
-hashed in one numpy uint32 pass that replays numpy's SeedSequence and PCG64
-seeding (O'Neill, "PCG", 2014; numpy NEP 19), and one reused generator is set
-to each in turn. A check run once per process compares the hash with
-`default_rng`; on a mismatch the states come from `default_rng` itself.
+Each trial of a sweep cell draws from its own stream: trial i draws what
+`np.random.default_rng([*seed_parts, i])` would, with seed_parts the (seed,
+sweep indices) of the cell. The PCG64 states of all trials of a cell come
+from one numpy pass that replays numpy's SeedSequence and PCG64 seeding
+(O'Neill, "PCG", 2014; numpy NEP 19) in uint64 words. Each hop steps every
+trial's stream once and takes numpy's next double from the XSL-RR output. At
+gen_prob >= 1/3 numpy's geometric compares that one double with a running
+sum of the probabilities of 1, 2, ... attempts, so a table of those sums and
+one searchsorted give the attempts of all trials. Below 1/3 numpy inverts an
+exponential that takes a varying number of words: from the first such hop
+on, each trial draws its remaining hops on one reused generator, set to the
+state its stream reached. A check run once per process compares states,
+doubles and geometric draws with `default_rng`; on a mismatch every trial
+draws from its own `default_rng`.
 
 One column kernel times every trial, `run_trial`'s single trial and all
 trials of a sweep cell alike: given each trial's attempts per hop, it builds
@@ -30,8 +37,8 @@ the trial's clock as one running sum over the hop steps [wait, latency, swap]
 and returns float64 metric columns, one entry per trial. Only geometric draws
 at gen_prob < 1 make trials differ: a classical-net cell, or a quantum-net
 cell whose path links all have gen_prob 1, times one trial on one attempt per
-hop and fills its columns with it. A lossy cell makes the scalar draws of
-every hop of every trial, also past an abort, and times all trials at once.
+hop and fills its columns with it. A lossy cell draws every hop of every
+trial, also past an abort, and times all trials at once.
 """
 
 from __future__ import annotations
@@ -196,11 +203,13 @@ def run_trials(
     `run_trial`'s metric for that generator.
 
     Both run the same column kernel. A lossy cell draws every hop of every
-    trial, then times all trials at once. A cell whose trials draw no random
-    number times one trial on one attempt per hop, with no generator, and
-    fills the columns with it: classical-net regimes never touch the
-    generator, and on a quantum-net path whose links all have gen_prob 1
-    every geometric draw is 1.
+    trial, then times all trials at once: hops at gen_prob >= 1/3 take one
+    double from every trial's stream in one vector pass, and from the first
+    hop below 1/3 on each trial draws on one reused generator. A cell whose
+    trials draw no random number times one trial on one attempt per hop,
+    with no generator, and fills the columns with it: classical-net regimes
+    never touch the generator, and on a quantum-net path whose links all
+    have gen_prob 1 every geometric draw is 1.
     """
     check_seed(seed_parts)
     links = _path_links(topology, path)
@@ -208,26 +217,28 @@ def run_trials(
     if not cfg.regime.quantum_net or all(p == 1.0 for p in probs):
         first = _columns(links, cfg, np.ones((len(links), 1), dtype=np.int64))
         return {f: np.repeat(c, cfg.trials) for f, c in first.items()}
-    draws: list[int] = []
-    for rng in _trial_generators(seed_parts, cfg.trials):
-        # a trial that aborts early draws for later hops too; its stream is
-        # its own, so no other trial sees the difference
-        draws.extend(map(rng.geometric, probs))
-    return _columns(links, cfg, np.array(draws).reshape(cfg.trials, len(links)).T)
+    # a trial that aborts early draws for later hops too; its stream is its
+    # own, so no other trial sees the difference
+    return _columns(links, cfg, _attempts(seed_parts, cfg.trials, probs))
 
 
 # ---------------------------------------------------------------------------
-# per-trial seeding
+# per-trial streams
 # ---------------------------------------------------------------------------
 
 # numpy's SeedSequence: a pool of four uint32 words, hashed with these
 # constants; PCG64 then runs its srandom on generate_state(4, uint64)
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# numpy scalars: a Python int operand doubles the cost of a uint32 array op
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_U16 = np.uint32(16)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI, _MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & 2**64 - 1)
+# from this gen_prob up numpy's geometric searches its partial sums with one
+# double; below, it inverts an exponential that takes one to five words
+_SEARCH_MIN_P = 1 / 3
 
 
 def _hasher(const: int, mult: int):
@@ -235,22 +246,23 @@ def _hasher(const: int, mult: int):
 
     def hash_words(value: np.ndarray) -> np.ndarray:
         nonlocal const
-        value = value ^ const
+        value = value ^ np.uint32(const)
         const = const * mult & _MASK32
-        value = value * const
-        return value ^ value >> 16
+        value = value * np.uint32(const)
+        return value ^ value >> _U16
 
     return hash_words
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     result = x * _MIX_L - y * _MIX_R
-    return result ^ result >> 16
+    return result ^ result >> _U16
 
 
-def _hashed_states(seed_parts: tuple[int, ...], n: int) -> list[dict]:
-    """`default_rng([*seed_parts, i]).bit_generator.state` for every i < n,
-    with all trial indices hashed at once in uint32 columns."""
+def _hashed_states(seed_parts: tuple[int, ...], n: int):
+    """The PCG64 states of `default_rng([*seed_parts, i])` for every i < n, as
+    uint64 word arrays (state hi, state lo, inc hi, inc lo), with all trial
+    indices hashed and seeded at once."""
     # each part split into little-endian uint32 words, as SeedSequence does
     words = [
         p >> s & _MASK32 for p in map(int, seed_parts) for s in range(0, max(p.bit_length(), 1), 32)
@@ -269,38 +281,124 @@ def _hashed_states(seed_parts: tuple[int, ...], n: int) -> list[dict]:
     generate = _hasher(_INIT_B, _MULT_B)
     out = [generate(pool[k % 4]).astype(np.uint64) for k in range(8)]
     # generate_state(4, uint64): pairs of words, low word first
-    seed_hi, seed_lo, seq_hi, seq_lo = (
-        (out[2 * k] | out[2 * k + 1] << 32).tolist() for k in range(4)
-    )
-    states = []
-    for a, b, c, d in zip(seed_hi, seed_lo, seq_hi, seq_lo):
-        # PCG64's srandom: state 0, step, add the seed, step
-        inc = ((c << 64 | d) << 1 | 1) & _MASK128
-        state = (((a << 64 | b) + inc) * _PCG64_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+    seed_hi, seed_lo, seq_hi, seq_lo = (out[2 * k] | out[2 * k + 1] << 32 for k in range(4))
+    # PCG64's srandom: state 0, step, add the seed, step
+    inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
+    return _pcg64_step((*_add128(seed_hi, seed_lo, *inc), *inc))
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < b_lo), lo
+
+
+def _mul_hi(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """High words of the 128-bit products a * b, from 32-bit halves."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = b & _MASK32, b >> 32
+    t = a1 * b0 + (a0 * b0 >> 32)
+    w = (t & _MASK32) + a0 * b1
+    return a1 * b1 + (t >> 32) + (w >> 32)
+
+
+def _pcg64_step(state):
+    """One LCG step, state * _PCG64_MULT + inc mod 2**128, of every stream."""
+    hi, lo, inc_hi, inc_lo = state
+    hi = _mul_hi(lo, _MULT_LO) + lo * _MULT_HI + hi * _MULT_LO
+    return (*_add128(hi, lo * _MULT_LO, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def _next_doubles(state):
+    """Every stream stepped once, and numpy's next_double of each: the top 53
+    bits of the XSL-RR output word, times 2**-53."""
+    state = _pcg64_step(state)
+    hi, lo = state[:2]
+    word, rot = hi ^ lo, hi >> 58
+    word = word >> rot | word << (64 - rot & 63)
+    return state, (word >> 11) * 2.0**-53
+
+
+@functools.lru_cache(maxsize=64)
+def _search_sums(p: float) -> np.ndarray:
+    """The partial sums numpy's geometric search at p >= 1/3 compares its
+    double u with, in its float order: the draw is 1 + the count of sums
+    below u. The sums stop at the largest double or where they stall; a u
+    above a stalled sum would keep numpy's loop running for ever."""
+    prod = total = p
+    sums = [total]
+    while total < 1 - 2**-53:
+        prod *= 1.0 - p
+        if total + prod == total:
+            break
+        total += prod
+        sums.append(total)
+    sums = np.array(sums)
+    sums.flags.writeable = False  # shared by every caller of the cache
+    return sums
+
+
+def _as_ints(state) -> list[tuple[int, int]]:
+    """(state, inc) of each stream as 128-bit ints."""
+    hi, lo, inc_hi, inc_lo = (w.tolist() for w in state)
+    return [(a << 64 | b, c << 64 | d) for a, b, c, d in zip(hi, lo, inc_hi, inc_lo)]
+
+
+def _numpy_states(rngs) -> list[tuple[int, int]]:
+    return [(s["state"], s["inc"]) for s in (r.bit_generator.state["state"] for r in rngs)]
+
+
+def _search_draws(state, probs: list[float]):
+    """Every stream's geometric draws at probs, all >= 1/3, as rows of an
+    (hops, n) list, and the states they leave."""
+    rows = []
+    for p in probs:
+        state, u = _next_doubles(state)
+        rows.append(np.searchsorted(_search_sums(p), u) + 1)
+    return state, rows
 
 
 @functools.cache
 def _hashing_matches_numpy() -> bool:
-    """Whether `_hashed_states` reproduces this numpy's `default_rng`, checked
-    on one index of a multi-word seed."""
-    parts = (2**32 + 7, 0, 5)
-    return _hashed_states(parts, 4)[3] == np.random.default_rng([*parts, 3]).bit_generator.state
+    """Whether the hashed states and the vector draws reproduce this numpy's
+    `default_rng`, checked on four trials of a multi-word seed: the starting
+    states, one double, geometric draws in the search branch and the states
+    they leave."""
+    parts, probs = (2**32 + 7, 0, 5), [_SEARCH_MIN_P, 0.8, 1.0]
+    rngs = [np.random.default_rng([*parts, i]) for i in range(4)]
+    state = _hashed_states(parts, 4)
+    if _as_ints(state) != _numpy_states(rngs):
+        return False
+    state, u = _next_doubles(state)
+    if u.tolist() != [r.random() for r in rngs]:
+        return False
+    state, rows = _search_draws(state, probs)
+    if np.array(rows).T.tolist() != [[r.geometric(p) for p in probs] for r in rngs]:
+        return False
+    return _as_ints(state) == _numpy_states(rngs)
 
 
-def _trial_generators(seed_parts: tuple[int, ...], n: int):
-    """One generator, set in turn to the starting state of
-    `default_rng([*seed_parts, i])` for i < n."""
-    if _hashing_matches_numpy():
-        states = _hashed_states(seed_parts, n)
-    else:
-        states = (np.random.default_rng([*seed_parts, i]).bit_generator.state for i in range(n))
+def _attempts(seed_parts: tuple[int, ...], n: int, probs: list[float]) -> np.ndarray:
+    """Generation attempts as an (hops, n) array: entry (h, i) is the h-th
+    draw of `default_rng([*seed_parts, i])`, `geometric(probs[h])`.
+
+    Hops at gen_prob >= 1/3 take one double per trial, drawn for all trials
+    at once. From the first hop below 1/3 on, each trial draws its remaining
+    hops on one reused generator, set to the state its stream reached."""
+    if not _hashing_matches_numpy():
+        rngs = (np.random.default_rng([*seed_parts, i]) for i in range(n))
+        return np.array([[rng.geometric(p) for p in probs] for rng in rngs]).T
+    split = next((h for h, p in enumerate(probs) if p < _SEARCH_MIN_P), len(probs))
+    state, rows = _search_draws(_hashed_states(seed_parts, n), probs[:split])
+    tail = probs[split:]
+    if not tail:
+        return np.array(rows)
+    draws = []
     rng = np.random.default_rng(0)
-    for state in states:
-        rng.bit_generator.state = state
-        yield rng
+    for s, inc in _as_ints(state):
+        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": s, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        draws.extend(map(rng.geometric, tail))
+    return np.vstack([*rows, np.reshape(draws, (n, len(tail))).T])
 
 
 # ---------------------------------------------------------------------------

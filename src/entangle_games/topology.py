@@ -308,7 +308,8 @@ class NetworkTopology:
 
 def _structure_errors(topology: NetworkTopology) -> list[str]:
     """Violations of the graph every game relies on: node ids 0..n-1, links
-    between two distinct nodes, at most one link per node pair."""
+    between two distinct nodes, at most one link per node pair, and choices
+    of two options at a node, each naming a node as its next hop."""
     out: list[str] = []
     ids = [n.id for n in topology.nodes]
     if ids != list(range(len(ids))):
@@ -323,6 +324,17 @@ def _structure_errors(topology: NetworkTopology) -> list[str]:
         elif l.endpoints() in seen:
             out.append(f"{tag}: duplicate edge")
         seen.add(l.endpoints())
+    for node_id, opts in topology.choices.items():
+        tag = f"choice at node {node_id}"
+        if not 0 <= node_id < len(ids):
+            out.append(f"{tag}: node is not a node id")
+        if len(opts) != 2:
+            out.append(f"{tag}: needs exactly two options, got {len(opts)}")
+        out += [
+            f"{tag}: next_hop {o.next_hop} is not a node id"
+            for o in opts
+            if not 0 <= o.next_hop < len(ids)
+        ]
     return out
 
 
@@ -363,8 +375,9 @@ def validate(topology: NetworkTopology) -> list[str]:
         if not is_forest(loopless):
             out.append("scenario 2 links must form a forest plus the one leader-leader edge")
         for node_id, opts in topology.choices.items():
-            if not 0 <= node_id < n_count:
-                out.append(f"node {node_id}: choice set for unknown node")
+            # a choice at an unknown node or without two options is reported
+            # above
+            if not 0 <= node_id < n_count or len(opts) != 2:
                 continue
             if opts[0].next_hop == opts[1].next_hop:
                 out.append(f"node {node_id}: choice options must be distinct")

@@ -138,6 +138,27 @@ def _sparse_node_ids(tmp_path):
     return _topology_config(tmp_path, doc), "dense range"
 
 
+def _tree_with_first_choice(tmp_path, **changes):
+    doc = topo.canonical_two_tree_topology().to_json_dict()
+    choice = doc["choices"][0]
+    choice["node"] = changes.get("node", choice["node"])
+    choice["options"][1]["next_hop"] = changes.get("next_hop", choice["options"][1]["next_hop"])
+    del choice["options"][changes.get("options", 2):]
+    return _topology_config(tmp_path, doc)
+
+
+def _unknown_choice_node(tmp_path):
+    return _tree_with_first_choice(tmp_path, node=99), "choice at node 99: node is not a node id"
+
+
+def _unknown_choice_next_hop(tmp_path):
+    return _tree_with_first_choice(tmp_path, next_hop=99), "next_hop 99 is not a node id"
+
+
+def _choice_with_one_option(tmp_path):
+    return _tree_with_first_choice(tmp_path, options=1), "needs exactly two options, got 1"
+
+
 def _negative_seed(tmp_path):
     return write_config(tmp_path, {"seed": -1}), "seed"
 
@@ -190,6 +211,9 @@ def _gamma_past_half_pi(tmp_path):
         _self_loop_link,
         _second_link_between_a_pair,
         _sparse_node_ids,
+        _unknown_choice_node,
+        _unknown_choice_next_hop,
+        _choice_with_one_option,
     ],
 )
 def test_bad_config_input_exits_2(tmp_path, capsys, make_config):
@@ -199,6 +223,17 @@ def test_bad_config_input_exits_2(tmp_path, capsys, make_config):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert named in err
+
+
+@pytest.mark.parametrize(
+    "make_config", [_unknown_choice_node, _unknown_choice_next_hop, _choice_with_one_option]
+)
+@pytest.mark.parametrize("command", ["coalition", "consensus"])
+def test_bad_choice_exits_2_in_both_games(tmp_path, capsys, make_config, command):
+    cfg, named = make_config(tmp_path)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 2
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["gen", "coalition", "consensus", "sweep"])

@@ -452,12 +452,35 @@ def list_aggregate(trials):
     return means, stds
 
 
+# gen_probs on both sides of numpy's geometric branch point at 1/3, the low
+# tail included
+_gen_probs = (
+    st.just(1.0)
+    | st.sampled_from([1 / 3, float(np.nextafter(1 / 3, 0))])
+    | st.floats(1e-3, 0.05)
+    | st.floats(0.05, 1.0, exclude_max=True)
+)
+
 _mixed_link_params = st.builds(
     topo.LinkParams,
     latency_us=st.floats(1.0, 2000.0),
     coherence_us=st.sampled_from([500.0, 5_000.0, 50_000.0]),
     decoherence_rate=st.floats(0.0, 1e-2),
-    gen_prob=st.just(1.0) | st.floats(0.05, 1.0, exclude_max=True),
+    gen_prob=_gen_probs,
+)
+
+# paths of 8 hops and more that mostly deliver, with fidelity off the 1/4
+# floor: the hop order of their decay sum shows in the last bit
+_long_lived_paths = st.lists(
+    st.builds(
+        topo.LinkParams,
+        latency_us=st.floats(1.0, 2000.0),
+        coherence_us=st.just(1e9),
+        decoherence_rate=st.floats(1e-6, 1e-5),
+        gen_prob=st.just(1.0) | st.floats(0.9, 1.0),
+    ),
+    min_size=8,
+    max_size=14,
 )
 
 _seed_parts = st.lists(st.integers(0, 2**64 - 1), max_size=4).map(tuple)
@@ -483,7 +506,7 @@ _PAIRWISE_SENSITIVE = [
     trials=2,
 )
 @given(
-    params=st.lists(_mixed_link_params, min_size=1, max_size=14),
+    params=st.lists(_mixed_link_params, min_size=1, max_size=14) | _long_lived_paths,
     all_certain=st.booleans(),
     long_lived=st.booleans(),
     regime=st.sampled_from(sim.ALL_REGIMES),
@@ -506,7 +529,9 @@ def test_run_trials_matches_per_trial_loop(
     path = list(range(len(params) + 1))
     cfg = quantum_cfg(regime=regime, trials=trials)
     want = per_trial_run_trials(t, path, cfg, seed_parts)
-    assert sim.run_trial(t, path, cfg, np.random.default_rng([*seed_parts, 0])) == want[0]
+    assert [
+        sim.run_trial(t, path, cfg, np.random.default_rng([*seed_parts, i])) for i in range(trials)
+    ] == want
     got = sim.run_trials(t, path, cfg, seed_parts)
     assert list(got) == list(sim.METRIC_FIELDS)
     for f in sim.METRIC_FIELDS:
@@ -515,15 +540,41 @@ def test_run_trials_matches_per_trial_loop(
     assert sim.aggregate(got) == list_aggregate(want)
 
 
+def pcg64_states(rngs):
+    """(state, inc) of each generator's PCG64 as 128-bit ints."""
+    return [(s["state"]["state"], s["state"]["inc"]) for s in (r.bit_generator.state for r in rngs)]
+
+
+_wide_seed_parts = _seed_parts | st.lists(st.integers(0, 2**200), max_size=3).map(tuple)
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    seed_parts=_seed_parts | st.lists(st.integers(0, 2**200), max_size=3).map(tuple),
-    n=st.integers(1, 300),
-)
+@given(seed_parts=_wide_seed_parts, n=st.integers(1, 300))
 def test_hashed_states_equal_default_rng(seed_parts, n):
     assert sim._hashing_matches_numpy()
-    want = [np.random.default_rng([*seed_parts, i]).bit_generator.state for i in range(n)]
-    assert sim._hashed_states(seed_parts, n) == want
+    want = pcg64_states(np.random.default_rng([*seed_parts, i]) for i in range(n))
+    assert sim._as_ints(sim._hashed_states(seed_parts, n)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed_parts=_wide_seed_parts,
+    n=st.integers(1, 300),
+    k=st.integers(1, 14),
+    probs=st.lists(st.sampled_from([1 / 3, 1.0]) | st.floats(1 / 3, 1.0), min_size=1, max_size=14),
+)
+def test_vector_stream_equals_default_rng(seed_parts, n, k, probs):
+    # the k-th double of every trial's stream, the state it leaves, and the
+    # geometric draws of the search branch
+    rngs = [np.random.default_rng([*seed_parts, i]) for i in range(n)]
+    state = sim._hashed_states(seed_parts, n)
+    for _ in range(k):
+        state, u = sim._next_doubles(state)
+    assert u.tolist() == [r.random(k)[-1] for r in rngs]
+    assert sim._as_ints(state) == pcg64_states(rngs)
+    rngs = [np.random.default_rng([*seed_parts, i]) for i in range(n)]
+    want = [[r.geometric(p) for r in rngs] for p in probs]
+    assert sim._attempts(seed_parts, n, probs).tolist() == want
 
 
 def test_run_trials_rejects_negative_seed_parts():
@@ -542,32 +593,46 @@ def test_failed_self_check_falls_back_to_default_rng(monkeypatch):
     monkeypatch.setattr(sim, "_hashing_matches_numpy", lambda: False)
     monkeypatch.setattr(sim.np.random, "default_rng", lambda seed: drawn.append(seed) or real(seed))
     fallback = sim.run_trials(t, [0, 1, 2, 3], cfg, parts)
-    assert drawn == [0] + [[*parts, i] for i in range(200)]
+    assert drawn == [[*parts, i] for i in range(200)]
     assert {f: c.tolist() for f, c in fallback.items()} == {
         f: c.tolist() for f, c in hashed.items()
     }
 
 
-class CountingDraws:
-    """A generator that records each geometric draw."""
+class RecordingGenerator:
+    """A generator that records each state it is set to and each geometric
+    draw."""
 
-    def __init__(self, rng, draws):
-        self.rng, self.draws = rng, draws
+    def __init__(self, rng, log):
+        self.rng, self.log = rng, log
+
+    @property
+    def bit_generator(self):
+        return self
+
+    @property
+    def state(self):
+        return self.rng.bit_generator.state
+
+    @state.setter
+    def state(self, value):
+        self.log.append("state")
+        self.rng.bit_generator.state = value
 
     def geometric(self, p):
-        self.draws.append(p)
+        self.log.append(p)
         return self.rng.geometric(p)
 
 
 @pytest.mark.parametrize(
-    "gen_probs, regime, drawn",
+    "gen_probs, regime, built_rngs, per_trial, timed_shape",
     [
-        ([1.0, 1.0, 1.0], sim.Regime.QUANTUM_GAME_QUANTUM_NET, 0),
-        ([1.0, 1.0, 1.0], sim.Regime.CLASSICAL_GAME_QUANTUM_NET, 0),
-        ([0.5, 0.5, 0.5], sim.Regime.CLASSICAL_GAME_CLASSICAL_NET, 0),
-        ([0.5, 0.5, 0.5], sim.Regime.NO_GAME_CLASSICAL_NET, 0),
-        ([0.9, 0.9, 0.9], sim.Regime.QUANTUM_GAME_QUANTUM_NET, 7),
-        ([1.0, 0.9, 1.0], sim.Regime.CLASSICAL_GAME_QUANTUM_NET, 7),
+        ([1.0, 1.0, 1.0], sim.Regime.QUANTUM_GAME_QUANTUM_NET, [], [], (3, 1)),
+        ([1.0, 1.0, 1.0], sim.Regime.CLASSICAL_GAME_QUANTUM_NET, [], [], (3, 1)),
+        ([0.2, 0.2, 0.2], sim.Regime.CLASSICAL_GAME_CLASSICAL_NET, [], [], (3, 1)),
+        ([0.2, 0.2, 0.2], sim.Regime.NO_GAME_CLASSICAL_NET, [], [], (3, 1)),
+        ([0.9, 1 / 3, 0.9], sim.Regime.QUANTUM_GAME_QUANTUM_NET, [], [], (3, 7)),
+        ([1.0, 0.2, 1.0], sim.Regime.CLASSICAL_GAME_QUANTUM_NET, [0], ["state", 0.2, 1.0], (3, 7)),
     ],
     ids=[
         "certain-quantum-game", "certain-classical-game", "classical-net", "no-game", "lossy",
@@ -575,18 +640,13 @@ class CountingDraws:
     ],
 )
 def test_run_trials_builds_a_generator_only_where_trials_differ(
-    monkeypatch, gen_probs, regime, drawn
+    monkeypatch, gen_probs, regime, built_rngs, per_trial, timed_shape
 ):
-    # a certain cell times one trial with no generator; a lossy cell draws
-    # every hop of every trial
-    built, started, draws, timed = [], [], [], []
-    real_rng = np.random.default_rng
-    real_generators, real_columns = sim._trial_generators, sim._columns
-
-    def counting_generators(seed_parts, n):
-        for rng in real_generators(seed_parts, n):
-            started.append(list(seed_parts))
-            yield CountingDraws(rng, draws)
+    # a certain cell times one trial with no draws; a lossy cell draws hops at
+    # gen_prob >= 1/3 for all trials at once, and from the first hop below
+    # 1/3 on sets one generator to each trial's state in turn
+    built, log, timed = [], [], []
+    real_rng, real_columns = np.random.default_rng, sim._columns
 
     def counting_columns(links, cfg, attempts):
         timed.append(attempts.shape)
@@ -594,17 +654,13 @@ def test_run_trials_builds_a_generator_only_where_trials_differ(
 
     assert sim._hashing_matches_numpy()  # run the once-per-process check before counting
     monkeypatch.setattr(
-        sim.np.random, "default_rng", lambda seed: built.append(seed) or real_rng(seed)
+        sim.np.random,
+        "default_rng",
+        lambda seed: built.append(seed) or RecordingGenerator(real_rng(seed), log),
     )
-    monkeypatch.setattr(sim, "_trial_generators", counting_generators)
     monkeypatch.setattr(sim, "_columns", counting_columns)
     t = _line([topo.LinkParams(latency_us=50.0, gen_prob=p) for p in gen_probs])
     cfg = quantum_cfg(regime=regime, trials=7)
     got = sim.run_trials(t, [0, 1, 2, 3], cfg, (4, 2))
     assert all(len(col) == 7 for col in got.values())
-    if drawn == 0:
-        assert (built, started, timed) == ([], [], [(3, 1)])
-    else:
-        # one generator, set to each trial's state in turn
-        assert (built, started, timed) == ([0], [[4, 2]] * drawn, [(3, drawn)])
-        assert len(draws) == 3 * drawn
+    assert (built, log, timed) == (built_rngs, per_trial * 7, [timed_shape])
