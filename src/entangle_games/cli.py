@@ -164,7 +164,6 @@ class RunConfig:
             qubit_lifetime_us=self.qubit_lifetime_us,
             trials=self.trials,
             regime=regime,
-            seed=self.seed,
         )
 
     def weights(self) -> tuple[float, float]:
@@ -264,7 +263,7 @@ def cmd_coalition(cfg: RunConfig) -> int:
     if cfg.variant == "quantum":
         outcome = co.quantum_coalition_form(game, topology, gamma=cfg.gamma, seed=cfg.seed)
     else:
-        outcome = co.classical_coalition_form(game, topology, seed=cfg.seed)
+        outcome = co.classical_coalition_form(game, topology)
     out_dir = Path(cfg.out_dir)
     _write(
         out_dir / "outcome.json",

@@ -14,8 +14,9 @@ the measured coalition holds steady. A best response scores the whole 9x9
 rotation grid at once, as a quadratic form in the player's own 2x2 unitary.
 No best response reads a measured outcome, so each strategy profile's best
 responses and outcome distribution depend on the game alone: a ValueModel
-keeps one referee engine per (players, gamma), which computes them once per
-profile, and the seed only picks which outcomes are drawn. The engine scores
+keeps one referee engine per gamma, which computes them once per profile, and
+the seed only picks which outcomes are drawn. The players are the candidate
+nodes, and every game starts from the all-join profile. The engine scores
 every outcome's coalition in one vectorized pass over the path table, and
 keeps the state of the last profile it played: the next profile, one
 player's strategy away, is one rotation from it, and a best response undoes
@@ -131,8 +132,8 @@ class ValueModel:
         # kept in DFS order: filtering it gives the order a DFS inside
         # the node set would, which the tie-break in evaluate depends on
         self.paths = [(frozenset(p), self.path_score(p), tuple(p)) for p in found]
-        # referee engines of the quantum game, by (players, gamma)
-        self.referee_rounds: dict[tuple[tuple[int, ...], float], _QuantumRound] = {}
+        # referee engines of the quantum game, by gamma
+        self.referee_rounds: dict[float, _QuantumRound] = {}
 
     def path_score(self, path: list[int]) -> float:
         rate = math.inf
@@ -181,17 +182,6 @@ class ValueModel:
         weights = {m: self.split_weight(m) for m in sorted(coalition.members)}
         total = sum(weights.values())
         return {m: coalition.value * w / total for m, w in weights.items()}
-
-
-def characteristic_value(members, cfg: CoalitionGameConfig, topology: NetworkTopology) -> float:
-    """Value of a node set: min(target, best path rate) + fidelity - hop cost.
-
-    Zero when the set contains no source->destination path. Deterministic in
-    its arguments.
-    """
-    if not members:
-        raise ParameterError("coalition must be non-empty")
-    return ValueModel(cfg, topology).value(members)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +254,6 @@ def _find_split(model: ValueModel, partition: list[frozenset[int]]):
 def classical_coalition_form(
     cfg: CoalitionGameConfig,
     topology: NetworkTopology,
-    seed: int = 0,
     model: ValueModel | None = None,
     max_rounds: int = 1000,
 ) -> CoalitionOutcome:
@@ -273,8 +262,7 @@ def classical_coalition_form(
     The iteration starts from singletons of the candidate nodes (those on some
     source->destination path). Every accepted operation strictly increases the
     partition's total value, which is bounded, so termination is guaranteed.
-    The result is deterministic: `seed` is accepted for interface symmetry
-    with the quantum variant but never consulted.
+    The game draws nothing, so its result depends on its arguments alone.
     """
     if max_rounds < 1:
         raise ParameterError(f"max_rounds must be >= 1, got {max_rounds}")
@@ -379,6 +367,8 @@ PHI_GRID = np.linspace(0.0, 2.0 * math.pi, 9, endpoint=False)
 # earliest entry
 GRID_STRATEGIES = tuple((float(theta), float(phi)) for theta in THETA_GRID for phi in PHI_GRID)
 GRID_MATRICES = np.stack([q.SingleQubitUnitary(*tp).matrix() for tp in GRID_STRATEGIES])
+# every player starts proposing to join: theta = pi flips its bit
+ALL_JOIN = GRID_STRATEGIES.index((math.pi, 0.0))
 
 
 def _rotate(amps: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
@@ -395,11 +385,10 @@ class _QuantumRound:
     engine that no later game shares (`keep_outcomes` false) keeps only the
     last profile's outcome distribution.
 
-    A profile is a tuple of indices into `strategies`: the grid, then each
-    off-grid strategy a caller starts from. The engine keeps the amplitudes of
-    the last profile it played, so a profile that changes one player's
-    strategy costs one rotation, and a best response undoes the player's own
-    turn with one more.
+    A profile is a tuple of the players' indices into GRID_STRATEGIES. The
+    engine keeps the amplitudes of the last profile it played, so a profile
+    that changes one player's strategy costs one rotation, and a best response
+    undoes the player's own turn with one more.
     """
 
     def __init__(
@@ -407,9 +396,6 @@ class _QuantumRound:
     ):
         self.players = players
         self.keep_outcomes = keep_outcomes
-        self.strategies = list(GRID_STRATEGIES)
-        self.matrices = list(GRID_MATRICES)
-        self._index = {tp: k for k, tp in enumerate(GRID_STRATEGIES)}
         self._responses: dict[tuple[int, tuple[int, ...]], int] = {}
         self._outcomes: dict[tuple[int, ...], np.ndarray] = {}
         self.base = referee_state(len(players), gamma)
@@ -457,31 +443,18 @@ class _QuantumRound:
             p for i, p in enumerate(self.players) if (outcome_bits >> (m - 1 - i)) & 1
         )
 
-    def profile(self, strategies: dict[int, q.SingleQubitUnitary]) -> tuple[int, ...]:
-        """The players' strategies as indices, registering off-grid ones."""
-        out = []
-        for p in self.players:
-            u = strategies[p]
-            k = self._index.get((u.theta, u.phi))
-            if k is None:
-                k = self._index[u.theta, u.phi] = len(self.strategies)
-                self.strategies.append((u.theta, u.phi))
-                self.matrices.append(u.matrix())
-            out.append(k)
-        return tuple(out)
-
     def _amplitudes(self, profile: tuple[int, ...]) -> np.ndarray:
         """Amplitudes after every player turns its qubit, not normalized."""
         if profile != self._profile:
             changed = [i for i, (a, b) in enumerate(zip(self._profile, profile)) if a != b]
             if len(changed) == 1:
                 (i,) = changed
-                u = self.matrices[profile[i]] @ self.matrices[self._profile[i]].conj().T
+                u = GRID_MATRICES[profile[i]] @ GRID_MATRICES[self._profile[i]].conj().T
                 self._amps = _rotate(self._amps, i, u)
             else:
                 self._amps = self.base.amplitudes
                 for i, k in enumerate(profile):
-                    self._amps = _rotate(self._amps, i, self.matrices[k])
+                    self._amps = _rotate(self._amps, i, GRID_MATRICES[k])
             self._profile = profile
         return self._amps
 
@@ -512,7 +485,7 @@ class _QuantumRound:
         """
         key = (player_index, profile)
         if key not in self._responses:
-            undo = self.matrices[profile[player_index]].conj().T
+            undo = GRID_MATRICES[profile[player_index]].conj().T
             shape = (2**player_index, 2, -1)
             psi = _rotate(self._amplitudes(profile), player_index, undo).reshape(shape)
             payoffs = self.payoffs[:, player_index].reshape(shape)
@@ -531,10 +504,8 @@ class _QuantumRound:
 def quantum_coalition_form(
     cfg: CoalitionGameConfig,
     topology: NetworkTopology,
-    strategies: dict[int, q.SingleQubitUnitary] | None = None,
     gamma: float = math.pi / 2.0,
     seed: int = 0,
-    players: list[int] | None = None,
     max_rounds: int = 60,
     confirm_window: int = 3,
     model: ValueModel | None = None,
@@ -555,11 +526,10 @@ def quantum_coalition_form(
     (join iff P(bit=1) >= 1/2 - STRICT_EPS) of the final strategy state, with the grand
     candidate coalition as the last resort (it always carries a path).
 
-    `strategies` defaults to everyone proposing to join (theta = pi), the
-    all-in starting point whose gamma = 0 behavior coincides with the
-    classical game on path fixtures. `players` defaults to the candidate
-    nodes; given, they must be distinct nodes that hold a
-    source->destination path.
+    The players are the candidate nodes (those on some source->destination
+    path), so together they always hold a path, and each starts proposing to
+    join (theta = pi): the all-in starting point whose gamma = 0 behavior
+    coincides with the classical game on path fixtures.
     """
     check_seed(seed)
     if max_rounds < 1 or confirm_window < 1:
@@ -568,39 +538,17 @@ def quantum_coalition_form(
         )
     shared = model is not None
     model = model or ValueModel(cfg, topology)
-    if players is None:
-        players = model.candidate_nodes()
+    players = tuple(model.candidate_nodes())
     if len(players) > q.MAX_QUBITS:
         raise CapacityError(f"{len(players)} candidate players exceed {q.MAX_QUBITS}")
-    if len(players) < 2:
-        raise ParameterError("quantum game needs at least two players")
-    strangers = [p for p in players if p not in topology.adjacency]
-    if strangers:
-        raise ParameterError(f"players {strangers} are not nodes of the topology")
-    if len(set(players)) < len(players):
-        raise ParameterError(f"players {sorted(players)} repeat a node")
-    players = tuple(sorted(players))
-    if cfg.source not in players or cfg.destination not in players:
-        raise ParameterError("source and destination must be players")
-    if model.evaluate(frozenset(players))[1] is None:
-        raise UnreachableError(
-            f"players {list(players)} hold no path between {cfg.source} and {cfg.destination}"
-        )
-
-    if strategies is None:
-        strategies = {p: q.SingleQubitUnitary(math.pi, 0.0) for p in players}
-    else:
-        missing = [p for p in players if p not in strategies]
-        if missing:
-            raise ParameterError(f"strategies missing for players {missing}")
 
     rng = np.random.default_rng(seed)
-    engine = model.referee_rounds.get((players, gamma))
+    engine = model.referee_rounds.get(gamma)
     if engine is None:
-        engine = model.referee_rounds[players, gamma] = _QuantumRound(
+        engine = model.referee_rounds[gamma] = _QuantumRound(
             model, players, gamma, keep_outcomes=shared
         )
-    profile = engine.profile(strategies)
+    profile = (ALL_JOIN,) * len(players)
     history: list[dict] = []
     recent: list[frozenset[int]] = []
     best_seen: tuple[float, frozenset[int]] | None = None
@@ -617,7 +565,7 @@ def quantum_coalition_form(
         history.append(
             {
                 "round": rounds,
-                "strategies": {p: list(engine.strategies[k]) for p, k in zip(players, profile)},
+                "strategies": {p: list(GRID_STRATEGIES[k]) for p, k in zip(players, profile)},
                 "outcome": outcome_bits,
                 "members": sorted(measured),
                 "value": value,

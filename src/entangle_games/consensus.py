@@ -326,7 +326,8 @@ def run_consensus(
 
     `variant` is "classical" or "quantum" (ties settled by the seeded shared
     coin). The end-to-end fidelity of the converged path comes from one
-    seeded distribution trial of the `simulation` module; the per-round trace
+    distribution trial of the `simulation` module under `sim_config` (default
+    SimConfig()), drawn from `seed`; the per-round trace
     carries the static product-of-payoffs proxy instead, which needs no
     sampling.
     """
@@ -397,6 +398,6 @@ def run_consensus(
 def _simulated_path_fidelity(topology, path, seed, sim_config) -> float:
     from . import simulation  # deferred: simulation drives consensus sweeps
 
-    cfg = sim_config or simulation.SimConfig(seed=seed)
-    rng = np.random.default_rng([cfg.seed, 0xC0F1])
+    cfg = sim_config or simulation.SimConfig()
+    rng = np.random.default_rng([seed, 0xC0F1])
     return simulation.run_trial(topology, path, cfg, rng).end_to_end_fidelity

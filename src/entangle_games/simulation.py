@@ -80,7 +80,6 @@ class SimConfig:
     qubit_lifetime_us: float = 500.0
     trials: int = 1000
     regime: Regime = Regime.QUANTUM_GAME_QUANTUM_NET
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.sync_step_us > 0:
@@ -93,7 +92,6 @@ class SimConfig:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
         if self.trials > MAX_TRIALS:
             raise CapacityError(f"trials must be <= {MAX_TRIALS}, got {self.trials}")
-        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -136,9 +134,11 @@ def run_trial(
     return TrialMetrics(total, int(hops), delay, fidelity, int(ebits), rate, bool(success))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _columns(links, cfg: SimConfig, attempts: np.ndarray) -> dict[str, np.ndarray]:
     """Metric columns, keyed by METRIC_FIELDS, of the trials whose hop i took
-    attempts[i, j] generation attempts in trial j."""
+    attempts[i, j] generation attempts in trial j. A clock past the float
+    range reads inf or nan, which `aggregate` rejects."""
     hops, n = attempts.shape
     budget = min(l.params.coherence_us for l in links)
     if not cfg.regime.quantum_net:
@@ -177,17 +177,25 @@ def _columns(links, cfg: SimConfig, attempts: np.ndarray) -> dict[str, np.ndarra
     )))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def aggregate(columns: dict[str, np.ndarray]) -> tuple[dict[str, float], dict[str, float]]:
     """Arithmetic mean and sample standard deviation of each metric column of
     `run_trials`.
 
-    Success contributes as a 0/1 fraction. A single trial has stddev 0.
+    Success contributes as a 0/1 fraction. A single trial has stddev 0. A
+    mean or stddev past the float range is a ParameterError naming the metric.
     """
     n = len(columns["success"])
     if n == 0:
         raise ParameterError("cannot aggregate an empty trial list")
     means = {f: float(np.mean(columns[f])) for f in METRIC_FIELDS}
     stds = {f: float(np.std(columns[f], ddof=1)) if n > 1 else 0.0 for f in METRIC_FIELDS}
+    for f in METRIC_FIELDS:
+        for stat, value in (("mean", means[f]), ("stddev", stds[f])):
+            if not math.isfinite(value):
+                raise ParameterError(
+                    f"{f} {stat} is {value}: the configured times overflow the float range"
+                )
     return means, stds
 
 
@@ -267,8 +275,10 @@ def _hashed_states(seed_parts: tuple[int, ...], n: int):
     words = [
         p >> s & _MASK32 for p in map(int, seed_parts) for s in range(0, max(p.bit_length(), 1), 32)
     ]
-    entropy = [np.full(n, w, dtype=np.uint32) for w in words] + [np.arange(n, dtype=np.uint32)]
-    entropy += [np.zeros(n, np.uint32)] * (4 - len(entropy))
+    # the words every trial shares as 1-element arrays, hashed once and
+    # broadcast; numpy scalars would warn on the hash's uint32 overflow
+    entropy = [np.full(1, w, dtype=np.uint32) for w in words] + [np.arange(n, dtype=np.uint32)]
+    entropy += [np.zeros(1, np.uint32)] * (4 - len(entropy))
     hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(word) for word in entropy[:4]]
     for src in range(4):
@@ -502,7 +512,7 @@ def select_path(
         and player_count + 2 <= q.MAX_QUBITS
     ):
         return co.quantum_coalition_form(cfg, topology, seed=seed).path
-    return co.classical_coalition_form(cfg, topology, seed=seed).path
+    return co.classical_coalition_form(cfg, topology).path
 
 
 def sweep_nodes(

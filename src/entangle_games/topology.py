@@ -470,20 +470,6 @@ def is_forest(adjacency: Mapping[int, Iterable[int]]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _leader_pairs(n: int, adjacency: str) -> list[tuple[int, int]]:
-    if adjacency == "auto":
-        adjacency = "complete" if n <= 3 else "ring"
-    if adjacency == "complete":
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if adjacency == "ring":
-        if n == 2:
-            return [(0, 1)]
-        return [(i, (i + 1) % n) for i in range(n)]
-    if adjacency == "chain":
-        return [(i, i + 1) for i in range(n - 1)]
-    raise ParameterError(f"unknown leader adjacency {adjacency!r}")
-
-
 def build_scenario1(
     n_leaders: int,
     end_nodes_per_leader: int,
@@ -491,20 +477,19 @@ def build_scenario1(
     link_defaults: LinkParams | None = None,
     model: LinkModelParams | None = None,
     seed: int = 0,
-    leader_adjacency: str = "auto",
     probabilistic_links: bool = True,
-    link_payoff: float = DEFAULT_LINK_PAYOFF,
     placement: str = "random",
 ) -> NetworkTopology:
     """Leader mesh: N leaders, M end-nodes each, L-repeater chains per leader pair.
 
-    Leaders are adjacent per `leader_adjacency` (auto: complete graph for
-    N <= 3, ring above). Node positions are drawn uniformly in the unit square
-    from `seed`, or placed on a fixed circular layout with
-    placement="geometric". On top of the fixed skeleton, extra links between
-    not-yet-linked node pairs are sampled with the distance-decay probability
-    when `probabilistic_links` is set. Extra links never replace skeleton
-    links, so the scenario's connectivity is preserved.
+    Leaders form a complete graph for N <= 3 and a ring above, and every
+    link has the fidelity payoff DEFAULT_LINK_PAYOFF. Node positions are
+    drawn uniformly in the unit square from `seed`, or placed on a fixed
+    circular layout with placement="geometric". On top of the fixed
+    skeleton, extra links between not-yet-linked node pairs are sampled with
+    the distance-decay probability when `probabilistic_links` is set. Extra
+    links never replace skeleton links, so the scenario's connectivity is
+    preserved.
     """
     if n_leaders < 2:
         raise ParameterError(f"need at least 2 leaders, got {n_leaders}")
@@ -517,13 +502,16 @@ def build_scenario1(
     defaults = link_defaults or LinkParams()
 
     rng = np.random.default_rng(seed)
-    pairs = _leader_pairs(n_leaders, leader_adjacency)
+    if n_leaders <= 3:
+        pairs = [(i, j) for i in range(n_leaders) for j in range(i + 1, n_leaders)]
+    else:
+        pairs = [(i, (i + 1) % n_leaders) for i in range(n_leaders)]
 
     nodes: list[Node] = []
 
-    def add_node(role: NodeRole, pos: tuple[float, float] | None) -> int:
+    def add_node(role: NodeRole, pos: tuple[float, float]) -> int:
         node_id = len(nodes)
-        if placement == "random" or pos is None:
+        if placement == "random":
             x, y = float(rng.random()), float(rng.random())
         else:
             x, y = pos
@@ -549,7 +537,7 @@ def build_scenario1(
     links: list[Link] = []
 
     def add_link(a: int, b: int, params: LinkParams) -> None:
-        links.append(Link(a, b, params, cost=params.latency_us, payoff=link_payoff))
+        links.append(Link(a, b, params, cost=params.latency_us, payoff=DEFAULT_LINK_PAYOFF))
 
     for leader in leaders:
         for e in ends[leader]:

@@ -187,6 +187,29 @@ def _gamma_past_half_pi(tmp_path):
     return write_config(tmp_path, {"gamma": 1.5708}), "gamma"
 
 
+# a trial clock past the float range: the first two overflow the means, the
+# third only the stddevs
+_CLOCK_OVERFLOW = {"sync_step_us": 1e308, "qubit_lifetime_us": 1e308, "trials": 3}
+
+
+def _decoherence_clock_overflow(tmp_path):
+    doc = {**_CLOCK_OVERFLOW, "rates": [1e-6]}
+    return write_config(tmp_path, doc), "total_latency_us mean", "decoherence"
+
+
+def _node_clock_overflow(tmp_path):
+    doc = {**_CLOCK_OVERFLOW, "node_counts": [4], "link": {"gen_prob": 0.5}}
+    return write_config(tmp_path, doc), "total_latency_us mean", "nodes"
+
+
+def _node_clock_stddev_overflow(tmp_path):
+    doc = {
+        "sync_step_us": 1e200, "qubit_lifetime_us": 1.7e308, "trials": 50, "node_counts": [3],
+        "link": {"gen_prob": 0.5, "coherence_us": 1.7e308},
+    }
+    return write_config(tmp_path, doc), "stddev", "nodes"
+
+
 @pytest.mark.parametrize(
     "make_config",
     [
@@ -214,15 +237,21 @@ def _gamma_past_half_pi(tmp_path):
         _unknown_choice_node,
         _unknown_choice_next_hop,
         _choice_with_one_option,
+        _decoherence_clock_overflow,
+        _node_clock_overflow,
+        _node_clock_stddev_overflow,
     ],
 )
 def test_bad_config_input_exits_2(tmp_path, capsys, make_config):
-    cfg, named = make_config(tmp_path)
-    rc = main(["gen", "--config", cfg, "--out", str(tmp_path / "out")])
+    # a config naming a sweep kind is run as that sweep, any other by `gen`
+    cfg, named, *kind = make_config(tmp_path)
+    command = ["sweep", "--kind", *kind] if kind else ["gen"]
+    rc = main([*command, "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert named in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

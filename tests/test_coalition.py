@@ -29,22 +29,22 @@ def five_line_cfg():
 
 
 def test_value_zero_without_both_endpoints(five_line):
-    cfg = five_line_cfg()
-    assert co.characteristic_value({1, 2, 3}, cfg, five_line) == 0.0
-    assert co.characteristic_value({0, 1}, cfg, five_line) == 0.0
+    model = co.ValueModel(five_line_cfg(), five_line)
+    assert model.value({1, 2, 3}) == 0.0
+    assert model.value({0, 1}) == 0.0
 
 
 def test_value_two_node_closed_form():
     t = line_topology(2, gen_prob=1.0, latency_us=1000.0, payoff=1.0)
     cfg = co.CoalitionGameConfig(source=0, destination=1, target_throughput=500.0, hop_cost=0.0)
     # per-attempt rate r = 1 / latency_seconds = 1000 e-bits/s, capped at 500
-    assert co.characteristic_value({0, 1}, cfg, t) == pytest.approx(500.0 + 1.0)
+    assert co.ValueModel(cfg, t).value({0, 1}) == pytest.approx(500.0 + 1.0)
 
 
 def test_value_rate_cap_inactive_when_target_large():
     t = line_topology(2, gen_prob=0.5, latency_us=1000.0, payoff=1.0)
     cfg = co.CoalitionGameConfig(source=0, destination=1, target_throughput=9999.0, hop_cost=0.0)
-    assert co.characteristic_value({0, 1}, cfg, t) == pytest.approx(500.0 + 1.0)
+    assert co.ValueModel(cfg, t).value({0, 1}) == pytest.approx(500.0 + 1.0)
 
 
 def test_value_monotone_under_growth(five_line):
@@ -59,18 +59,13 @@ def test_value_monotone_under_growth(five_line):
                 assert model.value(frozenset(s) | {n}) + 1e-12 >= base
 
 
-def test_value_rejects_empty_set(five_line):
-    with pytest.raises(ParameterError):
-        co.characteristic_value(set(), five_line_cfg(), five_line)
-
-
 def test_value_reads_the_first_of_duplicate_links():
     params = topo.LinkParams(latency_us=1000.0, gen_prob=1.0)
     links = tuple(topo.Link(0, 1, params, 1000.0, p) for p in (0.25, 0.75))
     nodes = tuple(topo.Node(i, topo.NodeRole.REPEATER, float(i), 0.0) for i in range(2))
     t = topo.NetworkTopology(nodes, links, topo.ScenarioTag.CUSTOM)
     cfg = co.CoalitionGameConfig(source=0, destination=1, target_throughput=500.0, hop_cost=0.0)
-    assert co.characteristic_value({0, 1}, cfg, t) == 500.0 + 0.25
+    assert co.ValueModel(cfg, t).value({0, 1}) == 500.0 + 0.25
 
 
 def test_config_domain_checks():
@@ -435,13 +430,6 @@ def test_termination_round_bound(five_line):
     assert out.rounds <= 2 * len(five_line.nodes)
 
 
-def test_classical_form_is_seed_independent(five_line):
-    a = co.classical_coalition_form(five_line_cfg(), five_line, seed=1)
-    b = co.classical_coalition_form(five_line_cfg(), five_line, seed=99)
-    assert a.stable_coalition == b.stable_coalition
-    assert a.path == b.path
-
-
 # ---------------------------------------------------------------------------
 # referee state
 # ---------------------------------------------------------------------------
@@ -479,8 +467,8 @@ def test_all_join_strategies_join_everyone():
     # gamma = 0 leaves |000>; theta = pi flips every bit deterministically
     t = line_topology(3)
     cfg = co.CoalitionGameConfig(source=0, destination=2)
-    strategies = {i: q.SingleQubitUnitary(math.pi, 0.0) for i in range(3)}
-    out = co.quantum_coalition_form(cfg, t, strategies=strategies, gamma=0.0, seed=11)
+    out = co.quantum_coalition_form(cfg, t, gamma=0.0, seed=11)
+    assert out.history[0]["strategies"] == {i: [math.pi, 0.0] for i in range(3)}
     assert out.stable_coalition.members == frozenset({0, 1, 2})
     assert all(rec["members"] == [0, 1, 2] for rec in out.history)
 
@@ -546,22 +534,6 @@ def test_quantum_joint_join_beats_independent_play():
     )
     joint = sum(1 for rec in out.history if rec["members"] == [0, 1])
     assert joint / len(out.history) > 0.25
-
-
-@pytest.mark.parametrize(
-    "players, error",
-    [
-        ([0, 4], UnreachableError),
-        ([0, 2, 4], UnreachableError),
-        ([0, 0, 4], ParameterError),
-        ([0, 1, 2, 3, 4, 7], ParameterError),
-    ],
-)
-def test_quantum_players_checked_before_round_one(five_line, players, error):
-    model = co.ValueModel(five_line_cfg(), five_line)
-    with pytest.raises(error, match="players"):
-        co.quantum_coalition_form(five_line_cfg(), five_line, players=players, model=model)
-    assert model.referee_rounds == {}
 
 
 @pytest.mark.parametrize(
@@ -716,6 +688,11 @@ class ScanRound:
         return OLD_GRID_STRATEGIES[best]
 
 
+def unitaries(players, profile):
+    """The players' strategies at grid indices `profile`."""
+    return {p: q.SingleQubitUnitary(*co.GRID_STRATEGIES[k]) for p, k in zip(players, profile)}
+
+
 def scan_join_marginals(state):
     probs = state.probabilities()
     n = state.n_qubits
@@ -743,10 +720,9 @@ def _line_games(draw):
         hop_cost=draw(st.floats(0.0, 0.5)),
         payoff_split=draw(st.sampled_from(co.PayoffSplit)),
     )
-    grid = st.sampled_from(co.GRID_STRATEGIES)
-    strategies = {p: q.SingleQubitUnitary(*draw(grid)) for p in range(n)}
+    profile = tuple(draw(st.integers(0, len(co.GRID_STRATEGIES) - 1)) for _ in range(n))
     gamma = draw(st.sampled_from([0.0, math.pi / 2]) | st.floats(0.0, math.pi / 2))
-    return co.ValueModel(cfg, t), list(range(n)), gamma, strategies
+    return co.ValueModel(cfg, t), list(range(n)), gamma, profile
 
 
 def _pinned_line_game(n, source, destination, target, gamma, grid_points, gen_prob=1.0,
@@ -757,9 +733,7 @@ def _pinned_line_game(n, source, destination, target, gamma, grid_points, gen_pr
     cfg = co.CoalitionGameConfig(
         source=source, destination=destination, target_throughput=target, hop_cost=0.0
     )
-    grid = co.GRID_STRATEGIES
-    strategies = {p: q.SingleQubitUnitary(*grid[k]) for p, k in enumerate(grid_points)}
-    return co.ValueModel(cfg, t), list(range(n)), gamma, strategies
+    return co.ValueModel(cfg, t), list(range(n)), gamma, tuple(grid_points)
 
 
 @settings(max_examples=150, deadline=None)
@@ -770,17 +744,17 @@ def _pinned_line_game(n, source, destination, target, gamma, grid_points, gen_pr
 @example(game=_pinned_line_game(2, 0, 1, 5000.0, 0.5, [0, 74]))
 @example(game=_pinned_line_game(3, 1, 2, 1e5, math.pi / 2, [16, 76, 4], payoff=1.0))
 def test_quantum_round_matches_state_scan(game):
-    model, players, gamma, strategies = game
+    model, players, gamma, profile = game
+    strategies = unitaries(players, profile)
     engine = co._QuantumRound(model, players, gamma)
     oracle = ScanRound(model, players, gamma)
     for bits, row in enumerate(engine.payoffs):
         members = engine.coalition_of(bits)
         split = model.split_payoffs(co.Coalition(members, model.value(members)))
         assert row.tolist() == [split.get(p, 0.0) for p in players]
-    profile = engine.profile(strategies)
     for i in range(len(players)):
         want = oracle.best_response(i, strategies)
-        assert engine.strategies[engine.best_response(i, profile)] == (want.theta, want.phi)
+        assert co.GRID_STRATEGIES[engine.best_response(i, profile)] == (want.theta, want.phi)
     want = scan_join_marginals(engine.played_state(profile))
     assert engine.join_marginals(profile).tolist() == want.tolist()
 
@@ -835,46 +809,40 @@ def old_best_response(engine, player_index, strategies):
 )
 def test_played_state_matches_apply_unitary_chain(m, gamma, data):
     cfg = co.CoalitionGameConfig(source=0, destination=m - 1)
-    engine = co._QuantumRound(co.ValueModel(cfg, line_topology(m)), tuple(range(m)), gamma)
-    turn = st.sampled_from(co.GRID_STRATEGIES) | st.tuples(
-        st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi)
-    )
-    strategies = {p: q.SingleQubitUnitary(*data.draw(turn)) for p in range(m)}
+    players = tuple(range(m))
+    engine = co._QuantumRound(co.ValueModel(cfg, line_topology(m)), players, gamma)
+    turn = st.integers(0, len(co.GRID_STRATEGIES) - 1)
+    profile = [data.draw(turn) for _ in players]
     # a walk of profiles, each one player (or none, or several) away from
     # the last, as best responses and a new start move the kept state
     one = st.lists(st.integers(0, m - 1), max_size=1)
     several = st.lists(st.integers(0, m - 1), min_size=2, max_size=m, unique=True)
     for step in range(data.draw(st.integers(1, 6))):
         if step:
-            for p in data.draw(one | several):
-                strategies[p] = q.SingleQubitUnitary(*data.draw(turn))
+            for i in data.draw(one | several):
+                profile[i] = data.draw(turn)
+        strategies = unitaries(players, profile)
         chain = engine.base
         for i in range(m):
             chain = q.apply_unitary(chain, i, strategies[i])
-        profile = engine.profile(strategies)
-        played = engine.played_state(profile).amplitudes
+        played = engine.played_state(tuple(profile)).amplitudes
         np.testing.assert_allclose(played, chain.amplitudes, rtol=0, atol=1e-12)
         k = data.draw(st.integers(0, m - 1))
         want = old_best_response(engine, k, strategies)
-        assert engine.strategies[engine.best_response(k, profile)] == (want.theta, want.phi)
+        assert co.GRID_STRATEGIES[engine.best_response(k, tuple(profile))] == (want.theta, want.phi)
 
 
 def old_quantum_coalition_form(
-    cfg, topology, strategies=None, gamma=math.pi / 2.0, seed=0, players=None,
-    max_rounds=60, confirm_window=3, model=None,
+    cfg, topology, gamma=math.pi / 2.0, seed=0, max_rounds=60, confirm_window=3, model=None,
 ):
     """The referee game before the shared engine: a fresh engine per call,
     one dense chain of turns per state and one measure_computational per
     round. Ties between values, and marginals at 1/2, are decided with a
-    tolerance, as in quantum_coalition_form."""
+    tolerance, as in quantum_coalition_form. Every candidate node plays and
+    starts proposing to join."""
     model = model or co.ValueModel(cfg, topology)
-    if players is None:
-        players = model.candidate_nodes()
-    players = sorted(players)
-    if strategies is None:
-        strategies = {p: q.SingleQubitUnitary(math.pi, 0.0) for p in players}
-    else:
-        strategies = dict(strategies)
+    players = model.candidate_nodes()
+    strategies = {p: q.SingleQubitUnitary(math.pi, 0.0) for p in players}
 
     rng = np.random.default_rng(seed)
     engine = co._QuantumRound(model, players, gamma)
@@ -939,22 +907,15 @@ def old_quantum_coalition_form(
 @given(game=_line_games(), data=st.data())
 def test_shared_engine_replays_the_per_call_loop(game, data):
     model, _, gamma, _ = game
-    players = model.candidate_nodes()
-    turn = st.sampled_from(co.GRID_STRATEGIES) | st.tuples(
-        st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi)
-    )
-    start = st.none() | st.fixed_dictionaries(
-        {p: turn.map(lambda tp: q.SingleQubitUnitary(*tp)) for p in players}
-    )
-    runs = data.draw(st.lists(st.tuples(st.integers(0, 2**32 - 1), start), min_size=2, max_size=4))
-    for seed, strategies in runs:
-        kwargs = dict(strategies=strategies, gamma=gamma, seed=seed, model=model)
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=4))
+    for seed in seeds:
+        kwargs = dict(gamma=gamma, seed=seed, model=model)
         got = co.quantum_coalition_form(model.cfg, model.topology, **kwargs)
         want = old_quantum_coalition_form(model.cfg, model.topology, **kwargs)
         assert got.to_json_dict() == want.to_json_dict()
         assert got.rounds == want.rounds
         assert got.history == want.history
-    assert list(model.referee_rounds) == [(tuple(players), gamma)]
+    assert list(model.referee_rounds) == [gamma]
 
 
 @pytest.mark.parametrize("count", [2, 4, 6, 8, 10])

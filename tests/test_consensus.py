@@ -196,6 +196,22 @@ def test_classical_run_on_canonical_fixture():
     assert 0.0 <= out.end_to_end_fidelity <= 1.0
 
 
+@pytest.mark.parametrize("variant", ["classical", "quantum"])
+def test_fidelity_trial_is_seeded_by_the_seed_alone(variant):
+    # lossy links and a coherence budget no trial exhausts: the fidelity
+    # follows the trial's geometric draws, which come from `seed` whether or
+    # not a SimConfig is passed
+    lossy = canonical().with_link_updates(gen_prob=0.7, decoherence_rate=1e-3, coherence_us=1e9)
+    fidelities = set()
+    for seed in range(1, 9):
+        got = cons.run_consensus(lossy, 1, 8, variant=variant, seed=seed,
+                                 sim_config=sim.SimConfig(trials=1))
+        want = cons.run_consensus(lossy, 1, 8, variant=variant, seed=seed)
+        assert got.end_to_end_fidelity == want.end_to_end_fidelity
+        fidelities.add(want.end_to_end_fidelity)
+    assert len(fidelities) > 1
+
+
 def test_path_stays_simple():
     out = cons.run_consensus(canonical(), 1, 8, variant="classical")
     assert len(out.path) == len(set(out.path))

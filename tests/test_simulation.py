@@ -291,8 +291,6 @@ def test_sim_config_domain():
     assert sim.SimConfig(trials=sim.MAX_TRIALS).trials == sim.MAX_TRIALS
     with pytest.raises(CapacityError, match="trials"):
         sim.SimConfig(trials=sim.MAX_TRIALS + 1)
-    with pytest.raises(ParameterError, match="seed"):
-        sim.SimConfig(seed=-3)
 
 
 @pytest.mark.parametrize("sweep, grid", [(sim.sweep_nodes, [2]), (sim.sweep_decoherence, [1e-5])])
