@@ -497,6 +497,11 @@ def select_path(
     more than two coordinating nodes to differ from the classical one and
     falls back below that (and above the dense-simulation qubit cap, which
     admits the backbone player set only up to player_count + 2 qubits).
+
+    A lone listed path, as on the sweep backbones, is every outcome's path, so
+    it is returned unplayed where the game would return it: the classical
+    game's only above the tie tolerance (else it raises UnreachableError), the
+    quantum game's for a valid seed and at most q.MAX_QUBITS players.
     """
     from . import coalition as co  # deferred: coalition builds on simulation clients
 
@@ -506,13 +511,21 @@ def select_path(
             raise UnreachableError(f"no path between {source} and {destination}")
         return path
     cfg = co.CoalitionGameConfig(source=source, destination=destination)
-    if (
+    quantum = (
         regime is Regime.QUANTUM_GAME_QUANTUM_NET
         and 2 < player_count
         and player_count + 2 <= q.MAX_QUBITS
-    ):
+    )
+    if quantum:
+        check_seed(seed)  # the game checks the seed before its path table
+    model = co.ValueModel(cfg, topology)
+    if len(model.paths) == 1:
+        _, score, path = model.paths[0]
+        if (len(path) <= q.MAX_QUBITS) if quantum else (score > co._tolerance(score)):
+            return list(path)
+    if quantum:  # unshared model: the game keeps one outcome table
         return co.quantum_coalition_form(cfg, topology, seed=seed).path
-    return co.classical_coalition_form(cfg, topology).path
+    return co.classical_coalition_form(cfg, topology, model).path
 
 
 def sweep_nodes(

@@ -447,6 +447,17 @@ def test_sweep_nodes_past_paper_range_finishes(tmp_path):
     assert (tmp_path / "sweep.csv").exists()
 
 
+def test_sweep_nodes_negative_score_backbone_exit_3(tmp_path, capsys):
+    # 0.01 e-bits/s per link: the 20-count backbone's lone path scores below
+    # zero, so no coalition forms on it and the sweep writes nothing
+    cfg = write_config(tmp_path, {"link": {"latency_us": 1e7, "gen_prob": 0.1}, "node_counts": [4, 20]})
+    rc = main(["sweep", "--kind", "nodes", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == "infeasible scenario: stable partition contains no coalition with a 2->3 path\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_decoherence_fidelity_decreasing(tmp_path):
     cfg = write_config(tmp_path, {"trials": 3, "rates": [1e-6, 1e-5, 1e-4]})
     rc = main(["sweep", "--kind", "decoherence", "--config", cfg, "--out", str(tmp_path), "--quiet"])

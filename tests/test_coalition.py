@@ -580,7 +580,8 @@ def test_calls_on_one_model_share_one_engine(five_line, monkeypatch):
 
 
 def test_unshared_engine_keeps_one_outcome_table(monkeypatch):
-    # the 12-player backbone game of the node sweep, as select_path plays it
+    # a 12-player game on the count-10 sweep backbone, unshared model against
+    # shared; the sweep itself takes that backbone's lone path unplayed
     t = sim.backbone_topology(10)
     cfg = co.CoalitionGameConfig(source=2, destination=3)
     shared = co.ValueModel(cfg, t)

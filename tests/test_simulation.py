@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from entangle_games import coalition as co
 from entangle_games import quantum as q
 from entangle_games import simulation as sim
 from entangle_games import topology as topo
-from entangle_games.errors import CapacityError, ParameterError
+from entangle_games.errors import CapacityError, ParameterError, UnreachableError
 
 from conftest import line_topology
 
@@ -213,6 +214,109 @@ def test_quantum_regime_falls_back_at_two_players():
     classical = sim.select_path(t, 2, 3, sim.Regime.CLASSICAL_GAME_QUANTUM_NET, 0, 2)
     quantum = sim.select_path(t, 2, 3, sim.Regime.QUANTUM_GAME_QUANTUM_NET, 0, 2)
     assert quantum == classical
+
+
+def played_select_path(topology, source, destination, regime, seed, player_count):
+    """Reference select_path: plays the coalition game in every game regime."""
+    if regime is sim.Regime.NO_GAME_CLASSICAL_NET:
+        path = topo.shortest_path(topology.adjacency, source, destination)
+        if path is None:
+            raise UnreachableError(f"no path between {source} and {destination}")
+        return path
+    cfg = co.CoalitionGameConfig(source=source, destination=destination)
+    if (
+        regime is sim.Regime.QUANTUM_GAME_QUANTUM_NET
+        and 2 < player_count
+        and player_count + 2 <= q.MAX_QUBITS
+    ):
+        return co.quantum_coalition_form(cfg, topology, seed=seed).path
+    return co.classical_coalition_form(cfg, topology).path
+
+
+def _outcome(select, *args):
+    try:
+        return select(*args)
+    except (CapacityError, ParameterError, UnreachableError) as exc:
+        return type(exc), str(exc)
+
+
+# latencies span 1 us to 100 s, so a path's rate term falls on both sides of
+# its hop cost
+_game_link_params = st.builds(
+    topo.LinkParams,
+    latency_us=st.floats(0.0, 8.0).map(lambda e: 10.0**e),
+    gen_prob=st.floats(0.0, 1.0, exclude_min=True),
+)
+
+
+def _relinked(topology, params, payoffs):
+    return replace(topology, links=tuple(
+        replace(link, params=p, payoff=w) for link, p, w in zip(topology.links, params, payoffs)
+    ))
+
+
+@st.composite
+def _backbones(draw):
+    """A sweep backbone with the sweep's one LinkParams on every link, and
+    payoffs drawn per link."""
+    t = sim.backbone_topology(draw(st.integers(2, 14)))
+    params = [draw(_game_link_params)] * len(t.links)
+    payoffs = draw(st.lists(st.floats(0.0, 1.0), min_size=len(t.links), max_size=len(t.links)))
+    return _relinked(t, params, payoffs), 2, 3
+
+
+@st.composite
+def _graphs(draw, n_max, cycles):
+    """A random tree, node i > 0 linked to an earlier node, and two distinct
+    endpoints. With `cycles`, one to three more links are added and the
+    endpoints are those of the first, so two paths or more join them;
+    without, one tree link may be cut, which can leave no path."""
+    n = draw(st.integers(3 if cycles else 2, n_max))
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    if cycles:
+        chords = [(a, b) for b in range(n) for a in range(b) if (a, b) not in pairs]
+        extra = draw(st.lists(st.sampled_from(chords), min_size=1, max_size=3, unique=True))
+        source, destination = draw(st.permutations(extra[0]))
+        pairs += extra
+    else:
+        if draw(st.booleans()):
+            del pairs[draw(st.integers(0, len(pairs) - 1))]
+        source, destination = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    nodes = tuple(topo.Node(i, topo.NodeRole.REPEATER, float(i), 0.0) for i in range(n))
+    links = tuple(
+        topo.Link(a, b, draw(_game_link_params), 1.0, draw(st.floats(0.0, 1.0))) for a, b in pairs
+    )
+    return topo.NetworkTopology(nodes, links, topo.ScenarioTag.CUSTOM), source, destination
+
+
+# a backbone whose lone path scores 1e-13, positive but inside the tie
+# tolerance, so no merge pays: 0.15 + 1e-13 e-bits/s against three hops at
+# 0.05, with zero fidelity
+_TIED_BACKBONE = _relinked(
+    sim.backbone_topology(2), [topo.LinkParams(latency_us=1e6, gen_prob=0.15 + 1e-13)] * 3, [0.0] * 3
+)
+
+
+@settings(max_examples=250, deadline=None)
+@example(case=(_TIED_BACKBONE, 2, 3), regime=sim.Regime.CLASSICAL_GAME_QUANTUM_NET,
+         seed=0, player_count=4)
+# a 13-player game past the qubit cap, and a negative seed part
+@example(case=(sim.backbone_topology(11), 2, 3), regime=sim.Regime.QUANTUM_GAME_QUANTUM_NET,
+         seed=0, player_count=4)
+@example(case=(sim.backbone_topology(4), 2, 3), regime=sim.Regime.QUANTUM_GAME_QUANTUM_NET,
+         seed=[0, -1], player_count=4)
+@given(
+    # backbones, trees or forests (one path or none) and graphs of at most 9
+    # nodes with two paths or more, whose referee games stay small
+    case=_backbones() | _graphs(14, cycles=False) | _graphs(9, cycles=True),
+    regime=st.sampled_from(sim.ALL_REGIMES),
+    seed=st.integers(-1, 2**32) | st.lists(st.integers(-1, 2**32), min_size=1, max_size=3),
+    player_count=st.integers(2, 14),
+)
+def test_select_path_matches_played_games(case, regime, seed, player_count):
+    topology, source, destination = case
+    args = (topology, source, destination, regime, seed, player_count)
+    assert _outcome(sim.select_path, *args) == _outcome(played_select_path, *args)
 
 
 def test_sweep_nodes_single_cell_matches_single_trial():
