@@ -12,15 +12,17 @@ state, each player rotates its own qubit, and the measured bitstring selects
 the candidate coalition; strategies evolve by discretized best response until
 the measured coalition holds steady. A best response scores the whole 9x9
 rotation grid at once, as a quadratic form in the player's own 2x2 unitary.
-No best response reads a measured outcome, so each strategy profile's best
-responses and outcome distribution depend on the game alone: a ValueModel
-keeps one referee engine per gamma, which computes them once per profile, and
-the seed only picks which outcomes are drawn. The players are the candidate
-nodes, and every game starts from the all-join profile. The engine scores
-every outcome's coalition in one vectorized pass over the path table, and
-keeps the state of the last profile it played: the next profile, one
-player's strategy away, is one rotation from it, and a best response undoes
-the player's own rotation with one more.
+The players are the candidate nodes, and every game starts from the all-join
+profile. No best response reads a measured outcome, so every game walks one
+strategy trajectory: round r + 1 plays round r's profile with player r mod m's
+strategy replaced by its best response, and the seed only picks which outcomes
+are drawn. A ValueModel keeps one referee engine per gamma, which extends the
+trajectory as far as the games that share it play, keeping each round's
+profile and outcome table. The engine scores every outcome's coalition in one
+vectorized pass over the path table, and keeps the amplitudes of the last
+round: the next round's profile, at most one player's strategy away, is at
+most one rotation from it, and a best response undoes the player's own
+rotation with one more.
 
 The characteristic value of a node set combines the three routing objectives:
 rate capped at the target throughput, plus path fidelity, minus a per-hop
@@ -380,30 +382,22 @@ def _rotate(amps: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
 
 
 class _QuantumRound:
-    """Per-game machinery: the payoff table over bitstrings, and best
-    responses and outcome distributions memoized by strategy profile. An
-    engine that no later game shares (`keep_outcomes` false) keeps only the
-    last profile's outcome distribution.
+    """Per-game machinery: the payoff table over bitstrings, and the game's
+    one strategy trajectory.
 
-    A profile is a tuple of the players' indices into GRID_STRATEGIES. The
-    engine keeps the amplitudes of the last profile it played, so a profile
-    that changes one player's strategy costs one rotation, and a best response
-    undoes the player's own turn with one more.
+    A profile is a tuple of the players' indices into GRID_STRATEGIES. Round 0
+    plays the all-join profile, and round r + 1 plays round r's profile with
+    player r mod m replaced by its grid best response. No best response reads
+    a measured outcome, so the trajectory depends on the game alone: the
+    engine extends it on demand and keeps each round's profile and outcome
+    table, for every game that shares it. It keeps the amplitudes of the last
+    round only, as the next round's profile is at most one rotation away.
     """
 
-    def __init__(
-        self, model: ValueModel, players: tuple[int, ...], gamma: float, keep_outcomes: bool = True
-    ):
+    def __init__(self, model: ValueModel, players: tuple[int, ...], gamma: float):
         self.players = players
-        self.keep_outcomes = keep_outcomes
-        self._responses: dict[tuple[int, tuple[int, ...]], int] = {}
-        self._outcomes: dict[tuple[int, ...], np.ndarray] = {}
         self.base = referee_state(len(players), gamma)
         m = len(players)
-        # grid point 0 is the identity, so the referee state is the profile
-        # of all zeros
-        self._profile = (0,) * m
-        self._amps = self.base.amplitudes
         # joins[bits, i] = 1 when outcome `bits` has player i's bit set; small
         # dtypes and in-place updates keep 12-player tables near 0.5 MB
         bits = np.arange(2**m, dtype=np.uint16)[:, None]
@@ -414,6 +408,11 @@ class _QuantumRound:
         totals = np.maximum(self.payoffs.sum(axis=1), 1.0)  # row 0 is the empty coalition
         self.payoffs *= values[:, None]
         self.payoffs /= totals[:, None]
+        self._amps = self.base.amplitudes
+        for i in range(m):
+            self._amps = _rotate(self._amps, i, GRID_MATRICES[ALL_JOIN])
+        self.profiles = [(ALL_JOIN,) * m]
+        self.tables = [self._table()]
 
     def _values(self, model: ValueModel) -> np.ndarray:
         """`model.value` of every outcome's coalition: evaluate's earliest-wins
@@ -443,39 +442,35 @@ class _QuantumRound:
             p for i, p in enumerate(self.players) if (outcome_bits >> (m - 1 - i)) & 1
         )
 
-    def _amplitudes(self, profile: tuple[int, ...]) -> np.ndarray:
-        """Amplitudes after every player turns its qubit, not normalized."""
-        if profile != self._profile:
-            changed = [i for i, (a, b) in enumerate(zip(self._profile, profile)) if a != b]
-            if len(changed) == 1:
-                (i,) = changed
-                u = GRID_MATRICES[profile[i]] @ GRID_MATRICES[self._profile[i]].conj().T
+    def _table(self) -> np.ndarray:
+        """The table q.measure_computational samples for the last round's state."""
+        return q.measurement_probabilities(q.StateVector(self._amps))
+
+    def round(self, r: int) -> tuple[tuple[int, ...], np.ndarray]:
+        """Profile and outcome table of round r, counted from 0."""
+        while len(self.profiles) <= r:
+            profile = self.profiles[-1]
+            i = (len(self.profiles) - 1) % len(self.players)
+            table = self.tables[-1]
+            k = self.best_response(i, self._amps, profile[i])
+            if k != profile[i]:
+                u = GRID_MATRICES[k] @ GRID_MATRICES[profile[i]].conj().T
                 self._amps = _rotate(self._amps, i, u)
-            else:
-                self._amps = self.base.amplitudes
-                for i, k in enumerate(profile):
-                    self._amps = _rotate(self._amps, i, GRID_MATRICES[k])
-            self._profile = profile
-        return self._amps
+                profile = profile[:i] + (k,) + profile[i + 1:]
+                table = self._table()
+            self.profiles.append(profile)
+            self.tables.append(table)
+        return self.profiles[r], self.tables[r]
 
-    def played_state(self, profile: tuple[int, ...]) -> q.StateVector:
-        return q.StateVector(self._amplitudes(profile))
+    def join_marginals(self, r: int) -> np.ndarray:
+        """P(bit i = 1) of each player i in round r's outcome table."""
+        table = self.round(r)[1]
+        return np.array([table[col == 1].sum() for col in self.joins.T])
 
-    def outcome_probabilities(self, profile: tuple[int, ...]) -> np.ndarray:
-        """The table q.measure_computational samples for the played state."""
-        if profile not in self._outcomes:
-            if not self.keep_outcomes:
-                self._outcomes.clear()
-            self._outcomes[profile] = q.measurement_probabilities(self.played_state(profile))
-        return self._outcomes[profile]
-
-    def join_marginals(self, profile: tuple[int, ...]) -> np.ndarray:
-        """P(bit i = 1) of each player i in the played state."""
-        probs = self.played_state(profile).probabilities()
-        return np.array([probs[col == 1].sum() for col in self.joins.T])
-
-    def best_response(self, player_index: int, profile: tuple[int, ...]) -> int:
-        """Exact expected-payoff argmax over the 9x9 (theta, phi) grid.
+    def best_response(self, player_index: int, amps: np.ndarray, own: int) -> int:
+        """Exact expected-payoff argmax over the 9x9 (theta, phi) grid, for the
+        player at `player_index` of the played amplitudes `amps`, who plays
+        grid point `own` in them.
 
         With psi the other players' state viewed as (2**k, 2, rest) around
         qubit k, playing U yields amplitudes U[a, b] psi[l, b, r], so the
@@ -483,22 +478,18 @@ class _QuantumRound:
         keep the earliest grid point (theta-major order), so updates are
         reproducible.
         """
-        key = (player_index, profile)
-        if key not in self._responses:
-            undo = GRID_MATRICES[profile[player_index]].conj().T
-            shape = (2**player_index, 2, -1)
-            psi = _rotate(self._amplitudes(profile), player_index, undo).reshape(shape)
-            payoffs = self.payoffs[:, player_index].reshape(shape)
-            form = np.einsum("lbr,lcr,lar->abc", psi, psi.conj(), payoffs)
-            scores = np.einsum("gab,gac,abc->g", GRID_MATRICES, GRID_MATRICES.conj(), form)
-            scores = scores.real.tolist()
-            tol = _tolerance(*scores)
-            best = 0
-            for k, val in enumerate(scores):
-                if val > scores[best] + tol:
-                    best = k
-            self._responses[key] = best
-        return self._responses[key]
+        shape = (2**player_index, 2, -1)
+        psi = _rotate(amps, player_index, GRID_MATRICES[own].conj().T).reshape(shape)
+        payoffs = self.payoffs[:, player_index].reshape(shape)
+        form = np.einsum("lbr,lcr,lar->abc", psi, psi.conj(), payoffs)
+        scores = np.einsum("gab,gac,abc->g", GRID_MATRICES, GRID_MATRICES.conj(), form)
+        scores = scores.real.tolist()
+        tol = _tolerance(*scores)
+        best = 0
+        for k, val in enumerate(scores):
+            if val > scores[best] + tol:
+                best = k
+        return best
 
 
 def quantum_coalition_form(
@@ -536,7 +527,6 @@ def quantum_coalition_form(
         raise ParameterError(
             f"max_rounds and confirm_window must be >= 1, got {max_rounds} and {confirm_window}"
         )
-    shared = model is not None
     model = model or ValueModel(cfg, topology)
     players = tuple(model.candidate_nodes())
     if len(players) > q.MAX_QUBITS:
@@ -545,10 +535,7 @@ def quantum_coalition_form(
     rng = np.random.default_rng(seed)
     engine = model.referee_rounds.get(gamma)
     if engine is None:
-        engine = model.referee_rounds[gamma] = _QuantumRound(
-            model, players, gamma, keep_outcomes=shared
-        )
-    profile = (ALL_JOIN,) * len(players)
+        engine = model.referee_rounds[gamma] = _QuantumRound(model, players, gamma)
     history: list[dict] = []
     recent: list[frozenset[int]] = []
     best_seen: tuple[float, frozenset[int]] | None = None
@@ -557,7 +544,7 @@ def quantum_coalition_form(
 
     for rounds in range(1, max_rounds + 1):
         # drawn as q.measure_computational draws, so the stream is unchanged
-        probs = engine.outcome_probabilities(profile)
+        profile, probs = engine.round(rounds - 1)
         outcome = int(rng.choice(probs.size, p=probs))
         outcome_bits = format(outcome, f"0{len(players)}b")
         measured = engine.coalition_of(outcome)
@@ -579,9 +566,6 @@ def quantum_coalition_form(
         if len(recent) >= confirm_window and len(set(recent[-confirm_window:])) == 1:
             stable = measured
             break
-        updater = (rounds - 1) % len(players)
-        response = engine.best_response(updater, profile)
-        profile = profile[:updater] + (response,) + profile[updater + 1:]
 
     chosen: frozenset[int] | None = None
     if stable is not None and model.evaluate(stable)[1] is not None:
@@ -589,7 +573,9 @@ def quantum_coalition_form(
     elif best_seen is not None:
         chosen = best_seen[1]
     else:
-        marginals = engine.join_marginals(profile)
+        # the profile the last best response left: none follows a
+        # confirmed round
+        marginals = engine.join_marginals(rounds if stable is None else rounds - 1)
         # grid strategies give marginals of exactly 1/2 up to rounding
         chosen = frozenset(p for i, p in enumerate(players) if marginals[i] >= 0.5 - STRICT_EPS)
         if model.evaluate(chosen)[1] is None:

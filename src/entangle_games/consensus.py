@@ -250,7 +250,7 @@ def _chain_to_leader(state: dict[int, ChoiceSet], start: int, topology: NetworkT
                 )
             cursor = ups[0]
         if cursor in chain:
-            raise RuntimeError(f"next-hop pointers loop at node {cursor}")
+            raise ParameterError(f"next-hop links loop at node {cursor}")
         chain.append(cursor)
     return chain
 

@@ -21,8 +21,6 @@ from .errors import CapacityError, ParameterError
 
 MAX_QUBITS = 12
 
-NORM_ATOL = 1e-12
-
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -502,6 +502,10 @@ def select_path(
     it is returned unplayed where the game would return it: the classical
     game's only above the tie tolerance (else it raises UnreachableError), the
     quantum game's for a valid seed and at most q.MAX_QUBITS players.
+
+    Otherwise the game plays on the ValueModel built here, so a call lists
+    the paths once. The quantum game's strategy trajectory depends on the
+    topology alone, and `seed` only picks the outcomes drawn along it.
     """
     from . import coalition as co  # deferred: coalition builds on simulation clients
 
@@ -523,8 +527,8 @@ def select_path(
         _, score, path = model.paths[0]
         if (len(path) <= q.MAX_QUBITS) if quantum else (score > co._tolerance(score)):
             return list(path)
-    if quantum:  # unshared model: the game keeps one outcome table
-        return co.quantum_coalition_form(cfg, topology, seed=seed).path
+    if quantum:
+        return co.quantum_coalition_form(cfg, topology, seed=seed, model=model).path
     return co.classical_coalition_form(cfg, topology, model).path
 
 

@@ -417,6 +417,27 @@ def test_consensus_unreachable_exit_3(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("variant", ["classical", "quantum"])
+def test_consensus_next_hop_loop_exits_2(tmp_path, capsys, variant):
+    # the live links of nodes 1-4 form the ring 1-2-3-4-1, and nodes 2, 3
+    # and 4 each prefer the hop they take, so no round breaks the loop
+    doc = topo.canonical_two_tree_topology().to_json_dict()
+    ring = {(1, 0): (1, 2), (2, 0): (2, 3), (3, 0): (3, 4), (4, 0): (4, 1)}
+    for link in doc["links"]:
+        link["a"], link["b"] = ring.get((link["a"], link["b"]), (link["a"], link["b"]))
+    for choice in doc["choices"]:
+        if choice["node"] in (2, 3, 4):
+            choice["options"][1].update(cost=60.0, payoff=0.9)
+    topo_file = tmp_path / "loop.json"
+    topo_file.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path, {"topology_file": str(topo_file), "source": 1, "destination": 8})
+    out = tmp_path / "out"
+    rc = main(["consensus", "--variant", variant, "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert "loop at node 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------

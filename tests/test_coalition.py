@@ -579,23 +579,6 @@ def test_calls_on_one_model_share_one_engine(five_line, monkeypatch):
     assert len(built) == 3
 
 
-def test_unshared_engine_keeps_one_outcome_table(monkeypatch):
-    # a 12-player game on the count-10 sweep backbone, unshared model against
-    # shared; the sweep itself takes that backbone's lone path unplayed
-    t = sim.backbone_topology(10)
-    cfg = co.CoalitionGameConfig(source=2, destination=3)
-    shared = co.ValueModel(cfg, t)
-    built = []
-    real = co.ValueModel
-    monkeypatch.setattr(co, "ValueModel", lambda *args: built.append(real(*args)) or built[-1])
-    got = co.quantum_coalition_form(cfg, t, seed=0)
-    want = co.quantum_coalition_form(cfg, t, seed=0, model=shared)
-    assert got.to_json_dict() == want.to_json_dict() and got.history == want.history
-    (engine,) = built[0].referee_rounds.values()
-    (shared_engine,) = shared.referee_rounds.values()
-    assert len(engine._outcomes) == 1 < len(shared_engine._outcomes)
-
-
 def test_quantum_outcome_serialization_shape(five_line):
     out = co.quantum_coalition_form(five_line_cfg(), five_line, gamma=0.0, seed=0)
     doc = out.to_json_dict()
@@ -694,9 +677,17 @@ def unitaries(players, profile):
     return {p: q.SingleQubitUnitary(*co.GRID_STRATEGIES[k]) for p, k in zip(players, profile)}
 
 
-def scan_join_marginals(state):
-    probs = state.probabilities()
-    n = state.n_qubits
+def dense_chain(engine, strategies):
+    """The played state as a chain of q.apply_unitary calls on the referee
+    state."""
+    state = engine.base
+    for i, p in enumerate(engine.players):
+        state = q.apply_unitary(state, i, strategies[p])
+    return state
+
+
+def scan_join_marginals(probs):
+    n = int(math.log2(probs.size))
     idx = np.arange(probs.size)
     return np.array(
         [probs[((idx >> (n - 1 - i)) & 1) == 1].sum() for i in range(n)]
@@ -746,18 +737,28 @@ def _pinned_line_game(n, source, destination, target, gamma, grid_points, gen_pr
 @example(game=_pinned_line_game(3, 1, 2, 1e5, math.pi / 2, [16, 76, 4], payoff=1.0))
 def test_quantum_round_matches_state_scan(game):
     model, players, gamma, profile = game
-    strategies = unitaries(players, profile)
     engine = co._QuantumRound(model, players, gamma)
     oracle = ScanRound(model, players, gamma)
     for bits, row in enumerate(engine.payoffs):
         members = engine.coalition_of(bits)
         split = model.split_payoffs(co.Coalition(members, model.value(members)))
         assert row.tolist() == [split.get(p, 0.0) for p in players]
+    strategies = unitaries(players, profile)
+    played = dense_chain(engine, strategies).amplitudes
     for i in range(len(players)):
         want = oracle.best_response(i, strategies)
-        assert co.GRID_STRATEGIES[engine.best_response(i, profile)] == (want.theta, want.phi)
-    want = scan_join_marginals(engine.played_state(profile))
-    assert engine.join_marginals(profile).tolist() == want.tolist()
+        assert co.GRID_STRATEGIES[engine.best_response(i, played, profile[i])] == (want.theta, want.phi)
+    # a full round-robin of the trajectory, and one round more, each round's
+    # profile stepped by the scanned best response
+    strategies = unitaries(players, (co.ALL_JOIN,) * len(players))
+    for r in range(len(players) + 1):
+        got, table = engine.round(r)
+        assert unitaries(players, got) == strategies
+        want = q.measurement_probabilities(dense_chain(engine, strategies))
+        np.testing.assert_allclose(table, want, rtol=0, atol=1e-12)
+        assert engine.join_marginals(r).tolist() == scan_join_marginals(table).tolist()
+        i = r % len(players)
+        strategies[players[i]] = oracle.best_response(i, strategies)
 
 
 # ---------------------------------------------------------------------------
@@ -813,24 +814,25 @@ def test_played_state_matches_apply_unitary_chain(m, gamma, data):
     players = tuple(range(m))
     engine = co._QuantumRound(co.ValueModel(cfg, line_topology(m)), players, gamma)
     turn = st.integers(0, len(co.GRID_STRATEGIES) - 1)
-    profile = [data.draw(turn) for _ in players]
-    # a walk of profiles, each one player (or none, or several) away from
-    # the last, as best responses and a new start move the kept state
-    one = st.lists(st.integers(0, m - 1), max_size=1)
-    several = st.lists(st.integers(0, m - 1), min_size=2, max_size=m, unique=True)
-    for step in range(data.draw(st.integers(1, 6))):
-        if step:
-            for i in data.draw(one | several):
-                profile[i] = data.draw(turn)
+    # best responses at random profiles, off the trajectory
+    for _ in range(data.draw(st.integers(1, 3))):
+        profile = [data.draw(turn) for _ in players]
         strategies = unitaries(players, profile)
-        chain = engine.base
-        for i in range(m):
-            chain = q.apply_unitary(chain, i, strategies[i])
-        played = engine.played_state(tuple(profile)).amplitudes
-        np.testing.assert_allclose(played, chain.amplitudes, rtol=0, atol=1e-12)
+        played = dense_chain(engine, strategies).amplitudes
         k = data.draw(st.integers(0, m - 1))
         want = old_best_response(engine, k, strategies)
-        assert co.GRID_STRATEGIES[engine.best_response(k, tuple(profile))] == (want.theta, want.phi)
+        assert co.GRID_STRATEGIES[engine.best_response(k, played, profile[k])] == (want.theta, want.phi)
+    # every round of the trajectory, its kept amplitudes and outcome table
+    # against the dense chain, each profile stepped by the old best response
+    strategies = unitaries(players, (co.ALL_JOIN,) * m)
+    for r in range(data.draw(st.integers(1, 2 * m + 2))):
+        got, table = engine.round(r)
+        assert unitaries(players, got) == strategies
+        chain = dense_chain(engine, strategies)
+        np.testing.assert_allclose(engine._amps, chain.amplitudes, rtol=0, atol=1e-12)
+        want = q.measurement_probabilities(old_played_state(engine, strategies))
+        np.testing.assert_allclose(table, want, rtol=0, atol=1e-12)
+        strategies[r % m] = old_best_response(engine, r % m, strategies)
 
 
 def old_quantum_coalition_form(
@@ -910,7 +912,15 @@ def test_shared_engine_replays_the_per_call_loop(game, data):
     model, _, gamma, _ = game
     seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=4))
     for seed in seeds:
-        kwargs = dict(gamma=gamma, seed=seed, model=model)
+        # limits per call, so the shared engine is extended out of order and
+        # short games reach the marginal decode
+        kwargs = dict(
+            gamma=gamma,
+            seed=seed,
+            model=model,
+            max_rounds=data.draw(st.integers(1, 80)),
+            confirm_window=data.draw(st.integers(1, 5)),
+        )
         got = co.quantum_coalition_form(model.cfg, model.topology, **kwargs)
         want = old_quantum_coalition_form(model.cfg, model.topology, **kwargs)
         assert got.to_json_dict() == want.to_json_dict()
@@ -932,3 +942,46 @@ def test_backbone_games_replay_the_per_call_loop(count):
             assert got.to_json_dict() == want.to_json_dict()
             assert got.rounds == want.rounds
             assert got.history == want.history
+
+
+# games on graphs with two paths or more where no round measures a coalition
+# holding a path, so the marginals decide, and where decoding the profile one
+# round earlier or later picks a different coalition. Links are
+# (a, b, latency_us, gen_prob, payoff).
+_DECODED_GAMES = {
+    "unconfirmed": (
+        [(0, 1, 10.0, 0.5, 0.8), (1, 2, 10.0, 0.9, 0.2), (2, 3, 10.0, 0.1, 0.5),
+         (0, 4, 100.0, 0.1, 0.2), (2, 4, 10.0, 0.9, 0.5)],
+        dict(source=0, destination=4, hop_cost=0.3, payoff_split=co.PayoffSplit.EQUAL),
+        dict(seed=2, max_rounds=3, confirm_window=2),
+    ),
+    "confirmed": (
+        [(0, 1, 10.0, 0.1, 0.8), (0, 2, 100.0, 0.5, 0.5), (0, 3, 1000.0, 0.1, 0.5),
+         (2, 3, 10.0, 0.5, 0.5), (1, 3, 10.0, 0.9, 0.2)],
+        dict(source=3, destination=1, hop_cost=0.2, payoff_split=co.PayoffSplit.EQUAL),
+        dict(seed=0, max_rounds=8, confirm_window=2),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _DECODED_GAMES)
+def test_marginal_decode_replays_the_per_call_loop(name):
+    links, game, play = _DECODED_GAMES[name]
+    n = 1 + max(max(a, b) for a, b, *_ in links)
+    t = topo.NetworkTopology(
+        tuple(topo.Node(i, topo.NodeRole.REPEATER, float(i), 0.0) for i in range(n)),
+        tuple(
+            topo.Link(a, b, topo.LinkParams(latency_us=latency, gen_prob=gen), 1.0, payoff)
+            for a, b, latency, gen, payoff in links
+        ),
+        topo.ScenarioTag.CUSTOM,
+    )
+    cfg = co.CoalitionGameConfig(target_throughput=1.0, **game)
+    model = co.ValueModel(cfg, t)
+    got = co.quantum_coalition_form(cfg, t, gamma=1.5, model=model, **play)
+    want = old_quantum_coalition_form(cfg, t, gamma=1.5, **play)
+    assert got.to_json_dict() == want.to_json_dict()
+    assert got.history == want.history
+    assert all(model.evaluate(frozenset(rec["members"]))[1] is None for rec in got.history)
+    last = {tuple(rec["members"]) for rec in got.history[-play["confirm_window"]:]}
+    assert (len(last) == 1) == (name == "confirmed")

@@ -216,6 +216,22 @@ def test_quantum_regime_falls_back_at_two_players():
     assert quantum == classical
 
 
+def test_quantum_regime_lists_the_paths_once(monkeypatch):
+    # a four-node ring: two paths join opposite nodes, so the game is played
+    nodes = tuple(topo.Node(i, topo.NodeRole.REPEATER, float(i), 0.0) for i in range(4))
+    links = tuple(
+        topo.Link(a, b, topo.LinkParams(), 1.0, 0.9) for a, b in ((0, 1), (1, 2), (2, 3), (3, 0))
+    )
+    t = topo.NetworkTopology(nodes, links, topo.ScenarioTag.CUSTOM)
+    want = co.quantum_coalition_form(co.CoalitionGameConfig(source=0, destination=2), t, seed=5)
+    built = []
+    real = co.ValueModel
+    monkeypatch.setattr(co, "ValueModel", lambda *args: built.append(real(*args)) or built[-1])
+    assert sim.select_path(t, 0, 2, sim.Regime.QUANTUM_GAME_QUANTUM_NET, 5, 4) == want.path
+    (model,) = built
+    assert len(model.paths) == 2 and list(model.referee_rounds) == [math.pi / 2]
+
+
 def played_select_path(topology, source, destination, regime, seed, player_count):
     """Reference select_path: plays the coalition game in every game regime."""
     if regime is sim.Regime.NO_GAME_CLASSICAL_NET:
