@@ -144,6 +144,7 @@ class RunConfig:
             raise ParameterError(f"variant must be classical or quantum, got {self.variant!r}")
         check_seed(self.seed)
         q.check_angle(self.gamma)
+        cons.check_weights(self.weights())
         self.link_params()  # raises with the offending field named
         if self.delta is not None:
             topo.LinkModelParams(self.mu, self.lam, self.delta)
@@ -238,6 +239,14 @@ def _write(path: Path, text: str, quiet: bool) -> None:
         print(f"wrote {path}")
 
 
+def _write_outcome(cfg: RunConfig, outcome: dict, trace: list[dict]) -> None:
+    """outcome.json and one JSON line per trace record in trace.jsonl."""
+    out_dir = Path(cfg.out_dir)
+    _write(out_dir / "outcome.json", json.dumps(outcome, indent=2, sort_keys=True) + "\n", cfg.quiet)
+    lines = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in trace)
+    _write(out_dir / "trace.jsonl", lines, cfg.quiet)
+
+
 def _say(cfg: RunConfig, message: str) -> None:
     if not cfg.quiet:
         print(message)
@@ -264,14 +273,7 @@ def cmd_coalition(cfg: RunConfig) -> int:
         outcome = co.quantum_coalition_form(game, topology, gamma=cfg.gamma, seed=cfg.seed)
     else:
         outcome = co.classical_coalition_form(game, topology)
-    out_dir = Path(cfg.out_dir)
-    _write(
-        out_dir / "outcome.json",
-        json.dumps(outcome.to_json_dict(), indent=2, sort_keys=True) + "\n",
-        cfg.quiet,
-    )
-    trace = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in outcome.history)
-    _write(out_dir / "trace.jsonl", trace, cfg.quiet)
+    _write_outcome(cfg, outcome.to_json_dict(), outcome.history)
     _say(
         cfg,
         f"path: {' -> '.join(map(str, outcome.path))}\n"
@@ -295,14 +297,7 @@ def cmd_consensus(cfg: RunConfig) -> int:
         seed=cfg.seed,
         sim_config=cfg.sim_config(sim.Regime.QUANTUM_GAME_QUANTUM_NET),
     )
-    out_dir = Path(cfg.out_dir)
-    _write(
-        out_dir / "outcome.json",
-        json.dumps(outcome.to_json_dict(), indent=2, sort_keys=True) + "\n",
-        cfg.quiet,
-    )
-    trace = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in outcome.trace)
-    _write(out_dir / "trace.jsonl", trace, cfg.quiet)
+    _write_outcome(cfg, outcome.to_json_dict(), outcome.trace)
     _say(
         cfg,
         f"path: {' -> '.join(map(str, outcome.path))}\n"

@@ -26,24 +26,24 @@ rotation with one more.
 
 The characteristic value of a node set combines the three routing objectives:
 rate capped at the target throughput, plus path fidelity, minus a per-hop
-operation cost. Outsiders receive nothing and cannot tax the coalition, so
-payoffs always sum exactly to the coalition value. Ties between values are
-decided with a tolerance of STRICT_EPS relative to their magnitude (absolute
-below 1), so that rounding noise never picks among points that tie exactly.
+operation cost. A coalition's members split its value equally; outsiders
+receive nothing and cannot tax the coalition, so payoffs always sum to the
+coalition value. Ties between values are decided with a tolerance of
+STRICT_EPS relative to their magnitude (absolute below 1), so that rounding
+noise never picks among points that tie exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import islice
 
 import numpy as np
 
 from . import quantum as q
 from .errors import CapacityError, ParameterError, UnreachableError, check_seed
-from .topology import NetworkTopology, NodeRole, shortest_path, simple_paths
+from .topology import NetworkTopology, NodeRole, simple_paths
 
 STRICT_EPS = 1e-12
 MAX_PATHS = 10_000
@@ -53,11 +53,6 @@ def _tolerance(*values: float) -> float:
     """Tie tolerance between compared values: STRICT_EPS, scaled by the
     largest magnitude above 1, so rounding noise never decides a tie."""
     return STRICT_EPS * max(1.0, *map(abs, values))
-
-
-class PayoffSplit(Enum):
-    EQUAL = "equal"
-    PROPORTIONAL_TO_DEGREE = "proportional_to_degree"
 
 
 @dataclass(frozen=True)
@@ -72,8 +67,6 @@ class CoalitionGameConfig:
     destination: int
     target_throughput: float = 1000.0  # e-bits per second
     hop_cost: float = 0.05
-    payoff_split: PayoffSplit = PayoffSplit.EQUAL
-    max_path_hops: int | None = None
 
     def __post_init__(self) -> None:
         if self.source == self.destination:
@@ -115,7 +108,8 @@ def link_rate(link) -> float:
 
 class ValueModel:
     """Characteristic-value evaluator over one path table: the simple
-    source->destination paths within `max_path_hops`, at most `MAX_PATHS`."""
+    source->destination paths, at most `MAX_PATHS`. Each coalition's value is
+    split equally among its members."""
 
     def __init__(self, cfg: CoalitionGameConfig, topology: NetworkTopology) -> None:
         n = len(topology.nodes)
@@ -124,8 +118,7 @@ class ValueModel:
         self.cfg = cfg
         self.topology = topology
         found = list(islice(
-            simple_paths(topology.adjacency, cfg.source, cfg.destination, cfg.max_path_hops),
-            MAX_PATHS + 1,
+            simple_paths(topology.adjacency, cfg.source, cfg.destination), MAX_PATHS + 1
         ))
         if len(found) > MAX_PATHS:
             raise CapacityError(
@@ -166,24 +159,14 @@ class ValueModel:
 
     def candidate_nodes(self) -> list[int]:
         """Nodes lying on at least one simple source->destination path."""
-        cfg = self.cfg
         if not self.paths:
-            # only a hop limit can hide a path that exists
-            within = f" within {cfg.max_path_hops} hops" if shortest_path(
-                self.topology.adjacency, cfg.source, cfg.destination) else ""
-            raise UnreachableError(f"no path between {cfg.source} and {cfg.destination}{within}")
+            raise UnreachableError(f"no path between {self.cfg.source} and {self.cfg.destination}")
         return sorted(frozenset().union(*(nodes for nodes, _, _ in self.paths)))
 
-    def split_weight(self, node: int) -> int:
-        """Relative share of a coalition's value that `node` receives."""
-        if self.cfg.payoff_split is PayoffSplit.EQUAL:
-            return 1
-        return max(self.topology.degree(node), 1)
-
     def split_payoffs(self, coalition: Coalition) -> dict[int, float]:
-        weights = {m: self.split_weight(m) for m in sorted(coalition.members)}
-        total = sum(weights.values())
-        return {m: coalition.value * w / total for m, w in weights.items()}
+        """Each member's equal share of the coalition's value."""
+        members = sorted(coalition.members)
+        return {m: coalition.value / len(members) for m in members}
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +240,6 @@ def classical_coalition_form(
     cfg: CoalitionGameConfig,
     topology: NetworkTopology,
     model: ValueModel | None = None,
-    max_rounds: int = 1000,
 ) -> CoalitionOutcome:
     """Merge-and-split until no operation strictly increases combined value.
 
@@ -266,8 +248,6 @@ def classical_coalition_form(
     partition's total value, which is bounded, so termination is guaranteed.
     The game draws nothing, so its result depends on its arguments alone.
     """
-    if max_rounds < 1:
-        raise ParameterError(f"max_rounds must be >= 1, got {max_rounds}")
     model = model or ValueModel(cfg, topology)
     candidates = model.candidate_nodes()
     partition: list[frozenset[int]] = [frozenset([n]) for n in candidates]
@@ -278,8 +258,6 @@ def classical_coalition_form(
         split = _find_split(model, partition) if merge is None else None
         if merge is None and split is None:
             break
-        if rounds == max_rounds:
-            raise RuntimeError(f"merge-and-split did not stabilize within {max_rounds} operations")
         rounds += 1
         if merge is not None:
             group, union = merge
@@ -399,15 +377,13 @@ class _QuantumRound:
         self.base = referee_state(len(players), gamma)
         m = len(players)
         # joins[bits, i] = 1 when outcome `bits` has player i's bit set; small
-        # dtypes and in-place updates keep 12-player tables near 0.5 MB
+        # dtypes and one float table keep 12-player tables near 0.5 MB
         bits = np.arange(2**m, dtype=np.uint16)[:, None]
         self.joins = (bits >> np.arange(m - 1, -1, -1, dtype=np.uint16)) & 1
-        values = self._values(model)
-        # payoffs[bits, i]: player i's split of the value of outcome `bits`
-        self.payoffs = self.joins * np.array([float(model.split_weight(p)) for p in players])
-        totals = np.maximum(self.payoffs.sum(axis=1), 1.0)  # row 0 is the empty coalition
-        self.payoffs *= values[:, None]
-        self.payoffs /= totals[:, None]
+        # payoffs[bits, i]: player i's equal share of the value of outcome
+        # `bits`, as split_payoffs gives it
+        sizes = np.maximum(self.joins.sum(axis=1), 1)  # row 0 is the empty coalition
+        self.payoffs = self.joins * (self._values(model) / sizes)[:, None]
         self._amps = self.base.amplitudes
         for i in range(m):
             self._amps = _rotate(self._amps, i, GRID_MATRICES[ALL_JOIN])
@@ -505,9 +481,9 @@ def quantum_coalition_form(
 
     Each round the referee distributes one qubit of `referee_state` per
     player, every player applies its strategy rotation, and the measured
-    bitstring picks the candidate coalition (bit 1 = join). Payoffs follow the
-    configured split of the coalition's value; between rounds one player at a
-    time replaces its strategy with a grid best response. The game stops once
+    bitstring picks the candidate coalition (bit 1 = join). Its members split
+    the coalition's value equally; between rounds one player at a time
+    replaces its strategy with a grid best response. The game stops once
     the measured coalition repeats across `confirm_window` consecutive rounds
     (or at `max_rounds`); both must be at least 1.
 

@@ -102,15 +102,22 @@ class ConsensusOutcome:
         }
 
 
+def check_weights(weights: tuple[float, float]) -> None:
+    """(fidelity, cost) utility weights must be finite, non-negative and not
+    both zero."""
+    w_f, w_c = weights
+    if not (0 <= w_f < math.inf and 0 <= w_c < math.inf) or w_f == w_c == 0:
+        raise ParameterError(f"weights must be finite, non-negative and not both zero, got {weights}")
+
+
 def hop_utility(est: HopEstimate, weights: tuple[float, float], cost_scale: float) -> float:
     """w_f * fidelity_payoff - w_c * latency_cost / cost_scale.
 
     `cost_scale` is the maximum cost in the node's choice set, which maps the
     cost term onto [0, 1] and makes it commensurable with the fidelity term.
     """
+    check_weights(weights)
     w_f, w_c = weights
-    if not (0 <= w_f < math.inf and 0 <= w_c < math.inf) or w_f == w_c == 0:
-        raise ParameterError(f"weights must be finite, non-negative and not both zero, got {weights}")
     if not cost_scale > 0:
         raise ParameterError(f"cost_scale must be > 0, got {cost_scale}")
     return w_f * est.fidelity_payoff - w_c * est.latency_cost / cost_scale
@@ -334,6 +341,7 @@ def run_consensus(
     if variant not in ("classical", "quantum"):
         raise ParameterError(f"unknown variant {variant!r}")
     check_seed(seed)
+    check_weights(weights)
     for endpoint in (source, destination):
         if not 0 <= endpoint < len(topology.nodes):
             raise ParameterError(f"node {endpoint} not in topology")
@@ -356,7 +364,7 @@ def run_consensus(
     trace: list[dict] = []
     settled: set[int] = set()
     converged = False
-    rounds = 0
+    # at least one round runs: the endpoints are two distinct nodes
     for rounds in range(1, 2 * len(topology.nodes) + 1):
         state, new_switches, new_ties, new_blocked = consensus_round(state, weights, rng, settled)
         blocked.extend(new_blocked)
@@ -364,12 +372,12 @@ def run_consensus(
         for t in new_ties:
             tie_events.append({"round": rounds, **t})
         path = current_path(state, topology, source, destination)
-        cost, proxy = path_cost_and_payoff(state, topology, path)
+        total_cost, proxy = path_cost_and_payoff(state, topology, path)
         trace.append(
             {
                 "round": rounds,
                 "switches": [s.to_json_dict() for s in new_switches],
-                "total_cost": cost,
+                "total_cost": total_cost,
                 "fidelity": proxy,
             }
         )
@@ -377,8 +385,6 @@ def run_consensus(
             converged = True
             break
 
-    path = current_path(state, topology, source, destination)
-    total_cost, _ = path_cost_and_payoff(state, topology, path)
     realized = realize_topology(topology, state)
     fidelity = _simulated_path_fidelity(realized, path, seed, sim_config)
     return ConsensusOutcome(

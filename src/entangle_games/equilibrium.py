@@ -1,4 +1,4 @@
-"""Equilibrium solvers: damped best-response Nash iteration for the 2-player
+"""Equilibrium solvers: alternating best-response Nash iteration for the 2-player
 classical games, and an exact water-filling Wardrop assignment for allocating
 entanglement-attempt rate across a node's outgoing links (affine latencies).
 
@@ -14,6 +14,8 @@ from typing import Callable, Sequence
 from .errors import ParameterError
 
 GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
+# best-response rounds the Nash iteration plays before it reports non-convergence
+NASH_MAX_ITER = 500
 
 
 def golden_section_minimize(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:
@@ -47,17 +49,11 @@ class BestResponseProblem:
     minimizing its own cost function of the joint action."""
 
     cost_fns: tuple[Callable[[float, float], float], Callable[[float, float], float]]
-    damping: float = 1.0
     tol: float = 1e-6
-    max_iter: int = 500
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.damping <= 1.0:
-            raise ParameterError(f"damping must be in (0, 1], got {self.damping}")
         if not self.tol > 0:
             raise ParameterError(f"tol must be > 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -75,29 +71,20 @@ def _best_response(problem: BestResponseProblem, player: int, other_action: floa
     return golden_section_minimize(lambda y: cost(other_action, y), 0.0, 1.0, problem.tol / 10.0)
 
 
-def solve_nash_best_response(
-    problem: BestResponseProblem,
-    start: tuple[float, float] = (0.5, 0.5),
-    trace_sink=None,
-) -> NashPoint:
-    """Damped alternating best responses until the joint action settles.
+def solve_nash_best_response(problem: BestResponseProblem) -> NashPoint:
+    """Alternating best responses from (0.5, 0.5) until the joint action settles.
 
     The inner minimizer is golden-section at tolerance tol/10, so cost
     functions may be non-smooth simulation lookups. Non-convergence within
-    max_iter is reported on the result, not raised. `trace_sink`, when given,
-    receives one "iteration,x0,x1,residual" CSV line per iteration.
+    NASH_MAX_ITER iterations is reported on the result, not raised.
     """
-    x = [float(start[0]), float(start[1])]
-    iterations = 0
-    for iterations in range(1, problem.max_iter + 1):
+    x = [0.5, 0.5]
+    for iterations in range(1, NASH_MAX_ITER + 1):
         moved = 0.0
         for player in (0, 1):
             br = _best_response(problem, player, x[1 - player])
-            new = (1.0 - problem.damping) * x[player] + problem.damping * br
-            moved = max(moved, abs(new - x[player]))
-            x[player] = new
-        if trace_sink is not None:
-            trace_sink.write(f"{iterations},{x[0]!r},{x[1]!r},{moved!r}\n")
+            moved = max(moved, abs(br - x[player]))
+            x[player] = br
         if moved < problem.tol:
             break
     residual = max(abs(_best_response(problem, p, x[1 - p]) - x[p]) for p in (0, 1))
@@ -195,7 +182,7 @@ def _fill(
     return flows
 
 
-def solve_wardrop(problem: WardropProblem, trace_sink=None) -> WardropFlow:
+def solve_wardrop(problem: WardropProblem) -> WardropFlow:
     """Exact Wardrop flows for affine latencies: water-filling in one sorted pass.
 
     Links enter in ascending intercept order (ties in index order) while their
@@ -204,8 +191,7 @@ def solve_wardrop(problem: WardropProblem, trace_sink=None) -> WardropFlow:
     zero-slope links within `tol` of the cap share the rest of the demand equally.
     A slope whose reciprocal overflows counts as zero slope, and so does a link
     whose a/b, or whose entry into the running sums, overflows.
-    `iterations` counts the used sets tried; `trace_sink`, when given, receives
-    one "k,flows,gap" CSV line per set tried, flows semicolon-joined.
+    `iterations` counts the used sets tried.
     """
     lat = problem.latencies
     # a slope whose reciprocal overflows leaves its link flat at any flow the pass can compute
@@ -230,9 +216,5 @@ def solve_wardrop(problem: WardropProblem, trace_sink=None) -> WardropFlow:
                 slopes[i] = b = 0.0
         if b == 0.0:
             level = a  # every later intercept is >= a, so the pass ends here
-        if trace_sink is not None:
-            flows = _fill(problem, slopes, used, base, level)
-            cells = ";".join(map(repr, flows))
-            trace_sink.write(f"{len(used)},{cells},{wardrop_gap(flows, problem)!r}\n")
     flows = _fill(problem, slopes, used, base, level)
     return WardropFlow(tuple(flows), base + level, wardrop_gap(flows, problem), len(used))

@@ -60,10 +60,6 @@ class StateVector:
     def density_matrix(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def debug_amplitudes(self) -> list[list[float]]:
-        """Amplitudes as [re, im] pairs, for JSON test fixtures."""
-        return [[float(a.real), float(a.imag)] for a in self.amplitudes]
-
 
 class DensityMatrix:
     """Mixed state: Hermitian, unit-trace matrix over up to MAX_QUBITS qubits.
@@ -97,10 +93,6 @@ class DensityMatrix:
 
     def probabilities(self) -> np.ndarray:
         return np.real(np.diag(self.entries)).copy()
-
-    def debug_entries(self) -> list[list[list[float]]]:
-        """Rows of [re, im] pairs, for JSON test fixtures."""
-        return [[[float(z.real), float(z.imag)] for z in row] for row in self.entries]
 
 
 @dataclass(frozen=True)

@@ -535,7 +535,6 @@ def select_path(
 def sweep_nodes(
     base_cfg: SimConfig,
     node_counts: list[int],
-    regimes: tuple[Regime, ...] = ALL_REGIMES,
     seed: int = 0,
     link_defaults: LinkParams | None = None,
 ) -> SweepResult:
@@ -546,7 +545,7 @@ def sweep_nodes(
     cells = {}
     for xi, count in enumerate(node_counts):
         topology = backbone_topology(count, link_defaults)
-        for ri, regime in enumerate(regimes):
+        for ri, regime in enumerate(ALL_REGIMES):
             cfg = replace(base_cfg, regime=regime)
             # build_scenario1 ids: leaders 0 and 1, then their end-nodes 2 and 3
             path = select_path(topology, 2, 3, regime, [seed, xi, ri], count)
@@ -555,7 +554,7 @@ def sweep_nodes(
     return SweepResult(
         x_label="node_count",
         x_values=[float(c) for c in node_counts],
-        series=[r.value for r in regimes],
+        series=[r.value for r in ALL_REGIMES],
         n=base_cfg.trials,
         cells=cells,
     )

@@ -205,11 +205,6 @@ class NetworkTopology:
             adjacency.setdefault(link.b, {})[link.a] = link
         return adjacency
 
-    def degree(self, node_id: int) -> int:
-        """Links at the node; a self-loop counts twice."""
-        neighbours = self.adjacency[node_id]
-        return len(neighbours) + (node_id in neighbours)
-
     def graph(self) -> "networkx.Graph":
         """networkx view; rebuilt on each call so the topology stays immutable.
         Needs networkx, which the package itself does not."""
@@ -301,10 +296,6 @@ class NetworkTopology:
             raise ParameterError("malformed topology: " + "; ".join(errors))
         return topology
 
-    @classmethod
-    def from_json(cls, text: str) -> "NetworkTopology":
-        return cls.from_json_dict(json.loads(text))
-
 
 def _structure_errors(topology: NetworkTopology) -> list[str]:
     """Violations of the graph every game relies on: node ids 0..n-1, links
@@ -393,19 +384,14 @@ def validate(topology: NetworkTopology) -> list[str]:
 
 
 def simple_paths(
-    adjacency: Mapping[int, Iterable[int]], source: int, target: int, cutoff: int | None = None
+    adjacency: Mapping[int, Iterable[int]], source: int, target: int
 ) -> Iterator[list[int]]:
-    """Simple source->target paths of at most `cutoff` links (no limit when
-    None), depth first with neighbours in adjacency order, never expanding
-    through the target: the order of networkx 3.6's all_simple_paths, on
-    which the earliest-wins tie-break of coalition scoring depends."""
-    if cutoff is None:
-        cutoff = len(adjacency) - 1
+    """Simple source->target paths, depth first with neighbours in adjacency
+    order, never expanding through the target: the order of networkx 3.6's
+    all_simple_paths, on which the earliest-wins tie-break of coalition
+    scoring depends."""
     if source == target:
-        if cutoff >= 0:
-            yield [source]
-        return
-    if cutoff < 1:
+        yield [source]
         return
     path, on_path, stack = [source], {source}, [iter(adjacency[source])]
     while stack:
@@ -415,7 +401,7 @@ def simple_paths(
             on_path.discard(path.pop())
         elif node == target:
             yield path + [node]
-        elif len(path) < cutoff:
+        else:
             path.append(node)
             on_path.add(node)
             stack.append(iter(adjacency[node]))
@@ -694,9 +680,7 @@ def canonical_two_tree_topology(
     )
 
 
-def canonical_leader_mesh_topology(
-    link_defaults: LinkParams | None = None,
-) -> NetworkTopology:
+def canonical_leader_mesh_topology() -> NetworkTopology:
     """The 21-node demo mesh: 3 leaders, 4 end-nodes each, 2-repeater chains.
 
     Fixed circular coordinates, no probabilistic extras; the deterministic
@@ -706,7 +690,6 @@ def canonical_leader_mesh_topology(
         3,
         4,
         2,
-        link_defaults=link_defaults,
         seed=0,
         probabilistic_links=False,
         placement="geometric",

@@ -417,6 +417,16 @@ def test_consensus_unreachable_exit_3(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_consensus_bad_weights_without_choice_sets_exit_2(tmp_path, capsys):
+    # the minimal trees carry no choice set, so no hop utility reads the weights
+    doc = {"scenario": 2, "tree_sizes": [1, 1], "weights": {"fidelity": -1.0, "cost": 0.0}}
+    out = tmp_path / "out"
+    rc = main(["consensus", "--config", write_config(tmp_path, doc), "--out", str(out)])
+    assert rc == 2
+    assert "weights" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("variant", ["classical", "quantum"])
 def test_consensus_next_hop_loop_exits_2(tmp_path, capsys, variant):
     # the live links of nodes 1-4 form the ring 1-2-3-4-1, and nodes 2, 3

@@ -95,7 +95,7 @@ class SubgraphValueModel:
         sub = self.graph.subgraph(members)
         if not (sub.has_node(cfg.source) and sub.has_node(cfg.destination)):
             return
-        yield from nx.all_simple_paths(sub, cfg.source, cfg.destination, cutoff=cfg.max_path_hops)
+        yield from nx.all_simple_paths(sub, cfg.source, cfg.destination)
 
     def path_score(self, path: list[int]) -> float:
         rate = math.inf
@@ -133,15 +133,8 @@ class SubgraphValueModel:
                 f"no path between {cfg.source} and {cfg.destination}"
             )
         nodes: set[int] = set()
-        for path in nx.all_simple_paths(
-            self.graph, cfg.source, cfg.destination, cutoff=cfg.max_path_hops
-        ):
+        for path in nx.all_simple_paths(self.graph, cfg.source, cfg.destination):
             nodes.update(path)
-        if not nodes:
-            raise UnreachableError(
-                f"no path between {cfg.source} and {cfg.destination} within "
-                f"{cfg.max_path_hops} hops"
-            )
         return sorted(nodes)
 
 
@@ -174,7 +167,6 @@ def _random_graph_games(draw, targets=(1.0, 1000.0, 5000.0, 1e5), hop_cost=st.fl
         destination=destination,
         target_throughput=draw(st.sampled_from(targets)),
         hop_cost=draw(hop_cost),
-        max_path_hops=draw(st.sampled_from([None, 1, 2, 3, 4])),
     )
     return cfg, topo.NetworkTopology(nodes, links, topo.ScenarioTag.CUSTOM)
 
@@ -255,18 +247,6 @@ def test_payoff_conservation(five_line):
     assert sum(out.per_node_payoff.values()) == pytest.approx(
         out.stable_coalition.value, abs=1e-9
     )
-
-
-def test_degree_proportional_split(five_line):
-    cfg = co.CoalitionGameConfig(
-        source=0,
-        destination=4,
-        payoff_split=co.PayoffSplit.PROPORTIONAL_TO_DEGREE,
-    )
-    out = co.classical_coalition_form(cfg, five_line)
-    # interior nodes have degree 2, the chain ends degree 1
-    assert out.per_node_payoff[1] == pytest.approx(2 * out.per_node_payoff[0])
-    assert sum(out.per_node_payoff.values()) == pytest.approx(out.stable_coalition.value)
 
 
 def test_stability_no_improving_operation_remains(five_line):
@@ -548,18 +528,6 @@ def test_quantum_round_limits_must_be_positive(five_line, limits):
     assert model.referee_rounds == {}
 
 
-@pytest.mark.parametrize("max_rounds", [0, -1])
-def test_classical_round_limit_must_be_positive(five_line, max_rounds):
-    with pytest.raises(ParameterError, match="max_rounds must be >= 1"):
-        co.classical_coalition_form(five_line_cfg(), five_line, max_rounds=max_rounds)
-
-
-def test_classical_game_settling_at_the_round_limit_is_stable(five_line):
-    # one merge settles the game; only a move past the limit breaks it
-    out = co.classical_coalition_form(five_line_cfg(), five_line, max_rounds=1)
-    assert out.rounds == 1 and out.path == [0, 1, 2, 3, 4]
-
-
 def test_calls_on_one_model_share_one_engine(five_line, monkeypatch):
     built = []
     init = co._QuantumRound.__init__
@@ -603,11 +571,10 @@ OLD_GRID_MATRICES = tuple(u.matrix() for u in OLD_GRID_STRATEGIES)
 
 class ScanRound:
     """Reference best response: one played StateVector per grid point, with
-    payoff tables filled bitstring by bitstring from the split rule."""
+    payoff tables filled bitstring by bitstring from the equal split."""
 
     def __init__(self, model, players, gamma):
         self.model = model
-        self.graph = model.topology.graph()
         self.players = players
         self.base = co.referee_state(len(players), gamma)
         self._coalition_values = None
@@ -623,12 +590,8 @@ class ScanRound:
         members = sorted(coalition.members)
         if not members:
             return {}
-        if self.model.cfg.payoff_split is co.PayoffSplit.EQUAL:
-            share = coalition.value / len(members)
-            return {m: share for m in members}
-        degrees = {m: max(self.graph.degree(m), 1) for m in members}
-        total = sum(degrees.values())
-        return {m: coalition.value * degrees[m] / total for m in members}
+        share = coalition.value / len(members)
+        return {m: share for m in members}
 
     def coalition_values(self):
         if self._coalition_values is None:
@@ -710,7 +673,6 @@ def _line_games(draw):
         destination=destination,
         target_throughput=draw(st.sampled_from([1.0, 1000.0, 5000.0, 1e5])),
         hop_cost=draw(st.floats(0.0, 0.5)),
-        payoff_split=draw(st.sampled_from(co.PayoffSplit)),
     )
     profile = tuple(draw(st.integers(0, len(co.GRID_STRATEGIES) - 1)) for _ in range(n))
     gamma = draw(st.sampled_from([0.0, math.pi / 2]) | st.floats(0.0, math.pi / 2))
@@ -759,6 +721,39 @@ def test_quantum_round_matches_state_scan(game):
         assert engine.join_marginals(r).tolist() == scan_join_marginals(table).tolist()
         i = r % len(players)
         strategies[players[i]] = oracle.best_response(i, strategies)
+
+
+def old_split_payoffs(coalition):
+    """`ValueModel.split_payoffs` before the equal split, verbatim, with
+    `split_weight` at its equal-split value of 1."""
+    weights = {m: 1 for m in sorted(coalition.members)}
+    total = sum(weights.values())
+    return {m: coalition.value * w / total for m, w in weights.items()}
+
+
+def old_payoff_table(engine, model):
+    """`_QuantumRound.payoffs` before the equal split, verbatim, with
+    `split_weight` at its equal-split value of 1."""
+    values = engine._values(model)
+    payoffs = engine.joins * np.array([float(1) for p in engine.players])
+    totals = np.maximum(payoffs.sum(axis=1), 1.0)  # row 0 is the empty coalition
+    payoffs *= values[:, None]
+    payoffs /= totals[:, None]
+    return payoffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(game=_line_games())
+def test_equal_split_matches_weighted_split_at_weight_one(game):
+    model, players, gamma, _ = game
+    engine = co._QuantumRound(model, players, gamma)
+    assert engine.payoffs.tobytes() == old_payoff_table(engine, model).tobytes()
+    for bits in range(2 ** len(players)):
+        members = engine.coalition_of(bits)
+        coalition = co.Coalition(members, model.value(members))
+        # hex tells a share of -0.0 from one of 0.0
+        got = {m: v.hex() for m, v in model.split_payoffs(coalition).items()}
+        assert got == {m: v.hex() for m, v in old_split_payoffs(coalition).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -952,13 +947,13 @@ _DECODED_GAMES = {
     "unconfirmed": (
         [(0, 1, 10.0, 0.5, 0.8), (1, 2, 10.0, 0.9, 0.2), (2, 3, 10.0, 0.1, 0.5),
          (0, 4, 100.0, 0.1, 0.2), (2, 4, 10.0, 0.9, 0.5)],
-        dict(source=0, destination=4, hop_cost=0.3, payoff_split=co.PayoffSplit.EQUAL),
+        dict(source=0, destination=4, hop_cost=0.3),
         dict(seed=2, max_rounds=3, confirm_window=2),
     ),
     "confirmed": (
         [(0, 1, 10.0, 0.1, 0.8), (0, 2, 100.0, 0.5, 0.5), (0, 3, 1000.0, 0.1, 0.5),
          (2, 3, 10.0, 0.5, 0.5), (1, 3, 10.0, 0.9, 0.2)],
-        dict(source=3, destination=1, hop_cost=0.2, payoff_split=co.PayoffSplit.EQUAL),
+        dict(source=3, destination=1, hop_cost=0.2),
         dict(seed=0, max_rounds=8, confirm_window=2),
     ),
 }

@@ -298,6 +298,14 @@ def test_negative_seed_rejected():
             cons.run_consensus(canonical(), 1, 8, variant=variant, seed=-1)
 
 
+def test_bad_weights_rejected_without_choice_sets():
+    # the minimal trees carry no choice set, so no hop utility reads the weights
+    t = topo.build_scenario2([1, 1])
+    for weights in ((-1.0, 0.0), (0.0, 0.0), (math.inf, 1.0)):
+        with pytest.raises(ParameterError, match="weights"):
+            cons.run_consensus(t, 1, 3, weights=weights)
+
+
 def test_missing_trunk_is_unreachable():
     t = canonical()
     no_trunk = [l for l in t.links if not (l.a == 0 and l.b == 5 or l.a == 5 and l.b == 0)]

@@ -52,15 +52,6 @@ def test_density_matrix_rejects_non_hermitian():
         q.DensityMatrix([[0.5, 0.5], [0.0, 0.5]])
 
 
-def test_debug_dumps_are_re_im_pairs():
-    sv = q.bell_pair()
-    dump = sv.debug_amplitudes()
-    assert dump[0] == [pytest.approx(1 / math.sqrt(2)), 0.0]
-    assert dump[1] == [0.0, 0.0]
-    rho_dump = sv.density_matrix().debug_entries()
-    assert rho_dump[0][3] == [pytest.approx(0.5), 0.0]
-
-
 # ---------------------------------------------------------------------------
 # cluster states
 # ---------------------------------------------------------------------------

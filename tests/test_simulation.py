@@ -336,12 +336,14 @@ def test_select_path_matches_played_games(case, regime, seed, player_count):
 
 
 def test_sweep_nodes_single_cell_matches_single_trial():
-    cfg = sim.SimConfig(trials=1, regime=sim.Regime.CLASSICAL_GAME_QUANTUM_NET)
-    res = sim.sweep_nodes(cfg, [3], regimes=(sim.Regime.CLASSICAL_GAME_QUANTUM_NET,), seed=4)
+    regime = sim.Regime.CLASSICAL_GAME_QUANTUM_NET
+    ri = sim.ALL_REGIMES.index(regime)
+    cfg = sim.SimConfig(trials=1, regime=regime)
+    res = sim.sweep_nodes(cfg, [3], seed=4)
     t = sim.backbone_topology(3)
-    path = sim.select_path(t, 2, 3, sim.Regime.CLASSICAL_GAME_QUANTUM_NET, [4, 0, 0], 3)
-    metrics = sim.run_trial(t, path, cfg, np.random.default_rng([4, 0, 0, 0]))
-    means, stds = res.cells[(3.0, sim.Regime.CLASSICAL_GAME_QUANTUM_NET.value)]
+    path = sim.select_path(t, 2, 3, regime, [4, 0, ri], 3)
+    metrics = sim.run_trial(t, path, cfg, np.random.default_rng([4, 0, ri, 0]))
+    means, stds = res.cells[(3.0, regime.value)]
     assert means["normalized_delay_us"] == pytest.approx(metrics.normalized_delay_us)
     assert all(v == 0.0 for v in stds.values())
 

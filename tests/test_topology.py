@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -228,7 +229,7 @@ def test_json_roundtrip_identity():
         topo.build_scenario1(3, 2, 1, seed=4),
         topo.canonical_two_tree_topology(),
     ):
-        again = topo.NetworkTopology.from_json(t.to_json())
+        again = topo.NetworkTopology.from_json_dict(json.loads(t.to_json()))
         assert again.to_json() == t.to_json()
         assert again.choices == t.choices
 
@@ -294,17 +295,15 @@ def test_graph_search_matches_networkx(t, data):
     adjacency = t.adjacency
     for u in g.nodes:
         assert list(adjacency[u]) == list(g.neighbors(u))
-        assert t.degree(u) == g.degree(u)
     for a, b in g.edges:
         assert adjacency[a][b] is adjacency[b][a] is g.edges[a, b]["link"]
     assert topo.connected_components(adjacency) == list(nx.connected_components(g))
     assert topo.is_forest(adjacency) == nx.is_forest(g)
     ends = st.integers(0, len(t.nodes) - 1)
     source, target = data.draw(ends), data.draw(ends)
-    for cutoff in (None, 0, 1, 2, 3, 4):
-        assert list(topo.simple_paths(adjacency, source, target, cutoff)) == list(
-            nx.all_simple_paths(g, source, target, cutoff=cutoff)
-        )
+    assert list(topo.simple_paths(adjacency, source, target)) == list(
+        nx.all_simple_paths(g, source, target)
+    )
     lengths = dict(nx.all_pairs_shortest_path_length(g))
     for source in g.nodes:
         for target in g.nodes:
@@ -331,4 +330,4 @@ def test_first_of_duplicate_links_is_the_one_read():
     nodes = tuple(topo.Node(i, topo.NodeRole.REPEATER, float(i), 0.0) for i in range(2))
     t = topo.NetworkTopology(nodes, (first, second), topo.ScenarioTag.CUSTOM)
     assert t.adjacency[0][1] is t.adjacency[1][0] is t.link_between(0, 1) is first
-    assert t.degree(0) == 1
+    assert list(t.adjacency[0]) == [1]
