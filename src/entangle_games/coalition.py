@@ -17,12 +17,14 @@ profile. No best response reads a measured outcome, so every game walks one
 strategy trajectory: round r + 1 plays round r's profile with player r mod m's
 strategy replaced by its best response, and the seed only picks which outcomes
 are drawn. A ValueModel keeps one referee engine per gamma, which extends the
-trajectory as far as the games that share it play, keeping each round's
-profile and outcome table. The engine scores every outcome's coalition in one
-vectorized pass over the path table, and keeps the amplitudes of the last
-round: the next round's profile, at most one player's strategy away, is at
-most one rotation from it, and a best response undoes the player's own
-rotation with one more.
+trajectory as far as the games that share it play, up to a grid Nash
+equilibrium (m best responses in a row that change nothing), keeping each
+round's profile and outcome CDF, which a draw searches as Generator.choice
+would. The engine scores every outcome's coalition in one vectorized pass
+over the path table, caches each drawn outcome's value and path, and keeps
+the amplitudes of the last round: the next round's profile, at most one
+player's strategy away, is at most one rotation from it, and a best response
+undoes the player's own rotation with one more.
 
 The characteristic value of a node set combines the three routing objectives:
 rate capped at the target throughput, plus path fidelity, minus a per-hop
@@ -294,16 +296,6 @@ def classical_coalition_form(
     )
 
 
-def stability_violations(model: ValueModel, partition: list[frozenset[int]]) -> list[str]:
-    """Improving merges or splits still available; empty at a stable point."""
-    out = []
-    if _find_merge(model, partition) is not None:
-        out.append("an improving merge remains")
-    if _find_split(model, partition) is not None:
-        out.append("an improving split remains")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # quantum variant
 # ---------------------------------------------------------------------------
@@ -351,12 +343,29 @@ GRID_MATRICES = np.stack([q.SingleQubitUnitary(*tp).matrix() for tp in GRID_STRA
 ALL_JOIN = GRID_STRATEGIES.index((math.pi, 0.0))
 
 
+def cdf_of(table: np.ndarray) -> np.ndarray:
+    """The normalized CDF that Generator.choice(n, p=table) searches."""
+    cdf = table.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def _rotate(amps: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
     """`u` applied to one qubit of an amplitude vector, not normalized: the
     qubit's axis moved first, one np.dot, and the axis moved back."""
     low = amps.size >> (qubit + 1)
     psi = amps.reshape(-1, 2, low).transpose(1, 0, 2).reshape(2, -1)
     return np.dot(u, psi).reshape(2, -1, low).transpose(1, 0, 2).reshape(-1)
+
+
+def _turn(amps: np.ndarray, qubit: int, old: int, new: int) -> np.ndarray:
+    """One qubit's strategy turned from grid point `old` to `new`."""
+    return _rotate(amps, qubit, GRID_MATRICES[new] @ GRID_MATRICES[old].conj().T)
+
+
+def _table(amps: np.ndarray) -> np.ndarray:
+    """The table q.measure_computational samples for the played amplitudes."""
+    return q.measurement_probabilities(q.StateVector(amps))
 
 
 class _QuantumRound:
@@ -368,7 +377,7 @@ class _QuantumRound:
     player r mod m replaced by its grid best response. No best response reads
     a measured outcome, so the trajectory depends on the game alone: the
     engine extends it on demand and keeps each round's profile and outcome
-    table, for every game that shares it. It keeps the amplitudes of the last
+    CDF, for every game that shares it. It keeps the amplitudes of the last
     round only, as the next round's profile is at most one rotation away.
     """
 
@@ -384,11 +393,12 @@ class _QuantumRound:
         # `bits`, as split_payoffs gives it
         sizes = np.maximum(self.joins.sum(axis=1), 1)  # row 0 is the empty coalition
         self.payoffs = self.joins * (self._values(model) / sizes)[:, None]
-        self._amps = self.base.amplitudes
-        for i in range(m):
-            self._amps = _rotate(self._amps, i, GRID_MATRICES[ALL_JOIN])
-        self.profiles = [(ALL_JOIN,) * m]
-        self.tables = [self._table()]
+        self._amps = self._amplitudes(0)
+        # (profile, CDF of its outcome table) of each round; `table` rebuilds tables
+        self.trajectory = [((ALL_JOIN,) * m, cdf_of(_table(self._amps)))]
+        # best responses in a row that left the profile unchanged
+        self._unchanged = 0
+        self._outcomes: dict[int, tuple] = {}
 
     def _values(self, model: ValueModel) -> np.ndarray:
         """`model.value` of every outcome's coalition: evaluate's earliest-wins
@@ -418,29 +428,57 @@ class _QuantumRound:
             p for i, p in enumerate(self.players) if (outcome_bits >> (m - 1 - i)) & 1
         )
 
-    def _table(self) -> np.ndarray:
-        """The table q.measure_computational samples for the last round's state."""
-        return q.measurement_probabilities(q.StateVector(self._amps))
+    def outcome(self, model: ValueModel, outcome_bits: int) -> tuple:
+        """(bitstring, sorted members, members, value, path) of an outcome,
+        scored the first time it is drawn. `model` holds this engine, so
+        keeping it here would make a cycle only the cyclic GC frees."""
+        got = self._outcomes.get(outcome_bits)
+        if got is None:
+            members = self.coalition_of(outcome_bits)
+            value, path = model.evaluate(members) if members else (0.0, None)
+            bits = format(outcome_bits, f"0{len(self.players)}b")
+            got = self._outcomes[outcome_bits] = (bits, tuple(sorted(members)), members, value, path)
+        return got
+
+    def _amplitudes(self, r: int) -> np.ndarray:
+        """Round r's amplitudes, turned from the referee state by the same
+        rotations in the same order as the trajectory, so bit for bit."""
+        m = len(self.players)
+        amps = self.base.amplitudes
+        for i in range(m):
+            amps = _rotate(amps, i, GRID_MATRICES[ALL_JOIN])
+        for j in range(r):
+            old, new = self.trajectory[j][0][j % m], self.trajectory[j + 1][0][j % m]
+            if new != old:
+                amps = _turn(amps, j % m, old, new)
+        return amps
 
     def round(self, r: int) -> tuple[tuple[int, ...], np.ndarray]:
-        """Profile and outcome table of round r, counted from 0."""
-        while len(self.profiles) <= r:
-            profile = self.profiles[-1]
-            i = (len(self.profiles) - 1) % len(self.players)
-            table = self.tables[-1]
+        """Profile and outcome CDF of round r, counted from 0. Once m best
+        responses in a row change nothing, the profile is a grid Nash
+        equilibrium that every later round repeats exactly."""
+        m = len(self.players)
+        while len(self.trajectory) <= r and self._unchanged < m:
+            profile, cdf = self.trajectory[-1]
+            i = (len(self.trajectory) - 1) % m
             k = self.best_response(i, self._amps, profile[i])
+            self._unchanged += 1
             if k != profile[i]:
-                u = GRID_MATRICES[k] @ GRID_MATRICES[profile[i]].conj().T
-                self._amps = _rotate(self._amps, i, u)
+                self._amps = _turn(self._amps, i, profile[i], k)
                 profile = profile[:i] + (k,) + profile[i + 1:]
-                table = self._table()
-            self.profiles.append(profile)
-            self.tables.append(table)
-        return self.profiles[r], self.tables[r]
+                cdf = cdf_of(_table(self._amps))
+                self._unchanged = 0
+            self.trajectory.append((profile, cdf))
+        return self.trajectory[min(r, len(self.trajectory) - 1)]
+
+    def table(self, r: int) -> np.ndarray:
+        """Outcome table of round r, which the trajectory does not keep."""
+        self.round(r)
+        return _table(self._amplitudes(min(r, len(self.trajectory) - 1)))
 
     def join_marginals(self, r: int) -> np.ndarray:
         """P(bit i = 1) of each player i in round r's outcome table."""
-        table = self.round(r)[1]
+        table = self.table(r)
         return np.array([table[col == 1].sum() for col in self.joins.T])
 
     def best_response(self, player_index: int, amps: np.ndarray, own: int) -> int:
@@ -519,18 +557,17 @@ def quantum_coalition_form(
     rounds = 0
 
     for rounds in range(1, max_rounds + 1):
-        # drawn as q.measure_computational draws, so the stream is unchanged
-        profile, probs = engine.round(rounds - 1)
-        outcome = int(rng.choice(probs.size, p=probs))
-        outcome_bits = format(outcome, f"0{len(players)}b")
-        measured = engine.coalition_of(outcome)
-        value, path = model.evaluate(measured) if measured else (0.0, None)
+        profile, cdf = engine.round(rounds - 1)
+        # Generator.choice(n, p=table), as q.measure_computational draws,
+        # takes one uniform and searches this CDF: the stream is unchanged
+        outcome = int(cdf.searchsorted(rng.random(), side="right"))
+        outcome_bits, members, measured, value, path = engine.outcome(model, outcome)
         history.append(
             {
                 "round": rounds,
                 "strategies": {p: list(GRID_STRATEGIES[k]) for p, k in zip(players, profile)},
                 "outcome": outcome_bits,
-                "members": sorted(measured),
+                "members": list(members),
                 "value": value,
             }
         )

@@ -121,9 +121,6 @@ class SingleQubitUnitary:
         return np.array([[e * c, s], [-s, np.conj(e) * c]], dtype=complex)
 
 
-IDENTITY = SingleQubitUnitary(0.0, 0.0)
-
-
 class ChannelKind(Enum):
     DEPOLARIZING = "depolarizing"
     AMPLITUDE_DAMPING = "amplitude_damping"
@@ -160,17 +157,6 @@ class NoiseChannel:
             k2 = math.sqrt(p) * np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
             return [k0, k1, k2]
         raise ParameterError(f"unknown channel kind {self.kind}")
-
-
-def depolarizing_strength(rate: float, elapsed: float) -> float:
-    """Channel strength accumulated by a decoherence rate over elapsed time.
-
-    p = 1 - exp(-rate * elapsed); exponential decay is the time law used for
-    all per-link decoherence in this package.
-    """
-    if rate < 0.0 or elapsed < 0.0:
-        raise ParameterError("rate and elapsed time must be non-negative")
-    return 1.0 - math.exp(-rate * elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -251,21 +237,6 @@ def apply_channel(rho: DensityMatrix, qubit: int, ch: NoiseChannel) -> DensityMa
     for k in ch.kraus_operators():
         out += _apply_matrix_dm(rho.entries, rho.n_qubits, qubit, k)
     return DensityMatrix(out)
-
-
-def make_cluster_state(m: int, cz_phase: float = math.pi) -> StateVector:
-    """Linear cluster state on `m` qubits: |+>^m then CZ on each adjacent pair.
-
-    `cz_phase` scales the entangling controlled-phase; pi gives the standard
-    cluster state, 0 leaves the unentangled product state.
-    """
-    if not 2 <= m <= MAX_QUBITS:
-        raise CapacityError(f"cluster state size {m} outside supported range 2..{MAX_QUBITS}")
-    amps = np.full(2**m, 2 ** (-m / 2.0), dtype=complex)
-    state = StateVector(amps)
-    for i in range(m - 1):
-        state = apply_controlled_phase(state, i, i + 1, cz_phase)
-    return state
 
 
 def bell_pair() -> StateVector:

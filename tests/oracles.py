@@ -1,0 +1,48 @@
+"""Reference helpers that only the tests use: a stability check for the
+classical game, the decoherence time law, the linear cluster state and the
+identity rotation."""
+
+import math
+
+import numpy as np
+
+from entangle_games import coalition as co
+from entangle_games import quantum as q
+from entangle_games.errors import CapacityError, ParameterError
+
+IDENTITY = q.SingleQubitUnitary(0.0, 0.0)
+
+
+def stability_violations(model, partition):
+    """Improving merges or splits still available; empty at a stable point."""
+    out = []
+    if co._find_merge(model, partition) is not None:
+        out.append("an improving merge remains")
+    if co._find_split(model, partition) is not None:
+        out.append("an improving split remains")
+    return out
+
+
+def depolarizing_strength(rate, elapsed):
+    """Channel strength accumulated by a decoherence rate over elapsed time.
+
+    p = 1 - exp(-rate * elapsed); exponential decay is the time law of all
+    per-link decoherence.
+    """
+    if rate < 0.0 or elapsed < 0.0:
+        raise ParameterError("rate and elapsed time must be non-negative")
+    return 1.0 - math.exp(-rate * elapsed)
+
+
+def make_cluster_state(m, cz_phase=math.pi):
+    """Linear cluster state on `m` qubits: |+>^m then CZ on each adjacent pair.
+
+    `cz_phase` scales the entangling controlled-phase; pi gives the standard
+    cluster state, 0 leaves the unentangled product state.
+    """
+    if not 2 <= m <= q.MAX_QUBITS:
+        raise CapacityError(f"cluster state size {m} outside supported range 2..{q.MAX_QUBITS}")
+    state = q.StateVector(np.full(2**m, 2 ** (-m / 2.0), dtype=complex))
+    for i in range(m - 1):
+        state = q.apply_controlled_phase(state, i, i + 1, cz_phase)
+    return state

@@ -1,5 +1,7 @@
+import gc
 import math
 import time
+import weakref
 from itertools import combinations
 
 import networkx as nx
@@ -15,6 +17,7 @@ from entangle_games import topology as topo
 from entangle_games.errors import CapacityError, ParameterError, UnreachableError
 
 from conftest import line_topology
+from oracles import make_cluster_state, stability_violations
 
 
 def five_line_cfg():
@@ -255,7 +258,7 @@ def test_stability_no_improving_operation_remains(five_line):
     out = co.classical_coalition_form(cfg, five_line, model=model)
     members = out.stable_coalition.members
     rest = [frozenset([n]) for n in range(5) if n not in members]
-    assert co.stability_violations(model, [members, *rest]) == []
+    assert stability_violations(model, [members, *rest]) == []
 
 
 def test_exhaustive_stability_on_six_node_fixture():
@@ -266,7 +269,7 @@ def test_exhaustive_stability_on_six_node_fixture():
     partition = [out.stable_coalition.members]
     seen = set(out.stable_coalition.members)
     partition.extend(frozenset([n]) for n in range(6) if n not in seen)
-    assert co.stability_violations(model, partition) == []
+    assert stability_violations(model, partition) == []
 
 
 @pytest.mark.parametrize("n, want", [(2, ({0}, {1})), (3, ({0}, {1, 2}))])
@@ -277,7 +280,7 @@ def test_split_search_starts_with_the_first_member_alone(n, want):
     whole = frozenset(range(n))
     assert model.value(whole) < -9e4
     assert co._find_split(model, [whole]) == (0, *map(frozenset, want))
-    assert co.stability_violations(model, [whole]) == ["an improving split remains"]
+    assert stability_violations(model, [whole]) == ["an improving split remains"]
 
 
 def tolerance(*values):
@@ -385,7 +388,7 @@ def test_pruned_merge_and_split_match_exhaustive_search(game):
     assert co._find_split(model, partition) == split
     want = ["an improving merge remains"] * (merge is not None)
     want += ["an improving split remains"] * (split is not None)
-    assert co.stability_violations(model, partition) == want
+    assert stability_violations(model, partition) == want
 
 
 def test_backbone_of_40_settles_within_a_second():
@@ -418,7 +421,7 @@ def test_termination_round_bound(five_line):
 def test_referee_state_is_cluster_at_max_gamma():
     for m in (2, 3, 5):
         rs = co.referee_state(m, math.pi / 2)
-        assert np.allclose(rs.amplitudes, q.make_cluster_state(m).amplitudes, atol=1e-12)
+        assert np.allclose(rs.amplitudes, make_cluster_state(m).amplitudes, atol=1e-12)
 
 
 def test_referee_state_unentangled_at_zero_gamma():
@@ -714,8 +717,10 @@ def test_quantum_round_matches_state_scan(game):
     # profile stepped by the scanned best response
     strategies = unitaries(players, (co.ALL_JOIN,) * len(players))
     for r in range(len(players) + 1):
-        got, table = engine.round(r)
+        got, cdf = engine.round(r)
+        table = engine.table(r)
         assert unitaries(players, got) == strategies
+        assert cdf.tobytes() == co.cdf_of(table).tobytes()
         want = q.measurement_probabilities(dense_chain(engine, strategies))
         np.testing.assert_allclose(table, want, rtol=0, atol=1e-12)
         assert engine.join_marginals(r).tolist() == scan_join_marginals(table).tolist()
@@ -821,8 +826,11 @@ def test_played_state_matches_apply_unitary_chain(m, gamma, data):
     # against the dense chain, each profile stepped by the old best response
     strategies = unitaries(players, (co.ALL_JOIN,) * m)
     for r in range(data.draw(st.integers(1, 2 * m + 2))):
-        got, table = engine.round(r)
+        got, cdf = engine.round(r)
+        table = engine.table(r)
         assert unitaries(players, got) == strategies
+        # the rebuilt table is bit for bit the one the round's CDF came from
+        assert cdf.tobytes() == co.cdf_of(table).tobytes()
         chain = dense_chain(engine, strategies)
         np.testing.assert_allclose(engine._amps, chain.amplitudes, rtol=0, atol=1e-12)
         want = q.measurement_probabilities(old_played_state(engine, strategies))
@@ -906,13 +914,16 @@ def old_quantum_coalition_form(
 def test_shared_engine_replays_the_per_call_loop(game, data):
     model, _, gamma, _ = game
     seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=4))
+    shared = []
     for seed in seeds:
         # limits per call, so the shared engine is extended out of order and
-        # short games reach the marginal decode
+        # short games reach the marginal decode; a call on a fresh model
+        # (model=None) walks its own trajectory from round 0
+        shared.append(data.draw(st.booleans()))
         kwargs = dict(
             gamma=gamma,
             seed=seed,
-            model=model,
+            model=model if shared[-1] else None,
             max_rounds=data.draw(st.integers(1, 80)),
             confirm_window=data.draw(st.integers(1, 5)),
         )
@@ -921,7 +932,86 @@ def test_shared_engine_replays_the_per_call_loop(game, data):
         assert got.to_json_dict() == want.to_json_dict()
         assert got.rounds == want.rounds
         assert got.history == want.history
-    assert list(model.referee_rounds) == [gamma]
+    assert list(model.referee_rounds) == [gamma] * any(shared)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_two_tree_games_replay_the_per_call_loop_to_the_fixed_point(seed, monkeypatch):
+    # the scenario-2 game at the default gamma: its 4 players reach a grid
+    # Nash equilibrium after 8 best responses, and seeds 1-4 play on past it
+    calls = []
+    best_response = co._QuantumRound.best_response
+
+    def counting(self, *args):
+        calls.append(args[0])
+        return best_response(self, *args)
+
+    monkeypatch.setattr(co._QuantumRound, "best_response", counting)
+    t = topo.canonical_two_tree_topology()
+    cfg = co.CoalitionGameConfig(source=1, destination=8)
+    model = co.ValueModel(cfg, t)
+    got = co.quantum_coalition_form(cfg, t, seed=seed, model=model)
+    want = old_quantum_coalition_form(cfg, t, seed=seed)
+    assert got.to_json_dict() == want.to_json_dict()
+    assert got.rounds == want.rounds
+    assert got.history == want.history
+    engine = model.referee_rounds[math.pi / 2]
+    assert len(calls) <= 12
+    assert len(engine.trajectory) == len(calls) + 1
+    # past the fixed point no round plays a best response or grows the trajectory
+    last = engine.round(99)
+    assert len(calls) == 12 and len(engine.trajectory) == 13
+    assert calls[-4:] == [0, 1, 2, 3]
+    assert len({engine.trajectory[r][0] for r in range(8, 13)}) == 1
+    for r in (12, 13, 60, 10**6):
+        assert all(a is b for a, b in zip(engine.round(r), last))
+    assert co.cdf_of(engine.table(10**6)).tobytes() == last[1].tobytes()
+    assert len(calls) == 12 and len(engine.trajectory) == 13
+
+
+def test_quantum_game_leaves_no_reference_cycle():
+    # the engine is kept by its model, so a reference back to the model
+    # would leave both, and every outcome table, to the cyclic GC
+    t = topo.canonical_two_tree_topology()
+    cfg = co.CoalitionGameConfig(source=1, destination=8)
+    gc.disable()
+    try:
+        model = co.ValueModel(cfg, t)
+        co.quantum_coalition_form(cfg, t, seed=1, model=model)
+        model_ref = weakref.ref(model)
+        engine_ref = weakref.ref(model.referee_rounds[math.pi / 2])
+        del model
+        assert model_ref() is None
+        assert engine_ref() is None
+    finally:
+        gc.enable()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.sampled_from([2**k for k in range(2, 13)]) | st.integers(4, 4096),
+    zero_share=st.sampled_from([0.0, 0.9, 1.0]) | st.floats(0.0, 1.0),
+    table_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**64 - 1),
+    draws=st.integers(1, 5),
+)
+# a gamma = 0 table: one certain outcome among zeros
+@example(size=4096, zero_share=1.0, table_seed=0, seed=0, draws=3)
+def test_cdf_draw_is_generator_choice(size, zero_share, table_seed, seed, draws):
+    # the game searches the engine's cached CDF where it drew
+    # Generator.choice(n, p=table); a numpy whose choice draws otherwise
+    # fails here instead of changing every quantum game's outcomes
+    rng = np.random.default_rng(table_seed)
+    table = rng.random(size)
+    table[rng.random(size) < zero_share] = 0.0
+    if not table.any():
+        table[rng.integers(size)] = 1.0
+    table /= table.sum()
+    cdf = co.cdf_of(table)
+    g1, g2 = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(draws):
+        assert int(cdf.searchsorted(g1.random(), side="right")) == int(g2.choice(size, p=table))
+    assert g1.bit_generator.state == g2.bit_generator.state
 
 
 @pytest.mark.parametrize("count", [2, 4, 6, 8, 10])

