@@ -17,10 +17,12 @@ profile. No best response reads a measured outcome, so every game walks one
 strategy trajectory: round r + 1 plays round r's profile with player r mod m's
 strategy replaced by its best response, and the seed only picks which outcomes
 are drawn. A ValueModel keeps one referee engine per gamma, which extends the
-trajectory as far as the games that share it play, up to a grid Nash
-equilibrium (m best responses in a row that change nothing), keeping each
-round's profile and outcome CDF, which a draw searches as Generator.choice
-would. The engine scores every outcome's coalition in one vectorized pass
+trajectory as far as the games that share it play, keeping each round's
+profile and outcome CDF, which a draw searches as Generator.choice would.
+Round r + 1 depends only on round r's profile and r mod m, so once such a
+pair recurs the trajectory repeats the cycle it closes and the engine plays
+no more best responses; a grid Nash equilibrium is a cycle of m rounds. The
+engine scores every outcome's coalition in one vectorized pass
 over the path table, caches each drawn outcome's value and path, and keeps
 the amplitudes of the last round: the next round's profile, at most one
 player's strategy away, is at most one rotation from it, and a best response
@@ -358,11 +360,6 @@ def _rotate(amps: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
     return np.dot(u, psi).reshape(2, -1, low).transpose(1, 0, 2).reshape(-1)
 
 
-def _turn(amps: np.ndarray, qubit: int, old: int, new: int) -> np.ndarray:
-    """One qubit's strategy turned from grid point `old` to `new`."""
-    return _rotate(amps, qubit, GRID_MATRICES[new] @ GRID_MATRICES[old].conj().T)
-
-
 def _table(amps: np.ndarray) -> np.ndarray:
     """The table q.measure_computational samples for the played amplitudes."""
     return q.measurement_probabilities(q.StateVector(amps))
@@ -377,8 +374,10 @@ class _QuantumRound:
     player r mod m replaced by its grid best response. No best response reads
     a measured outcome, so the trajectory depends on the game alone: the
     engine extends it on demand and keeps each round's profile and outcome
-    CDF, for every game that shares it. It keeps the amplitudes of the last
-    round only, as the next round's profile is at most one rotation away.
+    CDF, for every game that shares it, until a (profile, r mod m) pair
+    recurs. `period` is then the length of the cycle, which starts at round
+    len(trajectory) - 1 - period. It keeps the amplitudes of the last round
+    only, as the next round's profile is at most one rotation away.
     """
 
     def __init__(self, model: ValueModel, players: tuple[int, ...], gamma: float):
@@ -393,11 +392,15 @@ class _QuantumRound:
         # `bits`, as split_payoffs gives it
         sizes = np.maximum(self.joins.sum(axis=1), 1)  # row 0 is the empty coalition
         self.payoffs = self.joins * (self._values(model) / sizes)[:, None]
-        self._amps = self._amplitudes(0)
-        # (profile, CDF of its outcome table) of each round; `table` rebuilds tables
+        self._amps = self.base.amplitudes
+        for i in range(m):
+            self._amps = _rotate(self._amps, i, GRID_MATRICES[ALL_JOIN])
+        # (profile, CDF of its outcome table) of each round
         self.trajectory = [((ALL_JOIN,) * m, cdf_of(_table(self._amps)))]
-        # best responses in a row that left the profile unchanged
-        self._unchanged = 0
+        # round at which each (profile, r mod m) first appeared, and the
+        # length of the cycle once one of them recurs
+        self._first = {((ALL_JOIN,) * m, 0): 0}
+        self.period: int | None = None
         self._outcomes: dict[int, tuple] = {}
 
     def _values(self, model: ValueModel) -> np.ndarray:
@@ -440,45 +443,33 @@ class _QuantumRound:
             got = self._outcomes[outcome_bits] = (bits, tuple(sorted(members)), members, value, path)
         return got
 
-    def _amplitudes(self, r: int) -> np.ndarray:
-        """Round r's amplitudes, turned from the referee state by the same
-        rotations in the same order as the trajectory, so bit for bit."""
-        m = len(self.players)
-        amps = self.base.amplitudes
-        for i in range(m):
-            amps = _rotate(amps, i, GRID_MATRICES[ALL_JOIN])
-        for j in range(r):
-            old, new = self.trajectory[j][0][j % m], self.trajectory[j + 1][0][j % m]
-            if new != old:
-                amps = _turn(amps, j % m, old, new)
-        return amps
-
     def round(self, r: int) -> tuple[tuple[int, ...], np.ndarray]:
-        """Profile and outcome CDF of round r, counted from 0. Once m best
-        responses in a row change nothing, the profile is a grid Nash
-        equilibrium that every later round repeats exactly."""
+        """Profile and outcome CDF of round r, counted from 0; a round past
+        the trajectory's end is mapped into its cycle."""
         m = len(self.players)
-        while len(self.trajectory) <= r and self._unchanged < m:
+        while len(self.trajectory) <= r and self.period is None:
+            n = len(self.trajectory)
             profile, cdf = self.trajectory[-1]
-            i = (len(self.trajectory) - 1) % m
+            i = (n - 1) % m
             k = self.best_response(i, self._amps, profile[i])
-            self._unchanged += 1
             if k != profile[i]:
-                self._amps = _turn(self._amps, i, profile[i], k)
+                turn = GRID_MATRICES[k] @ GRID_MATRICES[profile[i]].conj().T
+                self._amps = _rotate(self._amps, i, turn)
                 profile = profile[:i] + (k,) + profile[i + 1:]
                 cdf = cdf_of(_table(self._amps))
-                self._unchanged = 0
             self.trajectory.append((profile, cdf))
-        return self.trajectory[min(r, len(self.trajectory) - 1)]
-
-    def table(self, r: int) -> np.ndarray:
-        """Outcome table of round r, which the trajectory does not keep."""
-        self.round(r)
-        return _table(self._amplitudes(min(r, len(self.trajectory) - 1)))
+            first = self._first.setdefault((profile, n % m), n)
+            if first < n:
+                self.period = n - first
+        if r >= len(self.trajectory):
+            start = len(self.trajectory) - 1 - self.period
+            r = start + (r - start) % self.period
+        return self.trajectory[r]
 
     def join_marginals(self, r: int) -> np.ndarray:
-        """P(bit i = 1) of each player i in round r's outcome table."""
-        table = self.table(r)
+        """P(bit i = 1) of each player i in round r's outcome table, read
+        from the steps of its CDF."""
+        table = np.diff(self.round(r)[1], prepend=0.0)
         return np.array([table[col == 1].sum() for col in self.joins.T])
 
     def best_response(self, player_index: int, amps: np.ndarray, own: int) -> int:

@@ -51,6 +51,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import coalition as co
 from . import quantum as q
 from .errors import CapacityError, ParameterError, UnreachableError, check_seed
 from .topology import LinkParams, NetworkTopology, build_scenario1, shortest_path
@@ -72,6 +73,9 @@ ALL_REGIMES = tuple(Regime)
 # trials per sweep cell; the paper uses 1000, and the cap keeps every trial
 # index in one uint32 word of its seed
 MAX_TRIALS = 1_000_000
+# hops x trials of one lossy cell, whose draws take about 90 bytes each: the
+# paper's largest backbone (11 hops) at MAX_TRIALS, near 1 GB
+MAX_CELL_DRAWS = 11 * MAX_TRIALS
 
 
 @dataclass(frozen=True)
@@ -225,6 +229,10 @@ def run_trials(
     if not cfg.regime.quantum_net or all(p == 1.0 for p in probs):
         first = _columns(links, cfg, np.ones((len(links), 1), dtype=np.int64))
         return {f: np.repeat(c, cfg.trials) for f, c in first.items()}
+    if len(links) * cfg.trials > MAX_CELL_DRAWS:
+        raise CapacityError(
+            f"{len(links)} hops x {cfg.trials} trials exceed {MAX_CELL_DRAWS} draws per cell"
+        )
     # a trial that aborts early draws for later hops too; its stream is its
     # own, so no other trial sees the difference
     return _columns(links, cfg, _attempts(seed_parts, cfg.trials, probs))
@@ -507,8 +515,6 @@ def select_path(
     the paths once. The quantum game's strategy trajectory depends on the
     topology alone, and `seed` only picks the outcomes drawn along it.
     """
-    from . import coalition as co  # deferred: coalition builds on simulation clients
-
     if regime is Regime.NO_GAME_CLASSICAL_NET:
         path = shortest_path(topology.adjacency, source, destination)
         if path is None:

@@ -718,9 +718,8 @@ def test_quantum_round_matches_state_scan(game):
     strategies = unitaries(players, (co.ALL_JOIN,) * len(players))
     for r in range(len(players) + 1):
         got, cdf = engine.round(r)
-        table = engine.table(r)
+        table = np.diff(cdf, prepend=0.0)
         assert unitaries(players, got) == strategies
-        assert cdf.tobytes() == co.cdf_of(table).tobytes()
         want = q.measurement_probabilities(dense_chain(engine, strategies))
         np.testing.assert_allclose(table, want, rtol=0, atol=1e-12)
         assert engine.join_marginals(r).tolist() == scan_join_marginals(table).tolist()
@@ -822,16 +821,15 @@ def test_played_state_matches_apply_unitary_chain(m, gamma, data):
         k = data.draw(st.integers(0, m - 1))
         want = old_best_response(engine, k, strategies)
         assert co.GRID_STRATEGIES[engine.best_response(k, played, profile[k])] == (want.theta, want.phi)
-    # every round of the trajectory, its kept amplitudes and outcome table
-    # against the dense chain, each profile stepped by the old best response
+    # every round of the trajectory and its outcome table against the dense
+    # chain, each profile stepped by the old best response; the kept
+    # amplitudes are those of the trajectory's last round
     strategies = unitaries(players, (co.ALL_JOIN,) * m)
     for r in range(data.draw(st.integers(1, 2 * m + 2))):
         got, cdf = engine.round(r)
-        table = engine.table(r)
+        table = np.diff(cdf, prepend=0.0)
         assert unitaries(players, got) == strategies
-        # the rebuilt table is bit for bit the one the round's CDF came from
-        assert cdf.tobytes() == co.cdf_of(table).tobytes()
-        chain = dense_chain(engine, strategies)
+        chain = dense_chain(engine, unitaries(players, engine.trajectory[-1][0]))
         np.testing.assert_allclose(engine._amps, chain.amplitudes, rtol=0, atol=1e-12)
         want = q.measurement_probabilities(old_played_state(engine, strategies))
         np.testing.assert_allclose(table, want, rtol=0, atol=1e-12)
@@ -935,10 +933,8 @@ def test_shared_engine_replays_the_per_call_loop(game, data):
     assert list(model.referee_rounds) == [gamma] * any(shared)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_two_tree_games_replay_the_per_call_loop_to_the_fixed_point(seed, monkeypatch):
-    # the scenario-2 game at the default gamma: its 4 players reach a grid
-    # Nash equilibrium after 8 best responses, and seeds 1-4 play on past it
+def counted_best_responses(monkeypatch):
+    """The player index of every best response played from here on."""
     calls = []
     best_response = co._QuantumRound.best_response
 
@@ -947,6 +943,14 @@ def test_two_tree_games_replay_the_per_call_loop_to_the_fixed_point(seed, monkey
         return best_response(self, *args)
 
     monkeypatch.setattr(co._QuantumRound, "best_response", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_two_tree_games_replay_the_per_call_loop_to_the_fixed_point(seed, monkeypatch):
+    # the scenario-2 game at the default gamma: its 4 players reach a grid
+    # Nash equilibrium after 8 best responses, and seeds 1-4 play on past it
+    calls = counted_best_responses(monkeypatch)
     t = topo.canonical_two_tree_topology()
     cfg = co.CoalitionGameConfig(source=1, destination=8)
     model = co.ValueModel(cfg, t)
@@ -961,12 +965,38 @@ def test_two_tree_games_replay_the_per_call_loop_to_the_fixed_point(seed, monkey
     # past the fixed point no round plays a best response or grows the trajectory
     last = engine.round(99)
     assert len(calls) == 12 and len(engine.trajectory) == 13
+    assert engine.period == 4
     assert calls[-4:] == [0, 1, 2, 3]
     assert len({engine.trajectory[r][0] for r in range(8, 13)}) == 1
     for r in (12, 13, 60, 10**6):
         assert all(a is b for a, b in zip(engine.round(r), last))
-    assert co.cdf_of(engine.table(10**6)).tobytes() == last[1].tobytes()
+    table = np.diff(last[1], prepend=0.0)
+    assert engine.join_marginals(10**6).tolist() == scan_join_marginals(table).tolist()
     assert len(calls) == 12 and len(engine.trajectory) == 13
+
+
+def test_leader_mesh_trajectory_repeats_a_cycle_of_22_rounds(monkeypatch):
+    # the CLI's default game: its 11 players' (profile, r mod m) at round 25
+    # recurs at round 47, so no round past 47 plays a best response
+    calls = counted_best_responses(monkeypatch)
+    t = topo.canonical_leader_mesh_topology()
+    model = co.ValueModel(co.CoalitionGameConfig(source=3, destination=7), t)
+    players = tuple(model.candidate_nodes())
+    m = len(players)
+    engine = co._QuantumRound(model, players, math.pi / 2)
+    engine.round(200)
+    assert m == 11 and engine.period == 22
+    assert len(engine.trajectory) - 1 - engine.period == 25
+    assert len(calls) == 47 and len(engine.trajectory) == 48
+    # against a walk that plays every best response, on the dense chain
+    strategies = unitaries(players, (co.ALL_JOIN,) * m)
+    for r in range(201):
+        got, cdf = engine.round(r)
+        assert unitaries(players, got) == strategies
+        want = q.measurement_probabilities(dense_chain(engine, strategies))
+        np.testing.assert_allclose(cdf, co.cdf_of(want), rtol=0, atol=1e-12)
+        strategies[players[r % m]] = old_best_response(engine, r % m, strategies)
+    assert len(calls) == 47
 
 
 def test_quantum_game_leaves_no_reference_cycle():

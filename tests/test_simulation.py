@@ -704,6 +704,20 @@ def test_run_trials_rejects_negative_seed_parts():
         sim.run_trials(t, [0, 1], quantum_cfg(trials=3), (1, -1))
 
 
+def test_lossy_cell_draws_are_capped_before_any_draw(monkeypatch):
+    # the paper's largest backbone, 11 hops, runs at MAX_TRIALS
+    assert sim.MAX_CELL_DRAWS >= 11 * sim.MAX_TRIALS
+    t = _line([topo.LinkParams(gen_prob=0.5)] * 3)
+    monkeypatch.setattr(sim, "MAX_CELL_DRAWS", 3 * 40)
+    assert sim.run_trials(t, [0, 1, 2, 3], quantum_cfg(trials=40), (0,))["hops"].size == 40
+    monkeypatch.setattr(sim, "_attempts", lambda *args: pytest.fail("drew past the cap"))
+    with pytest.raises(CapacityError, match="3 hops x 41 trials exceed 120 draws per cell"):
+        sim.run_trials(t, [0, 1, 2, 3], quantum_cfg(trials=41), (0,))
+    # cells that draw nothing run one trial, so they have no cap
+    assert sim.run_trials(t, [0, 1, 2, 3], quantum_cfg(
+        trials=41, regime=sim.Regime.CLASSICAL_GAME_CLASSICAL_NET), (0,))["hops"].size == 41
+
+
 def test_failed_self_check_falls_back_to_default_rng(monkeypatch):
     t = _line([topo.LinkParams(latency_us=80.0, gen_prob=p) for p in (0.3, 0.6, 0.9)])
     cfg = quantum_cfg(trials=200)
