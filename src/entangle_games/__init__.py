@@ -11,7 +11,8 @@ Library layout:
 - ``consensus``: per-node two-way next-hop selection, classical and
   coin/entanglement-assisted rounds
 - ``equilibrium``: best-response Nash solver and Wardrop latency equalization
-- ``simulation``: time-stepped distribution trials and metric sweeps
+- ``trial``: time-stepped distribution trials as metric columns
+- ``simulation``: per-regime path choice and the metric sweeps
 - ``cli``: the ``entangle-games`` command-line front end
 """
 

@@ -20,6 +20,7 @@ import numpy as np
 from . import quantum as q
 from .errors import ParameterError, UnreachableError, check_seed
 from .topology import Link, NetworkTopology, NodeRole, connected_components
+from .trial import SimConfig, run_trial
 
 TIE_EPSILON = 1e-6
 
@@ -326,16 +327,16 @@ def run_consensus(
     weights: tuple[float, float] = (1.0, 1.0),
     variant: str = "classical",
     seed: int = 0,
-    sim_config=None,
+    sim_config: SimConfig | None = None,
 ) -> ConsensusOutcome:
     """Iterate consensus rounds until a fixed point, at most 2 * |nodes| of
     them, then score the path.
 
     `variant` is "classical" or "quantum" (ties settled by the seeded shared
     coin). The end-to-end fidelity of the converged path comes from one
-    distribution trial of the `simulation` module under `sim_config` (default
-    SimConfig()), drawn from `seed`; the per-round trace
-    carries the static product-of-payoffs proxy instead, which needs no
+    distribution trial of the `trial` module under `sim_config` (default
+    SimConfig()), drawn from `default_rng([seed, 0xC0F1])`; the per-round
+    trace carries the static product-of-payoffs proxy instead, which needs no
     sampling.
     """
     if variant not in ("classical", "quantum"):
@@ -386,12 +387,13 @@ def run_consensus(
             break
 
     realized = realize_topology(topology, state)
-    fidelity = _simulated_path_fidelity(realized, path, seed, sim_config)
+    trial_rng = np.random.default_rng([seed, 0xC0F1])
+    delivered = run_trial(realized, path, sim_config or SimConfig(), trial_rng)
     return ConsensusOutcome(
         path=path,
         switches=switches,
         total_cost=total_cost,
-        end_to_end_fidelity=fidelity,
+        end_to_end_fidelity=delivered.end_to_end_fidelity,
         converged=converged,
         rounds=rounds,
         tie_events=tie_events,
@@ -399,11 +401,3 @@ def run_consensus(
         trace=trace,
         realized_topology=realized,
     )
-
-
-def _simulated_path_fidelity(topology, path, seed, sim_config) -> float:
-    from . import simulation  # deferred: simulation drives consensus sweeps
-
-    cfg = sim_config or simulation.SimConfig()
-    rng = np.random.default_rng([seed, 0xC0F1])
-    return simulation.run_trial(topology, path, cfg, rng).end_to_end_fidelity

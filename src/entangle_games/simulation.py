@@ -1,422 +1,23 @@
-"""Time-stepped entanglement-distribution trials over a chosen path, and the
-metric sweeps built on them (normalized delay vs. network size, end-to-end
-fidelity vs. link decoherence rate).
-
-Trial timing model: generation attempts on a hop fire once per sync step and
-succeed with the link's gen_prob, so a hop waits (attempts - 1) * sync_step
-before its pair exists, then spends the link latency in flight. Every
-completed hop beyond the first costs one extra sync step for the entanglement
-swap at the junction node. A ready pair left idle longer than the qubit
-lifetime while the next hop keeps retrying aborts the trial. On quantum-net
-regimes each hop depolarizes the delivered Bell pair with strength
-1 - exp(-rate * held), where `held` runs from the hop pair's creation to final
-delivery. Depolarizing a Bell pair only rescales its Werner parameter, so the
-delivered fidelity has the closed form 1/4 + 3/4 * exp(-sum(rate_i * held_i));
-the dense engine in `quantum` is the reference tests compare it against.
-Classical regimes skip generation and decoherence entirely: one sync step plus
-latency per hop, fidelity pinned to the product of the links' fidelity payoffs.
-
-Each trial of a sweep cell draws from its own stream: trial i draws what
-`np.random.default_rng([*seed_parts, i])` would, with seed_parts the (seed,
-sweep indices) of the cell. The PCG64 states of all trials of a cell come
-from one numpy pass that replays numpy's SeedSequence and PCG64 seeding
-(O'Neill, "PCG", 2014; numpy NEP 19) in uint64 words. Each hop steps every
-trial's stream once and takes numpy's next double from the XSL-RR output. At
-gen_prob >= 1/3 numpy's geometric compares that one double with a running
-sum of the probabilities of 1, 2, ... attempts, so a table of those sums and
-one searchsorted give the attempts of all trials. Below 1/3 numpy inverts an
-exponential that takes a varying number of words: from the first such hop
-on, each trial draws its remaining hops on one reused generator, set to the
-state its stream reached. A check run once per process compares states,
-doubles and geometric draws with `default_rng`; on a mismatch every trial
-draws from its own `default_rng`.
-
-One column kernel times every trial, `run_trial`'s single trial and all
-trials of a sweep cell alike: given each trial's attempts per hop, it builds
-the trial's clock as one running sum over the hop steps [wait, latency, swap]
-and returns float64 metric columns, one entry per trial. Only geometric draws
-at gen_prob < 1 make trials differ: a classical-net cell, or a quantum-net
-cell whose path links all have gen_prob 1, times one trial on one attempt per
-hop and fills its columns with it. A lossy cell draws every hop of every
-trial, also past an abort, and times all trials at once.
+"""Metric sweeps over distribution trials (normalized delay vs. network size,
+end-to-end fidelity vs. link decoherence rate) and the per-regime path choice
+they run on. The trials, their timing model and seeding contract are in
+`trial`, whose names that sweep callers read are re-exported here.
 """
 
 from __future__ import annotations
 
-import functools
 import json
-import math
-from dataclasses import dataclass, fields, replace
-from enum import Enum
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from . import coalition as co
 from . import quantum as q
-from .errors import CapacityError, ParameterError, UnreachableError, check_seed
-from .topology import LinkParams, NetworkTopology, build_scenario1, shortest_path
-
-
-class Regime(Enum):
-    NO_GAME_CLASSICAL_NET = "no_game_classical_net"
-    CLASSICAL_GAME_CLASSICAL_NET = "classical_game_classical_net"
-    CLASSICAL_GAME_QUANTUM_NET = "classical_game_quantum_net"
-    QUANTUM_GAME_QUANTUM_NET = "quantum_game_quantum_net"
-
-    @property
-    def quantum_net(self) -> bool:
-        return self in (Regime.CLASSICAL_GAME_QUANTUM_NET, Regime.QUANTUM_GAME_QUANTUM_NET)
-
-
-ALL_REGIMES = tuple(Regime)
-
-# trials per sweep cell; the paper uses 1000, and the cap keeps every trial
-# index in one uint32 word of its seed
-MAX_TRIALS = 1_000_000
-# hops x trials of one lossy cell, whose draws take about 90 bytes each: the
-# paper's largest backbone (11 hops) at MAX_TRIALS, near 1 GB
-MAX_CELL_DRAWS = 11 * MAX_TRIALS
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    sync_step_us: float = 300.0
-    qubit_lifetime_us: float = 500.0
-    trials: int = 1000
-    regime: Regime = Regime.QUANTUM_GAME_QUANTUM_NET
-
-    def __post_init__(self) -> None:
-        if not self.sync_step_us > 0:
-            raise ParameterError(f"sync_step_us must be > 0, got {self.sync_step_us}")
-        if self.sync_step_us > self.qubit_lifetime_us:
-            raise ParameterError(
-                f"sync_step_us {self.sync_step_us} exceeds qubit_lifetime_us {self.qubit_lifetime_us}"
-            )
-        if self.trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {self.trials}")
-        if self.trials > MAX_TRIALS:
-            raise CapacityError(f"trials must be <= {MAX_TRIALS}, got {self.trials}")
-
-
-@dataclass(frozen=True)
-class TrialMetrics:
-    total_latency_us: float
-    hops: int
-    normalized_delay_us: float
-    end_to_end_fidelity: float
-    ebits_delivered: int
-    entanglement_rate: float  # e-bits per second of simulated time
-    success: bool
-
-
-METRIC_FIELDS = tuple(f.name for f in fields(TrialMetrics))
-
-
-def _path_links(topology: NetworkTopology, path: list[int]):
-    if len(path) < 2:
-        raise ParameterError(f"path needs at least two nodes, got {path}")
-    links = []
-    for a, b in zip(path, path[1:]):
-        link = topology.link_between(a, b)
-        if link is None:
-            raise ParameterError(f"path hop {a}-{b} has no link in the topology")
-        links.append(link)
-    return links
-
-
-def run_trial(
-    topology: NetworkTopology, path: list[int], cfg: SimConfig, rng: np.random.Generator
-) -> TrialMetrics:
-    """One distribution attempt over `path` under the configured regime. A
-    quantum-net trial draws one geometric per hop, every hop also after an
-    abort; a classical-net trial draws nothing."""
-    links = _path_links(topology, path)
-    quantum_net = cfg.regime.quantum_net
-    draws = [[rng.geometric(l.params.gen_prob) if quantum_net else 1] for l in links]
-    columns = _columns(links, cfg, np.array(draws))
-    total, hops, delay, fidelity, ebits, rate, success = (c.item() for c in columns.values())
-    return TrialMetrics(total, int(hops), delay, fidelity, int(ebits), rate, bool(success))
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _columns(links, cfg: SimConfig, attempts: np.ndarray) -> dict[str, np.ndarray]:
-    """Metric columns, keyed by METRIC_FIELDS, of the trials whose hop i took
-    attempts[i, j] generation attempts in trial j. A clock past the float
-    range reads inf or nan, which `aggregate` rejects."""
-    hops, n = attempts.shape
-    budget = min(l.params.coherence_us for l in links)
-    if not cfg.regime.quantum_net:
-        total = np.full(n, sum(l.params.latency_us + cfg.sync_step_us for l in links))
-        success = total <= budget
-        fidelity = np.full(n, math.prod(l.payoff for l in links))
-    else:
-        # each trial's clock is one running sum over the hop steps [wait,
-        # latency, swap]; the first hop has no junction to swap at
-        wait = (attempts - 1) * cfg.sync_step_us
-        steps = np.empty((hops, 3, n))
-        steps[:, 0] = wait
-        steps[:, 1] = [[l.params.latency_us] for l in links]
-        steps[1:, 2] = cfg.sync_step_us
-        steps[0, 2] = 0.0
-        # cumsum adds in hop order; a sum over the hop axis may add pairwise
-        clock = np.cumsum(steps.reshape(3 * hops, n), axis=0).reshape(hops, 3, n)
-        created = clock[:, 0]
-        # a pair waiting at a junction sat idle too long: the trial ends at
-        # the first such wait
-        idle = wait > cfg.qubit_lifetime_us
-        idle[0] = False
-        aborted = idle.any(axis=0)
-        first_idle = created[idle.argmax(axis=0), np.arange(n)]
-        total = np.where(aborted, first_idle, clock[-1, 2])
-        success = ~aborted & (total <= budget)
-        rates = np.array([[l.params.decoherence_rate] for l in links])
-        decay = np.cumsum(rates * (total - created), axis=0)[-1]
-        fidelity = np.zeros(n)
-        # math.exp per trial: numpy's exp rounds some results differently
-        fidelity[success] = [0.25 + 0.75 * math.exp(-d) for d in decay[success].tolist()]
-    ebits = success.astype(float)
-    rate = ebits / (total * 1e-6)
-    return dict(zip(METRIC_FIELDS, (
-        total, np.full(n, float(hops)), total / hops, fidelity, ebits, rate, ebits
-    )))
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def aggregate(columns: dict[str, np.ndarray]) -> tuple[dict[str, float], dict[str, float]]:
-    """Arithmetic mean and sample standard deviation of each metric column of
-    `run_trials`.
-
-    Success contributes as a 0/1 fraction. A single trial has stddev 0. A
-    mean or stddev past the float range is a ParameterError naming the metric.
-    """
-    n = len(columns["success"])
-    if n == 0:
-        raise ParameterError("cannot aggregate an empty trial list")
-    means = {f: float(np.mean(columns[f])) for f in METRIC_FIELDS}
-    stds = {f: float(np.std(columns[f], ddof=1)) if n > 1 else 0.0 for f in METRIC_FIELDS}
-    for f in METRIC_FIELDS:
-        for stat, value in (("mean", means[f]), ("stddev", stds[f])):
-            if not math.isfinite(value):
-                raise ParameterError(
-                    f"{f} {stat} is {value}: the configured times overflow the float range"
-                )
-    return means, stds
-
-
-def run_trials(
-    topology: NetworkTopology,
-    path: list[int],
-    cfg: SimConfig,
-    seed_parts: tuple[int, ...],
-) -> dict[str, np.ndarray]:
-    """cfg.trials independent trials as metric columns, keyed by
-    METRIC_FIELDS, in trial-index order. Trial i draws from the stream of
-    `np.random.default_rng([*seed_parts, i])`, and each column entry equals
-    `run_trial`'s metric for that generator.
-
-    Both run the same column kernel. A lossy cell draws every hop of every
-    trial, then times all trials at once: hops at gen_prob >= 1/3 take one
-    double from every trial's stream in one vector pass, and from the first
-    hop below 1/3 on each trial draws on one reused generator. A cell whose
-    trials draw no random number times one trial on one attempt per hop,
-    with no generator, and fills the columns with it: classical-net regimes
-    never touch the generator, and on a quantum-net path whose links all
-    have gen_prob 1 every geometric draw is 1.
-    """
-    check_seed(seed_parts)
-    links = _path_links(topology, path)
-    probs = [l.params.gen_prob for l in links]
-    if not cfg.regime.quantum_net or all(p == 1.0 for p in probs):
-        first = _columns(links, cfg, np.ones((len(links), 1), dtype=np.int64))
-        return {f: np.repeat(c, cfg.trials) for f, c in first.items()}
-    if len(links) * cfg.trials > MAX_CELL_DRAWS:
-        raise CapacityError(
-            f"{len(links)} hops x {cfg.trials} trials exceed {MAX_CELL_DRAWS} draws per cell"
-        )
-    # a trial that aborts early draws for later hops too; its stream is its
-    # own, so no other trial sees the difference
-    return _columns(links, cfg, _attempts(seed_parts, cfg.trials, probs))
-
-
-# ---------------------------------------------------------------------------
-# per-trial streams
-# ---------------------------------------------------------------------------
-
-# numpy's SeedSequence: a pool of four uint32 words, hashed with these
-# constants; PCG64 then runs its srandom on generate_state(4, uint64)
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-# numpy scalars: a Python int operand doubles the cost of a uint32 array op
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_U16 = np.uint32(16)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MULT_HI, _MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & 2**64 - 1)
-# from this gen_prob up numpy's geometric searches its partial sums with one
-# double; below, it inverts an exponential that takes one to five words
-_SEARCH_MIN_P = 1 / 3
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's hash of uint32 words; each call steps the constant."""
-
-    def hash_words(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ value >> _U16
-
-    return hash_words
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = x * _MIX_L - y * _MIX_R
-    return result ^ result >> _U16
-
-
-def _hashed_states(seed_parts: tuple[int, ...], n: int):
-    """The PCG64 states of `default_rng([*seed_parts, i])` for every i < n, as
-    uint64 word arrays (state hi, state lo, inc hi, inc lo), with all trial
-    indices hashed and seeded at once."""
-    # each part split into little-endian uint32 words, as SeedSequence does
-    words = [
-        p >> s & _MASK32 for p in map(int, seed_parts) for s in range(0, max(p.bit_length(), 1), 32)
-    ]
-    # the words every trial shares as 1-element arrays, hashed once and
-    # broadcast; numpy scalars would warn on the hash's uint32 overflow
-    entropy = [np.full(1, w, dtype=np.uint32) for w in words] + [np.arange(n, dtype=np.uint32)]
-    entropy += [np.zeros(1, np.uint32)] * (4 - len(entropy))
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    generate = _hasher(_INIT_B, _MULT_B)
-    out = [generate(pool[k % 4]).astype(np.uint64) for k in range(8)]
-    # generate_state(4, uint64): pairs of words, low word first
-    seed_hi, seed_lo, seq_hi, seq_lo = (out[2 * k] | out[2 * k + 1] << 32 for k in range(4))
-    # PCG64's srandom: state 0, step, add the seed, step
-    inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
-    return _pcg64_step((*_add128(seed_hi, seed_lo, *inc), *inc))
-
-
-def _add128(a_hi, a_lo, b_hi, b_lo):
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < b_lo), lo
-
-
-def _mul_hi(a: np.ndarray, b: np.uint64) -> np.ndarray:
-    """High words of the 128-bit products a * b, from 32-bit halves."""
-    a0, a1 = a & _MASK32, a >> 32
-    b0, b1 = b & _MASK32, b >> 32
-    t = a1 * b0 + (a0 * b0 >> 32)
-    w = (t & _MASK32) + a0 * b1
-    return a1 * b1 + (t >> 32) + (w >> 32)
-
-
-def _pcg64_step(state):
-    """One LCG step, state * _PCG64_MULT + inc mod 2**128, of every stream."""
-    hi, lo, inc_hi, inc_lo = state
-    hi = _mul_hi(lo, _MULT_LO) + lo * _MULT_HI + hi * _MULT_LO
-    return (*_add128(hi, lo * _MULT_LO, inc_hi, inc_lo), inc_hi, inc_lo)
-
-
-def _next_doubles(state):
-    """Every stream stepped once, and numpy's next_double of each: the top 53
-    bits of the XSL-RR output word, times 2**-53."""
-    state = _pcg64_step(state)
-    hi, lo = state[:2]
-    word, rot = hi ^ lo, hi >> 58
-    word = word >> rot | word << (64 - rot & 63)
-    return state, (word >> 11) * 2.0**-53
-
-
-@functools.lru_cache(maxsize=64)
-def _search_sums(p: float) -> np.ndarray:
-    """The partial sums numpy's geometric search at p >= 1/3 compares its
-    double u with, in its float order: the draw is 1 + the count of sums
-    below u. The sums stop at the largest double or where they stall; a u
-    above a stalled sum would keep numpy's loop running for ever."""
-    prod = total = p
-    sums = [total]
-    while total < 1 - 2**-53:
-        prod *= 1.0 - p
-        if total + prod == total:
-            break
-        total += prod
-        sums.append(total)
-    sums = np.array(sums)
-    sums.flags.writeable = False  # shared by every caller of the cache
-    return sums
-
-
-def _as_ints(state) -> list[tuple[int, int]]:
-    """(state, inc) of each stream as 128-bit ints."""
-    hi, lo, inc_hi, inc_lo = (w.tolist() for w in state)
-    return [(a << 64 | b, c << 64 | d) for a, b, c, d in zip(hi, lo, inc_hi, inc_lo)]
-
-
-def _numpy_states(rngs) -> list[tuple[int, int]]:
-    return [(s["state"], s["inc"]) for s in (r.bit_generator.state["state"] for r in rngs)]
-
-
-def _search_draws(state, probs: list[float]):
-    """Every stream's geometric draws at probs, all >= 1/3, as rows of an
-    (hops, n) list, and the states they leave."""
-    rows = []
-    for p in probs:
-        state, u = _next_doubles(state)
-        rows.append(np.searchsorted(_search_sums(p), u) + 1)
-    return state, rows
-
-
-@functools.cache
-def _hashing_matches_numpy() -> bool:
-    """Whether the hashed states and the vector draws reproduce this numpy's
-    `default_rng`, checked on four trials of a multi-word seed: the starting
-    states, one double, geometric draws in the search branch and the states
-    they leave."""
-    parts, probs = (2**32 + 7, 0, 5), [_SEARCH_MIN_P, 0.8, 1.0]
-    rngs = [np.random.default_rng([*parts, i]) for i in range(4)]
-    state = _hashed_states(parts, 4)
-    if _as_ints(state) != _numpy_states(rngs):
-        return False
-    state, u = _next_doubles(state)
-    if u.tolist() != [r.random() for r in rngs]:
-        return False
-    state, rows = _search_draws(state, probs)
-    if np.array(rows).T.tolist() != [[r.geometric(p) for p in probs] for r in rngs]:
-        return False
-    return _as_ints(state) == _numpy_states(rngs)
-
-
-def _attempts(seed_parts: tuple[int, ...], n: int, probs: list[float]) -> np.ndarray:
-    """Generation attempts as an (hops, n) array: entry (h, i) is the h-th
-    draw of `default_rng([*seed_parts, i])`, `geometric(probs[h])`.
-
-    Hops at gen_prob >= 1/3 take one double per trial, drawn for all trials
-    at once. From the first hop below 1/3 on, each trial draws its remaining
-    hops on one reused generator, set to the state its stream reached."""
-    if not _hashing_matches_numpy():
-        rngs = (np.random.default_rng([*seed_parts, i]) for i in range(n))
-        return np.array([[rng.geometric(p) for p in probs] for rng in rngs]).T
-    split = next((h for h, p in enumerate(probs) if p < _SEARCH_MIN_P), len(probs))
-    state, rows = _search_draws(_hashed_states(seed_parts, n), probs[:split])
-    tail = probs[split:]
-    if not tail:
-        return np.array(rows)
-    draws = []
-    rng = np.random.default_rng(0)
-    for s, inc in _as_ints(state):
-        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": s, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-        draws.extend(map(rng.geometric, tail))
-    return np.vstack([*rows, np.reshape(draws, (n, len(tail))).T])
+from .consensus import run_consensus
+from .errors import ParameterError, UnreachableError, check_seed
+from .topology import (LinkParams, NetworkTopology, build_scenario1, canonical_two_tree_topology,
+                       shortest_path)
+# MAX_TRIALS, TrialMetrics and run_trial are re-exports for the sweeps' callers
+from .trial import ALL_REGIMES, MAX_TRIALS, METRIC_FIELDS, Regime, SimConfig, TrialMetrics
+from .trial import aggregate, run_trial, run_trials
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +189,6 @@ def sweep_decoherence(base_cfg: SimConfig, rates: list[float], seed: int = 0) ->
     converged path is measured over `trials` quantum-net trials. Trial seeds
     pair across variants so the comparison is noise-matched.
     """
-    from .consensus import run_consensus  # deferred: consensus pulls trial fidelities
-    from .topology import canonical_two_tree_topology
-
     check_seed(seed)
     if not rates or any(a >= b for a, b in zip(rates, rates[1:])) or rates[0] < 0:
         raise ParameterError(

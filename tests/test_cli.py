@@ -10,6 +10,7 @@ import pytest
 import entangle_games
 from entangle_games import simulation as sim
 from entangle_games import topology as topo
+from entangle_games import trial as tr
 from entangle_games.cli import RunConfig, main
 from entangle_games.errors import ParameterError
 
@@ -375,20 +376,20 @@ def test_sweep_trials_over_cap_exit_4(tmp_path, capsys, monkeypatch, trials):
     monkeypatch.setattr(sim, "sweep_nodes", unreachable)
     rc = main(["sweep", "--kind", "nodes", "--trials", str(trials), "--out", str(tmp_path)])
     assert rc == 4
-    assert f"trials must be <= {sim.MAX_TRIALS}" in capsys.readouterr().err
+    assert f"trials must be <= {tr.MAX_TRIALS}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
 def test_sweep_oversized_lossy_cell_exit_4(tmp_path, capsys, monkeypatch):
     # 1001 hops x 200,000 trials would need tens of GB of draws
-    monkeypatch.setattr(sim, "_attempts", lambda *args: pytest.fail("drew past the cap"))
+    monkeypatch.setattr(tr, "_attempts", lambda *args: pytest.fail("drew past the cap"))
     doc = {"link": {"gen_prob": 0.8, "coherence_us": 1e12}, "qubit_lifetime_us": 1e12,
            "node_counts": [1000], "trials": 200000}
     out = tmp_path / "out"
     rc = main(["sweep", "--kind", "nodes", "--config", write_config(tmp_path, doc),
                "--out", str(out)])
     assert rc == 4
-    assert f"exceed {sim.MAX_CELL_DRAWS} draws per cell" in capsys.readouterr().err
+    assert f"exceed {tr.MAX_CELL_DRAWS} draws per cell" in capsys.readouterr().err
     assert not out.exists()
 
 

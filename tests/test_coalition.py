@@ -95,7 +95,10 @@ class SubgraphValueModel:
         cfg = self.cfg
         if cfg.source not in members or cfg.destination not in members:
             return
-        sub = self.graph.subgraph(members)
+        # the DFS runs on a plain graph, not on the filtered view, which is
+        # slow to walk; a DiGraph keeps each node's neighbour order, and so
+        # the path order, where a Graph copy would not
+        sub = nx.DiGraph(self.graph.subgraph(members))
         if not (sub.has_node(cfg.source) and sub.has_node(cfg.destination)):
             return
         yield from nx.all_simple_paths(sub, cfg.source, cfg.destination)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from entangle_games import consensus as cons
 from entangle_games import quantum as q
-from entangle_games import simulation as sim
 from entangle_games import topology as topo
+from entangle_games import trial as tr
 from entangle_games.errors import ParameterError, UnreachableError
 
 
@@ -205,7 +205,7 @@ def test_fidelity_trial_is_seeded_by_the_seed_alone(variant):
     fidelities = set()
     for seed in range(1, 9):
         got = cons.run_consensus(lossy, 1, 8, variant=variant, seed=seed,
-                                 sim_config=sim.SimConfig(trials=1))
+                                 sim_config=tr.SimConfig(trials=1))
         want = cons.run_consensus(lossy, 1, 8, variant=variant, seed=seed)
         assert got.end_to_end_fidelity == want.end_to_end_fidelity
         fidelities.add(want.end_to_end_fidelity)
@@ -465,7 +465,8 @@ def _old_run_consensus(topology, source, destination, weights, variant, seed, ga
     path = cons.current_path(state, topology, source, destination)
     total_cost, _ = cons.path_cost_and_payoff(state, topology, path)
     realized = cons.realize_topology(topology, state)
-    fidelity = cons._simulated_path_fidelity(realized, path, seed, None)
+    rng = np.random.default_rng([seed, 0xC0F1])
+    fidelity = tr.run_trial(realized, path, tr.SimConfig(), rng).end_to_end_fidelity
     return cons.ConsensusOutcome(
         path=path, switches=switches, total_cost=total_cost, end_to_end_fidelity=fidelity,
         converged=converged, rounds=rounds, tie_events=tie_events, blocked=blocked,

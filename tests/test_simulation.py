@@ -10,6 +10,7 @@ from entangle_games import coalition as co
 from entangle_games import quantum as q
 from entangle_games import simulation as sim
 from entangle_games import topology as topo
+from entangle_games import trial as tr
 from entangle_games.errors import CapacityError, ParameterError, UnreachableError
 
 from conftest import line_topology
@@ -18,8 +19,8 @@ from oracles import depolarizing_strength
 
 def quantum_cfg(**kw):
     kw.setdefault("trials", 1)
-    kw.setdefault("regime", sim.Regime.QUANTUM_GAME_QUANTUM_NET)
-    return sim.SimConfig(**kw)
+    kw.setdefault("regime", tr.Regime.QUANTUM_GAME_QUANTUM_NET)
+    return tr.SimConfig(**kw)
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +30,7 @@ def quantum_cfg(**kw):
 
 def test_one_hop_noiseless_trial():
     t = line_topology(2, gen_prob=1.0, latency_us=40.0, decoherence_rate=0.0)
-    m = sim.run_trial(t, [0, 1], quantum_cfg(), np.random.default_rng(0))
+    m = tr.run_trial(t, [0, 1], quantum_cfg(), np.random.default_rng(0))
     assert m.success
     assert m.total_latency_us == pytest.approx(40.0)
     assert m.end_to_end_fidelity == pytest.approx(1.0)
@@ -42,7 +43,7 @@ def test_one_hop_fidelity_closed_form(rate):
     # 1 - (3/4) (1 - exp(-rate * t))
     latency = 80.0
     t = line_topology(2, gen_prob=1.0, latency_us=latency, decoherence_rate=rate)
-    m = sim.run_trial(t, [0, 1], quantum_cfg(), np.random.default_rng(0))
+    m = tr.run_trial(t, [0, 1], quantum_cfg(), np.random.default_rng(0))
     assert m.end_to_end_fidelity == pytest.approx(
         1.0 - 0.75 * (1.0 - math.exp(-rate * latency)), abs=1e-10
     )
@@ -51,7 +52,7 @@ def test_one_hop_fidelity_closed_form(rate):
 def test_two_hop_lifetime_abort():
     # gen_prob 0.01 makes a third-attempt wait (600us > 500us) near-certain
     t = line_topology(3, gen_prob=0.01, latency_us=40.0)
-    m = sim.run_trial(t, [0, 1, 2], quantum_cfg(), np.random.default_rng(1))
+    m = tr.run_trial(t, [0, 1, 2], quantum_cfg(), np.random.default_rng(1))
     assert not m.success
     assert m.end_to_end_fidelity == 0.0
     assert m.ebits_delivered == 0
@@ -65,7 +66,7 @@ def test_failure_only_when_idle_exceeds_lifetime():
         waits = [
             (int(np.random.default_rng(seed).geometric(0.35)) - 1) * cfg.sync_step_us
         ]
-        m = sim.run_trial(t, [0, 1, 2], cfg, rng)
+        m = tr.run_trial(t, [0, 1, 2], cfg, rng)
         if not m.success:
             # replay the generator to confirm some idle wait broke the budget
             replay = np.random.default_rng(seed)
@@ -76,10 +77,10 @@ def test_failure_only_when_idle_exceeds_lifetime():
 
 def test_coherence_budget_failure():
     t = line_topology(2, gen_prob=1.0, latency_us=90.0, coherence_us=100.0)
-    m = sim.run_trial(t, [0, 1], quantum_cfg(), np.random.default_rng(0))
+    m = tr.run_trial(t, [0, 1], quantum_cfg(), np.random.default_rng(0))
     assert m.success  # 90 <= 100
     t2 = line_topology(3, gen_prob=1.0, latency_us=90.0, coherence_us=200.0)
-    m2 = sim.run_trial(t2, [0, 1, 2], quantum_cfg(), np.random.default_rng(0))
+    m2 = tr.run_trial(t2, [0, 1, 2], quantum_cfg(), np.random.default_rng(0))
     # 90 + 90 + swap step 300 overruns the weakest-link budget
     assert not m2.success
     assert m2.total_latency_us > 200.0
@@ -90,21 +91,21 @@ def test_success_respects_coherence_budget():
     cfg = quantum_cfg()
     budget = min(l.params.coherence_us for l in t.links)
     for seed in range(100):
-        m = sim.run_trial(t, [0, 1, 2, 3], cfg, np.random.default_rng(seed))
+        m = tr.run_trial(t, [0, 1, 2, 3], cfg, np.random.default_rng(seed))
         if m.success:
             assert m.total_latency_us <= budget
 
 
 def test_zero_rate_gives_unit_fidelity():
     t = line_topology(3, gen_prob=1.0, latency_us=50.0, decoherence_rate=0.0)
-    m = sim.run_trial(t, [0, 1, 2], quantum_cfg(), np.random.default_rng(0))
+    m = tr.run_trial(t, [0, 1, 2], quantum_cfg(), np.random.default_rng(0))
     assert m.end_to_end_fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_classical_net_regime_uses_payoff_proxy():
     t = line_topology(3, gen_prob=0.2, latency_us=40.0, payoff=0.9)
-    cfg = quantum_cfg(regime=sim.Regime.NO_GAME_CLASSICAL_NET)
-    m = sim.run_trial(t, [0, 1, 2], cfg, np.random.default_rng(0))
+    cfg = quantum_cfg(regime=tr.Regime.NO_GAME_CLASSICAL_NET)
+    m = tr.run_trial(t, [0, 1, 2], cfg, np.random.default_rng(0))
     assert m.success
     # no generation retries: one sync step plus latency per hop
     assert m.total_latency_us == pytest.approx(2 * (40.0 + 300.0))
@@ -114,7 +115,7 @@ def test_classical_net_regime_uses_payoff_proxy():
 def test_metric_identities():
     t = line_topology(3, gen_prob=0.9, latency_us=70.0)
     for seed in range(50):
-        m = sim.run_trial(t, [0, 1, 2], quantum_cfg(), np.random.default_rng(seed))
+        m = tr.run_trial(t, [0, 1, 2], quantum_cfg(), np.random.default_rng(seed))
         assert m.normalized_delay_us == pytest.approx(m.total_latency_us / m.hops, abs=1e-9)
         assert m.entanglement_rate == pytest.approx(
             m.ebits_delivered / (m.total_latency_us * 1e-6), abs=1e-9
@@ -125,7 +126,7 @@ def test_metric_identities():
 def test_empty_path_rejected():
     t = line_topology(2)
     with pytest.raises(ParameterError):
-        sim.run_trial(t, [0], quantum_cfg(), np.random.default_rng(0))
+        tr.run_trial(t, [0], quantum_cfg(), np.random.default_rng(0))
 
 
 def test_noise_monotone_under_paired_seeds():
@@ -133,8 +134,8 @@ def test_noise_monotone_under_paired_seeds():
     noisier = base.with_link_updates(decoherence_rate=5e-4)
     cfg = quantum_cfg()
     for seed in range(25):
-        clean = sim.run_trial(base, [0, 1, 2], cfg, np.random.default_rng(seed))
-        noisy = sim.run_trial(noisier, [0, 1, 2], cfg, np.random.default_rng(seed))
+        clean = tr.run_trial(base, [0, 1, 2], cfg, np.random.default_rng(seed))
+        noisy = tr.run_trial(noisier, [0, 1, 2], cfg, np.random.default_rng(seed))
         assert noisy.end_to_end_fidelity <= clean.end_to_end_fidelity + 1e-12
 
 
@@ -144,7 +145,7 @@ def test_noise_monotone_under_paired_seeds():
 
 
 def _const_trial(latency=100.0):
-    return sim.TrialMetrics(latency, 2, latency / 2, 0.9, 1, 1 / (latency * 1e-6), True)
+    return tr.TrialMetrics(latency, 2, latency / 2, 0.9, 1, 1 / (latency * 1e-6), True)
 
 
 def numbers(trial):
@@ -154,35 +155,35 @@ def numbers(trial):
 
 def columns_of(trials):
     """The metric columns `run_trials` returns for these trials."""
-    return {f: np.array([numbers(t)[f] for t in trials]) for f in sim.METRIC_FIELDS}
+    return {f: np.array([numbers(t)[f] for t in trials]) for f in tr.METRIC_FIELDS}
 
 
 def test_aggregate_identical_trials_zero_stddev():
-    means, stds = sim.aggregate(columns_of([_const_trial(), _const_trial(), _const_trial()]))
+    means, stds = tr.aggregate(columns_of([_const_trial(), _const_trial(), _const_trial()]))
     assert stds["total_latency_us"] == 0.0
     assert means["total_latency_us"] == 100.0
 
 
 def test_aggregate_two_point_sample_stddev():
-    means, stds = sim.aggregate(columns_of([_const_trial(100.0), _const_trial(300.0)]))
+    means, stds = tr.aggregate(columns_of([_const_trial(100.0), _const_trial(300.0)]))
     assert means["total_latency_us"] == pytest.approx(200.0)
     assert stds["total_latency_us"] == pytest.approx(math.sqrt(2 * 100.0**2 / 1))
 
 
 def test_aggregate_success_fraction_in_unit_interval():
-    trials = [_const_trial(), sim.TrialMetrics(50.0, 1, 50.0, 0.0, 0, 0.0, False)]
-    means, _ = sim.aggregate(columns_of(trials))
+    trials = [_const_trial(), tr.TrialMetrics(50.0, 1, 50.0, 0.0, 0, 0.0, False)]
+    means, _ = tr.aggregate(columns_of(trials))
     assert 0.0 <= means["success"] <= 1.0
     assert means["success"] == pytest.approx(0.5)
 
 
 def test_aggregate_rejects_empty():
     with pytest.raises(ParameterError):
-        sim.aggregate(columns_of([]))
+        tr.aggregate(columns_of([]))
 
 
 def test_single_trial_aggregate_matches_trial():
-    means, stds = sim.aggregate(columns_of([_const_trial(120.0)]))
+    means, stds = tr.aggregate(columns_of([_const_trial(120.0)]))
     assert means["total_latency_us"] == 120.0
     assert all(v == 0.0 for v in stds.values())
 
@@ -203,17 +204,17 @@ def test_backbone_topology_counts():
 
 def test_select_path_variants():
     t = sim.backbone_topology(4)
-    short = sim.select_path(t, 2, 3, sim.Regime.NO_GAME_CLASSICAL_NET, 0, 4)
-    classical = sim.select_path(t, 2, 3, sim.Regime.CLASSICAL_GAME_QUANTUM_NET, 0, 4)
-    quantum = sim.select_path(t, 2, 3, sim.Regime.QUANTUM_GAME_QUANTUM_NET, 0, 4)
+    short = sim.select_path(t, 2, 3, tr.Regime.NO_GAME_CLASSICAL_NET, 0, 4)
+    classical = sim.select_path(t, 2, 3, tr.Regime.CLASSICAL_GAME_QUANTUM_NET, 0, 4)
+    quantum = sim.select_path(t, 2, 3, tr.Regime.QUANTUM_GAME_QUANTUM_NET, 0, 4)
     assert short[0] == 2 and short[-1] == 3
     assert classical == quantum == short  # single chain: all regimes coincide
 
 
 def test_quantum_regime_falls_back_at_two_players():
     t = sim.backbone_topology(2)
-    classical = sim.select_path(t, 2, 3, sim.Regime.CLASSICAL_GAME_QUANTUM_NET, 0, 2)
-    quantum = sim.select_path(t, 2, 3, sim.Regime.QUANTUM_GAME_QUANTUM_NET, 0, 2)
+    classical = sim.select_path(t, 2, 3, tr.Regime.CLASSICAL_GAME_QUANTUM_NET, 0, 2)
+    quantum = sim.select_path(t, 2, 3, tr.Regime.QUANTUM_GAME_QUANTUM_NET, 0, 2)
     assert quantum == classical
 
 
@@ -228,21 +229,21 @@ def test_quantum_regime_lists_the_paths_once(monkeypatch):
     built = []
     real = co.ValueModel
     monkeypatch.setattr(co, "ValueModel", lambda *args: built.append(real(*args)) or built[-1])
-    assert sim.select_path(t, 0, 2, sim.Regime.QUANTUM_GAME_QUANTUM_NET, 5, 4) == want.path
+    assert sim.select_path(t, 0, 2, tr.Regime.QUANTUM_GAME_QUANTUM_NET, 5, 4) == want.path
     (model,) = built
     assert len(model.paths) == 2 and list(model.referee_rounds) == [math.pi / 2]
 
 
 def played_select_path(topology, source, destination, regime, seed, player_count):
     """Reference select_path: plays the coalition game in every game regime."""
-    if regime is sim.Regime.NO_GAME_CLASSICAL_NET:
+    if regime is tr.Regime.NO_GAME_CLASSICAL_NET:
         path = topo.shortest_path(topology.adjacency, source, destination)
         if path is None:
             raise UnreachableError(f"no path between {source} and {destination}")
         return path
     cfg = co.CoalitionGameConfig(source=source, destination=destination)
     if (
-        regime is sim.Regime.QUANTUM_GAME_QUANTUM_NET
+        regime is tr.Regime.QUANTUM_GAME_QUANTUM_NET
         and 2 < player_count
         and player_count + 2 <= q.MAX_QUBITS
     ):
@@ -315,18 +316,18 @@ _TIED_BACKBONE = _relinked(
 
 
 @settings(max_examples=250, deadline=None)
-@example(case=(_TIED_BACKBONE, 2, 3), regime=sim.Regime.CLASSICAL_GAME_QUANTUM_NET,
+@example(case=(_TIED_BACKBONE, 2, 3), regime=tr.Regime.CLASSICAL_GAME_QUANTUM_NET,
          seed=0, player_count=4)
 # a 13-player game past the qubit cap, and a negative seed part
-@example(case=(sim.backbone_topology(11), 2, 3), regime=sim.Regime.QUANTUM_GAME_QUANTUM_NET,
+@example(case=(sim.backbone_topology(11), 2, 3), regime=tr.Regime.QUANTUM_GAME_QUANTUM_NET,
          seed=0, player_count=4)
-@example(case=(sim.backbone_topology(4), 2, 3), regime=sim.Regime.QUANTUM_GAME_QUANTUM_NET,
+@example(case=(sim.backbone_topology(4), 2, 3), regime=tr.Regime.QUANTUM_GAME_QUANTUM_NET,
          seed=[0, -1], player_count=4)
 @given(
     # backbones, trees or forests (one path or none) and graphs of at most 9
     # nodes with two paths or more, whose referee games stay small
     case=_backbones() | _graphs(14, cycles=False) | _graphs(9, cycles=True),
-    regime=st.sampled_from(sim.ALL_REGIMES),
+    regime=st.sampled_from(tr.ALL_REGIMES),
     seed=st.integers(-1, 2**32) | st.lists(st.integers(-1, 2**32), min_size=1, max_size=3),
     player_count=st.integers(2, 14),
 )
@@ -337,13 +338,13 @@ def test_select_path_matches_played_games(case, regime, seed, player_count):
 
 
 def test_sweep_nodes_single_cell_matches_single_trial():
-    regime = sim.Regime.CLASSICAL_GAME_QUANTUM_NET
-    ri = sim.ALL_REGIMES.index(regime)
-    cfg = sim.SimConfig(trials=1, regime=regime)
+    regime = tr.Regime.CLASSICAL_GAME_QUANTUM_NET
+    ri = tr.ALL_REGIMES.index(regime)
+    cfg = tr.SimConfig(trials=1, regime=regime)
     res = sim.sweep_nodes(cfg, [3], seed=4)
     t = sim.backbone_topology(3)
     path = sim.select_path(t, 2, 3, regime, [4, 0, ri], 3)
-    metrics = sim.run_trial(t, path, cfg, np.random.default_rng([4, 0, ri, 0]))
+    metrics = tr.run_trial(t, path, cfg, np.random.default_rng([4, 0, ri, 0]))
     means, stds = res.cells[(3.0, regime.value)]
     assert means["normalized_delay_us"] == pytest.approx(metrics.normalized_delay_us)
     assert all(v == 0.0 for v in stds.values())
@@ -353,12 +354,12 @@ def test_sweep_nodes_requires_ascending_counts():
     # a repeated count would write its cell twice and drop one silently
     for counts in ([4, 2], [2, 2], [2, 4, 4], []):
         with pytest.raises(ParameterError, match="strictly ascending"):
-            sim.sweep_nodes(sim.SimConfig(trials=1), counts)
+            sim.sweep_nodes(tr.SimConfig(trials=1), counts)
 
 
 def test_sweep_nodes_delay_trend_small():
-    res = sim.sweep_nodes(sim.SimConfig(trials=30), [2, 4, 6], seed=9)
-    for regime in sim.ALL_REGIMES:
+    res = sim.sweep_nodes(tr.SimConfig(trials=30), [2, 4, 6], seed=9)
+    for regime in tr.ALL_REGIMES:
         delays = [res.mean_of(float(c), regime.value, "normalized_delay_us") for c in (2, 4, 6)]
         assert delays == sorted(delays)
     for c in (2.0, 4.0, 6.0):
@@ -369,7 +370,7 @@ def test_sweep_nodes_delay_trend_small():
 
 def test_sweep_decoherence_orderings_small():
     rates = [1e-5, 1e-4]
-    res = sim.sweep_decoherence(sim.SimConfig(trials=20), rates, seed=0)
+    res = sim.sweep_decoherence(tr.SimConfig(trials=20), rates, seed=0)
     for variant in ("classical", "quantum"):
         fids = [res.mean_of(r, variant, "end_to_end_fidelity") for r in rates]
         assert fids[0] > fids[1]
@@ -382,13 +383,13 @@ def test_sweep_decoherence_orderings_small():
 def test_sweep_decoherence_rejects_unsorted_rates():
     for rates in ([0.1, 0.01], [1e-5, 1e-5], [0.0, 1e-5, 1e-5], []):
         with pytest.raises(ParameterError, match="strictly ascending"):
-            sim.sweep_decoherence(sim.SimConfig(trials=1), rates)
+            sim.sweep_decoherence(tr.SimConfig(trials=1), rates)
 
 
 def test_sweep_serialization_is_deterministic():
     # stochastic generation so the seed is actually load-bearing
     flaky = topo.LinkParams(gen_prob=0.7)
-    cfg = sim.SimConfig(trials=5)
+    cfg = tr.SimConfig(trials=5)
     a = sim.sweep_nodes(cfg, [2, 3], seed=7, link_defaults=flaky)
     b = sim.sweep_nodes(cfg, [2, 3], seed=7, link_defaults=flaky)
     assert a.to_csv() == b.to_csv()
@@ -398,38 +399,38 @@ def test_sweep_serialization_is_deterministic():
 
 
 def test_sweep_csv_shape():
-    res = sim.sweep_nodes(sim.SimConfig(trials=2), [2, 3], seed=1)
+    res = sim.sweep_nodes(tr.SimConfig(trials=2), [2, 3], seed=1)
     lines = res.to_csv().strip().splitlines()
     assert lines[0] == "x,regime,metric,mean,stddev,n"
-    assert len(lines) == 1 + 2 * len(sim.ALL_REGIMES) * len(sim.METRIC_FIELDS)
+    assert len(lines) == 1 + 2 * len(tr.ALL_REGIMES) * len(tr.METRIC_FIELDS)
     body = lines[1:]
     assert body == sorted(body, key=lambda l: (float(l.split(",")[0]), l.split(",")[1], l.split(",")[2]))
 
 
 def test_sim_config_domain():
     with pytest.raises(ParameterError):
-        sim.SimConfig(sync_step_us=600.0, qubit_lifetime_us=500.0)
+        tr.SimConfig(sync_step_us=600.0, qubit_lifetime_us=500.0)
     with pytest.raises(ParameterError):
-        sim.SimConfig(trials=0)
-    assert sim.SimConfig(trials=sim.MAX_TRIALS).trials == sim.MAX_TRIALS
+        tr.SimConfig(trials=0)
+    assert tr.SimConfig(trials=tr.MAX_TRIALS).trials == tr.MAX_TRIALS
     with pytest.raises(CapacityError, match="trials"):
-        sim.SimConfig(trials=sim.MAX_TRIALS + 1)
+        tr.SimConfig(trials=tr.MAX_TRIALS + 1)
 
 
 @pytest.mark.parametrize("sweep, grid", [(sim.sweep_nodes, [2]), (sim.sweep_decoherence, [1e-5])])
 def test_sweeps_reject_negative_seed(sweep, grid):
     with pytest.raises(ParameterError, match="seed"):
-        sweep(sim.SimConfig(trials=1), grid, seed=-1)
+        sweep(tr.SimConfig(trials=1), grid, seed=-1)
 
 
 # ---------------------------------------------------------------------------
 # reference trials: the scalar per-hop loop and the dense engine
 # ---------------------------------------------------------------------------
 
-_path_links = sim._path_links
+_path_links = tr._path_links
 
 
-def _run_on_links(links, cfg: sim.SimConfig, rng: np.random.Generator) -> sim.TrialMetrics:
+def _run_on_links(links, cfg: tr.SimConfig, rng: np.random.Generator) -> tr.TrialMetrics:
     """Reference trial: the timing model written out hop by hop, one scalar
     float operation at a time."""
     hops = len(links)
@@ -462,9 +463,9 @@ def _run_on_links(links, cfg: sim.SimConfig, rng: np.random.Generator) -> sim.Tr
     return _metrics(total, hops, 0.25 + 0.75 * math.exp(-decay), True)
 
 
-def _metrics(total: float, hops: int, fidelity: float, success: bool) -> sim.TrialMetrics:
+def _metrics(total: float, hops: int, fidelity: float, success: bool) -> tr.TrialMetrics:
     ebits = 1 if success else 0
-    return sim.TrialMetrics(
+    return tr.TrialMetrics(
         total_latency_us=total,
         hops=hops,
         normalized_delay_us=total / hops,
@@ -533,14 +534,14 @@ _link_params = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(
     params=st.lists(_link_params, min_size=1, max_size=11),
-    regime=st.sampled_from(sim.ALL_REGIMES),
+    regime=st.sampled_from(tr.ALL_REGIMES),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_closed_form_trial_matches_dense_oracle(params, regime, seed):
     t = _line(params)
     path = list(range(len(params) + 1))
     cfg = quantum_cfg(regime=regime)
-    got = numbers(sim.run_trial(t, path, cfg, np.random.default_rng(seed)))
+    got = numbers(tr.run_trial(t, path, cfg, np.random.default_rng(seed)))
     want = numbers(dense_run_trial(t, path, cfg, np.random.default_rng(seed)))
     fidelity = want.pop("end_to_end_fidelity")
     assert got.pop("end_to_end_fidelity") == pytest.approx(fidelity, abs=1e-12, rel=0)
@@ -564,7 +565,7 @@ def per_trial_run_trials(topology, path, cfg, seed_parts):
 def list_aggregate(trials):
     """Reference aggregate over a list of TrialMetrics."""
     rows = [numbers(t) for t in trials]
-    columns = {f: np.array([row[f] for row in rows]) for f in sim.METRIC_FIELDS}
+    columns = {f: np.array([row[f] for row in rows]) for f in tr.METRIC_FIELDS}
     means = {f: float(np.mean(col)) for f, col in columns.items()}
     stds = {
         f: float(np.std(col, ddof=1)) if len(trials) > 1 else 0.0
@@ -622,7 +623,7 @@ _PAIRWISE_SENSITIVE = [
     params=_PAIRWISE_SENSITIVE,
     all_certain=True,
     long_lived=False,
-    regime=sim.Regime.QUANTUM_GAME_QUANTUM_NET,
+    regime=tr.Regime.QUANTUM_GAME_QUANTUM_NET,
     seed_parts=(),
     trials=2,
 )
@@ -630,7 +631,7 @@ _PAIRWISE_SENSITIVE = [
     params=st.lists(_mixed_link_params, min_size=1, max_size=14) | _long_lived_paths,
     all_certain=st.booleans(),
     long_lived=st.booleans(),
-    regime=st.sampled_from(sim.ALL_REGIMES),
+    regime=st.sampled_from(tr.ALL_REGIMES),
     seed_parts=_seed_parts,
     trials=st.integers(1, 50),
 )
@@ -651,14 +652,14 @@ def test_run_trials_matches_per_trial_loop(
     cfg = quantum_cfg(regime=regime, trials=trials)
     want = per_trial_run_trials(t, path, cfg, seed_parts)
     assert [
-        sim.run_trial(t, path, cfg, np.random.default_rng([*seed_parts, i])) for i in range(trials)
+        tr.run_trial(t, path, cfg, np.random.default_rng([*seed_parts, i])) for i in range(trials)
     ] == want
-    got = sim.run_trials(t, path, cfg, seed_parts)
-    assert list(got) == list(sim.METRIC_FIELDS)
-    for f in sim.METRIC_FIELDS:
+    got = tr.run_trials(t, path, cfg, seed_parts)
+    assert list(got) == list(tr.METRIC_FIELDS)
+    for f in tr.METRIC_FIELDS:
         assert got[f].dtype == np.float64
         assert got[f].tolist() == [numbers(m)[f] for m in want], f
-    assert sim.aggregate(got) == list_aggregate(want)
+    assert tr.aggregate(got) == list_aggregate(want)
 
 
 def pcg64_states(rngs):
@@ -667,67 +668,100 @@ def pcg64_states(rngs):
 
 
 _wide_seed_parts = _seed_parts | st.lists(st.integers(0, 2**200), max_size=3).map(tuple)
+# first trial index of a chunk: 0, or anywhere below the trial cap
+_starts = st.just(0) | st.integers(1, tr.MAX_TRIALS - 300)
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed_parts=_wide_seed_parts, n=st.integers(1, 300))
-def test_hashed_states_equal_default_rng(seed_parts, n):
-    assert sim._hashing_matches_numpy()
-    want = pcg64_states(np.random.default_rng([*seed_parts, i]) for i in range(n))
-    assert sim._as_ints(sim._hashed_states(seed_parts, n)) == want
+@given(seed_parts=_wide_seed_parts, start=_starts, n=st.integers(1, 300))
+def test_hashed_states_equal_default_rng(seed_parts, start, n):
+    assert tr._hashing_matches_numpy()
+    want = pcg64_states(np.random.default_rng([*seed_parts, i]) for i in range(start, start + n))
+    assert tr._as_ints(tr._hashed_states(seed_parts, start, n)) == want
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     seed_parts=_wide_seed_parts,
+    start=_starts,
     n=st.integers(1, 300),
     k=st.integers(1, 14),
     probs=st.lists(st.sampled_from([1 / 3, 1.0]) | st.floats(1 / 3, 1.0), min_size=1, max_size=14),
 )
-def test_vector_stream_equals_default_rng(seed_parts, n, k, probs):
+def test_vector_stream_equals_default_rng(seed_parts, start, n, k, probs):
     # the k-th double of every trial's stream, the state it leaves, and the
     # geometric draws of the search branch
-    rngs = [np.random.default_rng([*seed_parts, i]) for i in range(n)]
-    state = sim._hashed_states(seed_parts, n)
+    indices = range(start, start + n)
+    rngs = [np.random.default_rng([*seed_parts, i]) for i in indices]
+    state = tr._hashed_states(seed_parts, start, n)
     for _ in range(k):
-        state, u = sim._next_doubles(state)
+        state, u = tr._next_doubles(state)
     assert u.tolist() == [r.random(k)[-1] for r in rngs]
-    assert sim._as_ints(state) == pcg64_states(rngs)
-    rngs = [np.random.default_rng([*seed_parts, i]) for i in range(n)]
+    assert tr._as_ints(state) == pcg64_states(rngs)
+    rngs = [np.random.default_rng([*seed_parts, i]) for i in indices]
     want = [[r.geometric(p) for r in rngs] for p in probs]
-    assert sim._attempts(seed_parts, n, probs).tolist() == want
+    assert tr._attempts(seed_parts, start, n, probs).tolist() == want
 
 
 def test_run_trials_rejects_negative_seed_parts():
     t = _line([topo.LinkParams(gen_prob=0.5)])
     with pytest.raises(ParameterError, match="seed"):
-        sim.run_trials(t, [0, 1], quantum_cfg(trials=3), (1, -1))
+        tr.run_trials(t, [0, 1], quantum_cfg(trials=3), (1, -1))
 
 
 def test_lossy_cell_draws_are_capped_before_any_draw(monkeypatch):
     # the paper's largest backbone, 11 hops, runs at MAX_TRIALS
-    assert sim.MAX_CELL_DRAWS >= 11 * sim.MAX_TRIALS
+    assert tr.MAX_CELL_DRAWS >= 11 * tr.MAX_TRIALS
     t = _line([topo.LinkParams(gen_prob=0.5)] * 3)
-    monkeypatch.setattr(sim, "MAX_CELL_DRAWS", 3 * 40)
-    assert sim.run_trials(t, [0, 1, 2, 3], quantum_cfg(trials=40), (0,))["hops"].size == 40
-    monkeypatch.setattr(sim, "_attempts", lambda *args: pytest.fail("drew past the cap"))
+    monkeypatch.setattr(tr, "MAX_CELL_DRAWS", 3 * 40)
+    assert tr.run_trials(t, [0, 1, 2, 3], quantum_cfg(trials=40), (0,))["hops"].size == 40
+    monkeypatch.setattr(tr, "_attempts", lambda *args: pytest.fail("drew past the cap"))
     with pytest.raises(CapacityError, match="3 hops x 41 trials exceed 120 draws per cell"):
-        sim.run_trials(t, [0, 1, 2, 3], quantum_cfg(trials=41), (0,))
+        tr.run_trials(t, [0, 1, 2, 3], quantum_cfg(trials=41), (0,))
     # cells that draw nothing run one trial, so they have no cap
-    assert sim.run_trials(t, [0, 1, 2, 3], quantum_cfg(
-        trials=41, regime=sim.Regime.CLASSICAL_GAME_CLASSICAL_NET), (0,))["hops"].size == 41
+    assert tr.run_trials(t, [0, 1, 2, 3], quantum_cfg(
+        trials=41, regime=tr.Regime.CLASSICAL_GAME_CLASSICAL_NET), (0,))["hops"].size == 41
+
+
+@pytest.mark.parametrize("hashing", [True, False], ids=["hashed", "default-rng-fallback"])
+@pytest.mark.parametrize("chunk_draws, chunks", [(27, [6] * 16 + [4]), (3, [1] * 100)])
+def test_chunked_cell_equals_one_pass(monkeypatch, hashing, chunk_draws, chunks):
+    # hops on both sides of gen_prob 1/3 and a seed of two uint32 words;
+    # chunks of at most chunk_draws // 4 trials, and of one trial where
+    # chunk_draws is below the hop count
+    probs = [0.9, 1 / 3, 0.2, 0.6]
+    t = _line([topo.LinkParams(latency_us=80.0, gen_prob=p) for p in probs])
+    links, cfg, parts = tr._path_links(t, [0, 1, 2, 3, 4]), quantum_cfg(trials=100), (2**32 + 7, 3)
+    if not hashing:
+        monkeypatch.setattr(tr, "_hashing_matches_numpy", lambda: False)
+    want = tr._columns(links, cfg, tr._attempts(parts, 0, 100, probs))
+    assert 0 < want["success"].sum() < 100
+    timed, real_columns = [], tr._columns
+
+    def counting_columns(links, cfg, attempts):
+        timed.append(attempts.shape[1])
+        return real_columns(links, cfg, attempts)
+
+    monkeypatch.setattr(tr, "_columns", counting_columns)
+    monkeypatch.setattr(tr, "CHUNK_DRAWS", chunk_draws)
+    got = tr.run_trials(t, [0, 1, 2, 3, 4], cfg, parts)
+    assert timed == chunks
+    assert list(got) == list(want)
+    for f, column in want.items():
+        assert got[f].dtype == np.float64
+        assert got[f].tobytes() == column.tobytes(), f
 
 
 def test_failed_self_check_falls_back_to_default_rng(monkeypatch):
     t = _line([topo.LinkParams(latency_us=80.0, gen_prob=p) for p in (0.3, 0.6, 0.9)])
     cfg = quantum_cfg(trials=200)
     parts = (2**40 + 3, 1, 2)
-    hashed = sim.run_trials(t, [0, 1, 2, 3], cfg, parts)
+    hashed = tr.run_trials(t, [0, 1, 2, 3], cfg, parts)
     drawn = []
     real = np.random.default_rng
-    monkeypatch.setattr(sim, "_hashing_matches_numpy", lambda: False)
-    monkeypatch.setattr(sim.np.random, "default_rng", lambda seed: drawn.append(seed) or real(seed))
-    fallback = sim.run_trials(t, [0, 1, 2, 3], cfg, parts)
+    monkeypatch.setattr(tr, "_hashing_matches_numpy", lambda: False)
+    monkeypatch.setattr(tr.np.random, "default_rng", lambda seed: drawn.append(seed) or real(seed))
+    fallback = tr.run_trials(t, [0, 1, 2, 3], cfg, parts)
     assert drawn == [[*parts, i] for i in range(200)]
     assert {f: c.tolist() for f, c in fallback.items()} == {
         f: c.tolist() for f, c in hashed.items()
@@ -762,12 +796,12 @@ class RecordingGenerator:
 @pytest.mark.parametrize(
     "gen_probs, regime, built_rngs, per_trial, timed_shape",
     [
-        ([1.0, 1.0, 1.0], sim.Regime.QUANTUM_GAME_QUANTUM_NET, [], [], (3, 1)),
-        ([1.0, 1.0, 1.0], sim.Regime.CLASSICAL_GAME_QUANTUM_NET, [], [], (3, 1)),
-        ([0.2, 0.2, 0.2], sim.Regime.CLASSICAL_GAME_CLASSICAL_NET, [], [], (3, 1)),
-        ([0.2, 0.2, 0.2], sim.Regime.NO_GAME_CLASSICAL_NET, [], [], (3, 1)),
-        ([0.9, 1 / 3, 0.9], sim.Regime.QUANTUM_GAME_QUANTUM_NET, [], [], (3, 7)),
-        ([1.0, 0.2, 1.0], sim.Regime.CLASSICAL_GAME_QUANTUM_NET, [0], ["state", 0.2, 1.0], (3, 7)),
+        ([1.0, 1.0, 1.0], tr.Regime.QUANTUM_GAME_QUANTUM_NET, [], [], (3, 1)),
+        ([1.0, 1.0, 1.0], tr.Regime.CLASSICAL_GAME_QUANTUM_NET, [], [], (3, 1)),
+        ([0.2, 0.2, 0.2], tr.Regime.CLASSICAL_GAME_CLASSICAL_NET, [], [], (3, 1)),
+        ([0.2, 0.2, 0.2], tr.Regime.NO_GAME_CLASSICAL_NET, [], [], (3, 1)),
+        ([0.9, 1 / 3, 0.9], tr.Regime.QUANTUM_GAME_QUANTUM_NET, [], [], (3, 7)),
+        ([1.0, 0.2, 1.0], tr.Regime.CLASSICAL_GAME_QUANTUM_NET, [0], ["state", 0.2, 1.0], (3, 7)),
     ],
     ids=[
         "certain-quantum-game", "certain-classical-game", "classical-net", "no-game", "lossy",
@@ -781,21 +815,21 @@ def test_run_trials_builds_a_generator_only_where_trials_differ(
     # gen_prob >= 1/3 for all trials at once, and from the first hop below
     # 1/3 on sets one generator to each trial's state in turn
     built, log, timed = [], [], []
-    real_rng, real_columns = np.random.default_rng, sim._columns
+    real_rng, real_columns = np.random.default_rng, tr._columns
 
     def counting_columns(links, cfg, attempts):
         timed.append(attempts.shape)
         return real_columns(links, cfg, attempts)
 
-    assert sim._hashing_matches_numpy()  # run the once-per-process check before counting
+    assert tr._hashing_matches_numpy()  # run the once-per-process check before counting
     monkeypatch.setattr(
-        sim.np.random,
+        tr.np.random,
         "default_rng",
         lambda seed: built.append(seed) or RecordingGenerator(real_rng(seed), log),
     )
-    monkeypatch.setattr(sim, "_columns", counting_columns)
+    monkeypatch.setattr(tr, "_columns", counting_columns)
     t = _line([topo.LinkParams(latency_us=50.0, gen_prob=p) for p in gen_probs])
     cfg = quantum_cfg(regime=regime, trials=7)
-    got = sim.run_trials(t, [0, 1, 2, 3], cfg, (4, 2))
+    got = tr.run_trials(t, [0, 1, 2, 3], cfg, (4, 2))
     assert all(len(col) == 7 for col in got.values())
     assert (built, log, timed) == (built_rngs, per_trial * 7, [timed_shape])
