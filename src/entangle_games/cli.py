@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -340,7 +341,9 @@ def cmd_chsh(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing never changes it."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="JSON config file; flags override its values")
     shared.add_argument("--seed", type=int, default=None)

@@ -156,8 +156,8 @@ def sweep_nodes(
             cfg = replace(base_cfg, regime=regime)
             # build_scenario1 ids: leaders 0 and 1, then their end-nodes 2 and 3
             path = select_path(topology, 2, 3, regime, [seed, xi, ri], count)
-            columns = run_trials(topology, path, cfg, (seed, xi, ri))
-            cells[(float(count), regime.value)] = aggregate(columns)
+            rows = run_trials(topology, path, cfg, (seed, xi, ri))
+            cells[(float(count), regime.value)] = aggregate(rows)
     return SweepResult(
         x_label="node_count",
         x_values=[float(c) for c in node_counts],
@@ -207,8 +207,8 @@ def sweep_decoherence(base_cfg: SimConfig, rates: list[float], seed: int = 0) ->
                 else Regime.CLASSICAL_GAME_QUANTUM_NET,
             )
             outcome = run_consensus(rated, 1, 8, variant=variant, seed=seed, sim_config=cfg)
-            columns = run_trials(outcome.realized_topology, outcome.path, cfg, (seed, xi))
-            cells[(float(rate), variant)] = aggregate(columns)
+            rows = run_trials(outcome.realized_topology, outcome.path, cfg, (seed, xi))
+            cells[(float(rate), variant)] = aggregate(rows)
     return SweepResult(
         x_label="decoherence_rate",
         x_values=[float(r) for r in rates],

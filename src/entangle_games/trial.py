@@ -1,5 +1,5 @@
 """Time-stepped entanglement-distribution trials over a chosen path: one trial
-on a caller's generator, or every trial of a sweep cell as metric columns.
+on a caller's generator, or every trial of a sweep cell as metric rows.
 
 Trial timing model: generation attempts on a hop fire once per sync step and
 succeed with the link's gen_prob, so a hop waits (attempts - 1) * sync_step
@@ -30,15 +30,17 @@ state its stream reached. A check run once per process compares states,
 doubles and geometric draws with `default_rng`; on a mismatch every trial
 draws from its own `default_rng`.
 
-One column kernel times every trial, `run_trial`'s single trial and all
-trials of a sweep cell alike: given each trial's attempts per hop, it builds
-the trial's clock as one running sum over the hop steps [wait, latency, swap]
-and returns float64 metric columns, one entry per trial. Only geometric draws
-at gen_prob < 1 make trials differ: a classical-net cell, or a quantum-net
-cell whose path links all have gen_prob 1, times one trial on one attempt per
-hop and fills its columns with it. A lossy cell draws every hop of every
-trial, also past an abort, and times its trials in chunks of at most
-CHUNK_DRAWS hop draws each.
+One kernel times every trial, `run_trial`'s single trial and all trials of a
+sweep cell alike: given each trial's attempts per hop, it builds the trial's
+clock as one running sum over the hop steps [wait, latency, swap] and writes
+the metric rows, a C-contiguous float64 (len(METRIC_FIELDS), trials) array
+whose row k holds metric METRIC_FIELDS[k]. Only geometric draws at gen_prob
+< 1 make trials differ: a classical-net cell, or a quantum-net cell whose
+path links all have gen_prob 1, times one trial on one attempt per hop and
+repeats its column. A lossy cell draws every hop of every trial, also past
+an abort, and times its trials in chunks of at most CHUNK_DRAWS hop draws
+each. `aggregate` takes one mean and one stddev along the contiguous trial
+axis, which sums each row pairwise exactly as that row's own 1-D reduction.
 """
 
 from __future__ import annotations
@@ -132,16 +134,17 @@ def run_trial(
     links = _path_links(topology, path)
     quantum_net = cfg.regime.quantum_net
     draws = [[rng.geometric(l.params.gen_prob) if quantum_net else 1] for l in links]
-    columns = _columns(links, cfg, np.array(draws))
-    total, hops, delay, fidelity, ebits, rate, success = (c.item() for c in columns.values())
+    rows = _time_trials(links, cfg, np.array(draws), np.empty((len(METRIC_FIELDS), 1)))
+    total, hops, delay, fidelity, ebits, rate, success = rows[:, 0].tolist()
     return TrialMetrics(total, int(hops), delay, fidelity, int(ebits), rate, bool(success))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _columns(links, cfg: SimConfig, attempts: np.ndarray) -> dict[str, np.ndarray]:
-    """Metric columns, keyed by METRIC_FIELDS, of the trials whose hop i took
-    attempts[i, j] generation attempts in trial j. A clock past the float
-    range reads inf or nan, which `aggregate` rejects."""
+def _time_trials(links, cfg: SimConfig, attempts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`out`, a (len(METRIC_FIELDS), n) float64 block, filled with the metric
+    rows of the n trials whose hop i took attempts[i, j] generation attempts
+    in trial j. A clock past the float range reads inf or nan, which
+    `aggregate` rejects."""
     hops, n = attempts.shape
     budget = min(l.params.coherence_us for l in links)
     if not cfg.regime.quantum_net:
@@ -175,33 +178,34 @@ def _columns(links, cfg: SimConfig, attempts: np.ndarray) -> dict[str, np.ndarra
         fidelity = np.zeros(n)
         # math.exp per trial: numpy's exp rounds some results differently
         fidelity[success] = [0.25 + 0.75 * math.exp(-d) for d in decay[success].tolist()]
-    ebits = success.astype(float)
-    rate = ebits / (total * 1e-6)
-    return dict(zip(METRIC_FIELDS, (
-        total, np.full(n, float(hops)), total / hops, fidelity, ebits, rate, ebits
-    )))
+    # in METRIC_FIELDS order; ebits and success are the same 0/1 row
+    out[0], out[1], out[3], out[4], out[6] = total, hops, fidelity, success, success
+    np.divide(total, hops, out=out[2])
+    np.divide(out[4], total * 1e-6, out=out[5])
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def aggregate(columns: dict[str, np.ndarray]) -> tuple[dict[str, float], dict[str, float]]:
-    """Arithmetic mean and sample standard deviation of each metric column of
-    `run_trials`.
+def aggregate(rows: np.ndarray) -> tuple[dict[str, float], dict[str, float]]:
+    """Arithmetic mean and sample standard deviation of each metric row of
+    `run_trials`, keyed by METRIC_FIELDS.
 
     Success contributes as a 0/1 fraction. A single trial has stddev 0. A
     mean or stddev past the float range is a ParameterError naming the metric.
     """
-    n = len(columns["success"])
+    n = rows.shape[1]
     if n == 0:
         raise ParameterError("cannot aggregate an empty trial list")
-    means = {f: float(np.mean(columns[f])) for f in METRIC_FIELDS}
-    stds = {f: float(np.std(columns[f], ddof=1)) if n > 1 else 0.0 for f in METRIC_FIELDS}
-    for f in METRIC_FIELDS:
-        for stat, value in (("mean", means[f]), ("stddev", stds[f])):
+    means = rows.mean(axis=1).tolist()
+    # std(ddof=1) of one trial warns, whatever the errstate
+    stds = rows.std(axis=1, ddof=1).tolist() if n > 1 else [0.0] * len(METRIC_FIELDS)
+    for f, mean, std in zip(METRIC_FIELDS, means, stds):
+        for stat, value in (("mean", mean), ("stddev", std)):
             if not math.isfinite(value):
                 raise ParameterError(
                     f"{f} {stat} is {value}: the configured times overflow the float range"
                 )
-    return means, stds
+    return dict(zip(METRIC_FIELDS, means)), dict(zip(METRIC_FIELDS, stds))
 
 
 def run_trials(
@@ -209,43 +213,43 @@ def run_trials(
     path: list[int],
     cfg: SimConfig,
     seed_parts: tuple[int, ...],
-) -> dict[str, np.ndarray]:
-    """cfg.trials independent trials as metric columns, keyed by
-    METRIC_FIELDS, in trial-index order. Trial i draws from the stream of
-    `np.random.default_rng([*seed_parts, i])`, and each column entry equals
+) -> np.ndarray:
+    """cfg.trials independent trials as metric rows: a C-contiguous float64
+    (len(METRIC_FIELDS), cfg.trials) array, row k metric METRIC_FIELDS[k],
+    column i trial i. Trial i draws from the stream of
+    `np.random.default_rng([*seed_parts, i])`, and each entry equals
     `run_trial`'s metric for that generator.
 
-    Both run the same column kernel. A lossy cell draws every hop of every
-    trial and times its trials in chunks of at most CHUNK_DRAWS hop draws,
-    written into preallocated columns: hops at gen_prob >= 1/3 take one
-    double from every trial's stream in one vector pass, and from the first
-    hop below 1/3 on each trial draws on one reused generator. A cell whose
-    trials draw no random number times one trial on one attempt per hop,
-    with no generator, and fills the columns with it: classical-net regimes
-    never touch the generator, and on a quantum-net path whose links all
-    have gen_prob 1 every geometric draw is 1.
+    Both run the same kernel. A lossy cell draws every hop of every trial
+    and times its trials in chunks of at most CHUNK_DRAWS hop draws, written
+    into column slices of the preallocated rows: hops at gen_prob >= 1/3
+    take one double from every trial's stream in one vector pass, and from
+    the first hop below 1/3 on each trial draws on one reused generator. A
+    cell whose trials draw no random number times one trial on one attempt
+    per hop, with no generator, and repeats its column: classical-net
+    regimes never touch the generator, and on a quantum-net path whose links
+    all have gen_prob 1 every geometric draw is 1.
     """
     check_seed(seed_parts)
     links = _path_links(topology, path)
     probs = [l.params.gen_prob for l in links]
     if not cfg.regime.quantum_net or all(p == 1.0 for p in probs):
-        first = _columns(links, cfg, np.ones((len(links), 1), dtype=np.int64))
-        return {f: np.repeat(c, cfg.trials) for f, c in first.items()}
+        first = np.empty((len(METRIC_FIELDS), 1))
+        _time_trials(links, cfg, np.ones((len(links), 1), dtype=np.int64), first)
+        return np.repeat(first, cfg.trials, axis=1)
     if len(links) * cfg.trials > MAX_CELL_DRAWS:
         raise CapacityError(
             f"{len(links)} hops x {cfg.trials} trials exceed {MAX_CELL_DRAWS} draws per cell"
         )
     # a trial that aborts early draws for later hops too; its stream is its
-    # own, so no other trial sees the difference. Every column entry depends
-    # on its own trial alone, so chunks time the same entries as one pass.
-    columns = {f: np.empty(cfg.trials) for f in METRIC_FIELDS}
+    # own, so no other trial sees the difference. Every column depends on its
+    # own trial alone, so chunks time the same columns as one pass.
+    rows = np.empty((len(METRIC_FIELDS), cfg.trials))
     chunk = max(1, CHUNK_DRAWS // len(links))
     for start in range(0, cfg.trials, chunk):
         n = min(chunk, cfg.trials - start)
-        part = _columns(links, cfg, _attempts(seed_parts, start, n, probs))
-        for f, column in part.items():
-            columns[f][start:start + n] = column
-    return columns
+        _time_trials(links, cfg, _attempts(seed_parts, start, n, probs), rows[:, start:start + n])
+    return rows
 
 
 # ---------------------------------------------------------------------------

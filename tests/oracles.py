@@ -1,6 +1,6 @@
 """Reference helpers that only the tests use: a stability check for the
-classical game, the decoherence time law, the linear cluster state and the
-identity rotation."""
+classical game, the decoherence time law, the linear cluster state, the
+identity rotation and a per-column trial aggregate."""
 
 import math
 
@@ -9,6 +9,7 @@ import numpy as np
 from entangle_games import coalition as co
 from entangle_games import quantum as q
 from entangle_games.errors import CapacityError, ParameterError
+from entangle_games.trial import METRIC_FIELDS
 
 IDENTITY = q.SingleQubitUnitary(0.0, 0.0)
 
@@ -46,3 +47,23 @@ def make_cluster_state(m, cz_phase=math.pi):
     for i in range(m - 1):
         state = q.apply_controlled_phase(state, i, i + 1, cz_phase)
     return state
+
+
+def list_aggregate(columns):
+    """Reference aggregate: np.mean and np.std(ddof=1) of each metric column,
+    in METRIC_FIELDS order, each column reduced on its own as a 1-D array."""
+    columns = [np.array(column, dtype=float) for column in columns]
+    if len(columns[0]) == 0:
+        raise ParameterError("cannot aggregate an empty trial list")
+    means, stds = {}, {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f, column in zip(METRIC_FIELDS, columns, strict=True):
+            means[f] = float(np.mean(column))
+            stds[f] = float(np.std(column, ddof=1)) if len(column) > 1 else 0.0
+    for f in METRIC_FIELDS:
+        for stat, value in (("mean", means[f]), ("stddev", stds[f])):
+            if not math.isfinite(value):
+                raise ParameterError(
+                    f"{f} {stat} is {value}: the configured times overflow the float range"
+                )
+    return means, stds

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import entangle_games
+from entangle_games import cli
 from entangle_games import simulation as sim
 from entangle_games import topology as topo
 from entangle_games import trial as tr
@@ -559,6 +560,53 @@ def test_sweep_rerun_byte_identical(tmp_path):
     main(["sweep", "--config", cfg, "--out", str(tmp_path / "b"), "--seed", "9", "--quiet"])
     assert (tmp_path / "a/sweep.csv").read_bytes() == (tmp_path / "b/sweep.csv").read_bytes()
     assert (tmp_path / "a/sweep.json").read_bytes() == (tmp_path / "b/sweep.json").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the parser, built once per process
+# ---------------------------------------------------------------------------
+
+
+def _run_each(argvs, capsys):
+    """Exit code (or argparse's SystemExit code), output files, stdout and
+    stderr of each command, run in turn through `main` with --out run-<i>."""
+    results = []
+    for i, argv in enumerate(argvs):
+        out = Path(f"run-{i}")
+        try:
+            rc = main([*argv, "--out", str(out)])
+        except SystemExit as exc:
+            rc = f"SystemExit({exc.code})"
+        files = {p.as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        captured = capsys.readouterr()
+        results.append((rc, files, captured.out, captured.err))
+    return results
+
+
+def test_cached_parser_runs_commands_like_a_fresh_one(tmp_path, capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    lossy = write_config(tmp_path, {"link": {"gen_prob": 0.8}, "node_counts": [2, 4], "trials": 20})
+    argvs = [
+        ["sweep", "--kind", "decoherence", "--trials", "20"],
+        ["coalition", "--variant", "quantum"],
+        ["gen", "--seed", "-1"],
+        ["sweep", "--config", lossy],  # --kind back at its default after decoherence
+        ["consensus", "--variant", "classical"],
+        ["coalition", "--variant", "bogus"],  # an argparse error
+        ["gen", "--scenario", "2", "--seed", "3"],
+        ["consensus", "--variant", "quantum", "--seed", "7"],
+        ["coalition"],
+    ]
+    runs = {}
+    for name in ("cached", "fresh"):
+        if name == "fresh":
+            monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        runs[name] = _run_each(argvs, capsys)
+    assert [run[0] for run in runs["cached"]] == [0, 0, 2, 0, 0, "SystemExit(2)", 0, 0, 0]
+    assert all(files for rc, files, _, _ in runs["cached"] if rc == 0)
+    assert runs["cached"] == runs["fresh"]
 
 
 # ---------------------------------------------------------------------------

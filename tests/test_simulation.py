@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from entangle_games import trial as tr
 from entangle_games.errors import CapacityError, ParameterError, UnreachableError
 
 from conftest import line_topology
-from oracles import depolarizing_strength
+from oracles import depolarizing_strength, list_aggregate
 
 
 def quantum_cfg(**kw):
@@ -153,39 +154,82 @@ def numbers(trial):
     return {f: float(v) for f, v in asdict(trial).items()}
 
 
-def columns_of(trials):
-    """The metric columns `run_trials` returns for these trials."""
-    return {f: np.array([numbers(t)[f] for t in trials]) for f in tr.METRIC_FIELDS}
+def rows_of(trials):
+    """The metric rows `run_trials` returns for these trials."""
+    return np.array([[numbers(t)[f] for t in trials] for f in tr.METRIC_FIELDS])
 
 
 def test_aggregate_identical_trials_zero_stddev():
-    means, stds = tr.aggregate(columns_of([_const_trial(), _const_trial(), _const_trial()]))
+    means, stds = tr.aggregate(rows_of([_const_trial(), _const_trial(), _const_trial()]))
     assert stds["total_latency_us"] == 0.0
     assert means["total_latency_us"] == 100.0
 
 
 def test_aggregate_two_point_sample_stddev():
-    means, stds = tr.aggregate(columns_of([_const_trial(100.0), _const_trial(300.0)]))
+    means, stds = tr.aggregate(rows_of([_const_trial(100.0), _const_trial(300.0)]))
     assert means["total_latency_us"] == pytest.approx(200.0)
     assert stds["total_latency_us"] == pytest.approx(math.sqrt(2 * 100.0**2 / 1))
 
 
 def test_aggregate_success_fraction_in_unit_interval():
     trials = [_const_trial(), tr.TrialMetrics(50.0, 1, 50.0, 0.0, 0, 0.0, False)]
-    means, _ = tr.aggregate(columns_of(trials))
+    means, _ = tr.aggregate(rows_of(trials))
     assert 0.0 <= means["success"] <= 1.0
     assert means["success"] == pytest.approx(0.5)
 
 
 def test_aggregate_rejects_empty():
     with pytest.raises(ParameterError):
-        tr.aggregate(columns_of([]))
+        tr.aggregate(rows_of([]))
 
 
 def test_single_trial_aggregate_matches_trial():
-    means, stds = tr.aggregate(columns_of([_const_trial(120.0)]))
+    means, stds = tr.aggregate(rows_of([_const_trial(120.0)]))
     assert means["total_latency_us"] == 120.0
     assert all(v == 0.0 for v in stds.values())
+
+
+# trial counts on both sides of the 8-wide unrolled and 128-wide blocked
+# steps of numpy's pairwise sum
+_AGGREGATE_SIZES = [1, 2, 7, 8, 9, 127, 128, 129, 1000, 5000]
+
+
+def _metric_row(kind, scale, rng, n):
+    """n trial values of one metric: a constant, 0/1 outcomes, uniforms up to
+    scale, or values within a tenth of the largest double."""
+    if kind == "constant":
+        return np.full(n, scale * rng.uniform(-1.0, 1.0))
+    if kind == "binary":
+        return rng.integers(0, 2, n).astype(float)
+    if kind == "uniform":
+        return rng.uniform(0.0, scale, n)
+    return rng.uniform(0.9, 1.0, n) * np.finfo(float).max
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from(_AGGREGATE_SIZES),
+    kinds=st.lists(
+        st.sampled_from(["constant", "binary", "uniform", "near-max"]), min_size=7, max_size=7
+    ),
+    scales=st.lists(st.sampled_from([1.0, 1e3, 1e150, 1e300, 1e308]), min_size=7, max_size=7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_aggregate_matches_per_column_oracle(n, kinds, scales, seed):
+    # one reduction over the block gives each row the bits of its own 1-D
+    # reduction; any warning, std(ddof=1) of one trial's included, fails
+    rng = np.random.default_rng(seed)
+    rows = np.array([_metric_row(k, s, rng, n) for k, s in zip(kinds, scales)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            want = list_aggregate(rows)
+        except ParameterError as exc:
+            with pytest.raises(ParameterError) as got:
+                tr.aggregate(rows)
+            assert str(got.value) == str(exc)
+        else:
+            assert tr.aggregate(rows) == want
 
 
 # ---------------------------------------------------------------------------
@@ -562,18 +606,6 @@ def per_trial_run_trials(topology, path, cfg, seed_parts):
     ]
 
 
-def list_aggregate(trials):
-    """Reference aggregate over a list of TrialMetrics."""
-    rows = [numbers(t) for t in trials]
-    columns = {f: np.array([row[f] for row in rows]) for f in tr.METRIC_FIELDS}
-    means = {f: float(np.mean(col)) for f, col in columns.items()}
-    stds = {
-        f: float(np.std(col, ddof=1)) if len(trials) > 1 else 0.0
-        for f, col in columns.items()
-    }
-    return means, stds
-
-
 # gen_probs on both sides of numpy's geometric branch point at 1/3, the low
 # tail included
 _gen_probs = (
@@ -655,11 +687,12 @@ def test_run_trials_matches_per_trial_loop(
         tr.run_trial(t, path, cfg, np.random.default_rng([*seed_parts, i])) for i in range(trials)
     ] == want
     got = tr.run_trials(t, path, cfg, seed_parts)
-    assert list(got) == list(tr.METRIC_FIELDS)
-    for f in tr.METRIC_FIELDS:
-        assert got[f].dtype == np.float64
-        assert got[f].tolist() == [numbers(m)[f] for m in want], f
-    assert tr.aggregate(got) == list_aggregate(want)
+    assert got.shape == (len(tr.METRIC_FIELDS), trials)
+    assert got.dtype == np.float64
+    assert got.flags.c_contiguous
+    columns = [[numbers(m)[f] for m in want] for f in tr.METRIC_FIELDS]
+    assert got.tolist() == columns
+    assert tr.aggregate(got) == list_aggregate(columns)
 
 
 def pcg64_states(rngs):
@@ -714,13 +747,13 @@ def test_lossy_cell_draws_are_capped_before_any_draw(monkeypatch):
     assert tr.MAX_CELL_DRAWS >= 11 * tr.MAX_TRIALS
     t = _line([topo.LinkParams(gen_prob=0.5)] * 3)
     monkeypatch.setattr(tr, "MAX_CELL_DRAWS", 3 * 40)
-    assert tr.run_trials(t, [0, 1, 2, 3], quantum_cfg(trials=40), (0,))["hops"].size == 40
+    assert tr.run_trials(t, [0, 1, 2, 3], quantum_cfg(trials=40), (0,)).shape == (7, 40)
     monkeypatch.setattr(tr, "_attempts", lambda *args: pytest.fail("drew past the cap"))
     with pytest.raises(CapacityError, match="3 hops x 41 trials exceed 120 draws per cell"):
         tr.run_trials(t, [0, 1, 2, 3], quantum_cfg(trials=41), (0,))
     # cells that draw nothing run one trial, so they have no cap
     assert tr.run_trials(t, [0, 1, 2, 3], quantum_cfg(
-        trials=41, regime=tr.Regime.CLASSICAL_GAME_CLASSICAL_NET), (0,))["hops"].size == 41
+        trials=41, regime=tr.Regime.CLASSICAL_GAME_CLASSICAL_NET), (0,)).shape == (7, 41)
 
 
 @pytest.mark.parametrize("hashing", [True, False], ids=["hashed", "default-rng-fallback"])
@@ -734,22 +767,20 @@ def test_chunked_cell_equals_one_pass(monkeypatch, hashing, chunk_draws, chunks)
     links, cfg, parts = tr._path_links(t, [0, 1, 2, 3, 4]), quantum_cfg(trials=100), (2**32 + 7, 3)
     if not hashing:
         monkeypatch.setattr(tr, "_hashing_matches_numpy", lambda: False)
-    want = tr._columns(links, cfg, tr._attempts(parts, 0, 100, probs))
-    assert 0 < want["success"].sum() < 100
-    timed, real_columns = [], tr._columns
+    want = tr._time_trials(links, cfg, tr._attempts(parts, 0, 100, probs), np.empty((7, 100)))
+    assert 0 < want[tr.METRIC_FIELDS.index("success")].sum() < 100
+    timed, real_time_trials = [], tr._time_trials
 
-    def counting_columns(links, cfg, attempts):
+    def counting_time_trials(links, cfg, attempts, out):
         timed.append(attempts.shape[1])
-        return real_columns(links, cfg, attempts)
+        return real_time_trials(links, cfg, attempts, out)
 
-    monkeypatch.setattr(tr, "_columns", counting_columns)
+    monkeypatch.setattr(tr, "_time_trials", counting_time_trials)
     monkeypatch.setattr(tr, "CHUNK_DRAWS", chunk_draws)
     got = tr.run_trials(t, [0, 1, 2, 3, 4], cfg, parts)
     assert timed == chunks
-    assert list(got) == list(want)
-    for f, column in want.items():
-        assert got[f].dtype == np.float64
-        assert got[f].tobytes() == column.tobytes(), f
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
 
 
 def test_failed_self_check_falls_back_to_default_rng(monkeypatch):
@@ -763,9 +794,7 @@ def test_failed_self_check_falls_back_to_default_rng(monkeypatch):
     monkeypatch.setattr(tr.np.random, "default_rng", lambda seed: drawn.append(seed) or real(seed))
     fallback = tr.run_trials(t, [0, 1, 2, 3], cfg, parts)
     assert drawn == [[*parts, i] for i in range(200)]
-    assert {f: c.tolist() for f, c in fallback.items()} == {
-        f: c.tolist() for f, c in hashed.items()
-    }
+    assert fallback.tobytes() == hashed.tobytes()
 
 
 class RecordingGenerator:
@@ -815,11 +844,11 @@ def test_run_trials_builds_a_generator_only_where_trials_differ(
     # gen_prob >= 1/3 for all trials at once, and from the first hop below
     # 1/3 on sets one generator to each trial's state in turn
     built, log, timed = [], [], []
-    real_rng, real_columns = np.random.default_rng, tr._columns
+    real_rng, real_time_trials = np.random.default_rng, tr._time_trials
 
-    def counting_columns(links, cfg, attempts):
+    def counting_time_trials(links, cfg, attempts, out):
         timed.append(attempts.shape)
-        return real_columns(links, cfg, attempts)
+        return real_time_trials(links, cfg, attempts, out)
 
     assert tr._hashing_matches_numpy()  # run the once-per-process check before counting
     monkeypatch.setattr(
@@ -827,9 +856,9 @@ def test_run_trials_builds_a_generator_only_where_trials_differ(
         "default_rng",
         lambda seed: built.append(seed) or RecordingGenerator(real_rng(seed), log),
     )
-    monkeypatch.setattr(tr, "_columns", counting_columns)
+    monkeypatch.setattr(tr, "_time_trials", counting_time_trials)
     t = _line([topo.LinkParams(latency_us=50.0, gen_prob=p) for p in gen_probs])
     cfg = quantum_cfg(regime=regime, trials=7)
     got = tr.run_trials(t, [0, 1, 2, 3], cfg, (4, 2))
-    assert all(len(col) == 7 for col in got.values())
+    assert got.shape == (len(tr.METRIC_FIELDS), 7)
     assert (built, log, timed) == (built_rngs, per_trial * 7, [timed_shape])
