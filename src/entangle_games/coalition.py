@@ -11,7 +11,8 @@ the referee (the leader next to the source) prepares an entangled multi-party
 state, each player rotates its own qubit, and the measured bitstring selects
 the candidate coalition; strategies evolve by discretized best response until
 the measured coalition holds steady. A best response scores the whole 9x9
-rotation grid at once, as a quadratic form in the player's own 2x2 unitary.
+rotation grid at once, as a 2x2 Hermitian form over the outcomes where the
+player joins: outsiders receive nothing, so no other outcome scores.
 The players are the candidate nodes, and every game starts from the all-join
 profile. No best response reads a measured outcome, so every game walks one
 strategy trajectory: round r + 1 plays round r's profile with player r mod m's
@@ -317,13 +318,14 @@ def referee_state(n_players: int, gamma: float) -> q.StateVector:
             f"{n_players} players outside supported range 2..{q.MAX_QUBITS}"
         )
     c, s = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
-    rot = np.array([[c, -s], [s, c]], dtype=complex)
-    state = q.StateVector.computational_basis(n_players, 0)
-    for i in range(n_players):
-        state = q.apply_unitary(state, i, rot)
-    for i in range(n_players - 1):
-        state = q.apply_controlled_phase(state, i, i + 1, 2.0 * gamma)
-    return state
+    # (c, s) per qubit times exp(2i gamma) per adjacent pair of 1 bits, one
+    # qubit at a time: each new lowest bit pairs with the one before it
+    amps = np.array([c, s], dtype=complex)
+    for _ in range(n_players - 1):
+        amps = np.outer(amps, [c, s])
+        amps[1::2, 1] *= np.exp(2j * gamma)
+        amps = amps.reshape(-1)
+    return q.StateVector(amps)
 
 
 def find_referee(topology: NetworkTopology, source: int) -> int:
@@ -343,6 +345,9 @@ GRID_STRATEGIES = tuple((float(theta), float(phi)) for theta in THETA_GRID for p
 GRID_MATRICES = np.stack([q.SingleQubitUnitary(*tp).matrix() for tp in GRID_STRATEGIES])
 # every player starts proposing to join: theta = pi flips its bit
 ALL_JOIN = GRID_STRATEGIES.index((math.pi, 0.0))
+# _JOIN_ROWS[g, 2b + c] = U_g[1, b] conj(U_g[1, c]): grid point g's weight on
+# entry (b, c) of a best response's 2x2 form
+_JOIN_ROWS = (GRID_MATRICES[:, 1, :, None] * GRID_MATRICES[:, 1, None, :].conj()).reshape(-1, 4)
 
 
 def cdf_of(table: np.ndarray) -> np.ndarray:
@@ -361,8 +366,9 @@ def _rotate(amps: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
 
 
 def _table(amps: np.ndarray) -> np.ndarray:
-    """The table q.measure_computational samples for the played amplitudes."""
-    return q.measurement_probabilities(q.StateVector(amps))
+    """|amps|**2; cdf_of divides out the norm, so the CDF is the one that
+    q.measure_computational's Generator.choice searches, up to the last bits."""
+    return np.abs(amps) ** 2
 
 
 class _QuantumRound:
@@ -477,18 +483,19 @@ class _QuantumRound:
         player at `player_index` of the played amplitudes `amps`, who plays
         grid point `own` in them.
 
-        With psi the other players' state viewed as (2**k, 2, rest) around
-        qubit k, playing U yields amplitudes U[a, b] psi[l, b, r], so the
-        expected payoff is sum_abc U[a, b] conj(U[a, c]) form[a, b, c]. Ties
-        keep the earliest grid point (theta-major order), so updates are
-        reproducible.
+        With psi[b] the other players' amplitudes where the player's qubit
+        is b, playing U puts U[1, 0] psi[0] + U[1, 1] psi[1] where it joins,
+        the only outcomes with payoff w, so the expected payoff is
+        sum_bc U[1, b] conj(U[1, c]) form[b, c], form = (psi w) psi^dagger.
+        Ties keep the earliest grid point (theta-major order), so updates
+        are reproducible.
         """
         shape = (2**player_index, 2, -1)
         psi = _rotate(amps, player_index, GRID_MATRICES[own].conj().T).reshape(shape)
-        payoffs = self.payoffs[:, player_index].reshape(shape)
-        form = np.einsum("lbr,lcr,lar->abc", psi, psi.conj(), payoffs)
-        scores = np.einsum("gab,gac,abc->g", GRID_MATRICES, GRID_MATRICES.conj(), form)
-        scores = scores.real.tolist()
+        psi = psi.transpose(1, 0, 2).reshape(2, -1)
+        w = self.payoffs[:, player_index].reshape(shape)[:, 1].reshape(-1)
+        form = (psi * w) @ psi.conj().T
+        scores = (_JOIN_ROWS @ form.reshape(-1)).real.tolist()
         tol = _tolerance(*scores)
         best = 0
         for k, val in enumerate(scores):
@@ -550,7 +557,7 @@ def quantum_coalition_form(
     for rounds in range(1, max_rounds + 1):
         profile, cdf = engine.round(rounds - 1)
         # Generator.choice(n, p=table), as q.measure_computational draws,
-        # takes one uniform and searches this CDF: the stream is unchanged
+        # takes one uniform and searches this CDF up to its last bits
         outcome = int(cdf.searchsorted(rng.random(), side="right"))
         outcome_bits, members, measured, value, path = engine.outcome(model, outcome)
         history.append(

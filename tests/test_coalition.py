@@ -434,6 +434,30 @@ def test_referee_state_unentangled_at_zero_gamma():
     assert np.allclose(rs.amplitudes, expect)
 
 
+def old_referee_state(m, gamma):
+    """`referee_state` before the closed form, verbatim: a chain of
+    validated q.apply_unitary and q.apply_controlled_phase calls."""
+    c, s = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
+    rot = np.array([[c, -s], [s, c]], dtype=complex)
+    state = q.StateVector.computational_basis(m, 0)
+    for i in range(m):
+        state = q.apply_unitary(state, i, rot)
+    for i in range(m - 1):
+        state = q.apply_controlled_phase(state, i, i + 1, 2.0 * gamma)
+    return state
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(2, 12),
+    gamma=st.sampled_from([0.0, math.pi / 2]) | st.floats(0.0, math.pi / 2),
+)
+def test_referee_state_matches_gate_chain(m, gamma):
+    got = co.referee_state(m, gamma)
+    assert got.n_qubits == m
+    np.testing.assert_allclose(got.amplitudes, old_referee_state(m, gamma).amplitudes, rtol=0, atol=1e-12)
+
+
 def test_referee_state_capacity():
     with pytest.raises(CapacityError):
         co.referee_state(13, 0.0)
@@ -711,6 +735,9 @@ def test_quantum_round_matches_state_scan(game):
         members = engine.coalition_of(bits)
         split = model.split_payoffs(co.Coalition(members, model.value(members)))
         assert row.tolist() == [split.get(p, 0.0) for p in players]
+        # outsiders receive exactly nothing: best_response scores only the
+        # outcomes where the player's own bit is 1
+        assert (engine.payoffs[bits][engine.joins[bits] == 0] == 0.0).all()
     strategies = unitaries(players, profile)
     played = dense_chain(engine, strategies).amplitudes
     for i in range(len(players)):
