@@ -147,10 +147,7 @@ class RunConfig:
         q.check_angle(self.gamma)
         cons.check_weights(self.weights())
         self.link_params()  # raises with the offending field named
-        if self.delta is not None:
-            topo.LinkModelParams(self.mu, self.lam, self.delta)
-        else:
-            topo.LinkModelParams(self.mu, self.lam, 1.0)
+        topo.LinkModelParams(self.mu, self.lam, self.delta)
 
     def link_params(self) -> topo.LinkParams:
         return topo.LinkParams(
@@ -200,15 +197,12 @@ def _build_topology(cfg: RunConfig) -> topo.NetworkTopology:
     if cfg.topology_file:
         return topo.NetworkTopology.from_json_dict(_read_json(cfg.topology_file, "topology_file"))
     if cfg.scenario == 1:
-        model = None
-        if cfg.delta is not None:
-            model = topo.LinkModelParams(cfg.mu, cfg.lam, cfg.delta)
         return topo.build_scenario1(
             cfg.n_leaders,
             cfg.end_nodes_per_leader,
             cfg.repeaters_per_pair,
             link_defaults=cfg.link_params(),
-            model=model,
+            model=topo.LinkModelParams(cfg.mu, cfg.lam, cfg.delta),
             seed=cfg.seed,
             probabilistic_links=cfg.probabilistic_links,
         )
@@ -222,6 +216,9 @@ def _build_topology(cfg: RunConfig) -> topo.NetworkTopology:
 def _endpoints(cfg: RunConfig, topology: topo.NetworkTopology) -> tuple[int, int]:
     if cfg.source is not None and cfg.destination is not None:
         return cfg.source, cfg.destination
+    if cfg.source is not None or cfg.destination is not None:
+        missing, given = ("source", "destination") if cfg.source is None else ("destination", "source")
+        raise ParameterError(f"config key {missing} is required with {given}")
     if cfg.topology_file:
         raise ParameterError("source and destination are required with topology_file")
     if cfg.scenario == 1:

@@ -10,7 +10,8 @@ exhaustive search in the same order. Quantum variant:
 the referee (the leader next to the source) prepares an entangled multi-party
 state, each player rotates its own qubit, and the measured bitstring selects
 the candidate coalition; strategies evolve by discretized best response until
-the measured coalition holds steady. A best response scores the whole 9x9
+CONFIRM_WINDOW rounds in a row measure one coalition, for at most MAX_ROUNDS
+rounds. A best response scores the whole 9x9
 rotation grid at once, as a 2x2 Hermitian form over the outcomes where the
 player joins: outsiders receive nothing, so no other outcome scores.
 The players are the candidate nodes, and every game starts from the all-join
@@ -22,12 +23,13 @@ trajectory as far as the games that share it play, keeping each round's
 profile and outcome CDF, which a draw searches as Generator.choice would.
 Round r + 1 depends only on round r's profile and r mod m, so once such a
 pair recurs the trajectory repeats the cycle it closes and the engine plays
-no more best responses; a grid Nash equilibrium is a cycle of m rounds. The
-engine scores every outcome's coalition in one vectorized pass
-over the path table, caches each drawn outcome's value and path, and keeps
-the amplitudes of the last round: the next round's profile, at most one
-player's strategy away, is at most one rotation from it, and a best response
-undoes the player's own rotation with one more.
+no more best responses; a grid Nash equilibrium is a cycle of m rounds. Every
+coalition the game reports is an outcome (drawn, decoded or grand), so the
+engine scores all outcomes in one vectorized pass over the path table, into
+one table by outcome (value, path, member share), read by the best responses
+and the game alike. It keeps the amplitudes of the last round: the next
+round's profile, at most one player's strategy away, is at most one rotation
+from it, and a best response undoes the player's own rotation with one more.
 
 The characteristic value of a node set combines the three routing objectives:
 rate capped at the target throughput, plus path fidelity, minus a per-hop
@@ -52,6 +54,8 @@ from .topology import NetworkTopology, NodeRole, simple_paths
 
 STRICT_EPS = 1e-12
 MAX_PATHS = 10_000
+MAX_ROUNDS = 60
+CONFIRM_WINDOW = 3
 
 
 def _tolerance(*values: float) -> float:
@@ -372,8 +376,10 @@ def _table(amps: np.ndarray) -> np.ndarray:
 
 
 class _QuantumRound:
-    """Per-game machinery: the payoff table over bitstrings, and the game's
-    one strategy trajectory.
+    """Per-game machinery: one table indexed by outcome, and the game's one
+    strategy trajectory. Outcome b holds player i when bit m - 1 - i is set;
+    `values[b]` and `paths[b]` are what `ValueModel.evaluate` gives for its
+    coalition, and `share[b]` is each member's equal share of the value.
 
     A profile is a tuple of the players' indices into GRID_STRATEGIES. Round 0
     plays the all-join profile, and round r + 1 plays round r's profile with
@@ -390,14 +396,10 @@ class _QuantumRound:
         self.players = players
         self.base = referee_state(len(players), gamma)
         m = len(players)
-        # joins[bits, i] = 1 when outcome `bits` has player i's bit set; small
-        # dtypes and one float table keep 12-player tables near 0.5 MB
-        bits = np.arange(2**m, dtype=np.uint16)[:, None]
-        self.joins = (bits >> np.arange(m - 1, -1, -1, dtype=np.uint16)) & 1
-        # payoffs[bits, i]: player i's equal share of the value of outcome
-        # `bits`, as split_payoffs gives it
-        sizes = np.maximum(self.joins.sum(axis=1), 1)  # row 0 is the empty coalition
-        self.payoffs = self.joins * (self._values(model) / sizes)[:, None]
+        self.values, self.paths = self._values(model)
+        outcomes = np.arange(2**m)
+        sizes = sum((outcomes >> k) & 1 for k in range(m))
+        self.share = self.values / np.maximum(sizes, 1)  # outcome 0 is the empty coalition
         self._amps = self.base.amplitudes
         for i in range(m):
             self._amps = _rotate(self._amps, i, GRID_MATRICES[ALL_JOIN])
@@ -409,12 +411,14 @@ class _QuantumRound:
         self.period: int | None = None
         self._outcomes: dict[int, tuple] = {}
 
-    def _values(self, model: ValueModel) -> np.ndarray:
-        """`model.value` of every outcome's coalition: evaluate's earliest-wins
-        scan over the path table, run on all outcomes at once."""
+    def _values(self, model: ValueModel) -> tuple[np.ndarray, list]:
+        """`model.evaluate` of every outcome's coalition, as (values, paths):
+        evaluate's earliest-wins scan over the path table, run on all
+        outcomes at once."""
         m = len(self.players)
         bit_of = {p: 1 << (m - 1 - i) for i, p in enumerate(self.players)}
-        rank_of = {path: r for r, path in enumerate(sorted(path for _, _, path in model.paths))}
+        ranked = sorted(path for _, _, path in model.paths)
+        rank_of = {path: r for r, path in enumerate(ranked)}
         outcomes = np.arange(2**m)
         best = np.zeros(2**m)
         unheld = len(rank_of)  # rank of outcomes that hold no path yet
@@ -429,7 +433,8 @@ class _QuantumRound:
             take = ((outcomes & mask) == mask) & ((rank == unheld) | (score > best + tol) | tie)
             best = np.where(take, score, best)
             rank = np.where(take, r, rank)
-        return best
+        ranked.append(None)  # at rank `unheld`
+        return best, [ranked[r] for r in rank.tolist()]
 
     def coalition_of(self, outcome_bits: int) -> frozenset[int]:
         m = len(self.players)
@@ -437,15 +442,14 @@ class _QuantumRound:
             p for i, p in enumerate(self.players) if (outcome_bits >> (m - 1 - i)) & 1
         )
 
-    def outcome(self, model: ValueModel, outcome_bits: int) -> tuple:
+    def outcome(self, outcome_bits: int) -> tuple:
         """(bitstring, sorted members, members, value, path) of an outcome,
-        scored the first time it is drawn. `model` holds this engine, so
-        keeping it here would make a cycle only the cyclic GC frees."""
+        built the first time it is asked for."""
         got = self._outcomes.get(outcome_bits)
         if got is None:
             members = self.coalition_of(outcome_bits)
-            value, path = model.evaluate(members) if members else (0.0, None)
             bits = format(outcome_bits, f"0{len(self.players)}b")
+            value, path = float(self.values[outcome_bits]), self.paths[outcome_bits]
             got = self._outcomes[outcome_bits] = (bits, tuple(sorted(members)), members, value, path)
         return got
 
@@ -476,7 +480,9 @@ class _QuantumRound:
         """P(bit i = 1) of each player i in round r's outcome table, read
         from the steps of its CDF."""
         table = np.diff(self.round(r)[1], prepend=0.0)
-        return np.array([table[col == 1].sum() for col in self.joins.T])
+        return np.array(
+            [table.reshape(2**i, 2, -1)[:, 1].ravel().sum() for i in range(len(self.players))]
+        )
 
     def best_response(self, player_index: int, amps: np.ndarray, own: int) -> int:
         """Exact expected-payoff argmax over the 9x9 (theta, phi) grid, for the
@@ -493,7 +499,7 @@ class _QuantumRound:
         shape = (2**player_index, 2, -1)
         psi = _rotate(amps, player_index, GRID_MATRICES[own].conj().T).reshape(shape)
         psi = psi.transpose(1, 0, 2).reshape(2, -1)
-        w = self.payoffs[:, player_index].reshape(shape)[:, 1].reshape(-1)
+        w = self.share.reshape(shape)[:, 1].reshape(-1)
         form = (psi * w) @ psi.conj().T
         scores = (_JOIN_ROWS @ form.reshape(-1)).real.tolist()
         tol = _tolerance(*scores)
@@ -509,8 +515,6 @@ def quantum_coalition_form(
     topology: NetworkTopology,
     gamma: float = math.pi / 2.0,
     seed: int = 0,
-    max_rounds: int = 60,
-    confirm_window: int = 3,
     model: ValueModel | None = None,
 ) -> CoalitionOutcome:
     """Referee-mediated coalition formation over an entangled shared state.
@@ -520,8 +524,8 @@ def quantum_coalition_form(
     bitstring picks the candidate coalition (bit 1 = join). Its members split
     the coalition's value equally; between rounds one player at a time
     replaces its strategy with a grid best response. The game stops once
-    the measured coalition repeats across `confirm_window` consecutive rounds
-    (or at `max_rounds`); both must be at least 1.
+    the same outcome is measured in CONFIRM_WINDOW consecutive rounds, or
+    after MAX_ROUNDS rounds.
 
     The reported coalition is the stabilized one when it carries a
     source->destination path; otherwise the best-valued path-carrying
@@ -535,31 +539,29 @@ def quantum_coalition_form(
     coincides with the classical game on path fixtures.
     """
     check_seed(seed)
-    if max_rounds < 1 or confirm_window < 1:
-        raise ParameterError(
-            f"max_rounds and confirm_window must be >= 1, got {max_rounds} and {confirm_window}"
-        )
     model = model or ValueModel(cfg, topology)
     players = tuple(model.candidate_nodes())
-    if len(players) > q.MAX_QUBITS:
-        raise CapacityError(f"{len(players)} candidate players exceed {q.MAX_QUBITS}")
+    m = len(players)
+    if m > q.MAX_QUBITS:
+        raise CapacityError(f"{m} candidate players exceed {q.MAX_QUBITS}")
 
     rng = np.random.default_rng(seed)
     engine = model.referee_rounds.get(gamma)
     if engine is None:
         engine = model.referee_rounds[gamma] = _QuantumRound(model, players, gamma)
     history: list[dict] = []
-    recent: list[frozenset[int]] = []
-    best_seen: tuple[float, frozenset[int]] | None = None
-    stable: frozenset[int] | None = None
+    # (value, outcome) of the best-valued outcome seen that holds a path
+    best_seen: tuple[float, int] | None = None
+    last, streak = None, 0
+    stable: int | None = None
     rounds = 0
 
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, MAX_ROUNDS + 1):
         profile, cdf = engine.round(rounds - 1)
         # Generator.choice(n, p=table), as q.measure_computational draws,
         # takes one uniform and searches this CDF up to its last bits
         outcome = int(cdf.searchsorted(rng.random(), side="right"))
-        outcome_bits, members, measured, value, path = engine.outcome(model, outcome)
+        outcome_bits, members, _, value, path = engine.outcome(outcome)
         history.append(
             {
                 "round": rounds,
@@ -572,14 +574,14 @@ def quantum_coalition_form(
         if path is not None and (
             best_seen is None or value > best_seen[0] + _tolerance(value, best_seen[0])
         ):
-            best_seen = (value, measured)
-        recent.append(measured)
-        if len(recent) >= confirm_window and len(set(recent[-confirm_window:])) == 1:
-            stable = measured
+            best_seen = (value, outcome)
+        streak = streak + 1 if outcome == last else 1
+        last = outcome
+        if streak >= CONFIRM_WINDOW:
+            stable = outcome
             break
 
-    chosen: frozenset[int] | None = None
-    if stable is not None and model.evaluate(stable)[1] is not None:
+    if stable is not None and engine.paths[stable] is not None:
         chosen = stable
     elif best_seen is not None:
         chosen = best_seen[1]
@@ -588,12 +590,12 @@ def quantum_coalition_form(
         # confirmed round
         marginals = engine.join_marginals(rounds if stable is None else rounds - 1)
         # grid strategies give marginals of exactly 1/2 up to rounding
-        chosen = frozenset(p for i, p in enumerate(players) if marginals[i] >= 0.5 - STRICT_EPS)
-        if model.evaluate(chosen)[1] is None:
-            chosen = frozenset(players)
+        chosen = sum(1 << (m - 1 - i) for i in range(m) if marginals[i] >= 0.5 - STRICT_EPS)
+        if engine.paths[chosen] is None:
+            chosen = 2**m - 1  # the grand coalition
 
-    value, path = model.evaluate(chosen)
-    coalition = Coalition(chosen, value)
+    _, _, members, value, path = engine.outcome(chosen)
+    coalition = Coalition(members, value)
     return CoalitionOutcome(
         stable_coalition=coalition,
         path=list(path),

@@ -138,18 +138,20 @@ def _check_payoff(payoff: float) -> None:
 
 @dataclass(frozen=True)
 class LinkModelParams:
-    """Control parameters of the distance-decay link probability model."""
+    """Control parameters of the distance-decay link probability model;
+    `delta` None stands for the largest node distance of the deployment,
+    which `build_scenario1` resolves."""
 
     mu: float
     lam: float
-    delta: float
+    delta: float | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.mu <= 1:
             raise ParameterError(f"mu must be in (0, 1], got {self.mu}")
         if not 0 < self.lam <= 1:
             raise ParameterError(f"lambda must be in (0, 1], got {self.lam}")
-        if not self.delta > 0:
+        if self.delta is not None and not self.delta > 0:
             raise ParameterError(f"delta must be > 0, got {self.delta}")
 
     @classmethod
@@ -173,6 +175,8 @@ def link_probability(d: float, params: LinkModelParams) -> float:
     """
     if d < 0:
         raise ParameterError(f"distance must be >= 0, got {d}")
+    if params.delta is None:
+        raise ParameterError("delta is unset; build_scenario1 resolves it from node positions")
     return params.mu * math.exp(-d / (params.delta * params.lam))
 
 
@@ -185,24 +189,17 @@ class NetworkTopology:
     scenario: ScenarioTag
     choices: dict[int, tuple[ChoiceOption, ChoiceOption]] = field(default_factory=dict)
 
-    @cached_property
-    def _links_by_endpoints(self) -> dict[frozenset[int], Link]:
-        index: dict[frozenset[int], Link] = {}
-        for link in self.links:
-            index.setdefault(link.endpoints(), link)  # the first listed link wins
-        return index
-
     def link_between(self, a: int, b: int) -> Link | None:
-        return self._links_by_endpoints.get(frozenset((a, b)))
+        return self.adjacency.get(a, {}).get(b)
 
     @cached_property
     def adjacency(self) -> dict[int, dict[int, Link]]:
         """{node id: {neighbour: link}}, neighbours in order of first
-        appearance in `links`; the link is the one `link_between` returns."""
+        appearance in `links`; of duplicate links the first listed wins."""
         adjacency: dict[int, dict[int, Link]] = {n.id: {} for n in self.nodes}
-        for link in self._links_by_endpoints.values():
-            adjacency.setdefault(link.a, {})[link.b] = link
-            adjacency.setdefault(link.b, {})[link.a] = link
+        for link in self.links:
+            adjacency.setdefault(link.a, {}).setdefault(link.b, link)
+            adjacency.setdefault(link.b, {}).setdefault(link.a, link)
         return adjacency
 
     def graph(self) -> "networkx.Graph":
@@ -475,7 +472,8 @@ def build_scenario1(
     skeleton, extra links between not-yet-linked node pairs are sampled with
     the distance-decay probability when `probabilistic_links` is set. Extra
     links never replace skeleton links, so the scenario's connectivity is
-    preserved.
+    preserved. `model` defaults to mu = lam = 0.5, and a `delta` of None is
+    resolved to the largest distance between the placed nodes.
     """
     if n_leaders < 2:
         raise ParameterError(f"need at least 2 leaders, got {n_leaders}")
@@ -545,8 +543,9 @@ def build_scenario1(
             add_link(u, v, defaults)
 
     if probabilistic_links:
-        if model is None:
-            model = LinkModelParams.for_positions(0.5, 0.5, [(n.x, n.y) for n in nodes])
+        model = model or LinkModelParams(0.5, 0.5)
+        if model.delta is None:
+            model = LinkModelParams.for_positions(model.mu, model.lam, [(n.x, n.y) for n in nodes])
         existing = {l.endpoints() for l in links}
         dist = lambda a, b: math.hypot(nodes[a].x - nodes[b].x, nodes[a].y - nodes[b].y)
         for a in range(len(nodes)):

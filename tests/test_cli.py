@@ -323,6 +323,22 @@ def test_gen_invalid_mu_exits_2(tmp_path, capsys):
     assert "mu" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["mu", "lam"])
+def test_gen_link_model_applies_without_delta(tmp_path, key):
+    # delta left out is the largest node distance; mu and lam still apply
+    counts = []
+    for value in (0.05, 0.5, 1.0):
+        cfg = write_config(tmp_path, {"probabilistic_links": True, key: value}, f"{value}.json")
+        out = tmp_path / str(value)
+        assert main(["gen", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        counts.append(len(json.loads((out / "topology.json").read_text())["links"]))
+    assert counts[0] < counts[1] < counts[2]
+    default = tmp_path / "default"
+    cfg = write_config(tmp_path, {"probabilistic_links": True}, "default.json")
+    assert main(["gen", "--config", cfg, "--out", str(default), "--quiet"]) == 0
+    assert (default / "topology.json").read_bytes() == (tmp_path / "0.5/topology.json").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # coalition
 # ---------------------------------------------------------------------------
@@ -335,6 +351,18 @@ def test_coalition_outputs(tmp_path, capsys):
     assert outcome["path"][0] == 3 and outcome["path"][-1] == 7
     assert (tmp_path / "trace.jsonl").exists()
     assert "path:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["coalition", "consensus"])
+@pytest.mark.parametrize(
+    "doc,missing", [({"source": 5}, "destination"), ({"destination": 5}, "source")]
+)
+def test_one_endpoint_without_the_other_exits_2(tmp_path, capsys, command, doc, missing):
+    cfg = write_config(tmp_path, doc)
+    dest = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(dest)]) == 2
+    assert f"config key {missing} is required" in capsys.readouterr().err
+    assert not dest.exists()
 
 
 def test_coalition_quantum_variant_runs(tmp_path):

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import math
 import time
@@ -493,10 +494,21 @@ def test_gamma_zero_reduces_to_classical(five_line):
         assert quantum.per_node_payoff == pytest.approx(classical.per_node_payoff)
 
 
+@contextlib.contextmanager
+def round_limits(max_rounds, confirm_window):
+    """quantum_coalition_form's MAX_ROUNDS and CONFIRM_WINDOW, set for the
+    duration of the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(co, "MAX_ROUNDS", max_rounds)
+        patch.setattr(co, "CONFIRM_WINDOW", confirm_window)
+        yield
+
+
 def test_quantum_outcome_deterministic_per_seed(five_line):
     cfg = five_line_cfg()
-    a = co.quantum_coalition_form(cfg, five_line, gamma=math.pi / 2, seed=5, max_rounds=20)
-    b = co.quantum_coalition_form(cfg, five_line, gamma=math.pi / 2, seed=5, max_rounds=20)
+    with round_limits(20, co.CONFIRM_WINDOW):
+        a = co.quantum_coalition_form(cfg, five_line, gamma=math.pi / 2, seed=5)
+        b = co.quantum_coalition_form(cfg, five_line, gamma=math.pi / 2, seed=5)
     assert a.stable_coalition == b.stable_coalition
     assert a.history == b.history
 
@@ -539,23 +551,10 @@ def test_quantum_joint_join_beats_independent_play():
     # measures the all-join outcome more often than independent 50/50 joins
     t = line_topology(2)
     cfg = co.CoalitionGameConfig(source=0, destination=1)
-    out = co.quantum_coalition_form(
-        cfg, t, gamma=math.pi / 2, seed=17, max_rounds=40, confirm_window=40
-    )
+    with round_limits(40, 40):
+        out = co.quantum_coalition_form(cfg, t, gamma=math.pi / 2, seed=17)
     joint = sum(1 for rec in out.history if rec["members"] == [0, 1])
     assert joint / len(out.history) > 0.25
-
-
-@pytest.mark.parametrize(
-    "limits",
-    [{"max_rounds": 0}, {"max_rounds": -5}, {"confirm_window": 0}, {"confirm_window": -2}],
-    ids=lambda limits: "{}={}".format(*next(iter(limits.items()))),
-)
-def test_quantum_round_limits_must_be_positive(five_line, limits):
-    model = co.ValueModel(five_line_cfg(), five_line)
-    with pytest.raises(ParameterError, match="must be >= 1"):
-        co.quantum_coalition_form(five_line_cfg(), five_line, model=model, **limits)
-    assert model.referee_rounds == {}
 
 
 def test_calls_on_one_model_share_one_engine(five_line, monkeypatch):
@@ -679,6 +678,19 @@ def dense_chain(engine, strategies):
     return state
 
 
+def joins_of(engine):
+    """(2**m, m) table of 0/1: 1 where outcome `bits` has player i's bit set."""
+    m = len(engine.players)
+    bits = np.arange(2**m, dtype=np.uint16)[:, None]
+    return (bits >> np.arange(m - 1, -1, -1, dtype=np.uint16)) & 1
+
+
+def payoff_table(engine):
+    """(2**m, m) table of player i's payoff in outcome `bits`: its share of
+    the outcome's value where it joins, else 0."""
+    return joins_of(engine) * engine.share[:, None]
+
+
 def scan_join_marginals(probs):
     n = int(math.log2(probs.size))
     idx = np.arange(probs.size)
@@ -731,13 +743,14 @@ def test_quantum_round_matches_state_scan(game):
     model, players, gamma, profile = game
     engine = co._QuantumRound(model, players, gamma)
     oracle = ScanRound(model, players, gamma)
-    for bits, row in enumerate(engine.payoffs):
+    payoffs, joins = payoff_table(engine), joins_of(engine)
+    for bits, row in enumerate(payoffs):
         members = engine.coalition_of(bits)
         split = model.split_payoffs(co.Coalition(members, model.value(members)))
         assert row.tolist() == [split.get(p, 0.0) for p in players]
         # outsiders receive exactly nothing: best_response scores only the
         # outcomes where the player's own bit is 1
-        assert (engine.payoffs[bits][engine.joins[bits] == 0] == 0.0).all()
+        assert (payoffs[bits][joins[bits] == 0] == 0.0).all()
     strategies = unitaries(players, profile)
     played = dense_chain(engine, strategies).amplitudes
     for i in range(len(players)):
@@ -765,11 +778,11 @@ def old_split_payoffs(coalition):
     return {m: coalition.value * w / total for m, w in weights.items()}
 
 
-def old_payoff_table(engine, model):
+def old_payoff_table(engine):
     """`_QuantumRound.payoffs` before the equal split, verbatim, with
     `split_weight` at its equal-split value of 1."""
-    values = engine._values(model)
-    payoffs = engine.joins * np.array([float(1) for p in engine.players])
+    values = engine.values
+    payoffs = joins_of(engine) * np.array([float(1) for p in engine.players])
     totals = np.maximum(payoffs.sum(axis=1), 1.0)  # row 0 is the empty coalition
     payoffs *= values[:, None]
     payoffs /= totals[:, None]
@@ -781,7 +794,7 @@ def old_payoff_table(engine, model):
 def test_equal_split_matches_weighted_split_at_weight_one(game):
     model, players, gamma, _ = game
     engine = co._QuantumRound(model, players, gamma)
-    assert engine.payoffs.tobytes() == old_payoff_table(engine, model).tobytes()
+    assert payoff_table(engine).tobytes() == old_payoff_table(engine).tobytes()
     for bits in range(2 ** len(players)):
         members = engine.coalition_of(bits)
         coalition = co.Coalition(members, model.value(members))
@@ -821,7 +834,7 @@ def old_best_response(engine, player_index, strategies):
     from the tie tolerance, which scales with the scores."""
     shape = (2**player_index, 2, -1)
     psi = old_turned(engine, strategies, skip=player_index).reshape(shape)
-    payoffs = engine.payoffs[:, player_index].reshape(shape)
+    payoffs = payoff_table(engine)[:, player_index].reshape(shape)
     form = np.einsum("lbr,lcr,lar->abc", psi, psi.conj(), payoffs)
     scores = np.einsum("gab,gac,abc->g", co.GRID_MATRICES, co.GRID_MATRICES.conj(), form).real
     tol = tolerance(*scores.tolist())
@@ -918,7 +931,7 @@ def old_quantum_coalition_form(
         chosen = best_seen[1]
     else:
         probs = old_played_state(engine, strategies).probabilities()
-        marginals = [probs[col == 1].sum() for col in engine.joins.T]
+        marginals = [probs[col == 1].sum() for col in joins_of(engine).T]
         chosen = frozenset(
             p for i, p in enumerate(players) if marginals[i] >= 0.5 - co.STRICT_EPS
         )
@@ -948,15 +961,14 @@ def test_shared_engine_replays_the_per_call_loop(game, data):
         # short games reach the marginal decode; a call on a fresh model
         # (model=None) walks its own trajectory from round 0
         shared.append(data.draw(st.booleans()))
-        kwargs = dict(
-            gamma=gamma,
-            seed=seed,
-            model=model if shared[-1] else None,
+        limits = dict(
             max_rounds=data.draw(st.integers(1, 80)),
             confirm_window=data.draw(st.integers(1, 5)),
         )
-        got = co.quantum_coalition_form(model.cfg, model.topology, **kwargs)
-        want = old_quantum_coalition_form(model.cfg, model.topology, **kwargs)
+        kwargs = dict(gamma=gamma, seed=seed, model=model if shared[-1] else None)
+        with round_limits(**limits):
+            got = co.quantum_coalition_form(model.cfg, model.topology, **kwargs)
+        want = old_quantum_coalition_form(model.cfg, model.topology, **kwargs, **limits)
         assert got.to_json_dict() == want.to_json_dict()
         assert got.rounds == want.rounds
         assert got.history == want.history
@@ -1109,8 +1121,8 @@ _DECODED_GAMES = {
 }
 
 
-@pytest.mark.parametrize("name", _DECODED_GAMES)
-def test_marginal_decode_replays_the_per_call_loop(name):
+def decoded_game(name):
+    """(cfg, topology, seed, round limits) of one of the _DECODED_GAMES."""
     links, game, play = _DECODED_GAMES[name]
     n = 1 + max(max(a, b) for a, b, *_ in links)
     t = topo.NetworkTopology(
@@ -1122,11 +1134,72 @@ def test_marginal_decode_replays_the_per_call_loop(name):
         topo.ScenarioTag.CUSTOM,
     )
     cfg = co.CoalitionGameConfig(target_throughput=1.0, **game)
+    limits = {k: v for k, v in play.items() if k != "seed"}
+    return cfg, t, play["seed"], limits
+
+
+@pytest.mark.parametrize("name", _DECODED_GAMES)
+def test_marginal_decode_replays_the_per_call_loop(name):
+    cfg, t, seed, limits = decoded_game(name)
     model = co.ValueModel(cfg, t)
-    got = co.quantum_coalition_form(cfg, t, gamma=1.5, model=model, **play)
-    want = old_quantum_coalition_form(cfg, t, gamma=1.5, **play)
+    with round_limits(**limits):
+        got = co.quantum_coalition_form(cfg, t, gamma=1.5, seed=seed, model=model)
+    want = old_quantum_coalition_form(cfg, t, gamma=1.5, seed=seed, **limits)
     assert got.to_json_dict() == want.to_json_dict()
     assert got.history == want.history
     assert all(model.evaluate(frozenset(rec["members"]))[1] is None for rec in got.history)
-    last = {tuple(rec["members"]) for rec in got.history[-play["confirm_window"]:]}
+    last = {tuple(rec["members"]) for rec in got.history[-limits["confirm_window"]:]}
     assert (len(last) == 1) == (name == "confirmed")
+
+
+def _fixture_game(name):
+    """The CLI's default game on the canonical mesh, or scenario 2's on the
+    two-tree fixture, in _line_games' form: (model, players, gamma, profile)."""
+    if name == "mesh":
+        t, cfg = topo.canonical_leader_mesh_topology(), co.CoalitionGameConfig(3, 7)
+    else:
+        t, cfg = topo.canonical_two_tree_topology(), co.CoalitionGameConfig(1, 8)
+    model = co.ValueModel(cfg, t)
+    players = model.candidate_nodes()
+    return model, players, math.pi / 2, (co.ALL_JOIN,) * len(players)
+
+
+@settings(max_examples=100, deadline=None)
+@given(game=_line_games())
+@example(game=_fixture_game("mesh"))
+@example(game=_fixture_game("two-tree"))
+def test_outcome_table_matches_evaluate(game):
+    model, players, gamma, _ = game
+    engine = co._QuantumRound(model, players, gamma)
+    for bits in range(2 ** len(players)):
+        value, path = model.evaluate(engine.coalition_of(bits))
+        # hex tells a value of -0.0 from one of 0.0
+        assert (float(engine.values[bits]).hex(), engine.paths[bits]) == (value.hex(), path)
+        assert engine.outcome(bits)[3:] == (value, path)
+
+
+def test_quantum_game_never_calls_evaluate(monkeypatch):
+    # every coalition the game reports is an outcome, read from the engine's
+    # table; the CLI's default game, scenario 2's and the decoded games must
+    # each give what they gave before evaluate was broken
+    games = [
+        (co.CoalitionGameConfig(3, 7), topo.canonical_leader_mesh_topology(), math.pi / 2, 0, {}),
+        (co.CoalitionGameConfig(1, 8), topo.canonical_two_tree_topology(), math.pi / 2, 0, {}),
+    ]
+    for name in _DECODED_GAMES:
+        cfg, t, seed, limits = decoded_game(name)
+        games.append((cfg, t, 1.5, seed, limits))
+
+    def play(cfg, t, gamma, seed, limits):
+        with round_limits(**limits) if limits else contextlib.nullcontext():
+            out = co.quantum_coalition_form(cfg, t, gamma=gamma, seed=seed)
+        return out.to_json_dict(), out.history
+
+    want = [play(*game) for game in games]
+
+    def fail(self, members):
+        raise AssertionError("the quantum game called ValueModel.evaluate")
+
+    monkeypatch.setattr(co.ValueModel, "evaluate", fail)
+    for game, (doc, history) in zip(games, want):
+        assert play(*game) == (doc, history)

@@ -39,6 +39,11 @@ def test_link_probability_negative_distance():
         topo.link_probability(-1.0, topo.LinkModelParams(0.5, 0.5, 1.0))
 
 
+def test_link_probability_needs_a_resolved_delta():
+    with pytest.raises(ParameterError, match="delta"):
+        topo.link_probability(0.5, topo.LinkModelParams(0.5, 0.5))
+
+
 def test_link_probability_monotonicity():
     rng = np.random.default_rng(0)
     for _ in range(200):
@@ -88,6 +93,19 @@ def test_link_between_finds_every_link_both_ways(t):
     assert dup.link_between(first.b, first.a) is first
     slower = t.with_link_updates(latency_us=99.0)
     assert slower.link_between(first.a, first.b).params.latency_us == 99.0
+
+
+@pytest.mark.parametrize("mu,lam", [(0.05, 0.5), (0.5, 0.5), (1.0, 0.3), (0.8, 1.0)])
+def test_link_model_without_delta_takes_the_largest_node_distance(mu, lam):
+    skeleton = topo.build_scenario1(3, 4, 2, seed=4, probabilistic_links=False)
+    positions = [(n.x, n.y) for n in skeleton.nodes]
+    delta = topo.LinkModelParams.for_positions(mu, lam, positions).delta
+    assert delta == pytest.approx(max(math.dist(a, b) for a in positions for b in positions))
+    got = topo.build_scenario1(3, 4, 2, model=topo.LinkModelParams(mu, lam), seed=4)
+    want = topo.build_scenario1(3, 4, 2, model=topo.LinkModelParams(mu, lam, delta), seed=4)
+    assert got == want
+    if (mu, lam) == (0.5, 0.5):
+        assert got == topo.build_scenario1(3, 4, 2, seed=4)
 
 
 def test_builder_determinism():
