@@ -390,6 +390,10 @@ class _QuantumRound:
     recurs. `period` is then the length of the cycle, which starts at round
     len(trajectory) - 1 - period. It keeps the amplitudes of the last round
     only, as the next round's profile is at most one rotation away.
+
+    `strategies(profile)` builds a profile's history record of the players'
+    (theta, phi) once; the history records of every game that shares the
+    engine hold that same dict, so callers must treat them as read-only.
     """
 
     def __init__(self, model: ValueModel, players: tuple[int, ...], gamma: float):
@@ -410,6 +414,7 @@ class _QuantumRound:
         self._first = {((ALL_JOIN,) * m, 0): 0}
         self.period: int | None = None
         self._outcomes: dict[int, tuple] = {}
+        self._strategies: dict[tuple[int, ...], dict[int, list[float]]] = {}
 
     def _values(self, model: ValueModel) -> tuple[np.ndarray, list]:
         """`model.evaluate` of every outcome's coalition, as (values, paths):
@@ -451,6 +456,16 @@ class _QuantumRound:
             bits = format(outcome_bits, f"0{len(self.players)}b")
             value, path = float(self.values[outcome_bits]), self.paths[outcome_bits]
             got = self._outcomes[outcome_bits] = (bits, tuple(sorted(members)), members, value, path)
+        return got
+
+    def strategies(self, profile: tuple[int, ...]) -> dict[int, list[float]]:
+        """{player: [theta, phi]} of a profile, built the first time it is
+        asked for and shared from then on."""
+        got = self._strategies.get(profile)
+        if got is None:
+            got = self._strategies[profile] = {
+                p: list(GRID_STRATEGIES[k]) for p, k in zip(self.players, profile)
+            }
         return got
 
     def round(self, r: int) -> tuple[tuple[int, ...], np.ndarray]:
@@ -537,6 +552,10 @@ def quantum_coalition_form(
     path), so together they always hold a path, and each starts proposing to
     join (theta = pi): the all-in starting point whose gamma = 0 behavior
     coincides with the classical game on path fixtures.
+
+    A history record's `strategies` dict is shared with every record of the
+    same profile, also in other games on the same `model`: treat it as
+    read-only.
     """
     check_seed(seed)
     model = model or ValueModel(cfg, topology)
@@ -565,7 +584,7 @@ def quantum_coalition_form(
         history.append(
             {
                 "round": rounds,
-                "strategies": {p: list(GRID_STRATEGIES[k]) for p, k in zip(players, profile)},
+                "strategies": engine.strategies(profile),
                 "outcome": outcome_bits,
                 "members": list(members),
                 "value": value,

@@ -152,12 +152,19 @@ def sweep_nodes(
     cells = {}
     for xi, count in enumerate(node_counts):
         topology = backbone_topology(count, link_defaults)
+        # the regimes that run on one path under one timing model, in order;
+        # each group's trials draw and time in one run_trials call
+        groups: dict[tuple, list[tuple[int, Regime]]] = {}
         for ri, regime in enumerate(ALL_REGIMES):
-            cfg = replace(base_cfg, regime=regime)
             # build_scenario1 ids: leaders 0 and 1, then their end-nodes 2 and 3
             path = select_path(topology, 2, 3, regime, [seed, xi, ri], count)
-            rows = run_trials(topology, path, cfg, (seed, xi, ri))
-            cells[(float(count), regime.value)] = aggregate(rows)
+            groups.setdefault((tuple(path), regime.quantum_net), []).append((ri, regime))
+        for (path, _), members in groups.items():
+            cfg = replace(base_cfg, regime=members[0][1])
+            seeds = [(seed, xi, ri) for ri, _ in members]
+            keys = [(float(count), regime.value) for _, regime in members]
+            # no name holds the block, so it is freed before the next group's
+            cells.update(zip(keys, map(aggregate, run_trials(topology, list(path), cfg, seeds))))
     return SweepResult(
         x_label="node_count",
         x_values=[float(c) for c in node_counts],
@@ -207,7 +214,7 @@ def sweep_decoherence(base_cfg: SimConfig, rates: list[float], seed: int = 0) ->
                 else Regime.CLASSICAL_GAME_QUANTUM_NET,
             )
             outcome = run_consensus(rated, 1, 8, variant=variant, seed=seed, sim_config=cfg)
-            rows = run_trials(outcome.realized_topology, outcome.path, cfg, (seed, xi))
+            [rows] = run_trials(outcome.realized_topology, outcome.path, cfg, [(seed, xi)])
             cells[(float(rate), variant)] = aggregate(rows)
     return SweepResult(
         x_label="decoherence_rate",

@@ -1,5 +1,6 @@
 """Time-stepped entanglement-distribution trials over a chosen path: one trial
-on a caller's generator, or every trial of a sweep cell as metric rows.
+on a caller's generator, or every trial of a batch of sweep cells that share
+the path as metric rows.
 
 Trial timing model: generation attempts on a hop fire once per sync step and
 succeed with the link's gen_prob, so a hop waits (attempts - 1) * sync_step
@@ -17,18 +18,22 @@ latency per hop, fidelity pinned to the product of the links' fidelity payoffs.
 
 Each trial of a sweep cell draws from its own stream: trial i draws what
 `np.random.default_rng([*seed_parts, i])` would, with seed_parts the (seed,
-sweep indices) of the cell. The PCG64 states of a chunk's trials come from
+sweep indices) of the cell. Cells that share a path and a timing model, as
+a node count's two quantum-net regimes do, draw and time in one batch. The
+PCG64 states of a chunk's trials, across the cells of the batch, come from
 one numpy pass that replays numpy's SeedSequence and PCG64 seeding (O'Neill,
-"PCG", 2014; numpy NEP 19) in uint64 words. Each hop steps every trial's
-stream once and takes numpy's next double from the XSL-RR output. At
-gen_prob >= 1/3 numpy's geometric compares that one double with a running
-sum of the probabilities of 1, 2, ... attempts, so a table of those sums and
-one searchsorted give the attempts of all trials. Below 1/3 numpy inverts an
-exponential that takes a varying number of words: from the first such hop
-on, each trial draws its remaining hops on one reused generator, set to the
-state its stream reached. A check run once per process compares states,
-doubles and geometric draws with `default_rng`; on a mismatch every trial
-draws from its own `default_rng`.
+"PCG", 2014; numpy NEP 19) in uint64 words: each seed word the cells share
+is hashed once, the others are repeated per trial, and the trial index is
+tiled. Each hop steps every trial's stream once and takes numpy's next
+double from the XSL-RR output. At gen_prob >= 1/3 numpy's geometric
+compares that one double with a running sum of the probabilities of 1, 2,
+... attempts, so a table of those sums and one searchsorted give the
+attempts of all trials. Below 1/3 numpy inverts an exponential that takes a
+varying number of words: from the first such hop on, each trial draws its
+remaining hops on one reused generator, set to the state its stream
+reached. A check run once per process compares states,
+doubles and geometric draws of two cells hashed in one pass with
+`default_rng`; on a mismatch every trial draws from its own `default_rng`.
 
 One kernel times every trial, `run_trial`'s single trial and all trials of a
 sweep cell alike: given each trial's attempts per hop, it builds the trial's
@@ -37,16 +42,19 @@ the metric rows, a C-contiguous float64 (len(METRIC_FIELDS), trials) array
 whose row k holds metric METRIC_FIELDS[k]. Only geometric draws at gen_prob
 < 1 make trials differ: a classical-net cell, or a quantum-net cell whose
 path links all have gen_prob 1, times one trial on one attempt per hop and
-repeats its column. A lossy cell draws every hop of every trial, also past
+repeats its column. A lossy batch draws every hop of every trial, also past
 an abort, and times its trials in chunks of at most CHUNK_DRAWS hop draws
-each. `aggregate` takes one mean and one stddev along the contiguous trial
-axis, which sums each row pairwise exactly as that row's own 1-D reduction.
+across the whole batch, one kernel call each; a cell's rows are one
+C-contiguous block of the result. `aggregate` takes one mean and one stddev
+along a cell's contiguous trial axis, which sums each row pairwise exactly
+as that row's own 1-D reduction.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -75,7 +83,8 @@ MAX_TRIALS = 1_000_000
 # hops x trials of one lossy cell, which bounds its time (memory is bounded
 # by CHUNK_DRAWS): the paper's largest backbone (11 hops) at MAX_TRIALS
 MAX_CELL_DRAWS = 11 * MAX_TRIALS
-# hops x trials timed at once; timing holds about 50 bytes per draw
+# hops x trials timed at once, across the cells of a batch; timing holds
+# about 50 bytes per draw
 CHUNK_DRAWS = 2**20
 
 
@@ -176,8 +185,10 @@ def _time_trials(links, cfg: SimConfig, attempts: np.ndarray, out: np.ndarray) -
         held *= np.array([[l.params.decoherence_rate] for l in links])
         decay = np.cumsum(held, axis=0, out=held)[-1]
         fidelity = np.zeros(n)
-        # math.exp per trial: numpy's exp rounds some results differently
-        fidelity[success] = [0.25 + 0.75 * math.exp(-d) for d in decay[success].tolist()]
+        # math.exp per trial: numpy's exp rounds some results differently.
+        # The scaling rounds as the scalar 0.25 + 0.75 * math.exp(-d) does.
+        exps = map(math.exp, np.negative(decay[success]).tolist())
+        fidelity[success] = 0.25 + 0.75 * np.fromiter(exps, float)
     # in METRIC_FIELDS order; ebits and success are the same 0/1 row
     out[0], out[1], out[3], out[4], out[6] = total, hops, fidelity, success, success
     np.divide(total, hops, out=out[2])
@@ -212,44 +223,68 @@ def run_trials(
     topology: NetworkTopology,
     path: list[int],
     cfg: SimConfig,
-    seed_parts: tuple[int, ...],
+    cells: Sequence[tuple[int, ...]],
 ) -> np.ndarray:
-    """cfg.trials independent trials as metric rows: a C-contiguous float64
-    (len(METRIC_FIELDS), cfg.trials) array, row k metric METRIC_FIELDS[k],
-    column i trial i. Trial i draws from the stream of
-    `np.random.default_rng([*seed_parts, i])`, and each entry equals
-    `run_trial`'s metric for that generator.
+    """cfg.trials independent trials of each cell as metric rows: a
+    C-contiguous float64 (len(cells), len(METRIC_FIELDS), cfg.trials) array
+    whose block k holds cell k, row j metric METRIC_FIELDS[j], column i trial
+    i. The cells share `path` and cfg's timing model; a cell is given by its
+    seed parts, and trial i of cell k draws from the stream of
+    `np.random.default_rng([*cells[k], i])`. Each entry equals `run_trial`'s
+    metric for that generator.
 
-    Both run the same kernel. A lossy cell draws every hop of every trial
-    and times its trials in chunks of at most CHUNK_DRAWS hop draws, written
-    into column slices of the preallocated rows: hops at gen_prob >= 1/3
-    take one double from every trial's stream in one vector pass, and from
-    the first hop below 1/3 on each trial draws on one reused generator. A
-    cell whose trials draw no random number times one trial on one attempt
+    Both run the same kernel. A lossy batch draws every hop of every trial
+    of every cell, and times its trials in chunks of at most CHUNK_DRAWS hop
+    draws taken across the cells in order, one kernel call per chunk: a
+    chunk within one cell writes into the cell's block, and one that spans
+    cells is copied into theirs. Hops at gen_prob >= 1/3 take one double
+    from every trial's stream in one vector pass, and from the first hop
+    below 1/3 on each trial draws on one reused generator. A cell of more
+    than MAX_CELL_DRAWS hops x trials is a CapacityError before any draw. A
+    batch whose trials draw no random number times one trial on one attempt
     per hop, with no generator, and repeats its column: classical-net
     regimes never touch the generator, and on a quantum-net path whose links
     all have gen_prob 1 every geometric draw is 1.
     """
-    check_seed(seed_parts)
+    for seed_parts in cells:
+        check_seed(seed_parts)
     links = _path_links(topology, path)
     probs = [l.params.gen_prob for l in links]
+    block = np.empty((len(cells), len(METRIC_FIELDS), cfg.trials))
     if not cfg.regime.quantum_net or all(p == 1.0 for p in probs):
         first = np.empty((len(METRIC_FIELDS), 1))
-        _time_trials(links, cfg, np.ones((len(links), 1), dtype=np.int64), first)
-        return np.repeat(first, cfg.trials, axis=1)
+        block[:] = _time_trials(links, cfg, np.ones((len(links), 1), dtype=np.int64), first)
+        return block
     if len(links) * cfg.trials > MAX_CELL_DRAWS:
         raise CapacityError(
             f"{len(links)} hops x {cfg.trials} trials exceed {MAX_CELL_DRAWS} draws per cell"
         )
     # a trial that aborts early draws for later hops too; its stream is its
     # own, so no other trial sees the difference. Every column depends on its
-    # own trial alone, so chunks time the same columns as one pass.
-    rows = np.empty((len(METRIC_FIELDS), cfg.trials))
+    # own trial alone, so chunks time the same columns as one pass. Chunks
+    # run over the cells' trials in order, flat index k * trials + i.
+    total = len(cells) * cfg.trials
     chunk = max(1, CHUNK_DRAWS // len(links))
-    for start in range(0, cfg.trials, chunk):
-        n = min(chunk, cfg.trials - start)
-        _time_trials(links, cfg, _attempts(seed_parts, start, n, probs), rows[:, start:start + n])
-    return rows
+    out = np.empty((len(METRIC_FIELDS), min(chunk, total)))
+    for start in range(0, total, chunk):
+        n = min(chunk, total - start)
+        # the chunk's runs of one cell's trials: (cell, first trial, count)
+        runs, i = [], start
+        while i < start + n:
+            k, first = divmod(i, cfg.trials)
+            runs.append((k, first, min(cfg.trials - first, start + n - i)))
+            i += runs[-1][2]
+        attempts = _attempts([(cells[k], first, count) for k, first, count in runs], probs)
+        if len(runs) == 1:  # a chunk within one cell is timed in place
+            [(k, first, _)] = runs
+            _time_trials(links, cfg, attempts, block[k, :, first:first + n])
+        else:
+            rows = _time_trials(links, cfg, attempts, out[:, :n])
+            col = 0
+            for k, first, count in runs:
+                block[k, :, first:first + count] = rows[:, col:col + count]
+                col += count
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -289,28 +324,47 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ result >> _U16
 
 
-def _hashed_states(seed_parts: tuple[int, ...], start: int, n: int):
-    """The PCG64 states of `default_rng([*seed_parts, i])` for every i in
-    [start, start + n), as uint64 word arrays (state hi, state lo, inc hi,
-    inc lo), with all trial indices hashed and seeded at once."""
-    # each part split into little-endian uint32 words, as SeedSequence does
-    words = [
+def _words(seed_parts: tuple[int, ...]) -> list[int]:
+    """Each part split into little-endian uint32 words, as SeedSequence does."""
+    return [
         p >> s & _MASK32 for p in map(int, seed_parts) for s in range(0, max(p.bit_length(), 1), 32)
     ]
-    # the words every trial shares as 1-element arrays, hashed once and
-    # broadcast; numpy scalars would warn on the hash's uint32 overflow
-    entropy = [np.full(1, w, dtype=np.uint32) for w in words]
-    entropy += [np.arange(start, start + n, dtype=np.uint32)]
-    entropy += [np.zeros(1, np.uint32)] * (4 - len(entropy))
+
+
+def _hashed_states(spans):
+    """The PCG64 states of `default_rng([*seed_parts, i])` for every i in
+    [start, start + n) of each (seed_parts, start, n) span, in span order, as
+    uint64 word arrays (state hi, state lo, inc hi, inc lo), with the trials
+    of all spans hashed and seeded at once."""
+    # each span's entropy words; None stands for its trial index
+    entropies = [[*_words(parts), None] for parts, _, _ in spans]
+    counts = [n for _, _, n in spans]
+    length = max(4, *map(len, entropies))
+    columns = []
+    for pos in range(length):
+        # a span that ends before pos pads the pool with 0 and mixes no tail
+        column = [e[pos] if pos < len(e) else 0 for e in entropies]
+        if None not in column and len(set(column)) == 1:
+            # a word every trial shares as a 1-element array, hashed once and
+            # broadcast; numpy scalars would warn on the hash's uint32 overflow
+            columns.append(np.full(1, column[0], dtype=np.uint32))
+        else:
+            columns.append(np.concatenate([
+                np.arange(start, start + n, dtype=np.uint32) if w is None
+                else np.full(n, w, dtype=np.uint32)
+                for w, (_, start, n) in zip(column, spans)
+            ]))
     hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:4]]
+    pool = [hashmix(word) for word in columns[:4]]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
+    for pos in range(4, length):
+        held = [len(e) > pos for e in entropies]
         for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
+            mixed = _mix(pool[dst], hashmix(columns[pos]))
+            pool[dst] = mixed if all(held) else np.where(np.repeat(held, counts), mixed, pool[dst])
     generate = _hasher(_INIT_B, _MULT_B)
     out = [generate(pool[k % 4]).astype(np.uint64) for k in range(8)]
     # generate_state(4, uint64): pairs of words, low word first
@@ -393,12 +447,16 @@ def _search_draws(state, probs: list[float]):
 @functools.cache
 def _hashing_matches_numpy() -> bool:
     """Whether the hashed states and the vector draws reproduce this numpy's
-    `default_rng`, checked on four trials of a multi-word seed: the starting
-    states, one double, geometric draws in the search branch and the states
-    they leave."""
-    parts, probs = (2**32 + 7, 0, 5), [_SEARCH_MIN_P, 0.8, 1.0]
-    rngs = [np.random.default_rng([*parts, i]) for i in range(4)]
-    state = _hashed_states(parts, 0, 4)
+    `default_rng`, checked on two cells of multi-word seeds, hashed and drawn
+    in one pass: their word counts differ, they share their first words, and
+    one mixes a word past the pool that the other lacks. It compares the
+    starting states, one double, geometric draws in the search branch and
+    the states they leave."""
+    spans = [((2**32 + 7, 0, 5), 0, 4), ((2**32 + 7, 2**32 + 1, 9), 5, 2)]
+    probs = [_SEARCH_MIN_P, 0.8, 1.0]
+    rngs = [np.random.default_rng([*parts, i]) for parts, start, n in spans
+            for i in range(start, start + n)]
+    state = _hashed_states(spans)
     if _as_ints(state) != _numpy_states(rngs):
         return False
     state, u = _next_doubles(state)
@@ -410,18 +468,21 @@ def _hashing_matches_numpy() -> bool:
     return _as_ints(state) == _numpy_states(rngs)
 
 
-def _attempts(seed_parts: tuple[int, ...], start: int, n: int, probs: list[float]) -> np.ndarray:
-    """Generation attempts as an (hops, n) array: entry (h, j) is the h-th
-    draw of `default_rng([*seed_parts, start + j])`, `geometric(probs[h])`.
+def _attempts(spans, probs: list[float]) -> np.ndarray:
+    """Generation attempts as an (hops, n) array over the n trials of the
+    (seed_parts, start, count) spans, in span order: the column of trial i of
+    a span holds the draws of `default_rng([*seed_parts, i])`, entry h its
+    `geometric(probs[h])`.
 
     Hops at gen_prob >= 1/3 take one double per trial, drawn for all trials
     at once. From the first hop below 1/3 on, each trial draws its remaining
     hops on one reused generator, set to the state its stream reached."""
     if not _hashing_matches_numpy():
-        rngs = (np.random.default_rng([*seed_parts, i]) for i in range(start, start + n))
+        rngs = (np.random.default_rng([*parts, i]) for parts, start, count in spans
+                for i in range(start, start + count))
         return np.array([[rng.geometric(p) for p in probs] for rng in rngs]).T
     split = next((h for h, p in enumerate(probs) if p < _SEARCH_MIN_P), len(probs))
-    state, rows = _search_draws(_hashed_states(seed_parts, start, n), probs[:split])
+    state, rows = _search_draws(_hashed_states(spans), probs[:split])
     tail = probs[split:]
     if not tail:
         return np.array(rows)
@@ -431,4 +492,4 @@ def _attempts(seed_parts: tuple[int, ...], start: int, n: int, probs: list[float
         rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": s, "inc": inc},
                                    "has_uint32": 0, "uinteger": 0}
         draws.extend(map(rng.geometric, tail))
-    return np.vstack([*rows, np.reshape(draws, (n, len(tail))).T])
+    return np.vstack([*rows, np.reshape(draws, (-1, len(tail))).T])

@@ -1101,6 +1101,26 @@ def test_backbone_games_replay_the_per_call_loop(count):
             assert got.history == want.history
 
 
+def test_shared_model_histories_share_strategy_records():
+    # games on one model reuse each profile's strategies dict; their
+    # histories still equal the per-call loop's and fresh-model runs'
+    t = topo.canonical_two_tree_topology()
+    cfg = co.CoalitionGameConfig(source=1, destination=8)
+    model = co.ValueModel(cfg, t)
+    records, total = {}, 0
+    for gamma in (math.pi / 2, 0.0):
+        for seed in range(4):
+            got = co.quantum_coalition_form(cfg, t, gamma=gamma, seed=seed, model=model)
+            fresh = co.quantum_coalition_form(cfg, t, gamma=gamma, seed=seed)
+            want = old_quantum_coalition_form(cfg, t, gamma=gamma, seed=seed)
+            assert got.history == fresh.history == want.history
+            total += len(got.history)
+            for rec in got.history:
+                key = (gamma, tuple(map(tuple, rec["strategies"].values())))
+                assert records.setdefault(key, rec["strategies"]) is rec["strategies"]
+    assert len(records) < total
+
+
 # games on graphs with two paths or more where no round measures a coalition
 # holding a path, so the marginals decide, and where decoding the profile one
 # round earlier or later picks a different coalition. Links are

@@ -686,13 +686,75 @@ def test_run_trials_matches_per_trial_loop(
     assert [
         tr.run_trial(t, path, cfg, np.random.default_rng([*seed_parts, i])) for i in range(trials)
     ] == want
-    got = tr.run_trials(t, path, cfg, seed_parts)
+    [got] = tr.run_trials(t, path, cfg, [seed_parts])
     assert got.shape == (len(tr.METRIC_FIELDS), trials)
     assert got.dtype == np.float64
     assert got.flags.c_contiguous
     columns = [[numbers(m)[f] for m in want] for f in tr.METRIC_FIELDS]
     assert got.tolist() == columns
     assert tr.aggregate(got) == list_aggregate(columns)
+
+
+# a cell's seed parts: each part one or two uint32 words, so cells of one
+# batch mostly differ in word count, and some mix words past SeedSequence's
+# four-word pool
+_cell_parts = st.lists(
+    st.integers(0, 2**32 - 1) | st.integers(2**32, 2**64 - 1), min_size=1, max_size=4
+).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@example(
+    params=[topo.LinkParams(gen_prob=0.8)] * 3,
+    regime=tr.Regime.QUANTUM_GAME_QUANTUM_NET,
+    cells=[(0, 1, 2), (0, 1, 3)],
+    trials=10,
+    chunk_draws=16,
+)
+@given(
+    params=st.lists(_mixed_link_params, min_size=1, max_size=8),
+    regime=st.sampled_from(tr.ALL_REGIMES),
+    cells=st.lists(_cell_parts, min_size=1, max_size=4),
+    trials=st.integers(1, 30),
+    # None keeps CHUNK_DRAWS; a small bound puts chunk edges inside cells
+    # and chunks across cell edges
+    chunk_draws=st.none() | st.integers(1, 120),
+)
+def test_batched_cells_match_per_cell_loop(params, regime, cells, trials, chunk_draws):
+    t = _line(params)
+    path = list(range(len(params) + 1))
+    cfg = quantum_cfg(regime=regime, trials=trials)
+    alone = [tr.run_trials(t, path, cfg, [parts])[0] for parts in cells]
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk_draws is not None:
+            mp.setattr(tr, "CHUNK_DRAWS", chunk_draws)
+        block = tr.run_trials(t, path, cfg, cells)
+    assert block.shape == (len(cells), len(tr.METRIC_FIELDS), trials)
+    assert block.dtype == np.float64
+    assert block.flags.c_contiguous
+    for parts, rows, one in zip(cells, block, alone):
+        want = per_trial_run_trials(t, path, cfg, parts)
+        assert rows.tolist() == [[numbers(m)[f] for m in want] for f in tr.METRIC_FIELDS]
+        assert rows.tobytes() == one.tobytes()
+        assert tr.aggregate(rows) == tr.aggregate(one)
+
+
+@pytest.mark.parametrize("gen_prob", [0.8, 0.2])
+def test_sweep_nodes_equals_one_cell_calls(gen_prob):
+    # the quantum-net regimes share the backbone's path and draw in one
+    # batch; each cell must read as if run on its own
+    link = topo.LinkParams(gen_prob=gen_prob)
+    base, seed, counts = tr.SimConfig(trials=40), 2**32 + 5, [2, 5, 9]
+    res = sim.sweep_nodes(base, counts, seed=seed, link_defaults=link)
+    want = {}
+    for xi, count in enumerate(counts):
+        t = sim.backbone_topology(count, link)
+        for ri, regime in enumerate(tr.ALL_REGIMES):
+            path = sim.select_path(t, 2, 3, regime, [seed, xi, ri], count)
+            cfg = replace(base, regime=regime)
+            [rows] = tr.run_trials(t, path, cfg, [(seed, xi, ri)])
+            want[(float(count), regime.value)] = tr.aggregate(rows)
+    assert res.cells == want
 
 
 def pcg64_states(rngs):
@@ -710,7 +772,7 @@ _starts = st.just(0) | st.integers(1, tr.MAX_TRIALS - 300)
 def test_hashed_states_equal_default_rng(seed_parts, start, n):
     assert tr._hashing_matches_numpy()
     want = pcg64_states(np.random.default_rng([*seed_parts, i]) for i in range(start, start + n))
-    assert tr._as_ints(tr._hashed_states(seed_parts, start, n)) == want
+    assert tr._as_ints(tr._hashed_states([(seed_parts, start, n)])) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -726,20 +788,20 @@ def test_vector_stream_equals_default_rng(seed_parts, start, n, k, probs):
     # geometric draws of the search branch
     indices = range(start, start + n)
     rngs = [np.random.default_rng([*seed_parts, i]) for i in indices]
-    state = tr._hashed_states(seed_parts, start, n)
+    state = tr._hashed_states([(seed_parts, start, n)])
     for _ in range(k):
         state, u = tr._next_doubles(state)
     assert u.tolist() == [r.random(k)[-1] for r in rngs]
     assert tr._as_ints(state) == pcg64_states(rngs)
     rngs = [np.random.default_rng([*seed_parts, i]) for i in indices]
     want = [[r.geometric(p) for r in rngs] for p in probs]
-    assert tr._attempts(seed_parts, start, n, probs).tolist() == want
+    assert tr._attempts([(seed_parts, start, n)], probs).tolist() == want
 
 
 def test_run_trials_rejects_negative_seed_parts():
     t = _line([topo.LinkParams(gen_prob=0.5)])
     with pytest.raises(ParameterError, match="seed"):
-        tr.run_trials(t, [0, 1], quantum_cfg(trials=3), (1, -1))
+        tr.run_trials(t, [0, 1], quantum_cfg(trials=3), [(1, -1)])
 
 
 def test_lossy_cell_draws_are_capped_before_any_draw(monkeypatch):
@@ -747,13 +809,16 @@ def test_lossy_cell_draws_are_capped_before_any_draw(monkeypatch):
     assert tr.MAX_CELL_DRAWS >= 11 * tr.MAX_TRIALS
     t = _line([topo.LinkParams(gen_prob=0.5)] * 3)
     monkeypatch.setattr(tr, "MAX_CELL_DRAWS", 3 * 40)
-    assert tr.run_trials(t, [0, 1, 2, 3], quantum_cfg(trials=40), (0,)).shape == (7, 40)
+    assert tr.run_trials(t, [0, 1, 2, 3], quantum_cfg(trials=40), [(0,)]).shape == (1, 7, 40)
+    # the cap holds per cell, not per batch
+    cells = [(0,), (1,), (2,)]
+    assert tr.run_trials(t, [0, 1, 2, 3], quantum_cfg(trials=40), cells).shape == (3, 7, 40)
     monkeypatch.setattr(tr, "_attempts", lambda *args: pytest.fail("drew past the cap"))
     with pytest.raises(CapacityError, match="3 hops x 41 trials exceed 120 draws per cell"):
-        tr.run_trials(t, [0, 1, 2, 3], quantum_cfg(trials=41), (0,))
+        tr.run_trials(t, [0, 1, 2, 3], quantum_cfg(trials=41), [(0,)])
     # cells that draw nothing run one trial, so they have no cap
     assert tr.run_trials(t, [0, 1, 2, 3], quantum_cfg(
-        trials=41, regime=tr.Regime.CLASSICAL_GAME_CLASSICAL_NET), (0,)).shape == (7, 41)
+        trials=41, regime=tr.Regime.CLASSICAL_GAME_CLASSICAL_NET), [(0,)]).shape == (1, 7, 41)
 
 
 @pytest.mark.parametrize("hashing", [True, False], ids=["hashed", "default-rng-fallback"])
@@ -767,7 +832,7 @@ def test_chunked_cell_equals_one_pass(monkeypatch, hashing, chunk_draws, chunks)
     links, cfg, parts = tr._path_links(t, [0, 1, 2, 3, 4]), quantum_cfg(trials=100), (2**32 + 7, 3)
     if not hashing:
         monkeypatch.setattr(tr, "_hashing_matches_numpy", lambda: False)
-    want = tr._time_trials(links, cfg, tr._attempts(parts, 0, 100, probs), np.empty((7, 100)))
+    want = tr._time_trials(links, cfg, tr._attempts([(parts, 0, 100)], probs), np.empty((7, 100)))
     assert 0 < want[tr.METRIC_FIELDS.index("success")].sum() < 100
     timed, real_time_trials = [], tr._time_trials
 
@@ -777,7 +842,7 @@ def test_chunked_cell_equals_one_pass(monkeypatch, hashing, chunk_draws, chunks)
 
     monkeypatch.setattr(tr, "_time_trials", counting_time_trials)
     monkeypatch.setattr(tr, "CHUNK_DRAWS", chunk_draws)
-    got = tr.run_trials(t, [0, 1, 2, 3, 4], cfg, parts)
+    [got] = tr.run_trials(t, [0, 1, 2, 3, 4], cfg, [parts])
     assert timed == chunks
     assert got.dtype == np.float64
     assert got.tobytes() == want.tobytes()
@@ -786,15 +851,27 @@ def test_chunked_cell_equals_one_pass(monkeypatch, hashing, chunk_draws, chunks)
 def test_failed_self_check_falls_back_to_default_rng(monkeypatch):
     t = _line([topo.LinkParams(latency_us=80.0, gen_prob=p) for p in (0.3, 0.6, 0.9)])
     cfg = quantum_cfg(trials=200)
-    parts = (2**40 + 3, 1, 2)
-    hashed = tr.run_trials(t, [0, 1, 2, 3], cfg, parts)
+    # two cells in one batch, whose seeds differ in word count
+    cells = [(2**40 + 3, 1, 2), (7,)]
+    hashed = tr.run_trials(t, [0, 1, 2, 3], cfg, cells)
     drawn = []
     real = np.random.default_rng
     monkeypatch.setattr(tr, "_hashing_matches_numpy", lambda: False)
     monkeypatch.setattr(tr.np.random, "default_rng", lambda seed: drawn.append(seed) or real(seed))
-    fallback = tr.run_trials(t, [0, 1, 2, 3], cfg, parts)
-    assert drawn == [[*parts, i] for i in range(200)]
+    fallback = tr.run_trials(t, [0, 1, 2, 3], cfg, cells)
+    assert drawn == [[*parts, i] for parts in cells for i in range(200)]
     assert fallback.tobytes() == hashed.tobytes()
+
+
+def test_self_check_hashes_a_batch(monkeypatch):
+    # a hash that seeds every span of a batch from its first cell reads
+    # right on one cell; the once-per-process check runs two
+    assert tr._hashing_matches_numpy.__wrapped__()
+    real = tr._hashed_states
+    monkeypatch.setattr(
+        tr, "_hashed_states", lambda spans: real([(spans[0][0], s, n) for _, s, n in spans])
+    )
+    assert not tr._hashing_matches_numpy.__wrapped__()
 
 
 class RecordingGenerator:
@@ -859,6 +936,6 @@ def test_run_trials_builds_a_generator_only_where_trials_differ(
     monkeypatch.setattr(tr, "_time_trials", counting_time_trials)
     t = _line([topo.LinkParams(latency_us=50.0, gen_prob=p) for p in gen_probs])
     cfg = quantum_cfg(regime=regime, trials=7)
-    got = tr.run_trials(t, [0, 1, 2, 3], cfg, (4, 2))
-    assert got.shape == (len(tr.METRIC_FIELDS), 7)
+    got = tr.run_trials(t, [0, 1, 2, 3], cfg, [(4, 2)])
+    assert got.shape == (1, len(tr.METRIC_FIELDS), 7)
     assert (built, log, timed) == (built_rngs, per_trial * 7, [timed_shape])
