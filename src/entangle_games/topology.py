@@ -156,12 +156,16 @@ class LinkModelParams:
 
     @classmethod
     def for_positions(cls, mu: float, lam: float, positions) -> "LinkModelParams":
-        """Build params with delta set to the maximum pairwise node distance."""
+        """Build params with delta set to the maximum pairwise node distance,
+        taken over blocks of rows so no n x n array is held."""
         pts = np.asarray(positions, dtype=float)
         if len(pts) < 2:
             raise ParameterError("need at least two positions to derive delta")
-        diffs = pts[:, None, :] - pts[None, :, :]
-        delta = float(np.max(np.sqrt((diffs**2).sum(axis=2))))
+        rows = max(1, 2**20 // len(pts))
+        delta = float(np.max([
+            np.sqrt(((pts[i:i + rows, None, :] - pts[None, :, :]) ** 2).sum(axis=2)).max()
+            for i in range(0, len(pts), rows)
+        ]))
         if delta <= 0:
             raise ParameterError("positions are all coincident; delta would be 0")
         return cls(mu, lam, delta)

@@ -38,16 +38,16 @@ doubles and geometric draws of two cells hashed in one pass with
 One kernel times every trial, `run_trial`'s single trial and all trials of a
 sweep cell alike: given each trial's attempts per hop, it builds the trial's
 clock as one running sum over the hop steps [wait, latency, swap] and writes
-the metric rows, a C-contiguous float64 (len(METRIC_FIELDS), trials) array
-whose row k holds metric METRIC_FIELDS[k]. Only geometric draws at gen_prob
-< 1 make trials differ: a classical-net cell, or a quantum-net cell whose
-path links all have gen_prob 1, times one trial on one attempt per hop and
-repeats its column. A lossy batch draws every hop of every trial, also past
-an abort, and times its trials in chunks of at most CHUNK_DRAWS hop draws
-across the whole batch, one kernel call each; a cell's rows are one
-C-contiguous block of the result. `aggregate` takes one mean and one stddev
-along a cell's contiguous trial axis, which sums each row pairwise exactly
-as that row's own 1-D reduction.
+the metric rows, a float64 (len(METRIC_FIELDS), trials) array whose row k
+holds metric METRIC_FIELDS[k]. Only geometric draws at gen_prob < 1 make
+trials differ: a classical-net cell, or a quantum-net cell whose path links
+all have gen_prob 1, is one trial on one attempt per hop, kept as one
+column. A lossy batch draws every hop of every trial, also past an abort,
+and times trials [start, start + n) of all its cells in one kernel call,
+with at most CHUNK_DRAWS hop draws per call. `aggregate` takes one mean and
+one stddev along a cell's contiguous trial axis, which sums each row
+pairwise exactly as that row's own 1-D reduction; a one-column cell reads
+its trial's value and stddev 0.
 """
 
 from __future__ import annotations
@@ -199,10 +199,12 @@ def _time_trials(links, cfg: SimConfig, attempts: np.ndarray, out: np.ndarray) -
 @np.errstate(over="ignore", invalid="ignore")
 def aggregate(rows: np.ndarray) -> tuple[dict[str, float], dict[str, float]]:
     """Arithmetic mean and sample standard deviation of each metric row of
-    `run_trials`, keyed by METRIC_FIELDS.
+    one `run_trials` cell, keyed by METRIC_FIELDS.
 
-    Success contributes as a 0/1 fraction. A single trial has stddev 0. A
-    mean or stddev past the float range is a ParameterError naming the metric.
+    Success contributes as a 0/1 fraction. One column, a single trial or the
+    one trial of a cell that draws nothing, gives its values exactly and
+    stddev 0. A mean or stddev past the float range is a ParameterError
+    naming the metric.
     """
     n = rows.shape[1]
     if n == 0:
@@ -226,64 +228,50 @@ def run_trials(
     cells: Sequence[tuple[int, ...]],
 ) -> np.ndarray:
     """cfg.trials independent trials of each cell as metric rows: a
-    C-contiguous float64 (len(cells), len(METRIC_FIELDS), cfg.trials) array
-    whose block k holds cell k, row j metric METRIC_FIELDS[j], column i trial
-    i. The cells share `path` and cfg's timing model; a cell is given by its
-    seed parts, and trial i of cell k draws from the stream of
+    C-contiguous float64 (len(cells), len(METRIC_FIELDS), columns) array
+    whose block k holds cell k, row j metric METRIC_FIELDS[j]. The cells
+    share `path` and cfg's timing model; a cell is given by its seed parts,
+    and trial i of cell k draws from the stream of
     `np.random.default_rng([*cells[k], i])`. Each entry equals `run_trial`'s
     metric for that generator.
 
-    Both run the same kernel. A lossy batch draws every hop of every trial
-    of every cell, and times its trials in chunks of at most CHUNK_DRAWS hop
-    draws taken across the cells in order, one kernel call per chunk: a
-    chunk within one cell writes into the cell's block, and one that spans
-    cells is copied into theirs. Hops at gen_prob >= 1/3 take one double
-    from every trial's stream in one vector pass, and from the first hop
-    below 1/3 on each trial draws on one reused generator. A cell of more
-    than MAX_CELL_DRAWS hops x trials is a CapacityError before any draw. A
-    batch whose trials draw no random number times one trial on one attempt
-    per hop, with no generator, and repeats its column: classical-net
-    regimes never touch the generator, and on a quantum-net path whose links
-    all have gen_prob 1 every geometric draw is 1.
+    A batch whose trials draw no random number has one column per cell: its
+    one trial, timed on one attempt per hop with no generator, stands for
+    all cfg.trials. Classical-net regimes never touch the generator, and on
+    a quantum-net path whose links all have gen_prob 1 every geometric draw
+    is 1. A lossy batch has cfg.trials columns, column i trial i. It draws
+    every hop of every trial of every cell, and times trials [start, start +
+    n) of all cells in one kernel call per chunk, with n the most trials per
+    cell that keep a chunk within CHUNK_DRAWS hop draws. Hops at gen_prob >=
+    1/3 take one double from every trial's stream in one vector pass, and
+    from the first hop below 1/3 on each trial draws on one reused
+    generator. A lossy cell of more than MAX_CELL_DRAWS hops x trials is a
+    CapacityError before any draw.
     """
     for seed_parts in cells:
         check_seed(seed_parts)
     links = _path_links(topology, path)
     probs = [l.params.gen_prob for l in links]
-    block = np.empty((len(cells), len(METRIC_FIELDS), cfg.trials))
     if not cfg.regime.quantum_net or all(p == 1.0 for p in probs):
-        first = np.empty((len(METRIC_FIELDS), 1))
-        block[:] = _time_trials(links, cfg, np.ones((len(links), 1), dtype=np.int64), first)
-        return block
+        ones = np.ones((len(links), 1), dtype=np.int64)
+        column = _time_trials(links, cfg, ones, np.empty((len(METRIC_FIELDS), 1)))
+        return np.repeat(column[None], len(cells), axis=0)
     if len(links) * cfg.trials > MAX_CELL_DRAWS:
         raise CapacityError(
             f"{len(links)} hops x {cfg.trials} trials exceed {MAX_CELL_DRAWS} draws per cell"
         )
     # a trial that aborts early draws for later hops too; its stream is its
     # own, so no other trial sees the difference. Every column depends on its
-    # own trial alone, so chunks time the same columns as one pass. Chunks
-    # run over the cells' trials in order, flat index k * trials + i.
-    total = len(cells) * cfg.trials
-    chunk = max(1, CHUNK_DRAWS // len(links))
-    out = np.empty((len(METRIC_FIELDS), min(chunk, total)))
-    for start in range(0, total, chunk):
-        n = min(chunk, total - start)
-        # the chunk's runs of one cell's trials: (cell, first trial, count)
-        runs, i = [], start
-        while i < start + n:
-            k, first = divmod(i, cfg.trials)
-            runs.append((k, first, min(cfg.trials - first, start + n - i)))
-            i += runs[-1][2]
-        attempts = _attempts([(cells[k], first, count) for k, first, count in runs], probs)
-        if len(runs) == 1:  # a chunk within one cell is timed in place
-            [(k, first, _)] = runs
-            _time_trials(links, cfg, attempts, block[k, :, first:first + n])
-        else:
-            rows = _time_trials(links, cfg, attempts, out[:, :n])
-            col = 0
-            for k, first, count in runs:
-                block[k, :, first:first + count] = rows[:, col:col + count]
-                col += count
+    # own trial alone, so chunks time the same columns as one pass. A chunk
+    # takes trials [start, start + n) of every cell.
+    block = np.empty((len(cells), len(METRIC_FIELDS), cfg.trials))
+    chunk = max(1, CHUNK_DRAWS // (len(links) * len(cells)))
+    out = np.empty((len(METRIC_FIELDS), len(cells) * min(chunk, cfg.trials)))
+    for start in range(0, cfg.trials, chunk):
+        n = min(chunk, cfg.trials - start)
+        attempts = _attempts([(parts, start, n) for parts in cells], probs)
+        rows = _time_trials(links, cfg, attempts, out[:, :len(cells) * n])
+        block[:, :, start:start + n] = rows.reshape(len(METRIC_FIELDS), len(cells), n).swapaxes(0, 1)
     return block
 
 

@@ -606,6 +606,21 @@ def per_trial_run_trials(topology, path, cfg, seed_parts):
     ]
 
 
+def draws_nothing(params, regime):
+    """Whether the trials of a cell on links with these params draw no
+    random number: classical-net regimes draw none, and a geometric at
+    gen_prob 1 is always 1."""
+    return not regime.quantum_net or all(p.gen_prob == 1.0 for p in params)
+
+
+def assert_cell_rows(rows, want, constant):
+    """One cell of run_trials against the (7, trials) rows `want` of its
+    per-trial loop, bit for bit: one column that every trial equals where
+    the cell draws nothing, else one column per trial."""
+    assert rows.shape == (len(tr.METRIC_FIELDS), 1 if constant else want.shape[1])
+    assert np.broadcast_to(rows, want.shape).tobytes() == want.tobytes()
+
+
 # gen_probs on both sides of numpy's geometric branch point at 1/3, the low
 # tail included
 _gen_probs = (
@@ -687,12 +702,12 @@ def test_run_trials_matches_per_trial_loop(
         tr.run_trial(t, path, cfg, np.random.default_rng([*seed_parts, i])) for i in range(trials)
     ] == want
     [got] = tr.run_trials(t, path, cfg, [seed_parts])
-    assert got.shape == (len(tr.METRIC_FIELDS), trials)
     assert got.dtype == np.float64
     assert got.flags.c_contiguous
-    columns = [[numbers(m)[f] for m in want] for f in tr.METRIC_FIELDS]
-    assert got.tolist() == columns
-    assert tr.aggregate(got) == list_aggregate(columns)
+    columns = rows_of(want)
+    assert_cell_rows(got, columns, draws_nothing(params, regime))
+    # a constant cell reduces its one column: each trial's value, stddev 0
+    assert tr.aggregate(got) == list_aggregate(columns[:, :got.shape[1]])
 
 
 # a cell's seed parts: each part one or two uint32 words, so cells of one
@@ -725,24 +740,30 @@ def test_batched_cells_match_per_cell_loop(params, regime, cells, trials, chunk_
     path = list(range(len(params) + 1))
     cfg = quantum_cfg(regime=regime, trials=trials)
     alone = [tr.run_trials(t, path, cfg, [parts])[0] for parts in cells]
+    timed, real_time_trials = [], tr._time_trials
     with pytest.MonkeyPatch.context() as mp:
         if chunk_draws is not None:
             mp.setattr(tr, "CHUNK_DRAWS", chunk_draws)
+        mp.setattr(tr, "_time_trials", lambda *args: timed.append(args[2].size) or real_time_trials(*args))
         block = tr.run_trials(t, path, cfg, cells)
-    assert block.shape == (len(cells), len(tr.METRIC_FIELDS), trials)
+    # a lossy chunk stays within the bound, or takes one trial of each cell
+    bound = max(chunk_draws or tr.CHUNK_DRAWS, len(params) * len(cells))
+    assert all(size <= bound for size in timed)
+    assert len(block) == len(cells)
     assert block.dtype == np.float64
     assert block.flags.c_contiguous
     for parts, rows, one in zip(cells, block, alone):
-        want = per_trial_run_trials(t, path, cfg, parts)
-        assert rows.tolist() == [[numbers(m)[f] for m in want] for f in tr.METRIC_FIELDS]
+        want = rows_of(per_trial_run_trials(t, path, cfg, parts))
+        assert_cell_rows(rows, want, draws_nothing(params, regime))
         assert rows.tobytes() == one.tobytes()
         assert tr.aggregate(rows) == tr.aggregate(one)
 
 
-@pytest.mark.parametrize("gen_prob", [0.8, 0.2])
+@pytest.mark.parametrize("gen_prob", [1.0, 0.8, 0.2])
 def test_sweep_nodes_equals_one_cell_calls(gen_prob):
     # the quantum-net regimes share the backbone's path and draw in one
-    # batch; each cell must read as if run on its own
+    # batch; each cell must read as if run on its own. Classical-net cells
+    # draw nothing, and every cell does at gen_prob 1
     link = topo.LinkParams(gen_prob=gen_prob)
     base, seed, counts = tr.SimConfig(trials=40), 2**32 + 5, [2, 5, 9]
     res = sim.sweep_nodes(base, counts, seed=seed, link_defaults=link)
@@ -755,6 +776,34 @@ def test_sweep_nodes_equals_one_cell_calls(gen_prob):
             [rows] = tr.run_trials(t, path, cfg, [(seed, xi, ri)])
             want[(float(count), regime.value)] = tr.aggregate(rows)
     assert res.cells == want
+    constant = {r.value for r in tr.ALL_REGIMES if gen_prob == 1.0 or not r.quantum_net}
+    rows = [row for row in res.rows() if row[1] in constant]
+    assert len(rows) == len(counts) * len(constant) * len(tr.METRIC_FIELDS)
+    assert all(std == 0.0 and n == base.trials for _, _, _, _, std, n in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    params=st.lists(_mixed_link_params, min_size=1, max_size=14),
+    regime=st.sampled_from(tr.ALL_REGIMES),
+    cells=st.lists(_cell_parts, min_size=1, max_size=3),
+    trials=st.integers(1, tr.MAX_TRIALS),
+)
+def test_constant_cell_aggregates_to_its_one_trial(params, regime, cells, trials):
+    # a cell whose trials draw nothing is its one trial: mean x and stddev
+    # exactly 0.0 at any trial count, with no column per trial
+    if regime.quantum_net:
+        params = [replace(p, gen_prob=1.0) for p in params]
+    t = _line(params)
+    path = list(range(len(params) + 1))
+    cfg = quantum_cfg(regime=regime, trials=trials)
+    block = tr.run_trials(t, path, cfg, cells)
+    assert block.shape == (len(cells), len(tr.METRIC_FIELDS), 1)
+    for parts, rows in zip(cells, block):
+        x = numbers(tr.run_trial(t, path, cfg, np.random.default_rng([*parts, 0])))
+        means, stds = tr.aggregate(rows)
+        assert {f: v.hex() for f, v in means.items()} == {f: v.hex() for f, v in x.items()}
+        assert {f: v.hex() for f, v in stds.items()} == dict.fromkeys(tr.METRIC_FIELDS, "0x0.0p+0")
 
 
 def pcg64_states(rngs):
@@ -817,8 +866,9 @@ def test_lossy_cell_draws_are_capped_before_any_draw(monkeypatch):
     with pytest.raises(CapacityError, match="3 hops x 41 trials exceed 120 draws per cell"):
         tr.run_trials(t, [0, 1, 2, 3], quantum_cfg(trials=41), [(0,)])
     # cells that draw nothing run one trial, so they have no cap
-    assert tr.run_trials(t, [0, 1, 2, 3], quantum_cfg(
-        trials=41, regime=tr.Regime.CLASSICAL_GAME_CLASSICAL_NET), [(0,)]).shape == (1, 7, 41)
+    cfg = quantum_cfg(trials=41, regime=tr.Regime.CLASSICAL_GAME_CLASSICAL_NET)
+    [rows] = tr.run_trials(t, [0, 1, 2, 3], cfg, [(0,)])
+    assert_cell_rows(rows, rows_of(per_trial_run_trials(t, [0, 1, 2, 3], cfg, (0,))), True)
 
 
 @pytest.mark.parametrize("hashing", [True, False], ids=["hashed", "default-rng-fallback"])
@@ -934,8 +984,11 @@ def test_run_trials_builds_a_generator_only_where_trials_differ(
         lambda seed: built.append(seed) or RecordingGenerator(real_rng(seed), log),
     )
     monkeypatch.setattr(tr, "_time_trials", counting_time_trials)
-    t = _line([topo.LinkParams(latency_us=50.0, gen_prob=p) for p in gen_probs])
+    params = [topo.LinkParams(latency_us=50.0, gen_prob=p) for p in gen_probs]
+    t = _line(params)
     cfg = quantum_cfg(regime=regime, trials=7)
-    got = tr.run_trials(t, [0, 1, 2, 3], cfg, [(4, 2)])
-    assert got.shape == (1, len(tr.METRIC_FIELDS), 7)
+    [got] = tr.run_trials(t, [0, 1, 2, 3], cfg, [(4, 2)])
     assert (built, log, timed) == (built_rngs, per_trial * 7, [timed_shape])
+    monkeypatch.undo()
+    want = rows_of(per_trial_run_trials(t, [0, 1, 2, 3], cfg, (4, 2)))
+    assert_cell_rows(got, want, draws_nothing(params, regime))

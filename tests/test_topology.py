@@ -108,6 +108,40 @@ def test_link_model_without_delta_takes_the_largest_node_distance(mu, lam):
         assert got == topo.build_scenario1(3, 4, 2, seed=4)
 
 
+def dense_max_distance(positions) -> float:
+    """The largest pairwise distance from the full n x n x 2 difference array."""
+    pts = np.asarray(positions, dtype=float)
+    return float(np.max(np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    # up to 1,024 points fit one block of rows; past it, two or three blocks
+    n=st.integers(2, 40) | st.integers(1025, 1500),
+    kind=st.sampled_from(["uniform", "grid", "coincident"]),
+    scale=st.sampled_from([1.0, 1e3, 1e150, 1e200]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_for_positions_matches_the_dense_distance(n, kind, scale, seed):
+    # same differences, squares, sums and roots as the dense formula, so
+    # delta is bit-identical; squares past the float range give inf in both
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        positions = rng.uniform(-scale, scale, (n, 2))
+    elif kind == "grid":
+        positions = rng.integers(-3, 4, (n, 2)) * scale
+    else:
+        positions = np.full((n, 2), scale)
+    with np.errstate(over="ignore"):
+        want = dense_max_distance(positions)
+        if not want > 0:
+            with pytest.raises(ParameterError, match="coincident"):
+                topo.LinkModelParams.for_positions(0.5, 0.5, positions)
+            return
+        got = topo.LinkModelParams.for_positions(0.5, 0.5, positions.tolist()).delta
+    assert got.hex() == want.hex()
+
+
 def test_builder_determinism():
     a = topo.build_scenario1(3, 2, 1, seed=5)
     b = topo.build_scenario1(3, 2, 1, seed=5)
