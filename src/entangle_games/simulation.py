@@ -25,6 +25,10 @@ from .trial import aggregate, run_trial, run_trials
 # ---------------------------------------------------------------------------
 
 
+# a row's keys sit 6 spaces deep in sweep.json
+_ROWS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
 @dataclass
 class SweepResult:
     x_label: str
@@ -59,7 +63,23 @@ class SweepResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        """`json.dumps(self.to_json_dict(), indent=2, sort_keys=True)` and a
+        newline, with the rows encoded in one call of json's C encoder, which
+        json uses only without indent. Its item separator, a newline and the
+        6-space indent of a row's keys, lays out each row's keys as the
+        indented dump does. Rows are flat dicts, and the encoder writes a raw
+        newline only in a separator, so a separator between a closing and an
+        opening brace is a break between rows; it becomes the indented dump's
+        row break. Floats are written by float.__repr__ either way."""
+        doc = self.to_json_dict()
+        rows = _ROWS_ENCODER.encode(doc["rows"])
+        if doc["rows"]:
+            rows = rows[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+            rows = f"[\n    {{\n      {rows}\n    }}\n  ]"
+        # "n" sorts before "rows", so the first match is the rows key
+        doc["rows"] = []
+        text = json.dumps(doc, indent=2, sort_keys=True)
+        return text.replace('"rows": []', f'"rows": {rows}', 1) + "\n"
 
     def mean_of(self, x: float, series: str, metric: str) -> float:
         return self.cells[(x, series)][0][metric]

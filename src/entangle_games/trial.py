@@ -22,18 +22,24 @@ sweep indices) of the cell. Cells that share a path and a timing model, as
 a node count's two quantum-net regimes do, draw and time in one batch. The
 PCG64 states of a chunk's trials, across the cells of the batch, come from
 one numpy pass that replays numpy's SeedSequence and PCG64 seeding (O'Neill,
-"PCG", 2014; numpy NEP 19) in uint64 words: each seed word the cells share
-is hashed once, the others are repeated per trial, and the trial index is
-tiled. Each hop steps every trial's stream once and takes numpy's next
-double from the XSL-RR output. At gen_prob >= 1/3 numpy's geometric
-compares that one double with a running sum of the probabilities of 1, 2,
-... attempts, so a table of those sums and one searchsorted give the
-attempts of all trials. Below 1/3 numpy inverts an exponential that takes a
-varying number of words: from the first such hop on, each trial draws its
-remaining hops on one reused generator, set to the state its stream
-reached. A check run once per process compares states,
-doubles and geometric draws of two cells hashed in one pass with
-`default_rng`; on a mismatch every trial draws from its own `default_rng`.
+"PCG", 2014; numpy NEP 19): the entropy words of all trials are one (words,
+trials) uint32 block with each trial's index last, and SeedSequence's pool
+of four words is hashed and mixed as one block, each pool word into the
+other three at once and each word past the pool into all four. PCG64 is a
+128-bit LCG, so the streams then jump ahead a block of k hops at once (the
+arbitrary-stride jump of Brown, 1994): the states after 1 .. k steps are
+A_j * state + C_j * inc mod 2**128 for cached constants, one (k, trials)
+array in uint64 words, with k * trials near _BLOCK_DRAWS and k = 1, the
+plain step, on large chunks. Each state gives numpy's next double from its
+XSL-RR output. At gen_prob >= 1/3 numpy's geometric compares that one double
+with a running sum of the probabilities of 1, 2, ... attempts, so a table of
+those sums and one searchsorted per block and gen_prob give the attempts of
+all trials. Below 1/3 numpy inverts an exponential that takes a varying
+number of words: from the first such hop on, each trial draws its remaining
+hops on one reused generator, set to the state its stream jumped to. A check
+run once per process compares states, doubles and geometric draws of two
+cells hashed in one pass with `default_rng`; on a mismatch every trial draws
+from its own `default_rng`.
 
 One kernel times every trial, `run_trial`'s single trial and all trials of a
 sweep cell alike: given each trial's attempts per hop, it builds the trial's
@@ -53,6 +59,7 @@ its trial's value and stddev 0.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
@@ -243,10 +250,10 @@ def run_trials(
     every hop of every trial of every cell, and times trials [start, start +
     n) of all cells in one kernel call per chunk, with n the most trials per
     cell that keep a chunk within CHUNK_DRAWS hop draws. Hops at gen_prob >=
-    1/3 take one double from every trial's stream in one vector pass, and
-    from the first hop below 1/3 on each trial draws on one reused
-    generator. A lossy cell of more than MAX_CELL_DRAWS hops x trials is a
-    CapacityError before any draw.
+    1/3 take one double from every trial's stream, a block of hops in one
+    vector pass, and from the first hop below 1/3 on each trial draws on one
+    reused generator. A lossy cell of more than MAX_CELL_DRAWS hops x trials
+    is a CapacityError before any draw.
     """
     for seed_parts in cells:
         check_seed(seed_parts)
@@ -287,24 +294,34 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 # numpy scalars: a Python int operand doubles the cost of a uint32 array op
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _U16 = np.uint32(16)
+_U32, _LOW32 = np.uint64(32), np.uint64(_MASK32)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MULT_HI, _MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & 2**64 - 1)
+# hop draws stepped in one block: blocks of max(1, _BLOCK_DRAWS // n) hops
+# over n streams, so a chunk of many trials steps one hop at a time. A jump
+# does about 1.5 times the elementwise work of single steps, so it pays only
+# where numpy's per-call cost dominates: at 2**13, 2,000 streams x 11 hops
+# (a 1,000-trial node sweep) took 1.2 times as long as single steps
+_BLOCK_DRAWS = 2**12
 # from this gen_prob up numpy's geometric searches its partial sums with one
 # double; below, it inverts an exponential that takes one to five words
 _SEARCH_MIN_P = 1 / 3
 
 
-def _hasher(const: int, mult: int):
-    """SeedSequence's hash of uint32 words; each call steps the constant."""
+@functools.lru_cache(maxsize=16)
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """The constants of `calls` SeedSequence hashes as a (calls + 1, 1) uint32
+    column: hash k xors row k into its word and multiplies by row k + 1."""
+    return np.array([init * pow(mult, k, 2**32) & _MASK32 for k in range(calls + 1)],
+                    dtype=np.uint32)[:, None]
 
-    def hash_words(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ value >> _U16
 
-    return hash_words
+def _hash(words: np.ndarray, consts: np.ndarray, first: int, count: int) -> np.ndarray:
+    """SeedSequence's hashes first .. first + count - 1 of `words`, one per
+    row of the (count, n) result."""
+    value = words ^ consts[first:first + count]
+    value *= consts[first + 1:first + count + 1]
+    value ^= value >> _U16
+    return value
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -324,42 +341,41 @@ def _hashed_states(spans):
     [start, start + n) of each (seed_parts, start, n) span, in span order, as
     uint64 word arrays (state hi, state lo, inc hi, inc lo), with the trials
     of all spans hashed and seeded at once."""
-    # each span's entropy words; None stands for its trial index
-    entropies = [[*_words(parts), None] for parts, _, _ in spans]
-    counts = [n for _, _, n in spans]
-    length = max(4, *map(len, entropies))
-    columns = []
-    for pos in range(length):
-        # a span that ends before pos pads the pool with 0 and mixes no tail
-        column = [e[pos] if pos < len(e) else 0 for e in entropies]
-        if None not in column and len(set(column)) == 1:
-            # a word every trial shares as a 1-element array, hashed once and
-            # broadcast; numpy scalars would warn on the hash's uint32 overflow
-            columns.append(np.full(1, column[0], dtype=np.uint32))
-        else:
-            columns.append(np.concatenate([
-                np.arange(start, start + n, dtype=np.uint32) if w is None
-                else np.full(n, w, dtype=np.uint32)
-                for w, (_, start, n) in zip(column, spans)
-            ]))
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in columns[:4]]
+    # each trial's entropy words, its trial index last, as one (length, n)
+    # block; a span that ends before a row pads the pool with 0 there and
+    # mixes no word past the pool
+    seeds = [_words(parts) for parts, _, _ in spans]
+    length = max(4, *(len(w) + 1 for w in seeds))
+    words = np.zeros((length, sum(n for _, _, n in spans)), dtype=np.uint32)
+    col = 0
+    for w, (_, start, n) in zip(seeds, spans):
+        words[:len(w), col:col + n] = np.reshape(w, (-1, 1))
+        words[len(w), col:col + n] = np.arange(start, start + n)
+        col += n
+    # each hash steps the constant: 4 for the pool, 3 per source word of the
+    # pool's own mix, 4 per word past the pool
+    consts = _hash_constants(_INIT_A, _MULT_A, 4 * length)
+    pool = _hash(words[:4], consts, 0, 4)
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        # the mixes into the other three words read only pool[src]
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hash(pool[src], consts, 4 + 3 * src, 3))
+    # rows of each trial, and the rows that every trial holds
+    held = np.repeat([len(w) + 1 for w in seeds], [n for _, _, n in spans])
+    every = min(map(len, seeds)) + 1
     for pos in range(4, length):
-        held = [len(e) > pos for e in entropies]
-        for dst in range(4):
-            mixed = _mix(pool[dst], hashmix(columns[pos]))
-            pool[dst] = mixed if all(held) else np.where(np.repeat(held, counts), mixed, pool[dst])
-    generate = _hasher(_INIT_B, _MULT_B)
-    out = [generate(pool[k % 4]).astype(np.uint64) for k in range(8)]
-    # generate_state(4, uint64): pairs of words, low word first
-    seed_hi, seed_lo, seq_hi, seq_lo = (out[2 * k] | out[2 * k + 1] << 32 for k in range(4))
+        mixed = _mix(pool, _hash(words[pos], consts, 4 * pos, 4))
+        pool = mixed if pos < every else np.where(held > pos, mixed, pool)
+    gen = _hash_constants(_INIT_B, _MULT_B, 8)
+    out = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], gen, 0, 8)
+    # generate_state(4, uint64): pairs of words, low word first, read as
+    # little-endian uint64 as numpy does
+    pairs = np.ascontiguousarray(out.reshape(4, 2, -1).transpose(0, 2, 1), dtype="<u4")
+    seed_hi, seed_lo, seq_hi, seq_lo = pairs.view("<u8")[..., 0].astype(np.uint64, copy=False)
     # PCG64's srandom: state 0, step, add the seed, step
     inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
-    return _pcg64_step((*_add128(seed_hi, seed_lo, *inc), *inc))
+    mult, _ = _jump_constants(1)
+    return (*_add128(*_mul128(*_add128(seed_hi, seed_lo, *inc), mult), *inc), *inc)
 
 
 def _add128(a_hi, a_lo, b_hi, b_lo):
@@ -367,30 +383,58 @@ def _add128(a_hi, a_lo, b_hi, b_lo):
     return a_hi + b_hi + (lo < b_lo), lo
 
 
-def _mul_hi(a: np.ndarray, b: np.uint64) -> np.ndarray:
-    """High words of the 128-bit products a * b, from 32-bit halves."""
-    a0, a1 = a & _MASK32, a >> 32
-    b0, b1 = b & _MASK32, b >> 32
-    t = a1 * b0 + (a0 * b0 >> 32)
-    w = (t & _MASK32) + a0 * b1
-    return a1 * b1 + (t >> 32) + (w >> 32)
+def _mul128(hi, lo, c):
+    """(hi, lo) * c mod 2**128 as words, for a constant c given as its
+    `_columns`; the high word of lo * c lo comes from 32-bit halves."""
+    c_hi, c_lo, c0, c1 = c
+    a0, a1 = lo & _LOW32, lo >> _U32
+    t = a1 * c0 + (a0 * c0 >> _U32)
+    w = (t & _LOW32) + a0 * c1
+    return a1 * c1 + (t >> _U32) + (w >> _U32) + lo * c_hi + hi * c_lo, lo * c_lo
 
 
-def _pcg64_step(state):
-    """One LCG step, state * _PCG64_MULT + inc mod 2**128, of every stream."""
+def _columns(values) -> tuple[np.ndarray, ...]:
+    """128-bit constants (reduced mod 2**128) as the (k, 1) uint64 columns
+    `_mul128` takes: hi, lo, and the two 32-bit halves of lo. One constant
+    is numpy scalars, so a single step runs on (n,) words."""
+    values = list(values)
+    columns = tuple(np.array([v >> s & m for v in values], dtype=np.uint64)[:, None]
+                    for s, m in ((64, 2**64 - 1), (0, 2**64 - 1), (0, _MASK32), (32, _MASK32)))
+    return tuple(col[0, 0] for col in columns) if len(values) == 1 else columns
+
+
+@functools.lru_cache(maxsize=16)
+def _jump_constants(k: int):
+    """A and C as `_mul128` columns: j LCG steps, j = 1 .. k, take a state s
+    to A[j] * s + C[j] * inc mod 2**128, where A[j] is _PCG64_MULT**j and
+    C[j] = _PCG64_MULT**(j - 1) + ... + 1 (Brown, "Random Number Generation
+    with Arbitrary Strides", 1994)."""
+    powers = [pow(_PCG64_MULT, j, 2**128) for j in range(k + 1)]
+    return _columns(powers[1:]), _columns(itertools.accumulate(powers[:-1]))
+
+
+def _next_doubles(state, k: int):
+    """Every stream stepped k times, in blocks of b = max(1, _BLOCK_DRAWS //
+    n) steps: yields, per block, the state its last step reaches and numpy's
+    next_double at each of its steps as a (b, n) array, the top 53 bits of
+    the XSL-RR output word times 2**-53.
+
+    A block jumps ahead from the last state of the one before. C * inc is
+    the same for every block, so it is computed once; a block of one step
+    adds inc, as the LCG does."""
     hi, lo, inc_hi, inc_lo = state
-    hi = _mul_hi(lo, _MULT_LO) + lo * _MULT_HI + hi * _MULT_LO
-    return (*_add128(hi, lo * _MULT_LO, inc_hi, inc_lo), inc_hi, inc_lo)
-
-
-def _next_doubles(state):
-    """Every stream stepped once, and numpy's next_double of each: the top 53
-    bits of the XSL-RR output word, times 2**-53."""
-    state = _pcg64_step(state)
-    hi, lo = state[:2]
-    word, rot = hi ^ lo, hi >> 58
-    word = word >> rot | word << (64 - rot & 63)
-    return state, (word >> 11) * 2.0**-53
+    b = max(1, min(k, _BLOCK_DRAWS // len(hi)))
+    a, c = _jump_constants(b)
+    step = (inc_hi[None], inc_lo[None]) if b == 1 else _mul128(inc_hi, inc_lo, c)
+    for first in range(0, k, b):
+        if k - first < b:
+            # the last block takes the steps it needs
+            a, step = [col[:k - first] for col in a], [w[:k - first] for w in step]
+        hi, lo = _add128(*_mul128(hi, lo, a), *step)
+        word, rot = hi ^ lo, hi >> 58
+        word = word >> rot | word << (64 - rot & 63)
+        hi, lo = hi[-1], lo[-1]
+        yield (hi, lo, inc_hi, inc_lo), (word >> 11) * 2.0**-53
 
 
 @functools.lru_cache(maxsize=64)
@@ -423,13 +467,20 @@ def _numpy_states(rngs) -> list[tuple[int, int]]:
 
 
 def _search_draws(state, probs: list[float]):
-    """Every stream's geometric draws at probs, all >= 1/3, as rows of an
-    (hops, n) list, and the states they leave."""
-    rows = []
-    for p in probs:
-        state, u = _next_doubles(state)
-        rows.append(np.searchsorted(_search_sums(p), u) + 1)
-    return state, rows
+    """Every stream's geometric draws at probs, all >= 1/3, as an (hops, n)
+    array, and the states they leave: one searchsorted per run of hops at
+    the same gen_prob in a block."""
+    draws = np.empty((len(probs), len(state[0])), dtype=np.intp)
+    hop = 0
+    for state, u in _next_doubles(state, len(probs)):
+        row = 0
+        for p, run in itertools.groupby(probs[hop:hop + len(u)]):
+            end = row + len(list(run))
+            draws[hop + row:hop + end] = np.searchsorted(_search_sums(p), u[row:end])
+            row = end
+        hop += len(u)
+    draws += 1
+    return state, draws
 
 
 @functools.cache
@@ -447,11 +498,11 @@ def _hashing_matches_numpy() -> bool:
     state = _hashed_states(spans)
     if _as_ints(state) != _numpy_states(rngs):
         return False
-    state, u = _next_doubles(state)
-    if u.tolist() != [r.random() for r in rngs]:
+    [(state, u)] = _next_doubles(state, 1)
+    if u[0].tolist() != [r.random() for r in rngs]:
         return False
-    state, rows = _search_draws(state, probs)
-    if np.array(rows).T.tolist() != [[r.geometric(p) for p in probs] for r in rngs]:
+    state, draws = _search_draws(state, probs)
+    if draws.T.tolist() != [[r.geometric(p) for p in probs] for r in rngs]:
         return False
     return _as_ints(state) == _numpy_states(rngs)
 
@@ -463,21 +514,22 @@ def _attempts(spans, probs: list[float]) -> np.ndarray:
     `geometric(probs[h])`.
 
     Hops at gen_prob >= 1/3 take one double per trial, drawn for all trials
-    at once. From the first hop below 1/3 on, each trial draws its remaining
-    hops on one reused generator, set to the state its stream reached."""
+    and a block of hops at once. From the first hop below 1/3 on, each trial
+    draws its remaining hops on one reused generator, set to the state its
+    stream jumped to."""
     if not _hashing_matches_numpy():
         rngs = (np.random.default_rng([*parts, i]) for parts, start, count in spans
                 for i in range(start, start + count))
         return np.array([[rng.geometric(p) for p in probs] for rng in rngs]).T
     split = next((h for h, p in enumerate(probs) if p < _SEARCH_MIN_P), len(probs))
-    state, rows = _search_draws(_hashed_states(spans), probs[:split])
+    state, head = _search_draws(_hashed_states(spans), probs[:split])
     tail = probs[split:]
     if not tail:
-        return np.array(rows)
+        return head
     draws = []
     rng = np.random.default_rng(0)
     for s, inc in _as_ints(state):
         rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": s, "inc": inc},
                                    "has_uint32": 0, "uinteger": 0}
         draws.extend(map(rng.geometric, tail))
-    return np.vstack([*rows, np.reshape(draws, (-1, len(tail))).T])
+    return np.vstack([head, np.reshape(draws, (-1, len(tail))).T])

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from dataclasses import asdict, replace
@@ -442,6 +443,33 @@ def test_sweep_serialization_is_deterministic():
     assert c.to_csv() != a.to_csv()
 
 
+_finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1.7976931348623157e308]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from([
+        ("node_count", [r.value for r in tr.ALL_REGIMES]),
+        ("decoherence_rate", ["classical", "quantum"]),
+    ]),
+    grid=st.lists(_finite_floats, min_size=1, max_size=3, unique=True),
+    values=st.lists(_finite_floats, min_size=1, max_size=8),
+    n=st.integers(1, tr.MAX_TRIALS),
+)
+def test_sweep_json_equals_indented_dump(kind, grid, values, n):
+    x_label, series = kind
+    stats = iter(values * (2 * len(grid) * len(series) * len(tr.METRIC_FIELDS)))
+    cells = {
+        (x, s): tuple({f: next(stats) for f in tr.METRIC_FIELDS} for _ in range(2))
+        for x in grid
+        for s in series
+    }
+    res = sim.SweepResult(x_label, grid, series, n, cells)
+    assert res.to_json() == json.dumps(res.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+
 def test_sweep_csv_shape():
     res = sim.sweep_nodes(tr.SimConfig(trials=2), [2, 3], seed=1)
     lines = res.to_csv().strip().splitlines()
@@ -839,12 +867,60 @@ def test_vector_stream_equals_default_rng(seed_parts, start, n, k, probs):
     rngs = [np.random.default_rng([*seed_parts, i]) for i in indices]
     state = tr._hashed_states([(seed_parts, start, n)])
     for _ in range(k):
-        state, u = tr._next_doubles(state)
-    assert u.tolist() == [r.random(k)[-1] for r in rngs]
+        [(state, u)] = tr._next_doubles(state, 1)
+    assert u[0].tolist() == [r.random(k)[-1] for r in rngs]
     assert tr._as_ints(state) == pcg64_states(rngs)
     rngs = [np.random.default_rng([*seed_parts, i]) for i in indices]
     want = [[r.geometric(p) for r in rngs] for p in probs]
     assert tr._attempts([(seed_parts, start, n)], probs).tolist() == want
+
+
+# gen_probs on both sides of 1/3: from the first one below, each trial draws
+# on a generator set to the state its stream jumped to
+_hop_probs = st.lists(
+    st.sampled_from([1 / 3, 0.8, 1.0]) | st.floats(1 / 3, 1.0) | st.floats(0.05, 0.33),
+    min_size=1,
+    max_size=14,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cells=st.tuples(_cell_parts, _cell_parts).filter(
+        lambda c: len(tr._words(c[0])) != len(tr._words(c[1]))
+    ),
+    starts=st.tuples(_starts, _starts),
+    counts=st.tuples(st.integers(1, 150), st.integers(1, 150)),
+    block=st.integers(1, 3),
+    probs=_hop_probs,
+)
+def test_hop_blocks_equal_default_rng(cells, starts, counts, block, probs):
+    # blocks of 1, 2 and 3 hops over two cells of different word counts
+    spans = list(zip(cells, starts, counts))
+    indices = [(parts, i) for parts, start, n in spans for i in range(start, start + n)]
+    split = next((h for h, p in enumerate(probs) if p < 1 / 3), len(probs))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tr, "_BLOCK_DRAWS", block * sum(counts))
+        got = tr._attempts(spans, probs)
+        state, head = tr._search_draws(tr._hashed_states(spans), probs[:split])
+    rngs = [np.random.default_rng([*parts, i]) for parts, i in indices]
+    assert got.tolist() == [[r.geometric(p) for r in rngs] for p in probs]
+    rngs = [np.random.default_rng([*parts, i]) for parts, i in indices]
+    assert head.tolist() == [[r.geometric(p) for r in rngs] for p in probs[:split]]
+    assert tr._as_ints(state) == pcg64_states(rngs)
+
+
+def test_hashed_states_take_a_seed_of_any_length():
+    # 2**3000 takes 94 uint32 words, all mixed past the pool; the other cell
+    # holds none of them
+    spans = [((2**3000 + 12345, 7), 5, 40), ((3,), 0, 20)]
+    rngs = [np.random.default_rng([*parts, i]) for parts, start, n in spans
+            for i in range(start, start + n)]
+    assert tr._as_ints(tr._hashed_states(spans)) == pcg64_states(rngs)
+    probs = [0.8, 0.5, 0.2]
+    rngs = [np.random.default_rng([*parts, i]) for parts, start, n in spans
+            for i in range(start, start + n)]
+    assert tr._attempts(spans, probs).tolist() == [[r.geometric(p) for r in rngs] for p in probs]
 
 
 def test_run_trials_rejects_negative_seed_parts():
