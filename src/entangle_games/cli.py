@@ -316,12 +316,14 @@ def cmd_sweep(cfg: RunConfig, kind: str) -> int:
     out_dir = Path(cfg.out_dir)
     _write(out_dir / "sweep.csv", result.to_csv(), cfg.quiet)
     _write(out_dir / "sweep.json", result.to_json(), cfg.quiet)
+    if cfg.quiet:
+        return EXIT_OK
     metric = "normalized_delay_us" if kind == "nodes" else "end_to_end_fidelity"
     for series in result.series:
         means = " ".join(
             f"{x:g}:{result.mean_of(x, series, metric):.4f}" for x in result.x_values
         )
-        _say(cfg, f"{series} {metric}: {means}")
+        print(f"{series} {metric}: {means}")
     return EXIT_OK
 
 

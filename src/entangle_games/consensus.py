@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -79,16 +80,28 @@ class SwitchRecord:
 
 @dataclass
 class ConsensusOutcome:
+    """A finished consensus game. `end_to_end_fidelity` is one distribution
+    trial of `path` on `realized_topology` under `sim_config` (default
+    SimConfig()), drawn from `default_rng([seed, 0xC0F1])`; it runs when the
+    property is first read, and later reads return the same value."""
+
     path: list[int]
     switches: list[SwitchRecord]
     total_cost: float
-    end_to_end_fidelity: float
     converged: bool
     rounds: int = 0
     tie_events: list[dict] = field(default_factory=list)
     blocked: list[dict] = field(default_factory=list)
     trace: list[dict] = field(default_factory=list)
     realized_topology: NetworkTopology | None = None
+    seed: int = 0
+    sim_config: SimConfig | None = None
+
+    @cached_property
+    def end_to_end_fidelity(self) -> float:
+        rng = np.random.default_rng([self.seed, 0xC0F1])
+        trial = run_trial(self.realized_topology, self.path, self.sim_config or SimConfig(), rng)
+        return trial.end_to_end_fidelity
 
     def to_json_dict(self) -> dict:
         return {
@@ -145,11 +158,15 @@ def choice_state(topology: NetworkTopology) -> dict[int, ChoiceSet]:
     return state
 
 
-def _utilities(cs: ChoiceSet, weights) -> tuple[float, float]:
-    scale = max(e.latency_cost for e in cs.estimates)
-    cur = hop_utility(cs.estimate_for(cs.current), weights, scale)
-    alt = hop_utility(cs.estimate_for(cs.alternative()), weights, scale)
-    return cur, alt
+def _utility_table(state: dict[int, ChoiceSet], weights) -> dict[int, tuple[float, float]]:
+    """Each node's utility of options[0] and of options[1]. A node's options
+    and estimates never change, so one table serves every round of a game."""
+    table = {}
+    for node, cs in state.items():
+        scale = max(e.latency_cost for e in cs.estimates)
+        table[node] = (hop_utility(cs.estimates[0], weights, scale),
+                       hop_utility(cs.estimates[1], weights, scale))
+    return table
 
 
 def _creates_cycle(state: dict[int, ChoiceSet], node: int, new_hop: int) -> bool:
@@ -182,6 +199,11 @@ def consensus_round(
     chain is blocked. Returns (new state, switches, tie events, blocked
     moves); coin-settled moves appear in the tie events, not in the switches.
     """
+    return _round(state, _utility_table(state, weights), rng, settled)
+
+
+def _round(state: dict[int, ChoiceSet], utilities: dict, rng, settled: set[int] | None):
+    """`consensus_round` on the nodes' `_utility_table`."""
     settled = settled if settled is not None else set()
     new_state = dict(state)
     switches: list[SwitchRecord] = []
@@ -189,7 +211,7 @@ def consensus_round(
     blocked: list[dict] = []
     for node in sorted(state):
         cs = state[node]
-        cur, alt = _utilities(cs, weights)
+        cur, alt = utilities[node] if cs.current == cs.options[0] else utilities[node][::-1]
         tie = rng is not None and abs(alt - cur) <= TIE_EPSILON
         if tie:
             if node in settled:
@@ -333,11 +355,13 @@ def run_consensus(
     them, then score the path.
 
     `variant` is "classical" or "quantum" (ties settled by the seeded shared
-    coin). The end-to-end fidelity of the converged path comes from one
-    distribution trial of the `trial` module under `sim_config` (default
-    SimConfig()), drawn from `default_rng([seed, 0xC0F1])`; the per-round
-    trace carries the static product-of-payoffs proxy instead, which needs no
-    sampling.
+    coin). Each choosing node's two hops are scored once per game. The
+    end-to-end fidelity of the converged path comes from one distribution
+    trial of the `trial` module under `sim_config` (default SimConfig()),
+    drawn from `default_rng([seed, 0xC0F1])`; it runs when the outcome's
+    `end_to_end_fidelity` is first read, with that generator and so the same
+    value. The per-round trace carries the static product-of-payoffs proxy
+    instead, which needs no sampling.
     """
     if variant not in ("classical", "quantum"):
         raise ParameterError(f"unknown variant {variant!r}")
@@ -357,6 +381,7 @@ def run_consensus(
         raise ParameterError("source and destination must sit in different trees")
 
     state = choice_state(topology)
+    utilities = _utility_table(state, weights)
     rng = np.random.default_rng(seed) if variant == "quantum" else None
 
     switches: list[SwitchRecord] = []
@@ -367,7 +392,7 @@ def run_consensus(
     converged = False
     # at least one round runs: the endpoints are two distinct nodes
     for rounds in range(1, 2 * len(topology.nodes) + 1):
-        state, new_switches, new_ties, new_blocked = consensus_round(state, weights, rng, settled)
+        state, new_switches, new_ties, new_blocked = _round(state, utilities, rng, settled)
         blocked.extend(new_blocked)
         switches.extend(new_switches)
         for t in new_ties:
@@ -386,18 +411,16 @@ def run_consensus(
             converged = True
             break
 
-    realized = realize_topology(topology, state)
-    trial_rng = np.random.default_rng([seed, 0xC0F1])
-    delivered = run_trial(realized, path, sim_config or SimConfig(), trial_rng)
     return ConsensusOutcome(
         path=path,
         switches=switches,
         total_cost=total_cost,
-        end_to_end_fidelity=delivered.end_to_end_fidelity,
         converged=converged,
         rounds=rounds,
         tie_events=tie_events,
         blocked=blocked,
         trace=trace,
-        realized_topology=realized,
+        realized_topology=realize_topology(topology, state),
+        seed=seed,
+        sim_config=sim_config,
     )

@@ -11,6 +11,7 @@ with no stabilizer shortcuts.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -433,10 +434,14 @@ def coin_flip_consensus(rng: np.random.Generator, angle: float) -> tuple[int, in
     `angle`. Returns (bit_a, bit_b, agree); P(agree) = cos^2(angle) and each
     marginal is uniform. The outcomes 00, 01, 10, 11 of the rotated Bell pair
     have the closed-form probabilities [cos^2, sin^2, sin^2, cos^2] / 2, which
-    are sampled directly.
+    are sampled directly: the outcome is the number of steps of their
+    normalized running sum at or below one `rng.random()` draw, as
+    `rng.choice(4, p=...)` picks it.
     """
     check_angle(angle, "angle")
     same, differ = math.cos(angle) ** 2 / 2.0, math.sin(angle) ** 2 / 2.0
-    outcome = int(rng.choice(4, p=[same, differ, differ, same]))
+    cdf = list(itertools.accumulate((same, differ, differ, same)))
+    draw = rng.random()
+    outcome = sum(step / cdf[-1] <= draw for step in cdf)
     bit_a, bit_b = outcome >> 1, outcome & 1
     return bit_a, bit_b, bit_a == bit_b

@@ -211,35 +211,35 @@ SWEEP_COST_TO_US = 10.0
 def sweep_decoherence(base_cfg: SimConfig, rates: list[float], seed: int = 0) -> SweepResult:
     """End-to-end fidelity sweep over link decoherence rates.
 
-    For each rate the two-tree consensus fixture is rebuilt with that rate on
+    For each rate the two-tree consensus fixture is built with that rate on
     every link, consensus runs per variant from leaf 1 to leaf 8, and the
-    converged path is measured over `trials` quantum-net trials. Trial seeds
-    pair across variants so the comparison is noise-matched.
+    converged path is measured over `trials` quantum-net trials. The sweep
+    reads only each game's path and realized topology, never its consensus
+    fidelity, so that trial never runs. Trial seeds pair across variants so
+    the comparison is noise-matched.
     """
     check_seed(seed)
     if not rates or any(a >= b for a, b in zip(rates, rates[1:])) or rates[0] < 0:
         raise ParameterError(
             f"rates must be non-empty, strictly ascending and non-negative, got {list(rates)}"
         )
-    variants = ("classical", "quantum")
-    base_topology = canonical_two_tree_topology(cost_to_us=SWEEP_COST_TO_US)
+    configs = {
+        "classical": replace(base_cfg, regime=Regime.CLASSICAL_GAME_QUANTUM_NET),
+        "quantum": replace(base_cfg, regime=Regime.QUANTUM_GAME_QUANTUM_NET),
+    }
     cells = {}
     for xi, rate in enumerate(rates):
-        rated = base_topology.with_link_updates(decoherence_rate=rate)
-        for variant in variants:
-            cfg = replace(
-                base_cfg,
-                regime=Regime.QUANTUM_GAME_QUANTUM_NET
-                if variant == "quantum"
-                else Regime.CLASSICAL_GAME_QUANTUM_NET,
-            )
+        rated = canonical_two_tree_topology(
+            link_defaults=LinkParams(decoherence_rate=rate), cost_to_us=SWEEP_COST_TO_US
+        )
+        for variant, cfg in configs.items():
             outcome = run_consensus(rated, 1, 8, variant=variant, seed=seed, sim_config=cfg)
             [rows] = run_trials(outcome.realized_topology, outcome.path, cfg, [(seed, xi)])
             cells[(float(rate), variant)] = aggregate(rows)
     return SweepResult(
         x_label="decoherence_rate",
         x_values=[float(r) for r in rates],
-        series=list(variants),
+        series=list(configs),
         n=base_cfg.trials,
         cells=cells,
     )

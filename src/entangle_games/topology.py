@@ -578,7 +578,9 @@ def build_scenario2(
 
     `link_weights` maps ordered (node, next_hop) pairs to (latency cost,
     fidelity payoff) and overrides the seeded defaults, which draw costs from
-    60..100 and payoffs from 0.3..0.8. Latency in microseconds is
+    60..100 and payoffs from 0.3..0.8. The generator `default_rng(seed)` is
+    made at the first weight missing from `link_weights`, so a table that
+    gives every weight draws nothing. Latency in microseconds is
     cost * `cost_to_us`.
     """
     if len(tree_sizes) < 2:
@@ -588,11 +590,13 @@ def build_scenario2(
             raise ParameterError(f"every tree needs at least 1 leaf, got {size}")
     defaults = link_defaults or LinkParams()
     weights = dict(link_weights or {})
-    rng = np.random.default_rng(seed)
+    rng = None
 
     def weight_for(node: int, hop: int) -> tuple[float, float]:
+        nonlocal rng
         if (node, hop) in weights:
             return weights[(node, hop)]
+        rng = rng or np.random.default_rng(seed)
         cost = float(rng.integers(60, 101))
         payoff = round(float(rng.uniform(0.3, 0.8)), 2)
         return cost, payoff

@@ -212,6 +212,23 @@ def test_fidelity_trial_is_seeded_by_the_seed_alone(variant):
     assert len(fidelities) > 1
 
 
+def test_fidelity_trial_runs_once_on_first_read(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tr.run_trial(*args)
+
+    monkeypatch.setattr(cons, "run_trial", counted)
+    out = cons.run_consensus(canonical(), 1, 8, variant="quantum", seed=3)
+    assert calls == []
+    first = out.end_to_end_fidelity
+    assert len(calls) == 1
+    assert out.end_to_end_fidelity == first
+    assert out.to_json_dict()["end_to_end_fidelity"] == first
+    assert len(calls) == 1
+
+
 def test_path_stays_simple():
     out = cons.run_consensus(canonical(), 1, 8, variant="classical")
     assert len(out.path) == len(set(out.path))
@@ -335,6 +352,15 @@ def test_realized_topology_moves_switched_link():
 # ---------------------------------------------------------------------------
 
 
+def _utilities(cs, weights):
+    """A node's (current, alternative) hop utilities, scored afresh in every
+    round as `consensus_round` did before its per-game utility table."""
+    scale = max(e.latency_cost for e in cs.estimates)
+    cur = cons.hop_utility(cs.estimate_for(cs.current), weights, scale)
+    alt = cons.hop_utility(cs.estimate_for(cs.alternative()), weights, scale)
+    return cur, alt
+
+
 def _old_apply_switches(state, desires, tie_nodes=frozenset()):
     """`_apply_switches` before `consensus_round`, kept verbatim as the oracle."""
     new_state = dict(state)
@@ -369,7 +395,7 @@ def _old_classical_round(state, weights=(1.0, 1.0), order=None, blocked_sink=Non
     desires: dict[int, int] = {}
     for node in nodes:
         cs = state[node]
-        cur, alt = cons._utilities(cs, weights)
+        cur, alt = _utilities(cs, weights)
         desires[node] = cs.alternative() if alt > cur else cs.current
     new_state, switches, _, blocked = _old_apply_switches(state, desires)
     if blocked_sink is not None:
@@ -402,7 +428,7 @@ def _old_quantum_round(
     tie_nodes: set[int] = set()
     for node in nodes:
         cs = state[node]
-        cur, alt = cons._utilities(cs, weights)
+        cur, alt = _utilities(cs, weights)
         if abs(alt - cur) <= tie_epsilon:
             if node in settled:
                 desires[node] = cs.current
@@ -430,7 +456,9 @@ def _old_quantum_round(
 
 def _old_run_consensus(topology, source, destination, weights, variant, seed, gamma=math.pi / 2):
     """The round loop of `run_consensus` before `consensus_round`, verbatim
-    apart from the endpoint checks, which are unchanged and run first."""
+    apart from the endpoint checks, which are unchanged and run first.
+    Returns the outcome and the fidelity trial's value, run eagerly as it was
+    before `ConsensusOutcome.end_to_end_fidelity` ran it on first read."""
     state = cons.choice_state(topology)
     rng = np.random.default_rng(seed)
     rounds_cap = 2 * len(topology.nodes)
@@ -467,11 +495,12 @@ def _old_run_consensus(topology, source, destination, weights, variant, seed, ga
     realized = cons.realize_topology(topology, state)
     rng = np.random.default_rng([seed, 0xC0F1])
     fidelity = tr.run_trial(realized, path, tr.SimConfig(), rng).end_to_end_fidelity
-    return cons.ConsensusOutcome(
-        path=path, switches=switches, total_cost=total_cost, end_to_end_fidelity=fidelity,
+    outcome = cons.ConsensusOutcome(
+        path=path, switches=switches, total_cost=total_cost,
         converged=converged, rounds=rounds, tie_events=tie_events, blocked=blocked,
-        trace=trace, realized_topology=realized,
+        trace=trace, realized_topology=realized, seed=seed,
     )
+    return outcome, fidelity
 
 
 @st.composite
@@ -510,7 +539,8 @@ def _consensus_games(draw):
 def test_run_consensus_matches_old_rounds(game):
     topology, source, destination, weights, variant, seed = game
     new = cons.run_consensus(topology, source, destination, weights, variant, seed)
-    old = _old_run_consensus(topology, source, destination, weights, variant, seed)
+    old, fidelity = _old_run_consensus(topology, source, destination, weights, variant, seed)
+    assert new.end_to_end_fidelity == fidelity
     assert new.to_json_dict() == old.to_json_dict()
     assert new.trace == old.trace
     assert new.realized_topology.to_json_dict() == old.realized_topology.to_json_dict()

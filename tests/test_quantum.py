@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entangle_games import quantum as q
@@ -387,3 +387,15 @@ def test_closed_form_coin_matches_dense_bell_pair(angle, seed):
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(20):
         assert q.coin_flip_consensus(fast, angle) == dense_coin_flip(slow, angle)
+
+
+@settings(max_examples=200, deadline=None)
+@given(angle=st.floats(0.0, math.pi / 2), seed=st.integers(0, 2**32 - 1))
+@example(angle=0.0, seed=0)
+@example(angle=math.pi / 2, seed=0)
+def test_coin_draw_matches_generator_choice(angle, seed):
+    c, s = math.cos(angle) ** 2, math.sin(angle) ** 2
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        bit_a, bit_b, _ = q.coin_flip_consensus(fast, angle)
+        assert 2 * bit_a + bit_b == int(slow.choice(4, p=[c / 2, s / 2, s / 2, c / 2]))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from dataclasses import asdict, replace
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entangle_games import coalition as co
+from entangle_games import consensus as cons
 from entangle_games import quantum as q
 from entangle_games import simulation as sim
 from entangle_games import topology as topo
@@ -423,6 +425,45 @@ def test_sweep_decoherence_orderings_small():
         assert res.mean_of(r, "quantum", "end_to_end_fidelity") >= res.mean_of(
             r, "classical", "end_to_end_fidelity"
         )
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_decoherence_sweep_runs_no_consensus_trial(monkeypatch, seed):
+    cfg = tr.SimConfig(trials=30)
+    want = sim.sweep_decoherence(cfg, list(sim.DECOHERENCE_SWEEP_RATES), seed=seed).to_json()
+
+    def no_trial(*args):
+        raise AssertionError("the sweep read a consensus fidelity")
+
+    monkeypatch.setattr(cons, "run_trial", no_trial)
+    got = sim.sweep_decoherence(cfg, list(sim.DECOHERENCE_SWEEP_RATES), seed=seed).to_json()
+    assert got == want
+
+
+_RATES = st.sampled_from([0.0, 5e-324, 2.2e-308 / 3]) | st.floats(1e-9, 1e3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rate=_RATES)
+@example(rate=math.inf)
+@example(rate=math.nan)
+def test_decoherence_fixture_built_at_its_rate(rate):
+    """The sweep's per-rate fixture against the base fixture with the rate
+    set on every link, as the sweep built it before."""
+    def rated():
+        return topo.canonical_two_tree_topology(
+            link_defaults=topo.LinkParams(decoherence_rate=rate), cost_to_us=sim.SWEEP_COST_TO_US)
+
+    try:
+        want = topo.canonical_two_tree_topology(cost_to_us=sim.SWEEP_COST_TO_US).with_link_updates(
+            decoherence_rate=rate).to_json_dict()
+    except ParameterError as exc:
+        assert not math.isfinite(rate)
+        for build in (rated, lambda: sim.sweep_decoherence(tr.SimConfig(trials=1), [rate])):
+            with pytest.raises(ParameterError, match=f"^{re.escape(str(exc))}$"):
+                build()
+        return
+    assert rated().to_json_dict() == want
 
 
 def test_sweep_decoherence_rejects_unsorted_rates():

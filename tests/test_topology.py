@@ -217,6 +217,56 @@ def test_every_multi_leaf_tree_node_has_choice_set():
         assert a.next_hop != b.next_hop
 
 
+def test_full_weight_table_creates_no_generator(monkeypatch):
+    want = topo.canonical_two_tree_topology().to_json()
+
+    def no_generator(*args):
+        raise AssertionError("build_scenario2 made a generator")
+
+    monkeypatch.setattr(topo.np.random, "default_rng", no_generator)
+    assert topo.canonical_two_tree_topology().to_json() == want
+    with pytest.raises(AssertionError, match="made a generator"):
+        topo.build_scenario2([2, 2])
+
+
+def _eager_weights(sizes, given_weights, seed):
+    """Every link weight of `build_scenario2(sizes, given_weights, seed)`: the
+    given ones, and the rest drawn in the builder's visiting order from a
+    generator made up front, as the builder made it before it drew lazily."""
+    rng = np.random.default_rng(seed)
+    weights = {}
+
+    def visit(node, hop):
+        if (node, hop) in given_weights:
+            weights[(node, hop)] = given_weights[(node, hop)]
+        else:
+            weights[(node, hop)] = (float(rng.integers(60, 101)),
+                                    round(float(rng.uniform(0.3, 0.8)), 2))
+
+    leader = 0
+    for size in sizes:
+        leaves = list(range(leader + 1, leader + size + 1))
+        for idx, leaf in enumerate(leaves):
+            visit(leaf, leader)
+            if size > 1:
+                visit(leaf, leaves[(idx + 1) % size])
+        leader += size + 1
+    visit(0, sizes[0] + 1)
+    return weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 5), min_size=2, max_size=3), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_partial_weight_table_draws_as_before(sizes, seed, data):
+    keys = sorted(_eager_weights(sizes, {}, 0))
+    given_keys = data.draw(st.lists(st.sampled_from(keys), unique=True))
+    given_weights = {key: (50.0 + i, 0.5) for i, key in enumerate(given_keys)}
+    want = topo.build_scenario2(sizes, _eager_weights(sizes, given_weights, seed))
+    got = topo.build_scenario2(sizes, given_weights, seed=seed)
+    assert got.to_json() == want.to_json()
+
+
 def test_built_trees_pass_validation():
     for sizes in ([5, 4], [1, 1], [2, 3, 2]):
         assert topo.validate(topo.build_scenario2(sizes, seed=3)) == []
