@@ -3,7 +3,7 @@
 Library layout:
 
 - ``topology``: network construction (leader mesh, two-tree network,
-  distance-decay random links), validation, JSON schema
+  distance-decay random links), JSON schema and its input checks
 - ``quantum``: dense state/density-matrix engine, noise channels, CHSH,
   the quantized 2x2 game, coin-flip consensus
 - ``coalition``: multiplayer coalition formation for a source-destination

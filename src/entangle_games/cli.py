@@ -127,17 +127,6 @@ class RunConfig:
         cfg.validate()
         return cfg
 
-    def to_dict(self) -> dict:
-        doc = {}
-        skip = set(self._NESTED["link"]) | {"weight_fidelity", "weight_cost"}
-        for f in dataclasses.fields(self):
-            if f.name in skip:
-                continue
-            doc[f.name] = getattr(self, f.name)
-        doc["link"] = {k: getattr(self, k) for k in self._NESTED["link"]}
-        doc["weights"] = {"fidelity": self.weight_fidelity, "cost": self.weight_cost}
-        return doc
-
     def validate(self) -> None:
         if self.scenario not in (1, 2):
             raise ParameterError(f"scenario must be 1 or 2, got {self.scenario}")
@@ -230,19 +219,23 @@ def _endpoints(cfg: RunConfig, topology: topo.NetworkTopology) -> tuple[int, int
     return 1, cfg.tree_sizes[0] + 2  # first leaves of the two trunk trees
 
 
-def _write(path: Path, text: str, quiet: bool) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-    if not quiet:
-        print(f"wrote {path}")
-
-
-def _write_outcome(cfg: RunConfig, outcome: dict, trace: list[dict]) -> None:
-    """outcome.json and one JSON line per trace record in trace.jsonl."""
+def _write(cfg: RunConfig, files: dict[str, str]) -> None:
+    """A command's files, name to text, in order under cfg.out_dir, which is
+    made once."""
     out_dir = Path(cfg.out_dir)
-    _write(out_dir / "outcome.json", json.dumps(outcome, indent=2, sort_keys=True) + "\n", cfg.quiet)
-    lines = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in trace)
-    _write(out_dir / "trace.jsonl", lines, cfg.quiet)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        path = out_dir / name
+        path.write_text(text)
+        _say(cfg, f"wrote {path}")
+
+
+def _game_files(outcome: dict, trace: list[dict]) -> dict[str, str]:
+    """A game's outcome.json and one JSON line per trace record in trace.jsonl."""
+    return {
+        "outcome.json": json.dumps(outcome, indent=2, sort_keys=True) + "\n",
+        "trace.jsonl": "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in trace),
+    }
 
 
 def _say(cfg: RunConfig, message: str) -> None:
@@ -257,8 +250,7 @@ def _say(cfg: RunConfig, message: str) -> None:
 
 def cmd_gen(cfg: RunConfig) -> int:
     topology = _build_topology(cfg)
-    out = Path(cfg.out_dir) / "topology.json"
-    _write(out, topology.to_json(), cfg.quiet)
+    _write(cfg, {"topology.json": topology.to_json()})
     _say(cfg, f"nodes: {len(topology.nodes)} links: {len(topology.links)}")
     return EXIT_OK
 
@@ -271,7 +263,7 @@ def cmd_coalition(cfg: RunConfig) -> int:
         outcome = co.quantum_coalition_form(game, topology, gamma=cfg.gamma, seed=cfg.seed)
     else:
         outcome = co.classical_coalition_form(game, topology)
-    _write_outcome(cfg, outcome.to_json_dict(), outcome.history)
+    _write(cfg, _game_files(outcome.to_json_dict(), outcome.history))
     _say(
         cfg,
         f"path: {' -> '.join(map(str, outcome.path))}\n"
@@ -295,7 +287,7 @@ def cmd_consensus(cfg: RunConfig) -> int:
         seed=cfg.seed,
         sim_config=cfg.sim_config(sim.Regime.QUANTUM_GAME_QUANTUM_NET),
     )
-    _write_outcome(cfg, outcome.to_json_dict(), outcome.trace)
+    _write(cfg, _game_files(outcome.to_json_dict(), outcome.trace))
     _say(
         cfg,
         f"path: {' -> '.join(map(str, outcome.path))}\n"
@@ -313,9 +305,7 @@ def cmd_sweep(cfg: RunConfig, kind: str) -> int:
         result = sim.sweep_decoherence(base, cfg.rates, seed=cfg.seed)
     else:
         raise ParameterError(f"unknown sweep kind {kind!r}")
-    out_dir = Path(cfg.out_dir)
-    _write(out_dir / "sweep.csv", result.to_csv(), cfg.quiet)
-    _write(out_dir / "sweep.json", result.to_json(), cfg.quiet)
+    _write(cfg, {"sweep.csv": result.to_csv(), "sweep.json": result.to_json()})
     if cfg.quiet:
         return EXIT_OK
     metric = "normalized_delay_us" if kind == "nodes" else "end_to_end_fidelity"

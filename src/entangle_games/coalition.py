@@ -355,7 +355,9 @@ _JOIN_ROWS = (GRID_MATRICES[:, 1, :, None] * GRID_MATRICES[:, 1, None, :].conj()
 
 
 def cdf_of(table: np.ndarray) -> np.ndarray:
-    """The normalized CDF that Generator.choice(n, p=table) searches."""
+    """The normalized CDF that Generator.choice(n, p=table) searches. Of an
+    unnormalized |amps|**2 it is, up to the last bits, the CDF that
+    q.measure_computational searches."""
     cdf = table.cumsum()
     cdf /= cdf[-1]
     return cdf
@@ -367,12 +369,6 @@ def _rotate(amps: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
     low = amps.size >> (qubit + 1)
     psi = amps.reshape(-1, 2, low).transpose(1, 0, 2).reshape(2, -1)
     return np.dot(u, psi).reshape(2, -1, low).transpose(1, 0, 2).reshape(-1)
-
-
-def _table(amps: np.ndarray) -> np.ndarray:
-    """|amps|**2; cdf_of divides out the norm, so the CDF is the one that
-    q.measure_computational's Generator.choice searches, up to the last bits."""
-    return np.abs(amps) ** 2
 
 
 class _QuantumRound:
@@ -408,7 +404,7 @@ class _QuantumRound:
         for i in range(m):
             self._amps = _rotate(self._amps, i, GRID_MATRICES[ALL_JOIN])
         # (profile, CDF of its outcome table) of each round
-        self.trajectory = [((ALL_JOIN,) * m, cdf_of(_table(self._amps)))]
+        self.trajectory = [((ALL_JOIN,) * m, cdf_of(np.abs(self._amps) ** 2))]
         # round at which each (profile, r mod m) first appeared, and the
         # length of the cycle once one of them recurs
         self._first = {((ALL_JOIN,) * m, 0): 0}
@@ -481,7 +477,7 @@ class _QuantumRound:
                 turn = GRID_MATRICES[k] @ GRID_MATRICES[profile[i]].conj().T
                 self._amps = _rotate(self._amps, i, turn)
                 profile = profile[:i] + (k,) + profile[i + 1:]
-                cdf = cdf_of(_table(self._amps))
+                cdf = cdf_of(np.abs(self._amps) ** 2)
             self.trajectory.append((profile, cdf))
             first = self._first.setdefault((profile, n % m), n)
             if first < n:

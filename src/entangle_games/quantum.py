@@ -48,13 +48,6 @@ class StateVector:
         self.amplitudes = amps / norm
         self.n_qubits = n
 
-    @classmethod
-    def computational_basis(cls, n_qubits: int, index: int = 0) -> "StateVector":
-        _check_n_qubits(n_qubits)
-        amps = np.zeros(2**n_qubits, dtype=complex)
-        amps[index] = 1.0
-        return cls(amps)
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
@@ -383,26 +376,6 @@ def check_angle(value: float, name: str = "gamma") -> None:
         raise ParameterError(f"{name} {value} outside [0, pi/2]")
 
 
-def ewl_entangler(gamma: float) -> np.ndarray:
-    """J(gamma) = cos(gamma/2) I x I + i sin(gamma/2) X x X."""
-    check_angle(gamma)
-    return math.cos(gamma / 2.0) * np.kron(_I2, _I2) + 1j * math.sin(gamma / 2.0) * np.kron(
-        _X, _X
-    )
-
-
-def ewl_outcome_distribution(
-    gamma: float, strategies: tuple[SingleQubitUnitary, SingleQubitUnitary]
-) -> np.ndarray:
-    """Outcome probabilities (00, 01, 10, 11) of the quantized 2x2 game."""
-    j = ewl_entangler(gamma)
-    psi = StateVector(j[:, 0])  # J |00>
-    psi = apply_unitary(psi, 0, strategies[0])
-    psi = apply_unitary(psi, 1, strategies[1])
-    amps = j.conj().T @ psi.amplitudes
-    return measurement_probabilities(StateVector(amps))
-
-
 def ewl_game(
     gamma: float,
     strategies: tuple[SingleQubitUnitary, SingleQubitUnitary],
@@ -417,7 +390,16 @@ def ewl_game(
     payoffs = np.asarray(payoff_matrix, dtype=float)
     if payoffs.shape != (4, 2):
         raise ParameterError(f"payoff matrix shape {payoffs.shape}, expected (4, 2)")
-    probs = ewl_outcome_distribution(gamma, strategies)
+    check_angle(gamma)
+    # J(gamma) = cos(gamma/2) I x I + i sin(gamma/2) X x X; the outcome
+    # probabilities (00, 01, 10, 11) are those of J^dagger (A x B) J |00>
+    j = math.cos(gamma / 2.0) * np.kron(_I2, _I2) + 1j * math.sin(gamma / 2.0) * np.kron(
+        _X, _X
+    )
+    psi = StateVector(j[:, 0])  # J |00>
+    psi = apply_unitary(psi, 0, strategies[0])
+    psi = apply_unitary(psi, 1, strategies[1])
+    probs = measurement_probabilities(StateVector(j.conj().T @ psi.amplitudes))
     expected = probs @ payoffs
     return float(expected[0]), float(expected[1])
 

@@ -330,54 +330,6 @@ def _structure_errors(topology: NetworkTopology) -> list[str]:
     return out
 
 
-def validate(topology: NetworkTopology) -> list[str]:
-    """Check all structural invariants; returns one message per violation.
-
-    Violations are data, not exceptions: builders are tested to return zero of
-    them, but hand-built or deserialized topologies may carry any number.
-    """
-    out = _structure_errors(topology)
-    allowed = {
-        ScenarioTag.SCENARIO1: {NodeRole.LEADER, NodeRole.REPEATER, NodeRole.END_NODE},
-        ScenarioTag.SCENARIO2: {NodeRole.LEADER, NodeRole.LEAF},
-    }.get(topology.scenario)
-    if allowed is not None:
-        for n in topology.nodes:
-            if n.role not in allowed:
-                out.append(f"node {n.id}: role {n.role.value} not allowed in {topology.scenario.name}")
-
-    n_count = len(topology.nodes)
-    for l in topology.links:
-        if l.params.latency_us >= l.params.coherence_us:
-            out.append(f"link {l.a}-{l.b}: unusable, latency {l.params.latency_us} >= coherence {l.params.coherence_us}")
-
-    if topology.scenario is ScenarioTag.SCENARIO2:
-        # a link whose endpoint is not a node id is reported above
-        role = {n.id: n.role for n in topology.nodes}
-        leader_edges = [
-            l
-            for l in topology.links
-            if role.get(l.a) is NodeRole.LEADER and role.get(l.b) is NodeRole.LEADER
-        ]
-        if len(leader_edges) != 1:
-            out.append(f"scenario 2 needs exactly one leader-leader edge, found {len(leader_edges)}")
-        # trees joined by the single leader-leader edge stay acyclic, so the
-        # whole link graph must be a forest
-        loopless = {u: [v for v in nbrs if v != u] for u, nbrs in topology.adjacency.items()}
-        if not is_forest(loopless):
-            out.append("scenario 2 links must form a forest plus the one leader-leader edge")
-        for node_id, opts in topology.choices.items():
-            # a choice at an unknown node or without two options is reported
-            # above
-            if not 0 <= node_id < n_count or len(opts) != 2:
-                continue
-            if opts[0].next_hop == opts[1].next_hop:
-                out.append(f"node {node_id}: choice options must be distinct")
-            if topology.nodes[node_id].role is NodeRole.LEADER:
-                out.append(f"node {node_id}: leaders do not carry a next-hop choice")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # graph search over an adjacency map {node: neighbours}, each link listed at
 # both of its ends
@@ -444,12 +396,6 @@ def connected_components(adjacency: Mapping[int, Iterable[int]]) -> list[set[int
         seen |= component
         components.append(component)
     return components
-
-
-def is_forest(adjacency: Mapping[int, Iterable[int]]) -> bool:
-    """No cycle, a self-loop being one: |links| = |nodes| - |components|."""
-    ends = sum(len(nbrs) + (node in nbrs) for node, nbrs in adjacency.items())
-    return ends // 2 == len(adjacency) - len(connected_components(adjacency))
 
 
 # ---------------------------------------------------------------------------

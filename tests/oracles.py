@@ -1,17 +1,40 @@
-"""Reference helpers that only the tests use: a stability check for the
-classical game, the decoherence time law, the linear cluster state, the
-identity rotation and a per-column trial aggregate."""
+"""Reference helpers that only the tests use: the builders' invariants, a
+stability check for the classical game, the decoherence time law, the linear
+cluster state, the identity rotation and a per-column trial aggregate."""
 
 import math
 
+import networkx as nx
 import numpy as np
 
 from entangle_games import coalition as co
 from entangle_games import quantum as q
+from entangle_games import topology as topo
 from entangle_games.errors import CapacityError, ParameterError
 from entangle_games.trial import METRIC_FIELDS
 
 IDENTITY = q.SingleQubitUnitary(0.0, 0.0)
+
+_ROLES = {
+    topo.ScenarioTag.SCENARIO1: {topo.NodeRole.LEADER, topo.NodeRole.REPEATER, topo.NodeRole.END_NODE},
+    topo.ScenarioTag.SCENARIO2: {topo.NodeRole.LEADER, topo.NodeRole.LEAF},
+}
+
+
+def assert_builder_invariants(t):
+    """What every builder returns: the graph the CLI's input check accepts,
+    only the roles its scenario allows, links whose latency is below their
+    coherence, and in scenario 2 a forest with exactly one leader-leader
+    link, whose choices sit off the leaders and offer two distinct hops."""
+    assert topo._structure_errors(t) == []
+    assert {n.role for n in t.nodes} <= _ROLES.get(t.scenario, set(topo.NodeRole))
+    assert all(l.params.latency_us < l.params.coherence_us for l in t.links)
+    if t.scenario is topo.ScenarioTag.SCENARIO2:
+        leaders = {n.id for n in t.nodes if n.role is topo.NodeRole.LEADER}
+        assert sum(l.endpoints() <= leaders for l in t.links) == 1
+        assert nx.is_forest(t.graph())
+        for node, opts in t.choices.items():
+            assert node not in leaders and opts[0].next_hop != opts[1].next_hop
 
 
 def stability_violations(model, partition):

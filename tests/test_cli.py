@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import entangle_games
 from entangle_games import cli
+from entangle_games import quantum as q
 from entangle_games import simulation as sim
 from entangle_games import topology as topo
 from entangle_games import trial as tr
@@ -27,12 +29,6 @@ def write_config(tmp_path, doc, name="config.json"):
 # ---------------------------------------------------------------------------
 # config handling
 # ---------------------------------------------------------------------------
-
-
-def test_config_roundtrip_identity():
-    cfg = RunConfig(scenario=2, tree_sizes=[3, 4], variant="quantum", gamma=0.7, trials=11)
-    again = RunConfig.from_dict(cfg.to_dict())
-    assert again == cfg
 
 
 def test_unknown_config_key_rejected():
@@ -580,6 +576,82 @@ def test_cli_import_leaves_networkx_out():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# commands with networkx blocked and every warning an error
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def strict(monkeypatch):
+    """networkx unimportable, as no runtime path may need it, and every
+    warning, numpy's included, raised as an error."""
+    monkeypatch.setitem(sys.modules, "networkx", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+# lossy link configs, so some sweep cells draw per trial: at 0.8 in one
+# vector pass, at 0.2 per trial, at 1/3 on the boundary
+_GEN_PROBS = {"lossy": 0.8, "low": 0.2, "third": 1 / 3}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen"],
+        ["coalition", "--variant", "classical"],
+        ["coalition", "--variant", "quantum"],
+        # 4 players who reach a grid Nash equilibrium and play on past it
+        ["coalition", "--variant", "quantum", "--scenario", "2"],
+        # unentangled: CDFs with zero-probability steps
+        ["coalition", "--variant", "quantum", "--gamma", "0"],
+        ["consensus", "--variant", "classical"],
+        ["consensus", "--variant", "quantum"],
+        ["sweep", "--kind", "nodes", "--trials", "10"],
+        ["sweep", "--kind", "nodes", "--trials", "10", "--config", "lossy"],
+        # a seed of two uint32 words
+        ["sweep", "--kind", "nodes", "--trials", "10", "--config", "lossy", "--seed", "4294967303"],
+        ["sweep", "--kind", "nodes", "--trials", "10", "--config", "low"],
+        ["sweep", "--kind", "nodes", "--trials", "10", "--config", "third"],
+        ["sweep", "--kind", "nodes", "--trials", "10", "--config", "third", "--seed", "4294967303"],
+        ["sweep", "--kind", "decoherence", "--trials", "10"],
+        ["chsh"],
+    ],
+    ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
+)
+def test_command_runs_without_networkx_or_warnings(tmp_path, strict, argv):
+    argv = [
+        write_config(tmp_path, {"link": {"gen_prob": _GEN_PROBS[a]}}) if a in _GEN_PROBS else a
+        for a in argv
+    ]
+    assert main([*argv, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
+
+def test_quantum_game_on_a_max_qubits_chain_file(tmp_path, strict):
+    # q.MAX_QUBITS players: 4096 amplitudes and the uint16 join table
+    topo_file = tmp_path / "chain.json"
+    topo_file.write_text(line_topology(q.MAX_QUBITS).to_json())
+    doc = {"topology_file": str(topo_file), "source": 0, "destination": q.MAX_QUBITS - 1}
+    argv = ["coalition", "--variant", "quantum", "--config", write_config(tmp_path, doc)]
+    assert main([*argv, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert json.loads((tmp_path / "out/outcome.json").read_text())["path"][-1] == q.MAX_QUBITS - 1
+
+
+@pytest.mark.parametrize("command", ["coalition", "consensus"])
+@pytest.mark.parametrize("variant", ["classical", "quantum"])
+def test_generated_topology_file_plays_as_the_built_one(tmp_path, strict, command, variant):
+    # the canonical two-tree network, once built and once read back from
+    # the file `gen` wrote, between its default demo pair 1 and 8
+    assert main(["gen", "--scenario", "2", "--out", str(tmp_path / "gen"), "--quiet"]) == 0
+    doc = {"topology_file": str(tmp_path / "gen/topology.json"), "source": 1, "destination": 8}
+    argv = [command, "--variant", variant, "--quiet"]
+    assert main([*argv, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "file")]) == 0
+    assert main([*argv, "--scenario", "2", "--out", str(tmp_path / "built")]) == 0
+    for name in ("outcome.json", "trace.jsonl"):
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "built" / name).read_bytes()
 
 
 def test_sweep_rerun_byte_identical(tmp_path):

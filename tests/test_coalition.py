@@ -436,11 +436,11 @@ def test_referee_state_unentangled_at_zero_gamma():
 
 
 def old_referee_state(m, gamma):
-    """`referee_state` before the closed form, verbatim: a chain of
-    validated q.apply_unitary and q.apply_controlled_phase calls."""
+    """`referee_state` before the closed form: a chain of validated
+    q.apply_unitary and q.apply_controlled_phase calls from |0...0>."""
     c, s = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
     rot = np.array([[c, -s], [s, c]], dtype=complex)
-    state = q.StateVector.computational_basis(m, 0)
+    state = q.StateVector(np.eye(1, 2**m)[0])
     for i in range(m):
         state = q.apply_unitary(state, i, rot)
     for i in range(m - 1):

@@ -12,6 +12,8 @@ from entangle_games import topology as topo
 from entangle_games import trial as tr
 from entangle_games.errors import ParameterError, UnreachableError
 
+from oracles import assert_builder_invariants
+
 
 def canonical():
     return topo.canonical_two_tree_topology()
@@ -344,7 +346,7 @@ def test_realized_topology_moves_switched_link():
     realized = out.realized_topology
     assert realized.link_between(1, 2) is not None
     assert realized.link_between(1, 0) is None
-    assert topo.validate(realized) == []
+    assert_builder_invariants(realized)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import entangle_games
@@ -31,3 +33,19 @@ def test_package_imports_sit_at_module_top():
         for scope, module in function_imports(ast.parse(path.read_text(), str(path)))
     ]
     assert found == [("topology.py", "NetworkTopology.graph", "networkx")]
+
+
+def test_perfbench_tracer_targets_resolve():
+    # resolved as Tracer.install does, so that deleting a traced name fails
+    # here and not only in a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.PACKAGE == entangle_games.__name__
+    for module_name, attr_path, _, _ in tracer.TARGETS:
+        owner = importlib.import_module(f"{tracer.PACKAGE}.{module_name}")
+        *outer, attr = attr_path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        assert callable(owner.__dict__.get(attr)), f"{module_name}.{attr_path}"

@@ -18,7 +18,7 @@ from entangle_games import trial as tr
 from entangle_games.errors import CapacityError, ParameterError, UnreachableError
 
 from conftest import line_topology
-from oracles import depolarizing_strength, list_aggregate
+from oracles import assert_builder_invariants, depolarizing_strength, list_aggregate
 
 
 def quantum_cfg(**kw):
@@ -244,7 +244,7 @@ def test_backbone_topology_counts():
     for count in (2, 4, 6):
         t = sim.backbone_topology(count)
         assert len(t.nodes) == count + 2
-        assert topo.validate(t) == []
+        assert_builder_invariants(t)
     with pytest.raises(ParameterError):
         sim.backbone_topology(1)
 

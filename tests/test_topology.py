@@ -12,6 +12,8 @@ from entangle_games import simulation as sim
 from entangle_games import topology as topo
 from entangle_games.errors import ParameterError
 
+from oracles import assert_builder_invariants
+
 
 def test_link_probability_at_zero_distance_is_mu():
     params = topo.LinkModelParams(mu=0.7, lam=0.5, delta=10)
@@ -170,7 +172,7 @@ def test_builder_rejects_bad_args():
 def test_built_mesh_passes_validation():
     for seed in range(5):
         t = topo.build_scenario1(4, 2, 1, seed=seed)
-        assert topo.validate(t) == []
+        assert_builder_invariants(t)
 
 
 # ---------------------------------------------------------------------------
@@ -269,56 +271,7 @@ def test_partial_weight_table_draws_as_before(sizes, seed, data):
 
 def test_built_trees_pass_validation():
     for sizes in ([5, 4], [1, 1], [2, 3, 2]):
-        assert topo.validate(topo.build_scenario2(sizes, seed=3)) == []
-
-
-# ---------------------------------------------------------------------------
-# validation
-# ---------------------------------------------------------------------------
-
-
-def test_validate_flags_self_loop():
-    t = topo.build_scenario1(2, 1, 0, probabilistic_links=False)
-    loop = topo.Link(0, 0, topo.LinkParams(), 1.0, 0.9)
-    bad = replace(t, links=t.links + (loop,))
-    violations = topo.validate(bad)
-    assert any("self-loop" in v and "0-0" in v for v in violations)
-
-
-def test_validate_reports_links_to_missing_nodes():
-    # the leader-edge scan must not index the node list by a bad endpoint:
-    # 99 is past its end, and -1 would read the last node's role
-    t = topo.canonical_two_tree_topology()
-    for far in (99, -1):
-        bad = replace(t, links=t.links + (topo.Link(0, far, topo.LinkParams(), 1.0, 0.9),))
-        assert topo.validate(bad) == [f"link 0-{far}: endpoint is not a node id"]
-
-
-def test_validate_flags_unusable_link():
-    params = topo.LinkParams(latency_us=500.0, coherence_us=400.0)
-    t = topo.build_scenario1(2, 1, 0, link_defaults=params, probabilistic_links=False)
-    violations = topo.validate(t)
-    assert any("unusable" in v for v in violations)
-
-
-def test_validate_flags_duplicate_edge():
-    t = topo.build_scenario1(2, 1, 0, probabilistic_links=False)
-    dup = replace(t, links=t.links + (t.links[0],))
-    assert any("duplicate" in v for v in topo.validate(dup))
-
-
-def test_validate_flags_wrong_roles_for_scenario():
-    t = topo.canonical_two_tree_topology()
-    bad_nodes = (replace(t.nodes[1], role=topo.NodeRole.REPEATER),) + t.nodes[1:]
-    bad = replace(t, nodes=tuple(sorted(bad_nodes, key=lambda n: n.id)))
-    assert any("role" in v for v in topo.validate(bad))
-
-
-def test_validate_flags_extra_leader_edge():
-    t = topo.canonical_two_tree_topology()
-    extra = topo.Link(2, 6, topo.LinkParams(), 1.0, 0.5)
-    bad = replace(t, links=t.links + (extra,))
-    assert any("forest" in v for v in topo.validate(bad))
+        assert_builder_invariants(topo.build_scenario2(sizes, seed=3))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +353,6 @@ def test_graph_search_matches_networkx(t, data):
     for a, b in g.edges:
         assert adjacency[a][b] is adjacency[b][a] is g.edges[a, b]["link"]
     assert topo.connected_components(adjacency) == list(nx.connected_components(g))
-    assert topo.is_forest(adjacency) == nx.is_forest(g)
     ends = st.integers(0, len(t.nodes) - 1)
     source, target = data.draw(ends), data.draw(ends)
     assert list(topo.simple_paths(adjacency, source, target)) == list(
