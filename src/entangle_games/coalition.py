@@ -354,23 +354,6 @@ ALL_JOIN = GRID_STRATEGIES.index((math.pi, 0.0))
 _JOIN_ROWS = (GRID_MATRICES[:, 1, :, None] * GRID_MATRICES[:, 1, None, :].conj()).reshape(-1, 4)
 
 
-def cdf_of(table: np.ndarray) -> np.ndarray:
-    """The normalized CDF that Generator.choice(n, p=table) searches. Of an
-    unnormalized |amps|**2 it is, up to the last bits, the CDF that
-    q.measure_computational searches."""
-    cdf = table.cumsum()
-    cdf /= cdf[-1]
-    return cdf
-
-
-def _rotate(amps: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
-    """`u` applied to one qubit of an amplitude vector, not normalized: the
-    qubit's axis moved first, one np.dot, and the axis moved back."""
-    low = amps.size >> (qubit + 1)
-    psi = amps.reshape(-1, 2, low).transpose(1, 0, 2).reshape(2, -1)
-    return np.dot(u, psi).reshape(2, -1, low).transpose(1, 0, 2).reshape(-1)
-
-
 class _QuantumRound:
     """Per-game machinery: one table indexed by outcome, and the game's one
     strategy trajectory. Outcome b holds player i when bit m - 1 - i is set;
@@ -402,9 +385,9 @@ class _QuantumRound:
         self.share = self.values / np.maximum(sizes, 1)  # outcome 0 is the empty coalition
         self._amps = self.base.amplitudes
         for i in range(m):
-            self._amps = _rotate(self._amps, i, GRID_MATRICES[ALL_JOIN])
+            self._amps = q.rotate(self._amps, i, GRID_MATRICES[ALL_JOIN])
         # (profile, CDF of its outcome table) of each round
-        self.trajectory = [((ALL_JOIN,) * m, cdf_of(np.abs(self._amps) ** 2))]
+        self.trajectory = [((ALL_JOIN,) * m, q.cdf_of(np.abs(self._amps) ** 2))]
         # round at which each (profile, r mod m) first appeared, and the
         # length of the cycle once one of them recurs
         self._first = {((ALL_JOIN,) * m, 0): 0}
@@ -475,9 +458,9 @@ class _QuantumRound:
             k = self.best_response(i, self._amps, profile[i])
             if k != profile[i]:
                 turn = GRID_MATRICES[k] @ GRID_MATRICES[profile[i]].conj().T
-                self._amps = _rotate(self._amps, i, turn)
+                self._amps = q.rotate(self._amps, i, turn)
                 profile = profile[:i] + (k,) + profile[i + 1:]
-                cdf = cdf_of(np.abs(self._amps) ** 2)
+                cdf = q.cdf_of(np.abs(self._amps) ** 2)
             self.trajectory.append((profile, cdf))
             first = self._first.setdefault((profile, n % m), n)
             if first < n:
@@ -508,7 +491,7 @@ class _QuantumRound:
         are reproducible.
         """
         shape = (2**player_index, 2, -1)
-        psi = _rotate(amps, player_index, GRID_MATRICES[own].conj().T).reshape(shape)
+        psi = q.rotate(amps, player_index, GRID_MATRICES[own].conj().T).reshape(shape)
         psi = psi.transpose(1, 0, 2).reshape(2, -1)
         w = self.share.reshape(shape)[:, 1].reshape(-1)
         form = (psi * w) @ psi.conj().T

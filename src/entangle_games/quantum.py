@@ -6,12 +6,14 @@ significant bit of a basis index, i.e. basis state ``|q0 q1 ... q_{n-1}>`` has
 index ``sum(q_i * 2**(n-1-i))`` and outcome bitstrings read left to right.
 
 Capacity is capped at 12 qubits; everything here is exact dense linear algebra
-with no stabilizer shortcuts.
+with no stabilizer shortcuts. The engine has one kernel and one draw rule:
+`rotate` applies a one-qubit gate to an amplitude vector (a density matrix is
+rotated as the flattened vector of twice the qubits), and `cdf_of` gives the
+outcome CDF that one uniform draw searches, as `Generator.choice` does.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -154,26 +156,31 @@ class NoiseChannel:
 
 
 # ---------------------------------------------------------------------------
-# low-level tensor application
+# the gate kernel and the outcome CDF
 # ---------------------------------------------------------------------------
 
 
-def _apply_matrix_vec(amps: np.ndarray, n: int, qubit: int, u: np.ndarray) -> np.ndarray:
-    psi = amps.reshape((2,) * n)
-    psi = np.tensordot(u, psi, axes=([1], [qubit]))
-    psi = np.moveaxis(psi, 0, qubit)
-    return np.ascontiguousarray(psi).reshape(-1)
+def rotate(amps: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
+    """`u` applied to one qubit of an amplitude vector, not normalized: the
+    qubit's axis moved first, one np.dot, and the axis moved back."""
+    low = amps.size >> (qubit + 1)
+    psi = amps.reshape(-1, 2, low).transpose(1, 0, 2).reshape(2, -1)
+    return np.dot(u, psi).reshape(2, -1, low).transpose(1, 0, 2).reshape(-1)
 
 
-def _apply_matrix_dm(rho: np.ndarray, n: int, qubit: int, u: np.ndarray) -> np.ndarray:
-    # U rho U^dagger: act on the row index axis `qubit` and the conjugated
-    # column index axis `n + qubit`.
-    t = rho.reshape((2,) * (2 * n))
-    t = np.tensordot(u, t, axes=([1], [qubit]))
-    t = np.moveaxis(t, 0, qubit)
-    t = np.tensordot(u.conj(), t, axes=([1], [n + qubit]))
-    t = np.moveaxis(t, 0, n + qubit)
-    return np.ascontiguousarray(t).reshape(rho.shape)
+def _conjugate(rho: np.ndarray, n: int, qubit: int, u: np.ndarray) -> np.ndarray:
+    """u rho u^dagger, flattened: `u` on the row qubit, conj(u) on the
+    column qubit n + qubit of the 2n-qubit vector rho.reshape(-1)."""
+    return rotate(rotate(rho.reshape(-1), qubit, u), n + qubit, u.conj())
+
+
+def cdf_of(table: np.ndarray) -> np.ndarray:
+    """The normalized CDF that Generator.choice(n, p=table) searches. Of an
+    unnormalized |amps|**2 it is, up to the last bits, the CDF that
+    measure_computational searches."""
+    cdf = table.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def _check_qubit(state, qubit: int) -> None:
@@ -204,9 +211,10 @@ def apply_unitary(state, qubit: int, u):
     _check_qubit(state, qubit)
     m = _as_matrix(u)
     if isinstance(state, StateVector):
-        return StateVector(_apply_matrix_vec(state.amplitudes, state.n_qubits, qubit, m))
+        return StateVector(rotate(state.amplitudes, qubit, m))
     if isinstance(state, DensityMatrix):
-        return DensityMatrix(_apply_matrix_dm(state.entries, state.n_qubits, qubit, m))
+        n = state.n_qubits
+        return DensityMatrix(_conjugate(state.entries, n, qubit, m).reshape(2**n, 2**n))
     raise ParameterError(f"unsupported state type {type(state)!r}")
 
 
@@ -227,10 +235,9 @@ def apply_controlled_phase(state: StateVector, a: int, b: int, phase: float) -> 
 def apply_channel(rho: DensityMatrix, qubit: int, ch: NoiseChannel) -> DensityMatrix:
     """Apply a single-qubit noise channel: rho -> sum_k K_k rho K_k^dagger."""
     _check_qubit(rho, qubit)
-    out = np.zeros_like(rho.entries)
-    for k in ch.kraus_operators():
-        out += _apply_matrix_dm(rho.entries, rho.n_qubits, qubit, k)
-    return DensityMatrix(out)
+    n = rho.n_qubits
+    out = sum(_conjugate(rho.entries, n, qubit, k) for k in ch.kraus_operators())
+    return DensityMatrix(out.reshape(2**n, 2**n))
 
 
 def bell_pair() -> StateVector:
@@ -416,14 +423,12 @@ def coin_flip_consensus(rng: np.random.Generator, angle: float) -> tuple[int, in
     `angle`. Returns (bit_a, bit_b, agree); P(agree) = cos^2(angle) and each
     marginal is uniform. The outcomes 00, 01, 10, 11 of the rotated Bell pair
     have the closed-form probabilities [cos^2, sin^2, sin^2, cos^2] / 2, which
-    are sampled directly: the outcome is the number of steps of their
-    normalized running sum at or below one `rng.random()` draw, as
-    `rng.choice(4, p=...)` picks it.
+    are sampled directly: one `rng.random()` draw searched in their
+    `cdf_of`, as `rng.choice(4, p=...)` picks it.
     """
     check_angle(angle, "angle")
     same, differ = math.cos(angle) ** 2 / 2.0, math.sin(angle) ** 2 / 2.0
-    cdf = list(itertools.accumulate((same, differ, differ, same)))
-    draw = rng.random()
-    outcome = sum(step / cdf[-1] <= draw for step in cdf)
+    cdf = cdf_of(np.array([same, differ, differ, same]))
+    outcome = int(cdf.searchsorted(rng.random(), side="right"))
     bit_a, bit_b = outcome >> 1, outcome & 1
     return bit_a, bit_b, bit_a == bit_b

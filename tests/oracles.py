@@ -1,7 +1,9 @@
 """Reference helpers that only the tests use: the builders' invariants, a
 stability check for the classical game, the decoherence time law, the linear
-cluster state, the identity rotation and a per-column trial aggregate."""
+cluster state, the identity rotation, a per-column trial aggregate, and the
+gate kernels and coin count that `quantum` used before `rotate` and `cdf_of`."""
 
+import itertools
 import math
 
 import networkx as nx
@@ -90,3 +92,39 @@ def list_aggregate(columns):
                     f"{f} {stat} is {value}: the configured times overflow the float range"
                 )
     return means, stds
+
+
+# ---------------------------------------------------------------------------
+# `quantum` before its one gate kernel and outcome CDF, kept verbatim: the
+# tensordot kernels of `apply_unitary` and `apply_channel`, and the
+# accumulate-and-count draw of `coin_flip_consensus`
+# ---------------------------------------------------------------------------
+
+
+def _apply_matrix_vec(amps: np.ndarray, n: int, qubit: int, u: np.ndarray) -> np.ndarray:
+    psi = amps.reshape((2,) * n)
+    psi = np.tensordot(u, psi, axes=([1], [qubit]))
+    psi = np.moveaxis(psi, 0, qubit)
+    return np.ascontiguousarray(psi).reshape(-1)
+
+
+def _apply_matrix_dm(rho: np.ndarray, n: int, qubit: int, u: np.ndarray) -> np.ndarray:
+    # U rho U^dagger: act on the row index axis `qubit` and the conjugated
+    # column index axis `n + qubit`.
+    t = rho.reshape((2,) * (2 * n))
+    t = np.tensordot(u, t, axes=([1], [qubit]))
+    t = np.moveaxis(t, 0, qubit)
+    t = np.tensordot(u.conj(), t, axes=([1], [n + qubit]))
+    t = np.moveaxis(t, 0, n + qubit)
+    return np.ascontiguousarray(t).reshape(rho.shape)
+
+
+def counted_coin_flip(rng: np.random.Generator, angle: float) -> tuple[int, int, bool]:
+    """`coin_flip_consensus` with its own accumulate-and-count draw."""
+    q.check_angle(angle, "angle")
+    same, differ = math.cos(angle) ** 2 / 2.0, math.sin(angle) ** 2 / 2.0
+    cdf = list(itertools.accumulate((same, differ, differ, same)))
+    draw = rng.random()
+    outcome = sum(step / cdf[-1] <= draw for step in cdf)
+    bit_a, bit_b = outcome >> 1, outcome & 1
+    return bit_a, bit_b, bit_a == bit_b

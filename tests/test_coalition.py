@@ -818,7 +818,7 @@ def old_turned(engine, strategies, skip=None):
     amps = engine.base.amplitudes
     for i, p in enumerate(engine.players):
         if i != skip:
-            amps = co._rotate(amps, i, strategies[p].matrix())
+            amps = q.rotate(amps, i, strategies[p].matrix())
             amps = amps / float(np.linalg.norm(amps))
     return amps
 
@@ -826,7 +826,7 @@ def old_turned(engine, strategies, skip=None):
 def old_played_state(engine, strategies):
     last = len(engine.players) - 1
     amps = old_turned(engine, strategies, skip=last)
-    return q.StateVector(co._rotate(amps, last, strategies[engine.players[last]].matrix()))
+    return q.StateVector(q.rotate(amps, last, strategies[engine.players[last]].matrix()))
 
 
 def old_best_response(engine, player_index, strategies):
@@ -1036,7 +1036,7 @@ def test_leader_mesh_trajectory_repeats_a_cycle_of_22_rounds(monkeypatch):
         got, cdf = engine.round(r)
         assert unitaries(players, got) == strategies
         want = q.measurement_probabilities(dense_chain(engine, strategies))
-        np.testing.assert_allclose(cdf, co.cdf_of(want), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cdf, q.cdf_of(want), rtol=0, atol=1e-12)
         strategies[players[r % m]] = old_best_response(engine, r % m, strategies)
     assert len(calls) == 47
 
@@ -1079,7 +1079,7 @@ def test_cdf_draw_is_generator_choice(size, zero_share, table_seed, seed, draws)
     if not table.any():
         table[rng.integers(size)] = 1.0
     table /= table.sum()
-    cdf = co.cdf_of(table)
+    cdf = q.cdf_of(table)
     g1, g2 = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(draws):
         assert int(cdf.searchsorted(g1.random(), side="right")) == int(g2.choice(size, p=table))

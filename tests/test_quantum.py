@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from entangle_games import quantum as q
 from entangle_games.errors import CapacityError, ParameterError
 
-from oracles import IDENTITY, depolarizing_strength, make_cluster_state
+from oracles import (
+    IDENTITY, _apply_matrix_dm, _apply_matrix_vec, counted_coin_flip, depolarizing_strength,
+    make_cluster_state,
+)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -395,3 +399,90 @@ def test_coin_draw_matches_generator_choice(angle, seed):
     for _ in range(20):
         bit_a, bit_b, _ = q.coin_flip_consensus(fast, angle)
         assert 2 * bit_a + bit_b == int(slow.choice(4, p=[c / 2, s / 2, s / 2, c / 2]))
+
+
+# ---------------------------------------------------------------------------
+# differential tests: `rotate` and `cdf_of` against the kernels and the coin
+# count they replaced
+# ---------------------------------------------------------------------------
+
+_unit = st.floats(-1.0, 1.0)
+_angle = st.floats(0.0, 2.0 * math.pi)
+
+
+@st.composite
+def _unitaries(draw):
+    """e^{i a} [[e^{i b} cos t, e^{i c} sin t], [-e^{-i c} sin t, e^{-i b} cos t]]:
+    every 2x2 unitary."""
+    a, b, c, t = (draw(_angle) for _ in range(4))
+    u = np.array([[np.exp(1j * b) * math.cos(t), np.exp(1j * c) * math.sin(t)],
+                  [-np.exp(-1j * c) * math.sin(t), np.exp(-1j * b) * math.cos(t)]])
+    return np.exp(1j * a) * u
+
+
+def _complex(draw, shape):
+    parts = draw(hnp.arrays(float, (2, *shape), elements=_unit))
+    return parts[0] + 1j * parts[1]
+
+
+@st.composite
+def _pure_states(draw):
+    n = draw(st.integers(1, 6))
+    amps = _complex(draw, (2**n,))
+    norm = np.linalg.norm(amps)
+    amps = amps / norm if norm > 1e-3 else np.eye(2**n)[0]
+    return q.StateVector(amps), draw(st.integers(0, n - 1))
+
+
+@st.composite
+def _mixed_states(draw):
+    n = draw(st.integers(1, 4))
+    a = _complex(draw, (2**n, 2**n))
+    rho = a @ a.conj().T
+    tr = np.trace(rho).real
+    rho = rho / tr if tr > 1e-3 else np.diag(np.eye(2**n)[0])
+    return q.DensityMatrix(rho), draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=_pure_states(), u=_unitaries())
+def test_rotate_on_a_state_vector_matches_the_tensordot_kernel(state, u):
+    psi, qubit = state
+    got = q.apply_unitary(psi, qubit, u).amplitudes
+    want = q.StateVector(_apply_matrix_vec(psi.amplitudes, psi.n_qubits, qubit, u)).amplitudes
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=_mixed_states(), u=_unitaries())
+def test_rotate_on_a_density_matrix_matches_the_tensordot_kernel(state, u):
+    rho, qubit = state
+    got = q.apply_unitary(rho, qubit, u).entries
+    want = q.DensityMatrix(_apply_matrix_dm(rho.entries, rho.n_qubits, qubit, u)).entries
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=_mixed_states(), kind=st.sampled_from(q.ChannelKind),
+       strength=st.floats(0.0, 1.0))
+@example(state=(q.bell_pair().density_matrix(), 1), kind=q.ChannelKind.AMPLITUDE_DAMPING,
+         strength=1.0)
+def test_channel_matches_the_tensordot_kernel(state, kind, strength):
+    rho, qubit = state
+    channel = q.NoiseChannel(kind, strength)
+    got = q.apply_channel(rho, qubit, channel).entries
+    old = np.zeros_like(rho.entries)
+    for k in channel.kraus_operators():
+        old += _apply_matrix_dm(rho.entries, rho.n_qubits, qubit, k)
+    np.testing.assert_allclose(got, q.DensityMatrix(old).entries, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(angle=st.floats(0.0, math.pi / 2), seed=st.integers(0, 2**63 - 1))
+@example(angle=0.0, seed=0)
+@example(angle=math.pi / 4, seed=0)
+@example(angle=math.pi / 2, seed=0)
+def test_coin_flip_cdf_matches_the_counted_draw(angle, seed):
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = [q.coin_flip_consensus(fast, angle) for _ in range(20)]
+    assert got == [counted_coin_flip(slow, angle) for _ in range(20)]
