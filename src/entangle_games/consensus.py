@@ -158,7 +158,7 @@ def choice_state(topology: NetworkTopology) -> dict[int, ChoiceSet]:
     return state
 
 
-def _utility_table(state: dict[int, ChoiceSet], weights) -> dict[int, tuple[float, float]]:
+def utility_table(state: dict[int, ChoiceSet], weights) -> dict[int, tuple[float, float]]:
     """Each node's utility of options[0] and of options[1]. A node's options
     and estimates never change, so one table serves every round of a game."""
     table = {}
@@ -183,12 +183,13 @@ def _creates_cycle(state: dict[int, ChoiceSet], node: int, new_hop: int) -> bool
 
 def consensus_round(
     state: dict[int, ChoiceSet],
-    weights: tuple[float, float] = (1.0, 1.0),
+    utilities: dict[int, tuple[float, float]],
     rng: np.random.Generator | None = None,
     settled: set[int] | None = None,
 ) -> tuple[dict[int, ChoiceSet], list[SwitchRecord], list[dict], list[dict]]:
     """One simultaneous-decision round: every node decides on its own choice
-    set, and the moves commit in ascending node order.
+    set, scored in `utilities` (the game's `utility_table`), and the moves
+    commit in ascending node order.
 
     A node switches iff its alternative hop has strictly higher utility. With
     `rng` (the quantum round), utilities within TIE_EPSILON are a tie, settled
@@ -199,11 +200,6 @@ def consensus_round(
     chain is blocked. Returns (new state, switches, tie events, blocked
     moves); coin-settled moves appear in the tie events, not in the switches.
     """
-    return _round(state, _utility_table(state, weights), rng, settled)
-
-
-def _round(state: dict[int, ChoiceSet], utilities: dict, rng, settled: set[int] | None):
-    """`consensus_round` on the nodes' `_utility_table`."""
     settled = settled if settled is not None else set()
     new_state = dict(state)
     switches: list[SwitchRecord] = []
@@ -269,11 +265,7 @@ def _chain_to_leader(state: dict[int, ChoiceSet], start: int, topology: NetworkT
             cursor = state[cursor].current
         else:
             # choice-less node (single-leaf tree): follow its only uplink
-            ups = sorted(
-                l.a if l.b == cursor else l.b
-                for l in topology.links
-                if cursor in (l.a, l.b)
-            )
+            ups = list(topology.adjacency[cursor])
             if len(ups) != 1:
                 raise UnreachableError(
                     f"node {cursor} has no choice set and {len(ups)} links; uplink ambiguous"
@@ -381,7 +373,7 @@ def run_consensus(
         raise ParameterError("source and destination must sit in different trees")
 
     state = choice_state(topology)
-    utilities = _utility_table(state, weights)
+    utilities = utility_table(state, weights)
     rng = np.random.default_rng(seed) if variant == "quantum" else None
 
     switches: list[SwitchRecord] = []
@@ -392,7 +384,7 @@ def run_consensus(
     converged = False
     # at least one round runs: the endpoints are two distinct nodes
     for rounds in range(1, 2 * len(topology.nodes) + 1):
-        state, new_switches, new_ties, new_blocked = _round(state, utilities, rng, settled)
+        state, new_switches, new_ties, new_blocked = consensus_round(state, utilities, rng, settled)
         blocked.extend(new_blocked)
         switches.extend(new_switches)
         for t in new_ties:

@@ -15,6 +15,10 @@ from entangle_games.errors import ParameterError, UnreachableError
 from oracles import assert_builder_invariants
 
 
+# unit (fidelity, cost) weights, the run_consensus default
+W = (1.0, 1.0)
+
+
 def canonical():
     return topo.canonical_two_tree_topology()
 
@@ -72,7 +76,7 @@ def test_estimate_domain_checks():
 
 def test_classical_round_switches_featured_node():
     state = cons.choice_state(canonical())
-    new_state, switches, ties, blocked = cons.consensus_round(state)
+    new_state, switches, ties, blocked = cons.consensus_round(state, cons.utility_table(state, W))
     assert len(switches) == 1
     s = switches[0]
     assert (s.node, s.from_hop, s.to_hop) == (1, 0, 2)
@@ -84,14 +88,15 @@ def test_classical_round_switches_featured_node():
 
 def test_classical_round_is_idempotent():
     state = cons.choice_state(canonical())
-    state, first, _, _ = cons.consensus_round(state)
-    state, second, _, _ = cons.consensus_round(state)
+    utilities = cons.utility_table(state, W)
+    state, first, _, _ = cons.consensus_round(state, utilities)
+    state, second, _, _ = cons.consensus_round(state, utilities)
     assert first and not second
 
 
 def test_every_switch_strictly_improves_utility():
     state = cons.choice_state(canonical())
-    new_state, switches, _, _ = cons.consensus_round(state)
+    new_state, switches, _, _ = cons.consensus_round(state, cons.utility_table(state, W))
     for s in switches:
         cs = state[s.node]
         scale = max(e.latency_cost for e in cs.estimates)
@@ -112,7 +117,7 @@ def _mutual_switch_state():
 
 def test_cycle_creating_switch_is_blocked():
     state = _mutual_switch_state()
-    new_state, switches, ties, blocked = cons.consensus_round(state)
+    new_state, switches, ties, blocked = cons.consensus_round(state, cons.utility_table(state, W))
     assert [s.node for s in switches] == [1]
     assert blocked == [{"node": 2, "to": 1, "reason": "cycle"}]
     assert new_state[1].current == 2
@@ -145,9 +150,10 @@ def test_ewl_accept_reduces_to_utility_comparison(gamma, magnitude, sign, d_payo
 def test_quantum_round_equals_classical_without_ties():
     t = topo.build_scenario2([3, 4], seed=12)
     state = cons.choice_state(t)
-    classical_state, classical_switches, _, _ = cons.consensus_round(state)
+    utilities = cons.utility_table(state, W)
+    classical_state, classical_switches, _, _ = cons.consensus_round(state, utilities)
     rng = np.random.default_rng(5)
-    quantum_state, quantum_switches, ties, _ = cons.consensus_round(state, (1.0, 1.0), rng)
+    quantum_state, quantum_switches, ties, _ = cons.consensus_round(state, utilities, rng)
     assert ties == []
     assert {n: cs.current for n, cs in quantum_state.items()} == {
         n: cs.current for n, cs in classical_state.items()
@@ -157,11 +163,12 @@ def test_quantum_round_equals_classical_without_ties():
 
 def test_tie_coin_agreement_over_seeds():
     state = cons.choice_state(canonical())
+    utilities = cons.utility_table(state, W)
     flips = []
     for seed in range(1000):
         settled: set[int] = set()
         _, _, ties, _ = cons.consensus_round(
-            state, (1.0, 1.0), np.random.default_rng(seed), settled
+            state, utilities, np.random.default_rng(seed), settled
         )
         assert len(ties) == 1 and ties[0]["node"] == 8
         assert ties[0]["agree"] is True
@@ -174,9 +181,10 @@ def test_tie_coin_agreement_over_seeds():
 def test_settled_tie_is_not_reflipped():
     state = cons.choice_state(canonical())
     settled: set[int] = set()
+    utilities = cons.utility_table(state, W)
     rng = np.random.default_rng(3)
-    state, _, first, _ = cons.consensus_round(state, (1.0, 1.0), rng, settled)
-    state, _, second, _ = cons.consensus_round(state, (1.0, 1.0), rng, settled)
+    state, _, first, _ = cons.consensus_round(state, utilities, rng, settled)
+    state, _, second, _ = cons.consensus_round(state, utilities, rng, settled)
     assert len(first) == 1 and second == []
 
 
