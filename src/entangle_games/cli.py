@@ -101,7 +101,7 @@ class RunConfig:
     quiet: bool = False
 
     _NESTED = {
-        "link": ("latency_us", "coherence_us", "decoherence_rate", "gen_prob"),
+        "link": topo.LINK_PARAMS,
         "weights": ("fidelity", "cost"),
     }
 
@@ -139,19 +139,15 @@ class RunConfig:
         topo.LinkModelParams(self.mu, self.lam, self.delta)
 
     def link_params(self) -> topo.LinkParams:
-        return topo.LinkParams(
-            latency_us=self.latency_us,
-            coherence_us=self.coherence_us,
-            decoherence_rate=self.decoherence_rate,
-            gen_prob=self.gen_prob,
-        )
+        return topo.LinkParams(**{name: getattr(self, name) for name in topo.LINK_PARAMS})
 
-    def sim_config(self, regime: sim.Regime) -> sim.SimConfig:
+    def sim_config(self) -> sim.SimConfig:
+        """Trial settings, in the quantum-game, quantum-net regime."""
         return sim.SimConfig(
             sync_step_us=self.sync_step_us,
             qubit_lifetime_us=self.qubit_lifetime_us,
             trials=self.trials,
-            regime=regime,
+            regime=sim.Regime.QUANTUM_GAME_QUANTUM_NET,
         )
 
     def weights(self) -> tuple[float, float]:
@@ -285,7 +281,7 @@ def cmd_consensus(cfg: RunConfig) -> int:
         weights=cfg.weights(),
         variant=cfg.variant,
         seed=cfg.seed,
-        sim_config=cfg.sim_config(sim.Regime.QUANTUM_GAME_QUANTUM_NET),
+        sim_config=cfg.sim_config(),
     )
     _write(cfg, _game_files(outcome.to_json_dict(), outcome.trace))
     _say(
@@ -298,7 +294,7 @@ def cmd_consensus(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, kind: str) -> int:
-    base = cfg.sim_config(sim.Regime.QUANTUM_GAME_QUANTUM_NET)
+    base = cfg.sim_config()
     if kind == "nodes":
         result = sim.sweep_nodes(base, cfg.node_counts, seed=cfg.seed, link_defaults=cfg.link_params())
     elif kind == "decoherence":

@@ -15,9 +15,9 @@ from .consensus import run_consensus
 from .errors import ParameterError, UnreachableError, check_seed
 from .topology import (LinkParams, NetworkTopology, build_scenario1, canonical_two_tree_topology,
                        shortest_path)
-# MAX_TRIALS, TrialMetrics and run_trial are re-exports for the sweeps' callers
-from .trial import ALL_REGIMES, MAX_TRIALS, METRIC_FIELDS, Regime, SimConfig, TrialMetrics
-from .trial import aggregate, run_trial, run_trials
+from .trial import ALL_REGIMES, METRIC_FIELDS, Regime, SimConfig, aggregate, run_trials
+# unused here: perfbench/tracer.py resolves run_trial in this module
+from .trial import run_trial  # noqa: F401
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import json
 import math
 from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
 
@@ -71,6 +71,11 @@ class LinkParams:
             raise ParameterError(f"decoherence_rate must be finite and >= 0, got {self.decoherence_rate}")
         if not 0 < self.gen_prob <= 1:
             raise ParameterError(f"gen_prob must be in (0, 1], got {self.gen_prob}")
+
+
+# LinkParams' field names in order: a link's keys in topology files and the
+# config's "link" object
+LINK_PARAMS = tuple(f.name for f in fields(LinkParams))
 
 
 @dataclass(frozen=True)
@@ -235,16 +240,7 @@ class NetworkTopology:
                 {"id": n.id, "role": n.role.value, "x": n.x, "y": n.y} for n in self.nodes
             ],
             "links": [
-                {
-                    "a": l.a,
-                    "b": l.b,
-                    "latency_us": l.params.latency_us,
-                    "coherence_us": l.params.coherence_us,
-                    "decoherence_rate": l.params.decoherence_rate,
-                    "gen_prob": l.params.gen_prob,
-                    "cost": l.cost,
-                    "payoff": l.payoff,
-                }
+                {"a": l.a, "b": l.b, **vars(l.params), "cost": l.cost, "payoff": l.payoff}
                 for l in self.links
             ],
         }
@@ -277,8 +273,8 @@ class NetworkTopology:
         links = []
         for i, d in enumerate(link_docs):
             a, b, *params, cost, payoff = _fields(
-                d, f"link {i}", a=int, b=int, latency_us=float, coherence_us=float,
-                decoherence_rate=float, gen_prob=float, cost=float, payoff=float,
+                d, f"link {i}", a=int, b=int, **dict.fromkeys(LINK_PARAMS, float), cost=float,
+                payoff=float,
             )
             links.append(Link(a, b, LinkParams(*params), float(cost), float(payoff)))
         choices = {}
