@@ -217,13 +217,18 @@ def _endpoints(cfg: RunConfig, topology: topo.NetworkTopology) -> tuple[int, int
 
 def _write(cfg: RunConfig, files: dict[str, str]) -> None:
     """A command's files, name to text, in order under cfg.out_dir, which is
-    made once."""
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        path = out_dir / name
-        path.write_text(text)
-        _say(cfg, f"wrote {path}")
+    made once. A directory or file that cannot be written is a configuration
+    error that names it."""
+    path = out_dir = Path(cfg.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            path = out_dir / name
+            path.write_text(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc.strerror}") from exc
+    for name in files:
+        _say(cfg, f"wrote {out_dir / name}")
 
 
 def _game_files(outcome: dict, trace: list[dict]) -> dict[str, str]:

@@ -662,6 +662,21 @@ def test_sweep_rerun_byte_identical(tmp_path):
     assert (tmp_path / "a/sweep.json").read_bytes() == (tmp_path / "b/sweep.json").read_bytes()
 
 
+
+@pytest.mark.parametrize("under", [False, True], ids=["regular-file", "under-a-regular-file"])
+def test_out_on_a_regular_file_exits_2(tmp_path, capsys, under):
+    # a parent directory without write permission is not tested: root, who
+    # runs some test hosts, may write into it anyway
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if under else blocker
+    assert main(["gen", "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot write {out}: ")
+    assert "Traceback" not in err
+    assert blocker.read_text() == "kept\n"
+
+
 # ---------------------------------------------------------------------------
 # the parser, built once per process
 # ---------------------------------------------------------------------------
