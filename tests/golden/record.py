@@ -20,7 +20,6 @@ import contextlib
 import hashlib
 import io
 import json
-import math
 import tempfile
 from pathlib import Path
 
