@@ -54,6 +54,11 @@ COMMANDS = [
     ("coalition-s2", ["coalition", "--scenario", "2", "--variant", "quantum", "--seed", "7"], None),
     ("coalition-gamma0", ["coalition", "--variant", "quantum", "--gamma", "0", "--seed", "7"],
      None),
+    # the referee game with 10 players over 2 paths, and at a partial gamma
+    ("coalition-q-small", ["coalition", "--variant", "quantum", "--seed", "3"],
+     {"n_leaders": 4, "end_nodes_per_leader": 1, "repeaters_per_pair": 1}),
+    ("coalition-gamma0.7", ["coalition", "--variant", "quantum", "--gamma", "0.7", "--seed", "7"],
+     None),
     ("chsh", ["chsh"], None),
     # one configuration, infeasible scenario and capacity error each
     ("exit-2", ["gen"], {"link": {"gen_prob": 1.5}}),
