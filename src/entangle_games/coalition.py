@@ -12,8 +12,9 @@ state, each player rotates its own qubit, and the measured bitstring selects
 the candidate coalition; strategies evolve by discretized best response until
 CONFIRM_WINDOW rounds in a row measure one coalition, for at most MAX_ROUNDS
 rounds. A best response scores the whole 9x9
-rotation grid at once, as a 2x2 Hermitian form over the outcomes where the
-player joins: outsiders receive nothing, so no other outcome scores.
+rotation grid at once, as a 2x2 Hermitian form gathered from the played
+amplitudes on the paying outcomes where the player joins: outsiders receive
+nothing and a share of 0 pays nothing, so no other outcome scores.
 The players are the candidate nodes, and every game starts from the all-join
 profile. No best response reads a measured outcome, so every game walks one
 strategy trajectory: round r + 1 plays round r's profile with player r mod m's
@@ -26,10 +27,12 @@ pair recurs the trajectory repeats the cycle it closes and the engine plays
 no more best responses; a grid Nash equilibrium is a cycle of m rounds. Every
 coalition the game reports is an outcome (drawn, decoded or grand), so the
 engine scores all outcomes in one vectorized pass over the path table, into
-one table by outcome (value, path, member share), read by the best responses
-and the game alike. It keeps the amplitudes of the last round: the next
-round's profile, at most one player's strategy away, is at most one rotation
-from it, and a best response undoes the player's own rotation with one more.
+one table by outcome (value, path, member share) that the game reads, and
+keeps, per player, the paying outcomes where it joins: the only ones its best
+responses read. It keeps the amplitudes of the last round: the next round's
+profile, at most one player's strategy away, is at most one rotation from it,
+and a best response gathers its form from them on its paying outcomes and
+undoes the player's own rotation on that 2x2 form.
 
 The characteristic value of a node set combines the three routing objectives:
 rate capped at the target throughput, plus path fidelity, minus a per-hop
@@ -383,6 +386,13 @@ class _QuantumRound:
         outcomes = np.arange(2**m)
         sizes = sum((outcomes >> k) & 1 for k in range(m))
         self.share = self.values / np.maximum(sizes, 1)  # outcome 0 is the empty coalition
+        # per player: (2, k) positions of its bit-0 and bit-1 amplitudes over
+        # the k paying outcomes where it joins, and their shares
+        paying = np.flatnonzero(self.share)
+        self._paying = []
+        for i in range(m):
+            joined = paying[paying & (1 << (m - 1 - i)) != 0]
+            self._paying.append((np.array([joined ^ (1 << (m - 1 - i)), joined]), self.share[joined]))
         self._amps = self.base.amplitudes
         for i in range(m):
             self._amps = q.rotate(self._amps, i, GRID_MATRICES[ALL_JOIN])
@@ -485,18 +495,20 @@ class _QuantumRound:
 
         With psi[b] the other players' amplitudes where the player's qubit
         is b, playing U puts U[1, 0] psi[0] + U[1, 1] psi[1] where it joins,
-        the only outcomes with payoff w, so the expected payoff is
+        where it receives its share w, so the expected payoff is
         sum_bc U[1, b] conj(U[1, c]) form[b, c], form = (psi w) psi^dagger.
-        Ties keep the earliest grid point (theta-major order), so updates
-        are reproducible.
+        Only the paying outcomes where it joins enter the form: gathered
+        from `amps` there as a, psi = V a with V = U_own^dagger, so
+        form = V (a w a^dagger) V^dagger. Ties keep the earliest grid point
+        (theta-major order), so updates are reproducible.
         """
-        shape = (2**player_index, 2, -1)
-        psi = q.rotate(amps, player_index, GRID_MATRICES[own].conj().T).reshape(shape)
-        psi = psi.transpose(1, 0, 2).reshape(2, -1)
-        w = self.share.reshape(shape)[:, 1].reshape(-1)
-        form = (psi * w) @ psi.conj().T
-        scores = (_JOIN_ROWS @ form.reshape(-1)).real.tolist()
-        tol = _tolerance(*scores)
+        pairs, w = self._paying[player_index]
+        a = amps[pairs]
+        u = GRID_MATRICES[own]
+        form = u.conj().T @ ((a * w) @ a.conj().T) @ u
+        scores = (_JOIN_ROWS @ form.reshape(-1)).real
+        tol = STRICT_EPS * max(1.0, np.abs(scores).max())  # _tolerance(*scores)
+        scores = scores.tolist()
         best = 0
         for k, val in enumerate(scores):
             if val > scores[best] + tol:
@@ -538,15 +550,14 @@ def quantum_coalition_form(
     """
     check_seed(seed)
     model = model or ValueModel(cfg, topology)
-    players = tuple(model.candidate_nodes())
-    m = len(players)
-    if m > q.MAX_QUBITS:
-        raise CapacityError(f"{m} candidate players exceed {q.MAX_QUBITS}")
-
-    rng = np.random.default_rng(seed)
     engine = model.referee_rounds.get(gamma)
     if engine is None:
+        players = tuple(model.candidate_nodes())
+        if len(players) > q.MAX_QUBITS:
+            raise CapacityError(f"{len(players)} candidate players exceed {q.MAX_QUBITS}")
         engine = model.referee_rounds[gamma] = _QuantumRound(model, players, gamma)
+    m = len(engine.players)
+    draw = np.random.default_rng(seed).random
     history: list[dict] = []
     # (value, outcome) of the best-valued outcome seen that holds a path
     best_seen: tuple[float, int] | None = None
@@ -558,7 +569,7 @@ def quantum_coalition_form(
         profile, cdf = engine.round(rounds - 1)
         # Generator.choice(n, p=table), as q.measure_computational draws,
         # takes one uniform and searches this CDF up to its last bits
-        outcome = int(cdf.searchsorted(rng.random(), side="right"))
+        outcome = int(cdf.searchsorted(draw(), side="right"))
         outcome_bits, members, _, value, path = engine.outcome(outcome)
         history.append(
             {
@@ -569,9 +580,9 @@ def quantum_coalition_form(
                 "value": value,
             }
         )
-        if path is not None and (
-            best_seen is None or value > best_seen[0] + _tolerance(value, best_seen[0])
-        ):
+        if path is not None and (best_seen is None or value > best_seen[0] and (
+            value > best_seen[0] + _tolerance(value, best_seen[0])
+        )):
             best_seen = (value, outcome)
         streak = streak + 1 if outcome == last else 1
         last = outcome
@@ -592,12 +603,11 @@ def quantum_coalition_form(
         if engine.paths[chosen] is None:
             chosen = 2**m - 1  # the grand coalition
 
-    _, _, members, value, path = engine.outcome(chosen)
-    coalition = Coalition(members, value)
+    _, ordered, members, value, path = engine.outcome(chosen)
     return CoalitionOutcome(
-        stable_coalition=coalition,
+        stable_coalition=Coalition(members, value),
         path=list(path),
-        per_node_payoff=model.split_payoffs(coalition),
+        per_node_payoff={p: value / len(ordered) for p in ordered},
         rounds=rounds,
         history=history,
         referee=find_referee(topology, cfg.source),

@@ -1,7 +1,8 @@
 """Reference helpers that only the tests use: the builders' invariants, a
 stability check for the classical game, the decoherence time law, the linear
-cluster state, the identity rotation, a per-column trial aggregate, and the
-gate kernels and coin count that `quantum` used before `rotate` and `cdf_of`."""
+cluster state, the identity rotation, a per-column trial aggregate, the
+gate kernels and coin count that `quantum` used before `rotate` and `cdf_of`,
+and the referee's best response before it read only the paying outcomes."""
 
 import itertools
 import math
@@ -128,3 +129,27 @@ def counted_coin_flip(rng: np.random.Generator, angle: float) -> tuple[int, int,
     outcome = sum(step / cdf[-1] <= draw for step in cdf)
     bit_a, bit_b = outcome >> 1, outcome & 1
     return bit_a, bit_b, bit_a == bit_b
+
+
+# ---------------------------------------------------------------------------
+# the referee game's best response over the full played state
+# ---------------------------------------------------------------------------
+
+
+def full_state_best_response(engine, player_index: int, amps: np.ndarray, own: int) -> int:
+    """`_QuantumRound.best_response` before it gathered its form on the
+    paying outcomes only, verbatim: it un-rotates the player's qubit in the
+    whole state `amps`, transposes it, and contracts all 2**(m - 1) columns
+    of the player's bit-1 half against its shares, zeros included."""
+    shape = (2**player_index, 2, -1)
+    psi = q.rotate(amps, player_index, co.GRID_MATRICES[own].conj().T).reshape(shape)
+    psi = psi.transpose(1, 0, 2).reshape(2, -1)
+    w = engine.share.reshape(shape)[:, 1].reshape(-1)
+    form = (psi * w) @ psi.conj().T
+    scores = (co._JOIN_ROWS @ form.reshape(-1)).real.tolist()
+    tol = co._tolerance(*scores)
+    best = 0
+    for k, val in enumerate(scores):
+        if val > scores[best] + tol:
+            best = k
+    return best

@@ -18,7 +18,7 @@ from entangle_games import topology as topo
 from entangle_games.errors import CapacityError, ParameterError, UnreachableError
 
 from conftest import line_topology
-from oracles import make_cluster_state, stability_violations
+from oracles import full_state_best_response, make_cluster_state, stability_violations
 
 
 def five_line_cfg():
@@ -877,6 +877,42 @@ def test_played_state_matches_apply_unitary_chain(m, gamma, data):
         want = q.measurement_probabilities(old_played_state(engine, strategies))
         np.testing.assert_allclose(table, want, rtol=0, atol=1e-12)
         strategies[r % m] = old_best_response(engine, r % m, strategies)
+
+
+def _zero_value_line():
+    """A 3-node line whose one path is worth exactly 0.0: a rate capped at
+    1.0, a fidelity of 0.0 and two hops at a cost of 0.5."""
+    cfg = co.CoalitionGameConfig(source=0, destination=2, target_throughput=1.0, hop_cost=0.5)
+    return cfg, line_topology(3, payoff=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # hop costs up to 3000 make some shares negative
+    game=_random_graph_games(hop_cost=st.floats(0.0, 3000.0)).filter(
+        lambda game: len(co.ValueModel(*game).paths) >= 2
+    ),
+    gamma=st.sampled_from([0.0, math.pi / 2]) | st.floats(0.0, math.pi / 2),
+    grid_points=st.lists(st.integers(0, len(co.GRID_STRATEGIES) - 1), min_size=8, max_size=8),
+)
+# a coalition that holds a path but is worth exactly 0.0 pays nothing
+@example(game=_zero_value_line(), gamma=math.pi / 2, grid_points=[co.ALL_JOIN] * 8)
+def test_paying_outcome_best_response_matches_the_full_state(game, gamma, grid_points):
+    model = co.ValueModel(*game)
+    players = tuple(model.candidate_nodes())
+    m = len(players)
+    engine = co._QuantumRound(model, players, gamma)
+    for i in range(m):
+        pairs, shares = engine._paying[i]
+        bit = 1 << (m - 1 - i)
+        joined = [b for b in range(2**m) if b & bit and engine.share[b] != 0.0]
+        assert pairs.tolist() == [[b ^ bit for b in joined], joined]
+        assert shares.tolist() == engine.share[joined].tolist()
+    profile = tuple(grid_points[:m])
+    played = dense_chain(engine, unitaries(players, profile)).amplitudes
+    for i in range(m):
+        want = full_state_best_response(engine, i, played, profile[i])
+        assert engine.best_response(i, played, profile[i]) == want
 
 
 def old_quantum_coalition_form(
