@@ -13,14 +13,14 @@ the same bit); on tie-free fixtures the two variants behave identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import quantum as q
 from .errors import ParameterError, UnreachableError, check_seed
-from .topology import Link, NetworkTopology, NodeRole, connected_components
+from .topology import Link, LinkParams, NetworkTopology, NodeRole, connected_components
 from .trial import SimConfig, run_trial
 
 TIE_EPSILON = 1e-6
@@ -239,7 +239,7 @@ def consensus_round(
                     d_payoff=new.fidelity_payoff - old.fidelity_payoff,
                 )
             )
-        new_state[node] = replace(cs, current=target)
+        new_state[node] = ChoiceSet(cs.node, cs.options, cs.estimates, target)
     return new_state, switches, ties, blocked
 
 
@@ -309,9 +309,12 @@ def realize_topology(topology: NetworkTopology, state: dict[int, ChoiceSet]) -> 
         old_link = links.pop(old_key)
         est = cs.estimate_for(cs.current)
         ratio = old_link.params.latency_us / old_link.cost if old_link.cost > 0 else 1.0
-        params = replace(old_link.params, latency_us=max(est.latency_cost * ratio, 1e-9))
+        old = old_link.params
+        params = LinkParams(max(est.latency_cost * ratio, 1e-9), old.coherence_us,
+                            old.decoherence_rate, old.gen_prob)
         links[new_key] = Link(node, cs.current, params, est.latency_cost, est.fidelity_payoff)
-    return replace(topology, links=tuple(links.values()))
+    return NetworkTopology(topology.nodes, tuple(links.values()), topology.scenario,
+                           topology.choices)
 
 
 def path_cost_and_payoff(
