@@ -82,27 +82,37 @@ def test_config_domain_checks():
 
 
 class SubgraphValueModel:
-    """The value model before the path table, kept as the oracle: one
-    networkx subgraph and one DFS per node set, memoized. Its tie tolerance
-    scales with the compared scores, as evaluate's does."""
+    """The value model before the path table, kept as the oracle: one DFS
+    per node set over the networkx graph's neighbour lists restricted to the
+    set, memoized. Its tie tolerance scales with the compared scores, as
+    evaluate's does."""
 
     def __init__(self, cfg, topology):
         self.cfg = cfg
         self.topology = topology
         self.graph = topology.graph()
+        self._neighbours = {u: list(nbrs) for u, nbrs in self.graph.adj.items()}
         self._cache = {}
 
     def _paths_within(self, members: frozenset[int]):
+        """Simple source->destination paths inside `members`, depth first,
+        each node's neighbours in the graph's order."""
         cfg = self.cfg
         if cfg.source not in members or cfg.destination not in members:
             return
-        # the DFS runs on a plain graph, not on the filtered view, which is
-        # slow to walk; a DiGraph keeps each node's neighbour order, and so
-        # the path order, where a Graph copy would not
-        sub = nx.DiGraph(self.graph.subgraph(members))
-        if not (sub.has_node(cfg.source) and sub.has_node(cfg.destination)):
-            return
-        yield from nx.all_simple_paths(sub, cfg.source, cfg.destination)
+        within = {u: [v for v in self._neighbours[u] if v in members] for u in members}
+        path = [cfg.source]
+
+        def walk(u):
+            for v in within[u]:
+                if v == cfg.destination:
+                    yield [*path, v]
+                elif v not in path:
+                    path.append(v)
+                    yield from walk(v)
+                    path.pop()
+
+        yield from walk(cfg.source)
 
     def path_score(self, path: list[int]) -> float:
         rate = math.inf
