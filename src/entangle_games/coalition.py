@@ -11,10 +11,9 @@ the referee (the leader next to the source) prepares an entangled multi-party
 state, each player rotates its own qubit, and the measured bitstring selects
 the candidate coalition; strategies evolve by discretized best response until
 CONFIRM_WINDOW rounds in a row measure one coalition, for at most MAX_ROUNDS
-rounds. A best response scores the whole 9x9
-rotation grid at once, as a 2x2 Hermitian form gathered from the played
-amplitudes on the paying outcomes where the player joins: outsiders receive
-nothing and a share of 0 pays nothing, so no other outcome scores.
+rounds. A best response scores the whole 9x9 rotation grid at once, as a 2x2
+Hermitian form gathered from the played amplitudes on the paying outcomes
+where the player joins: outsiders receive nothing, so no other outcome scores.
 The players are the candidate nodes, and every game starts from the all-join
 profile. No best response reads a measured outcome, so every game walks one
 strategy trajectory: round r + 1 plays round r's profile with player r mod m's
@@ -27,12 +26,11 @@ pair recurs the trajectory repeats the cycle it closes and the engine plays
 no more best responses; a grid Nash equilibrium is a cycle of m rounds. Every
 coalition the game reports is an outcome (drawn, decoded or grand), so the
 engine scores all outcomes in one vectorized pass over the path table, into
-one table by outcome (value, path, member share) that the game reads, and
-keeps, per player, the paying outcomes where it joins: the only ones its best
-responses read. It keeps the amplitudes of the last round: the next round's
-profile, at most one player's strategy away, is at most one rotation from it,
-and a best response gathers its form from them on its paying outcomes and
-undoes the player's own rotation on that 2x2 form.
+one table by outcome (value, path, member share) and, per player, the paying
+outcomes where it joins, the only ones its best responses read. It keeps the
+amplitudes of the last round: the next round's profile, at most one player's
+strategy away, is at most one rotation from it, and a best response gathers
+them on its paying outcomes and undoes its own rotation on the 2x2 form.
 
 The characteristic value of a node set combines the three routing objectives:
 rate capped at the target throughput, plus path fidelity, minus a per-hop
@@ -386,13 +384,11 @@ class _QuantumRound:
         outcomes = np.arange(2**m)
         sizes = sum((outcomes >> k) & 1 for k in range(m))
         self.share = self.values / np.maximum(sizes, 1)  # outcome 0 is the empty coalition
-        # per player: (2, k) positions of its bit-0 and bit-1 amplitudes over
-        # the k paying outcomes where it joins, and their shares
+        # per player: the (2, k) positions of its bit-0 and bit-1 amplitudes
+        # on the k paying outcomes where it joins, and their shares
         paying = np.flatnonzero(self.share)
-        self._paying = []
-        for i in range(m):
-            joined = paying[paying & (1 << (m - 1 - i)) != 0]
-            self._paying.append((np.array([joined ^ (1 << (m - 1 - i)), joined]), self.share[joined]))
+        joined = [(paying[paying & bit != 0], bit) for bit in (1 << np.arange(m)[::-1]).tolist()]
+        self._paying = [(np.array([j - bit, j]), self.share[j]) for j, bit in joined]
         self._amps = self.base.amplitudes
         for i in range(m):
             self._amps = q.rotate(self._amps, i, GRID_MATRICES[ALL_JOIN])
@@ -495,12 +491,11 @@ class _QuantumRound:
 
         With psi[b] the other players' amplitudes where the player's qubit
         is b, playing U puts U[1, 0] psi[0] + U[1, 1] psi[1] where it joins,
-        where it receives its share w, so the expected payoff is
-        sum_bc U[1, b] conj(U[1, c]) form[b, c], form = (psi w) psi^dagger.
-        Only the paying outcomes where it joins enter the form: gathered
-        from `amps` there as a, psi = V a with V = U_own^dagger, so
-        form = V (a w a^dagger) V^dagger. Ties keep the earliest grid point
-        (theta-major order), so updates are reproducible.
+        the only outcomes with payoff w, so the expected payoff is
+        sum_bc U[1, b] conj(U[1, c]) form[b, c], form = (psi w) psi^dagger
+        = V (a w a^dagger) V^dagger, with a the played amplitudes gathered on
+        its paying outcomes and V = U_own^dagger. Ties keep the earliest grid
+        point (theta-major order), so updates are reproducible.
         """
         pairs, w = self._paying[player_index]
         a = amps[pairs]

@@ -308,13 +308,12 @@ def realize_topology(topology: NetworkTopology, state: dict[int, ChoiceSet]) -> 
             raise ParameterError(f"node {node}: neither option link exists to move")
         old_link = links.pop(old_key)
         est = cs.estimate_for(cs.current)
-        ratio = old_link.params.latency_us / old_link.cost if old_link.cost > 0 else 1.0
         old = old_link.params
-        params = LinkParams(max(est.latency_cost * ratio, 1e-9), old.coherence_us,
-                            old.decoherence_rate, old.gen_prob)
+        ratio = old.latency_us / old_link.cost if old_link.cost > 0 else 1.0
+        latency = max(est.latency_cost * ratio, 1e-9)
+        params = LinkParams(latency, old.coherence_us, old.decoherence_rate, old.gen_prob)
         links[new_key] = Link(node, cs.current, params, est.latency_cost, est.fidelity_payoff)
-    return NetworkTopology(topology.nodes, tuple(links.values()), topology.scenario,
-                           topology.choices)
+    return NetworkTopology(topology.nodes, tuple(links.values()), topology.scenario, topology.choices)
 
 
 def path_cost_and_payoff(
