@@ -896,7 +896,7 @@ def _zero_value_line():
     return cfg, line_topology(3, payoff=0.0)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     # hop costs up to 3000 make some shares negative
     game=_random_graph_games(hop_cost=st.floats(0.0, 3000.0)).filter(
