@@ -576,6 +576,12 @@ def test_calls_on_one_model_share_one_engine(five_line, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(co._QuantumRound, "__init__", counting_init)
+    # the players are listed only for an engine that has to be built
+    listed = []
+    candidate_nodes = co.ValueModel.candidate_nodes
+    monkeypatch.setattr(
+        co.ValueModel, "candidate_nodes", lambda self: listed.append(1) or candidate_nodes(self)
+    )
     cfg = five_line_cfg()
     model = co.ValueModel(cfg, five_line)
     for seed in (0, 1):
@@ -583,7 +589,7 @@ def test_calls_on_one_model_share_one_engine(five_line, monkeypatch):
     assert built == [((0, 1, 2, 3, 4), math.pi / 2)]
     co.quantum_coalition_form(cfg, five_line, gamma=0.0, seed=0, model=model)
     co.quantum_coalition_form(cfg, five_line, gamma=0.0, seed=0)
-    assert len(built) == 3
+    assert len(built) == len(listed) == 3
 
 
 def test_quantum_outcome_serialization_shape(five_line):
