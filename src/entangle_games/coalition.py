@@ -575,9 +575,11 @@ def quantum_coalition_form(
                 "value": value,
             }
         )
-        if path is not None and (best_seen is None or value > best_seen[0] and (
-            value > best_seen[0] + _tolerance(value, best_seen[0])
-        )):
+        # the plain comparison spares most rounds working out the tolerance
+        if path is not None and (
+            best_seen is None
+            or value > best_seen[0] and value > best_seen[0] + _tolerance(value, best_seen[0])
+        ):
             best_seen = (value, outcome)
         streak = streak + 1 if outcome == last else 1
         last = outcome
