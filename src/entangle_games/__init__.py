@@ -12,7 +12,7 @@ Library layout:
   coin/entanglement-assisted rounds
 - ``equilibrium``: best-response Nash solver and Wardrop latency equalization
 - ``trial``: time-stepped distribution trials as metric columns
-- ``simulation``: per-regime path choice and the metric sweeps
+- ``simulation``: the metric sweeps and the node sweep's path choice
 - ``cli``: the ``entangle-games`` command-line front end
 """
 

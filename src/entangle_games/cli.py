@@ -302,10 +302,8 @@ def cmd_sweep(cfg: RunConfig, kind: str) -> int:
     base = cfg.sim_config()
     if kind == "nodes":
         result = sim.sweep_nodes(base, cfg.node_counts, seed=cfg.seed, link_defaults=cfg.link_params())
-    elif kind == "decoherence":
-        result = sim.sweep_decoherence(base, cfg.rates, seed=cfg.seed)
     else:
-        raise ParameterError(f"unknown sweep kind {kind!r}")
+        result = sim.sweep_decoherence(base, cfg.rates, seed=cfg.seed)
     _write(cfg, {"sweep.csv": result.to_csv(), "sweep.json": result.to_json()})
     if cfg.quiet:
         return EXIT_OK
@@ -370,9 +368,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_consensus(cfg)
         if args.command == "sweep":
             return cmd_sweep(cfg, args.kind)
-        if args.command == "chsh":
-            return cmd_chsh(cfg)
-        raise ParameterError(f"unknown command {args.command!r}")
+        return cmd_chsh(cfg)  # the subparsers admit no other command
     except ParameterError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

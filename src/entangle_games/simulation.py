@@ -1,6 +1,6 @@
 """Metric sweeps over distribution trials (normalized delay vs. network size,
-end-to-end fidelity vs. link decoherence rate) and the per-regime path choice
-they run on. The trials, their timing model and seeding contract are in
+end-to-end fidelity vs. link decoherence rate) and the node sweep's path
+choice. The trials, their timing model and seeding contract are in
 `trial`, whose names that sweep callers read are re-exported here.
 """
 
@@ -10,11 +10,9 @@ import json
 from dataclasses import dataclass, replace
 
 from . import coalition as co
-from . import quantum as q
 from .consensus import run_consensus
-from .errors import ParameterError, UnreachableError, check_seed
-from .topology import (LinkParams, NetworkTopology, build_scenario1, canonical_two_tree_topology,
-                       shortest_path)
+from .errors import ParameterError, check_seed
+from .topology import LinkParams, NetworkTopology, build_scenario1, canonical_two_tree_topology
 from .trial import ALL_REGIMES, METRIC_FIELDS, Regime, SimConfig, aggregate, run_trials
 # unused here: perfbench/tracer.py resolves run_trial in this module
 from .trial import run_trial  # noqa: F401
@@ -111,52 +109,13 @@ def backbone_topology(count: int, link_defaults: LinkParams | None = None) -> Ne
     )
 
 
-def select_path(
-    topology: NetworkTopology,
-    source: int,
-    destination: int,
-    regime: Regime,
-    seed,
-    player_count: int,
-) -> list[int]:
-    """Per-regime path choice: hop-shortest for no-game, coalition outcomes
-    for the game regimes. Among hop-shortest paths, the first that a
-    breadth-first search with neighbours in link order reaches wins; on the
-    sweep backbones the hop-shortest path is unique. The quantum game needs
-    more than two coordinating nodes to differ from the classical one and
-    falls back below that (and above the dense-simulation qubit cap, which
-    admits the backbone player set only up to player_count + 2 qubits).
-
-    A lone listed path, as on the sweep backbones, is every outcome's path, so
-    it is returned unplayed where the game would return it: the classical
-    game's only above the tie tolerance (else it raises UnreachableError), the
-    quantum game's for a valid seed and at most q.MAX_QUBITS players.
-
-    Otherwise the game plays on the ValueModel built here, so a call lists
-    the paths once. The quantum game's strategy trajectory depends on the
-    topology alone, and `seed` only picks the outcomes drawn along it.
-    """
-    if regime is Regime.NO_GAME_CLASSICAL_NET:
-        path = shortest_path(topology.adjacency, source, destination)
-        if path is None:
-            raise UnreachableError(f"no path between {source} and {destination}")
-        return path
-    cfg = co.CoalitionGameConfig(source=source, destination=destination)
-    quantum = (
-        regime is Regime.QUANTUM_GAME_QUANTUM_NET
-        and 2 < player_count
-        and player_count + 2 <= q.MAX_QUBITS
-    )
-    if quantum:
-        check_seed(seed)  # the game checks the seed before its path table
-    model = co.ValueModel(cfg, topology)
-    if len(model.paths) == 1:
-        _, score, path = model.paths[0]
-        if (len(path) <= q.MAX_QUBITS) if quantum else (score > co._tolerance(score)):
-            return list(path)
-    if quantum:
-        return co.quantum_coalition_form(cfg, topology, seed=seed, model=model).path
-    return co.classical_coalition_form(cfg, topology, model).path
+def select_path(topology: NetworkTopology, source: int, destination: int) -> list[int]:
+    """The path every regime of the node sweep runs on: the classical
+    coalition game's. A backbone has one source->destination path, and every
+    coalition outcome that holds a path carries it, so the hop-shortest path
+    and both games' paths are that one path. Where no coalition forms, the
+    game raises UnreachableError, as it would in the first game regime."""
+    return co.classical_coalition_form(co.CoalitionGameConfig(source, destination), topology).path
 
 
 def sweep_nodes(
@@ -169,22 +128,22 @@ def sweep_nodes(
     check_seed(seed)
     if not node_counts or any(a >= b for a, b in zip(node_counts, node_counts[1:])):
         raise ParameterError(f"node_counts must be non-empty and strictly ascending, got {list(node_counts)}")
+    # the regimes that run under one timing model, in order; each group's
+    # trials draw and time in one run_trials call
+    groups: dict[bool, list[tuple[int, Regime]]] = {}
+    for ri, regime in enumerate(ALL_REGIMES):
+        groups.setdefault(regime.quantum_net, []).append((ri, regime))
     cells = {}
     for xi, count in enumerate(node_counts):
         topology = backbone_topology(count, link_defaults)
-        # the regimes that run on one path under one timing model, in order;
-        # each group's trials draw and time in one run_trials call
-        groups: dict[tuple, list[tuple[int, Regime]]] = {}
-        for ri, regime in enumerate(ALL_REGIMES):
-            # build_scenario1 ids: leaders 0 and 1, then their end-nodes 2 and 3
-            path = select_path(topology, 2, 3, regime, [seed, xi, ri], count)
-            groups.setdefault((tuple(path), regime.quantum_net), []).append((ri, regime))
-        for (path, _), members in groups.items():
+        # build_scenario1 ids: leaders 0 and 1, then their end-nodes 2 and 3
+        path = select_path(topology, 2, 3)
+        for members in groups.values():
             cfg = replace(base_cfg, regime=members[0][1])
             seeds = [(seed, xi, ri) for ri, _ in members]
             keys = [(float(count), regime.value) for _, regime in members]
             # no name holds the block, so it is freed before the next group's
-            cells.update(zip(keys, map(aggregate, run_trials(topology, list(path), cfg, seeds))))
+            cells.update(zip(keys, map(aggregate, run_trials(topology, path, cfg, seeds))))
     return SweepResult(
         x_label="node_count",
         x_values=[float(c) for c in node_counts],
@@ -233,7 +192,7 @@ def sweep_decoherence(base_cfg: SimConfig, rates: list[float], seed: int = 0) ->
             link_defaults=LinkParams(decoherence_rate=rate), cost_to_us=SWEEP_COST_TO_US
         )
         for variant, cfg in configs.items():
-            outcome = run_consensus(rated, 1, 8, variant=variant, seed=seed, sim_config=cfg)
+            outcome = run_consensus(rated, 1, 8, variant=variant, seed=seed)
             [rows] = run_trials(outcome.realized_topology, outcome.path, cfg, [(seed, xi)])
             cells[(float(rate), variant)] = aggregate(rows)
     return SweepResult(

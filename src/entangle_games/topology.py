@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -354,26 +353,6 @@ def simple_paths(
             path.append(node)
             on_path.add(node)
             stack.append(iter(adjacency[node]))
-
-
-def shortest_path(adjacency: Mapping[int, Iterable[int]], source: int, target: int) -> list[int] | None:
-    """A source->target path with the fewest links, or None if there is none.
-    Breadth first with neighbours in adjacency order, so among equal-length
-    paths the first one found wins."""
-    parent = {source: source}
-    queue = deque([source])
-    while queue and target not in parent:
-        node = queue.popleft()
-        for v in adjacency[node]:
-            if v not in parent:
-                parent[v] = node
-                queue.append(v)
-    if target not in parent:
-        return None
-    path = [target]
-    while path[-1] != source:
-        path.append(parent[path[-1]])
-    return path[::-1]
 
 
 def connected_components(adjacency: Mapping[int, Iterable[int]]) -> list[set[int]]:

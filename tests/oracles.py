@@ -2,7 +2,8 @@
 stability check for the classical game, the decoherence time law, the linear
 cluster state, the identity rotation, a per-column trial aggregate, the
 gate kernels and coin count that `quantum` used before `rotate` and `cdf_of`,
-and the referee's best response before it read only the paying outcomes."""
+the referee's best response before it read only the paying outcomes, and the
+node sweep's per-regime path choice before it took the classical game's."""
 
 import itertools
 import math
@@ -13,8 +14,8 @@ import numpy as np
 from entangle_games import coalition as co
 from entangle_games import quantum as q
 from entangle_games import topology as topo
-from entangle_games.errors import CapacityError, ParameterError
-from entangle_games.trial import METRIC_FIELDS
+from entangle_games.errors import CapacityError, ParameterError, UnreachableError, check_seed
+from entangle_games.trial import METRIC_FIELDS, Regime
 
 IDENTITY = q.SingleQubitUnitary(0.0, 0.0)
 
@@ -153,3 +154,38 @@ def full_state_best_response(engine, player_index: int, amps: np.ndarray, own: i
         if val > scores[best] + tol:
             best = k
     return best
+
+
+# ---------------------------------------------------------------------------
+# the node sweep's path choice per regime
+# ---------------------------------------------------------------------------
+
+
+def per_regime_select_path(topology, source, destination, regime, seed, player_count):
+    """`simulation.select_path` when it chose a path per regime, verbatim but
+    for its no-game branch, which asks networkx for the hop-shortest path: a
+    lone listed path unplayed where a game would return it, the quantum game
+    for more than two players within the qubit cap, else the classical game.
+    The node sweep called it with seed parts [seed, xi, ri] and the count as
+    `player_count`."""
+    if regime is Regime.NO_GAME_CLASSICAL_NET:
+        try:
+            return nx.shortest_path(topology.graph(), source, destination)
+        except nx.NetworkXNoPath:
+            raise UnreachableError(f"no path between {source} and {destination}") from None
+    cfg = co.CoalitionGameConfig(source=source, destination=destination)
+    quantum = (
+        regime is Regime.QUANTUM_GAME_QUANTUM_NET
+        and 2 < player_count
+        and player_count + 2 <= q.MAX_QUBITS
+    )
+    if quantum:
+        check_seed(seed)  # the game checks the seed before its path table
+    model = co.ValueModel(cfg, topology)
+    if len(model.paths) == 1:
+        _, score, path = model.paths[0]
+        if (len(path) <= q.MAX_QUBITS) if quantum else (score > co._tolerance(score)):
+            return list(path)
+    if quantum:
+        return co.quantum_coalition_form(cfg, topology, seed=seed, model=model).path
+    return co.classical_coalition_form(cfg, topology, model).path

@@ -4,6 +4,7 @@ import re
 import warnings
 from dataclasses import asdict, replace
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,8 @@ from entangle_games import trial as tr
 from entangle_games.errors import CapacityError, ParameterError, UnreachableError
 
 from conftest import line_topology
-from oracles import assert_builder_invariants, depolarizing_strength, list_aggregate
+from oracles import (assert_builder_invariants, depolarizing_strength, list_aggregate,
+                     per_regime_select_path)
 
 
 def quantum_cfg(**kw):
@@ -250,44 +252,17 @@ def test_backbone_topology_counts():
 
 
 def test_select_path_variants():
+    # a backbone is a chain, so its one path is the one the game takes
     t = sim.backbone_topology(4)
-    short = sim.select_path(t, 2, 3, tr.Regime.NO_GAME_CLASSICAL_NET, 0, 4)
-    classical = sim.select_path(t, 2, 3, tr.Regime.CLASSICAL_GAME_QUANTUM_NET, 0, 4)
-    quantum = sim.select_path(t, 2, 3, tr.Regime.QUANTUM_GAME_QUANTUM_NET, 0, 4)
-    assert short[0] == 2 and short[-1] == 3
-    assert classical == quantum == short  # single chain: all regimes coincide
-
-
-def test_quantum_regime_falls_back_at_two_players():
-    t = sim.backbone_topology(2)
-    classical = sim.select_path(t, 2, 3, tr.Regime.CLASSICAL_GAME_QUANTUM_NET, 0, 2)
-    quantum = sim.select_path(t, 2, 3, tr.Regime.QUANTUM_GAME_QUANTUM_NET, 0, 2)
-    assert quantum == classical
-
-
-def test_quantum_regime_lists_the_paths_once(monkeypatch):
-    # a four-node ring: two paths join opposite nodes, so the game is played
-    nodes = tuple(topo.Node(i, topo.NodeRole.REPEATER, float(i), 0.0) for i in range(4))
-    links = tuple(
-        topo.Link(a, b, topo.LinkParams(), 1.0, 0.9) for a, b in ((0, 1), (1, 2), (2, 3), (3, 0))
-    )
-    t = topo.NetworkTopology(nodes, links, topo.ScenarioTag.CUSTOM)
-    want = co.quantum_coalition_form(co.CoalitionGameConfig(source=0, destination=2), t, seed=5)
-    built = []
-    real = co.ValueModel
-    monkeypatch.setattr(co, "ValueModel", lambda *args: built.append(real(*args)) or built[-1])
-    assert sim.select_path(t, 0, 2, tr.Regime.QUANTUM_GAME_QUANTUM_NET, 5, 4) == want.path
-    (model,) = built
-    assert len(model.paths) == 2 and list(model.referee_rounds) == [math.pi / 2]
+    [only] = topo.simple_paths(t.adjacency, 2, 3)
+    assert sim.select_path(t, 2, 3) == only
 
 
 def played_select_path(topology, source, destination, regime, seed, player_count):
-    """Reference select_path: plays the coalition game in every game regime."""
+    """Reference per-regime path choice on a connected topology: plays the
+    coalition game in every game regime."""
     if regime is tr.Regime.NO_GAME_CLASSICAL_NET:
-        path = topo.shortest_path(topology.adjacency, source, destination)
-        if path is None:
-            raise UnreachableError(f"no path between {source} and {destination}")
-        return path
+        return nx.shortest_path(topology.graph(), source, destination)
     cfg = co.CoalitionGameConfig(source=source, destination=destination)
     if (
         regime is tr.Regime.QUANTUM_GAME_QUANTUM_NET
@@ -327,31 +302,7 @@ def _backbones(draw):
     t = sim.backbone_topology(draw(st.integers(2, 14)))
     params = [draw(_game_link_params)] * len(t.links)
     payoffs = draw(st.lists(st.floats(0.0, 1.0), min_size=len(t.links), max_size=len(t.links)))
-    return _relinked(t, params, payoffs), 2, 3
-
-
-@st.composite
-def _graphs(draw, n_max, cycles):
-    """A random tree, node i > 0 linked to an earlier node, and two distinct
-    endpoints. With `cycles`, one to three more links are added and the
-    endpoints are those of the first, so two paths or more join them;
-    without, one tree link may be cut, which can leave no path."""
-    n = draw(st.integers(3 if cycles else 2, n_max))
-    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
-    if cycles:
-        chords = [(a, b) for b in range(n) for a in range(b) if (a, b) not in pairs]
-        extra = draw(st.lists(st.sampled_from(chords), min_size=1, max_size=3, unique=True))
-        source, destination = draw(st.permutations(extra[0]))
-        pairs += extra
-    else:
-        if draw(st.booleans()):
-            del pairs[draw(st.integers(0, len(pairs) - 1))]
-        source, destination = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-    nodes = tuple(topo.Node(i, topo.NodeRole.REPEATER, float(i), 0.0) for i in range(n))
-    links = tuple(
-        topo.Link(a, b, draw(_game_link_params), 1.0, draw(st.floats(0.0, 1.0))) for a, b in pairs
-    )
-    return topo.NetworkTopology(nodes, links, topo.ScenarioTag.CUSTOM), source, destination
+    return _relinked(t, params, payoffs)
 
 
 # a backbone whose lone path scores 1e-13, positive but inside the tie
@@ -363,25 +314,26 @@ _TIED_BACKBONE = _relinked(
 
 
 @settings(max_examples=250, deadline=None)
-@example(case=(_TIED_BACKBONE, 2, 3), regime=tr.Regime.CLASSICAL_GAME_QUANTUM_NET,
-         seed=0, player_count=4)
-# a 13-player game past the qubit cap, and a negative seed part
-@example(case=(sim.backbone_topology(11), 2, 3), regime=tr.Regime.QUANTUM_GAME_QUANTUM_NET,
-         seed=0, player_count=4)
-@example(case=(sim.backbone_topology(4), 2, 3), regime=tr.Regime.QUANTUM_GAME_QUANTUM_NET,
-         seed=[0, -1], player_count=4)
-@given(
-    # backbones, trees or forests (one path or none) and graphs of at most 9
-    # nodes with two paths or more, whose referee games stay small
-    case=_backbones() | _graphs(14, cycles=False) | _graphs(9, cycles=True),
-    regime=st.sampled_from(tr.ALL_REGIMES),
-    seed=st.integers(-1, 2**32) | st.lists(st.integers(-1, 2**32), min_size=1, max_size=3),
-    player_count=st.integers(2, 14),
-)
-def test_select_path_matches_played_games(case, regime, seed, player_count):
-    topology, source, destination = case
-    args = (topology, source, destination, regime, seed, player_count)
-    assert _outcome(sim.select_path, *args) == _outcome(played_select_path, *args)
+@example(topology=_TIED_BACKBONE, seed=0, xi=0)
+# a 13-player game past the qubit cap
+@example(topology=sim.backbone_topology(11), seed=0, xi=0)
+@given(topology=_backbones(), seed=st.integers(0, 2**32), xi=st.integers(0, 20))
+def test_select_path_matches_played_games(topology, seed, xi):
+    # each regime's path, as the node sweep chose it per regime and as a
+    # played game gives it, is the one select_path takes for all of them;
+    # where a regime raises, select_path raises as the first such regime did
+    count = len(topology.nodes) - 2
+    outcomes = []
+    for ri, regime in enumerate(tr.ALL_REGIMES):
+        args = (topology, 2, 3, regime, [seed, xi, ri], count)
+        outcomes.append(_outcome(per_regime_select_path, *args))
+        assert outcomes[-1] == _outcome(played_select_path, *args)
+    got = _outcome(sim.select_path, topology, 2, 3)
+    raised = next((o for o in outcomes if isinstance(o, tuple)), None)
+    if raised:
+        assert got == raised
+    else:
+        assert all(path == got for path in outcomes)
 
 
 def test_sweep_nodes_single_cell_matches_single_trial():
@@ -390,7 +342,7 @@ def test_sweep_nodes_single_cell_matches_single_trial():
     cfg = tr.SimConfig(trials=1, regime=regime)
     res = sim.sweep_nodes(cfg, [3], seed=4)
     t = sim.backbone_topology(3)
-    path = sim.select_path(t, 2, 3, regime, [4, 0, ri], 3)
+    path = sim.select_path(t, 2, 3)
     metrics = tr.run_trial(t, path, cfg, np.random.default_rng([4, 0, ri, 0]))
     means, stds = res.cells[(3.0, regime.value)]
     assert means["normalized_delay_us"] == pytest.approx(metrics.normalized_delay_us)
@@ -840,7 +792,7 @@ def test_sweep_nodes_equals_one_cell_calls(gen_prob):
     for xi, count in enumerate(counts):
         t = sim.backbone_topology(count, link)
         for ri, regime in enumerate(tr.ALL_REGIMES):
-            path = sim.select_path(t, 2, 3, regime, [seed, xi, ri], count)
+            path = per_regime_select_path(t, 2, 3, regime, [seed, xi, ri], count)
             cfg = replace(base, regime=regime)
             [rows] = tr.run_trials(t, path, cfg, [(seed, xi, ri)])
             want[(float(count), regime.value)] = tr.aggregate(rows)

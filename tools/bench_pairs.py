@@ -4,11 +4,12 @@ Each pair runs `python3 perfbench/run.py --workload all --seconds S --seed
 <pair>` once on the parent commit and once on the change, each in a fresh
 `git archive` extraction of its commit. Odd pairs run the change first, even
 pairs the parent first. The end-to-end metrics of every run are written to
-one JSON file in the layout of the repository's `BENCH_*.json` files, with
-a verdict on the claimed metric: a gain needs the change better in at least
-nine tenths of the pairs (ties count for neither side) and the medians apart
-by more than the parent's quartile spread. Every other metric is checked
-against the bound `BENCHMARK.json` gives it.
+one JSON file in the layout of the repository's `BENCH_*.json` files. With
+`--claim` it holds a verdict on the claimed metric: a gain needs the change
+better in at least nine tenths of the pairs (ties count for neither side)
+and the medians apart by more than the parent's quartile spread. Without
+it, `claimed` and `verdict` are null. Every metric is checked against the
+bound `BENCHMARK.json` gives it.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pairs 20 \\
         --claim games:pass_s --out BENCH_32.json
@@ -122,11 +123,11 @@ def main() -> int:
     parser.add_argument("--change", default="HEAD", help="commit measured as the change")
     parser.add_argument("--pairs", type=int, default=20)
     parser.add_argument("--seconds", type=int, default=25)
-    parser.add_argument("--claim", required=True, metavar="WORKLOAD:METRIC")
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the metric a gain is claimed on")
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--workdir", type=Path, help="where the copies go (default: a temp dir)")
     args = parser.parse_args()
-    claim_workload, _, claim_metric = args.claim.partition(":")
+    claim_workload, _, claim_metric = (args.claim or "").partition(":")
     if args.pairs < 2 or args.seconds < 1:
         parser.error("--pairs must be >= 2 and --seconds >= 1")
 
@@ -139,8 +140,9 @@ def main() -> int:
         for name in order:
             checkout = extract(commits[name], work / name)
             results[name].append(run_bench(checkout, pair, args.seconds))
-            got = results[name][-1][claim_workload]["metrics"][claim_metric]["value"]
-            print(f"pair {pair} {name}: {args.claim} = {got:.6g}", file=sys.stderr)
+            if args.claim:
+                got = results[name][-1][claim_workload]["metrics"][claim_metric]["value"]
+                print(f"pair {pair} {name}: {args.claim} = {got:.6g}", file=sys.stderr)
     if args.workdir is None:
         shutil.rmtree(work)
 
@@ -174,8 +176,8 @@ def main() -> int:
         },
         "change_checkout": "git archive of each commit, extracted fresh before each run",
         "quartiles": "statistics.quantiles(n=4), exclusive method",
-        "claimed": {"workload": claim_workload, "metric": claim_metric},
-        "verdict": verdict(workloads[claim_workload], claim_metric, args.pairs),
+        "claimed": {"workload": claim_workload, "metric": claim_metric} if args.claim else None,
+        "verdict": verdict(workloads[claim_workload], claim_metric, args.pairs) if args.claim else None,
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
