@@ -1,9 +1,11 @@
 """Two-way next-hop consensus over the tree network.
 
 Every non-leader node owns a choice between exactly two uplink candidates,
-each carrying a latency cost and a fidelity payoff. Rounds evaluate every node
-on its own choice set and apply switches in ascending node order; a switch
-that would loop the next-hop pointer chain is blocked and recorded.
+each carrying a latency cost and a fidelity payoff. The options live only in
+`topology.choices`, which no game changes; the game's state is the map
+{choosing node: its current next hop}. Rounds evaluate every node on its own
+two options and apply switches in ascending node order; a switch that would
+loop the next-hop pointer chain is blocked and recorded.
 
 Both variants switch on strict utility improvement. The quantum variant also
 settles utility ties with a shared-Bell-pair coin flip (both parties record
@@ -20,44 +22,10 @@ import numpy as np
 
 from . import quantum as q
 from .errors import ParameterError, UnreachableError, check_seed
-from .topology import Link, LinkParams, NetworkTopology, NodeRole, connected_components
+from .topology import ChoiceOption, Link, LinkParams, NetworkTopology, NodeRole, connected_components
 from .trial import SimConfig, run_trial
 
 TIE_EPSILON = 1e-6
-
-
-@dataclass(frozen=True)
-class HopEstimate:
-    latency_cost: float
-    fidelity_payoff: float
-
-    def __post_init__(self) -> None:
-        if not self.latency_cost > 0:
-            raise ParameterError(f"latency_cost must be > 0, got {self.latency_cost}")
-        if not 0.0 <= self.fidelity_payoff <= 1.0:
-            raise ParameterError(f"fidelity_payoff must be in [0, 1], got {self.fidelity_payoff}")
-
-
-@dataclass(frozen=True)
-class ChoiceSet:
-    """One node's two-way choice and its currently selected next hop."""
-
-    node: int
-    options: tuple[int, int]
-    estimates: tuple[HopEstimate, HopEstimate]
-    current: int
-
-    def __post_init__(self) -> None:
-        if self.options[0] == self.options[1]:
-            raise ParameterError(f"node {self.node}: choice options must be distinct")
-        if self.current not in self.options:
-            raise ParameterError(f"node {self.node}: current hop {self.current} not among options")
-
-    def estimate_for(self, hop: int) -> HopEstimate:
-        return self.estimates[self.options.index(hop)]
-
-    def alternative(self) -> int:
-        return self.options[1] if self.current == self.options[0] else self.options[0]
 
 
 @dataclass(frozen=True)
@@ -124,52 +92,53 @@ def check_weights(weights: tuple[float, float]) -> None:
         raise ParameterError(f"weights must be finite, non-negative and not both zero, got {weights}")
 
 
-def hop_utility(est: HopEstimate, weights: tuple[float, float], cost_scale: float) -> float:
-    """w_f * fidelity_payoff - w_c * latency_cost / cost_scale.
+def hop_utility(option: ChoiceOption, weights: tuple[float, float], cost_scale: float) -> float:
+    """w_f * payoff - w_c * cost / cost_scale.
 
-    `cost_scale` is the maximum cost in the node's choice set, which maps the
+    `cost_scale` is the larger cost of the node's two options, which maps the
     cost term onto [0, 1] and makes it commensurable with the fidelity term.
     """
     check_weights(weights)
     w_f, w_c = weights
     if not cost_scale > 0:
         raise ParameterError(f"cost_scale must be > 0, got {cost_scale}")
-    return w_f * est.fidelity_payoff - w_c * est.latency_cost / cost_scale
+    return w_f * option.payoff - w_c * option.cost / cost_scale
 
 
-def choice_state(topology: NetworkTopology) -> dict[int, ChoiceSet]:
-    """Initial per-node choices; the current hop is the one with a live link."""
-    state: dict[int, ChoiceSet] = {}
-    for node_id, (opt_a, opt_b) in sorted(topology.choices.items()):
-        linked = [o.next_hop for o in (opt_a, opt_b) if topology.link_between(node_id, o.next_hop)]
+def _check_cost(cost: float) -> None:
+    # a hop's cost is its latency and scales the utility's cost term
+    if not cost > 0:
+        raise ParameterError(f"latency_cost must be > 0, got {cost}")
+
+
+def choice_state(topology: NetworkTopology) -> dict[int, int]:
+    """Each choosing node's initial next hop: the option with a live link."""
+    state: dict[int, int] = {}
+    for node_id, options in sorted(topology.choices.items()):
+        linked = [o.next_hop for o in options if topology.link_between(node_id, o.next_hop)]
         if len(linked) != 1:
             raise ParameterError(
                 f"node {node_id}: expected exactly one live option link, found {len(linked)}"
             )
-        state[node_id] = ChoiceSet(
-            node=node_id,
-            options=(opt_a.next_hop, opt_b.next_hop),
-            estimates=(
-                HopEstimate(opt_a.cost, opt_a.payoff),
-                HopEstimate(opt_b.cost, opt_b.payoff),
-            ),
-            current=linked[0],
-        )
+        for o in options:
+            _check_cost(o.cost)
+        state[node_id] = linked[0]
     return state
 
 
-def utility_table(state: dict[int, ChoiceSet], weights) -> dict[int, tuple[float, float]]:
-    """Each node's utility of options[0] and of options[1]. A node's options
-    and estimates never change, so one table serves every round of a game."""
+def utility_table(
+    choices: dict[int, tuple[ChoiceOption, ChoiceOption]], weights
+) -> dict[int, tuple[float, float]]:
+    """Each node's utility of its first and of its second option. A node's
+    options never change, so one table serves every round of a game."""
     table = {}
-    for node, cs in state.items():
-        scale = max(e.latency_cost for e in cs.estimates)
-        table[node] = (hop_utility(cs.estimates[0], weights, scale),
-                       hop_utility(cs.estimates[1], weights, scale))
+    for node, options in choices.items():
+        scale = max(o.cost for o in options)
+        table[node] = tuple(hop_utility(o, weights, scale) for o in options)
     return table
 
 
-def _creates_cycle(state: dict[int, ChoiceSet], node: int, new_hop: int) -> bool:
+def _creates_cycle(state: dict[int, int], node: int, new_hop: int) -> bool:
     """Would pointing `node` at `new_hop` loop the next-hop chain?"""
     seen = {node}
     cursor = new_hop
@@ -177,19 +146,20 @@ def _creates_cycle(state: dict[int, ChoiceSet], node: int, new_hop: int) -> bool
         if cursor in seen:
             return True
         seen.add(cursor)
-        cursor = state[cursor].current
+        cursor = state[cursor]
     return False
 
 
 def consensus_round(
-    state: dict[int, ChoiceSet],
+    state: dict[int, int],
+    choices: dict[int, tuple[ChoiceOption, ChoiceOption]],
     utilities: dict[int, tuple[float, float]],
     rng: np.random.Generator | None = None,
     settled: set[int] | None = None,
-) -> tuple[dict[int, ChoiceSet], list[SwitchRecord], list[dict], list[dict]]:
-    """One simultaneous-decision round: every node decides on its own choice
-    set, scored in `utilities` (the game's `utility_table`), and the moves
-    commit in ascending node order.
+) -> tuple[dict[int, int], list[SwitchRecord], list[dict], list[dict]]:
+    """One simultaneous-decision round: every node decides between its two
+    `choices`, scored in `utilities` (the game's `utility_table`), and the
+    moves commit in ascending node order.
 
     A node switches iff its alternative hop has strictly higher utility. With
     `rng` (the quantum round), utilities within TIE_EPSILON are a tie, settled
@@ -206,40 +176,35 @@ def consensus_round(
     ties: list[dict] = []
     blocked: list[dict] = []
     for node in sorted(state):
-        cs = state[node]
-        cur, alt = utilities[node] if cs.current == cs.options[0] else utilities[node][::-1]
+        current = state[node]
+        i = 0 if choices[node][0].next_hop == current else 1  # the current option's index
+        taken, other = choices[node][i], choices[node][1 - i]
+        cur, alt = utilities[node][i], utilities[node][1 - i]
         tie = rng is not None and abs(alt - cur) <= TIE_EPSILON
         if tie:
             if node in settled:
                 continue
             bit_a, bit_b, agree = q.coin_flip_consensus(rng, 0.0)
             settled.add(node)
-            target = cs.alternative() if bit_a == 1 else cs.current
+            target = other.next_hop if bit_a == 1 else current
             ties.append(
                 {"node": node, "bit_node": bit_a, "bit_hop": bit_b, "agree": agree,
                  "chosen": target}
             )
-            if target == cs.current:
+            if target == current:
                 continue
         elif alt > cur:
-            target = cs.alternative()
+            target = other.next_hop
         else:
             continue
         if _creates_cycle(new_state, node, target):
             blocked.append({"node": node, "to": target, "reason": "cycle"})
             continue
         if not tie:
-            old, new = cs.estimate_for(cs.current), cs.estimate_for(target)
-            switches.append(
-                SwitchRecord(
-                    node=node,
-                    from_hop=cs.current,
-                    to_hop=target,
-                    d_cost=new.latency_cost - old.latency_cost,
-                    d_payoff=new.fidelity_payoff - old.fidelity_payoff,
-                )
-            )
-        new_state[node] = ChoiceSet(cs.node, cs.options, cs.estimates, target)
+            switches.append(SwitchRecord(
+                node, current, target, other.cost - taken.cost, other.payoff - taken.payoff
+            ))
+        new_state[node] = target
     return new_state, switches, ties, blocked
 
 
@@ -257,12 +222,12 @@ def _tree_components(topology: NetworkTopology):
     return connected_components(trees)
 
 
-def _chain_to_leader(state: dict[int, ChoiceSet], start: int, topology: NetworkTopology) -> list[int]:
+def _chain_to_leader(state: dict[int, int], start: int, topology: NetworkTopology) -> list[int]:
     chain = [start]
     cursor = start
     while topology.nodes[cursor].role is not NodeRole.LEADER:
         if cursor in state:
-            cursor = state[cursor].current
+            cursor = state[cursor]
         else:
             # choice-less node (single-leaf tree): follow its only uplink
             ups = list(topology.adjacency[cursor])
@@ -278,7 +243,7 @@ def _chain_to_leader(state: dict[int, ChoiceSet], start: int, topology: NetworkT
 
 
 def current_path(
-    state: dict[int, ChoiceSet], topology: NetworkTopology, source: int, destination: int
+    state: dict[int, int], topology: NetworkTopology, source: int, destination: int
 ) -> list[int]:
     """Source chain up to its leader, across the trunk, down to the destination."""
     up = _chain_to_leader(state, source, topology)
@@ -290,7 +255,7 @@ def current_path(
     return up + list(reversed(down))
 
 
-def realize_topology(topology: NetworkTopology, state: dict[int, ChoiceSet]) -> NetworkTopology:
+def realize_topology(topology: NetworkTopology, state: dict[int, int]) -> NetworkTopology:
     """Topology with every choosing node's link moved onto its current hop.
 
     A switch removes the old option's link and adds the new one; the new
@@ -298,41 +263,40 @@ def realize_topology(topology: NetworkTopology, state: dict[int, ChoiceSet]) -> 
     by the same cost-to-microseconds ratio the old link used.
     """
     links = {l.endpoints(): l for l in topology.links}
-    for node, cs in state.items():
-        old_hop = cs.alternative()
-        old_key = frozenset((node, old_hop))
-        new_key = frozenset((node, cs.current))
+    for node, hop in state.items():
+        new_key = frozenset((node, hop))
         if new_key in links:
             continue
+        first, second = topology.choices[node]
+        taken, other = (first, second) if hop == first.next_hop else (second, first)
+        old_key = frozenset((node, other.next_hop))
         if old_key not in links:
             raise ParameterError(f"node {node}: neither option link exists to move")
         old_link = links.pop(old_key)
-        est = cs.estimate_for(cs.current)
         old = old_link.params
         ratio = old.latency_us / old_link.cost if old_link.cost > 0 else 1.0
-        latency = max(est.latency_cost * ratio, 1e-9)
+        latency = max(taken.cost * ratio, 1e-9)
         params = LinkParams(latency, old.coherence_us, old.decoherence_rate, old.gen_prob)
-        links[new_key] = Link(node, cs.current, params, est.latency_cost, est.fidelity_payoff)
+        links[new_key] = Link(node, hop, params, taken.cost, taken.payoff)
     return NetworkTopology(topology.nodes, tuple(links.values()), topology.scenario, topology.choices)
 
 
-def path_cost_and_payoff(
-    state: dict[int, ChoiceSet], topology: NetworkTopology, path: list[int]
-) -> tuple[float, float]:
-    """Sum of hop costs and product of hop fidelity payoffs along a path."""
+def path_cost_and_payoff(topology: NetworkTopology, path: list[int]) -> tuple[float, float]:
+    """Sum of hop costs and product of hop fidelity payoffs along a path; a
+    hop takes the weights of an option of either end, else of its link."""
     total, fidelity = 0.0, 1.0
     for a, b in zip(path, path[1:]):
-        if a in state and b in state[a].options:
-            est = state[a].estimate_for(b)
-        elif b in state and a in state[b].options:
-            est = state[b].estimate_for(a)
+        options = [o for o in topology.choices.get(a, ()) if o.next_hop == b]
+        options += [o for o in topology.choices.get(b, ()) if o.next_hop == a]
+        if options:
+            hop = options[0]
         else:
-            link = topology.link_between(a, b)
-            if link is None:
+            hop = topology.link_between(a, b)
+            if hop is None:
                 raise UnreachableError(f"path hop {a}-{b} has no link or choice")
-            est = HopEstimate(link.cost, link.payoff)
-        total += est.latency_cost
-        fidelity *= est.fidelity_payoff
+            _check_cost(hop.cost)
+        total += hop.cost
+        fidelity *= hop.payoff
     return total, fidelity
 
 
@@ -366,16 +330,12 @@ def run_consensus(
             raise ParameterError(f"node {endpoint} not in topology")
         if topology.nodes[endpoint].role is NodeRole.LEADER:
             raise ParameterError(f"node {endpoint} is a leader; endpoints must be leaves")
-    components = _tree_components(topology)
-    comp_of = {}
-    for i, comp in enumerate(components):
-        for n in comp:
-            comp_of[n] = i
+    comp_of = {n: i for i, comp in enumerate(_tree_components(topology)) for n in comp}
     if comp_of[source] == comp_of[destination]:
         raise ParameterError("source and destination must sit in different trees")
 
     state = choice_state(topology)
-    utilities = utility_table(state, weights)
+    utilities = utility_table(topology.choices, weights)
     rng = np.random.default_rng(seed) if variant == "quantum" else None
 
     switches: list[SwitchRecord] = []
@@ -386,13 +346,14 @@ def run_consensus(
     converged = False
     # at least one round runs: the endpoints are two distinct nodes
     for rounds in range(1, 2 * len(topology.nodes) + 1):
-        state, new_switches, new_ties, new_blocked = consensus_round(state, utilities, rng, settled)
+        state, new_switches, new_ties, new_blocked = consensus_round(
+            state, topology.choices, utilities, rng, settled
+        )
         blocked.extend(new_blocked)
         switches.extend(new_switches)
-        for t in new_ties:
-            tie_events.append({"round": rounds, **t})
+        tie_events.extend({"round": rounds, **t} for t in new_ties)
         path = current_path(state, topology, source, destination)
-        total_cost, proxy = path_cost_and_payoff(state, topology, path)
+        total_cost, proxy = path_cost_and_payoff(topology, path)
         trace.append(
             {
                 "round": rounds,

@@ -182,23 +182,21 @@ def sweep_decoherence(base_cfg: SimConfig, rates: list[float], seed: int = 0) ->
         raise ParameterError(
             f"rates must be non-empty, strictly ascending and non-negative, got {list(rates)}"
         )
-    configs = {
-        "classical": replace(base_cfg, regime=Regime.CLASSICAL_GAME_QUANTUM_NET),
-        "quantum": replace(base_cfg, regime=Regime.QUANTUM_GAME_QUANTUM_NET),
-    }
+    cfg = replace(base_cfg, regime=Regime.QUANTUM_GAME_QUANTUM_NET)
+    variants = ("classical", "quantum")
     cells = {}
     for xi, rate in enumerate(rates):
         rated = canonical_two_tree_topology(
             link_defaults=LinkParams(decoherence_rate=rate), cost_to_us=SWEEP_COST_TO_US
         )
-        for variant, cfg in configs.items():
+        for variant in variants:
             outcome = run_consensus(rated, 1, 8, variant=variant, seed=seed)
             [rows] = run_trials(outcome.realized_topology, outcome.path, cfg, [(seed, xi)])
             cells[(float(rate), variant)] = aggregate(rows)
     return SweepResult(
         x_label="decoherence_rate",
         x_values=[float(r) for r in rates],
-        series=list(configs),
+        series=list(variants),
         n=base_cfg.trials,
         cells=cells,
     )

@@ -70,11 +70,12 @@ def test_criterion_3_two_tree_consensus_fixture():
         assert len(out.switches) == 1
         s = out.switches[0]
         assert (s.node, s.from_hop, s.to_hop) == (1, 0, 2)
-        state = cons.choice_state(topo.canonical_two_tree_topology())
-        assert state[1].estimate_for(0).latency_cost == 100.0
-        assert state[1].estimate_for(2).latency_cost == 60.0
-        assert state[1].estimate_for(0).fidelity_payoff == 0.3
-        assert state[1].estimate_for(2).fidelity_payoff == 0.8
+        to_leader, to_sibling = topo.canonical_two_tree_topology().choices[1]
+        assert (to_leader.next_hop, to_sibling.next_hop) == (0, 2)
+        assert to_leader.cost == 100.0
+        assert to_sibling.cost == 60.0
+        assert to_leader.payoff == 0.3
+        assert to_sibling.payoff == 0.8
         assert s.d_cost == -40.0
         assert s.d_payoff == pytest.approx(0.5, abs=1e-12)
         assert out.converged

@@ -487,6 +487,31 @@ def test_consensus_next_hop_loop_exits_2(tmp_path, capsys, variant):
     assert not out.exists()
 
 
+def _zero_option_cost(doc):
+    doc["choices"][0]["options"][1]["cost"] = 0.0
+
+
+def _zero_trunk_cost(doc):
+    # the leaders' link is the one path hop that is no node's option
+    [trunk] = [l for l in doc["links"] if {l["a"], l["b"]} == {0, 5}]
+    trunk["cost"] = 0.0
+
+
+@pytest.mark.parametrize("zero_cost", [_zero_option_cost, _zero_trunk_cost])
+@pytest.mark.parametrize("variant", ["classical", "quantum"])
+def test_consensus_zero_hop_cost_exits_2(tmp_path, capsys, zero_cost, variant):
+    doc = topo.canonical_two_tree_topology().to_json_dict()
+    zero_cost(doc)
+    topo_file = tmp_path / "zero.json"
+    topo_file.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path, {"topology_file": str(topo_file), "source": 1, "destination": 8})
+    out = tmp_path / "out"
+    rc = main(["consensus", "--variant", variant, "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert "latency_cost must be > 0, got 0.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------

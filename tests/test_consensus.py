@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from entangle_games import topology as topo
 from entangle_games import trial as tr
 from entangle_games.errors import ParameterError, UnreachableError
 
+import oracles
 from oracles import assert_builder_invariants
 
 
@@ -30,43 +32,61 @@ def canonical():
 
 def test_hop_utility_worked_example():
     # option (F=0.8, C=60) beats (F=0.3, C=100) at unit weights, scale 100
-    good = cons.hop_utility(cons.HopEstimate(60.0, 0.8), (1.0, 1.0), 100.0)
-    bad = cons.hop_utility(cons.HopEstimate(100.0, 0.3), (1.0, 1.0), 100.0)
+    good = cons.hop_utility(topo.ChoiceOption(2, 60.0, 0.8), (1.0, 1.0), 100.0)
+    bad = cons.hop_utility(topo.ChoiceOption(0, 100.0, 0.3), (1.0, 1.0), 100.0)
     assert good == pytest.approx(0.2)
     assert bad == pytest.approx(-0.7)
     assert good > bad
 
 
 def test_hop_utility_fidelity_only_weighting():
-    est = cons.HopEstimate(87.0, 0.62)
-    assert cons.hop_utility(est, (1.0, 0.0), 87.0) == pytest.approx(0.62)
+    option = topo.ChoiceOption(0, 87.0, 0.62)
+    assert cons.hop_utility(option, (1.0, 0.0), 87.0) == pytest.approx(0.62)
 
 
 def test_hop_utility_symmetry():
-    a = cons.HopEstimate(50.0, 0.5)
-    b = cons.HopEstimate(50.0, 0.5)
+    a = topo.ChoiceOption(0, 50.0, 0.5)
+    b = topo.ChoiceOption(1, 50.0, 0.5)
     w = (0.7, 1.3)
     assert cons.hop_utility(a, w, 50.0) == cons.hop_utility(b, w, 50.0)
 
 
 def test_hop_utility_rejects_bad_weights():
-    est = cons.HopEstimate(10.0, 0.5)
+    option = topo.ChoiceOption(0, 10.0, 0.5)
     with pytest.raises(ParameterError):
-        cons.hop_utility(est, (0.0, 0.0), 10.0)
+        cons.hop_utility(option, (0.0, 0.0), 10.0)
     with pytest.raises(ParameterError):
-        cons.hop_utility(est, (-1.0, 1.0), 10.0)
+        cons.hop_utility(option, (-1.0, 1.0), 10.0)
     for bad in (math.nan, math.inf):
         with pytest.raises(ParameterError):
-            cons.hop_utility(est, (bad, 1.0), 10.0)
+            cons.hop_utility(option, (bad, 1.0), 10.0)
         with pytest.raises(ParameterError):
-            cons.hop_utility(est, (1.0, bad), 10.0)
+            cons.hop_utility(option, (1.0, bad), 10.0)
+
+
+def _with_costs(t, option_cost=None, trunk_cost=None):
+    """`t` with node 1's second option, or the leaders' trunk link, at a new cost."""
+    choices = dict(t.choices)
+    if option_cost is not None:
+        choices[1] = (choices[1][0], replace(choices[1][1], cost=option_cost))
+    links = tuple(
+        replace(l, cost=trunk_cost) if trunk_cost is not None and l.endpoints() == {0, 5} else l
+        for l in t.links
+    )
+    return topo.NetworkTopology(t.nodes, links, t.scenario, choices)
 
 
 def test_estimate_domain_checks():
-    with pytest.raises(ParameterError):
-        cons.HopEstimate(0.0, 0.5)
-    with pytest.raises(ParameterError):
-        cons.HopEstimate(10.0, 1.5)
+    # every option's cost, and the cost of a link a path hop falls back on,
+    # must be positive; payoffs are checked where options and links are built
+    for cost in (0.0, -1.0, math.nan):
+        message = re.escape(f"latency_cost must be > 0, got {cost}")
+        with pytest.raises(ParameterError, match=message):
+            cons.choice_state(_with_costs(canonical(), option_cost=cost))
+        with pytest.raises(ParameterError, match=message):
+            cons.path_cost_and_payoff(_with_costs(canonical(), trunk_cost=cost), [1, 0, 5, 8])
+    with pytest.raises(ParameterError, match="payoff"):
+        topo.ChoiceOption(0, 10.0, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -75,53 +95,54 @@ def test_estimate_domain_checks():
 
 
 def test_classical_round_switches_featured_node():
-    state = cons.choice_state(canonical())
-    new_state, switches, ties, blocked = cons.consensus_round(state, cons.utility_table(state, W))
+    t = canonical()
+    state = cons.choice_state(t)
+    new_state, switches, ties, blocked = cons.consensus_round(
+        state, t.choices, cons.utility_table(t.choices, W)
+    )
     assert len(switches) == 1
     s = switches[0]
     assert (s.node, s.from_hop, s.to_hop) == (1, 0, 2)
     assert s.d_cost == pytest.approx(-40.0)
     assert s.d_payoff == pytest.approx(0.5)
-    assert new_state[1].current == 2
+    assert new_state[1] == 2
     assert ties == [] and blocked == []
 
 
 def test_classical_round_is_idempotent():
-    state = cons.choice_state(canonical())
-    utilities = cons.utility_table(state, W)
-    state, first, _, _ = cons.consensus_round(state, utilities)
-    state, second, _, _ = cons.consensus_round(state, utilities)
+    t = canonical()
+    state = cons.choice_state(t)
+    utilities = cons.utility_table(t.choices, W)
+    state, first, _, _ = cons.consensus_round(state, t.choices, utilities)
+    state, second, _, _ = cons.consensus_round(state, t.choices, utilities)
     assert first and not second
 
 
 def test_every_switch_strictly_improves_utility():
-    state = cons.choice_state(canonical())
-    new_state, switches, _, _ = cons.consensus_round(state, cons.utility_table(state, W))
+    t = canonical()
+    state = cons.choice_state(t)
+    _, switches, _, _ = cons.consensus_round(state, t.choices, cons.utility_table(t.choices, W))
     for s in switches:
-        cs = state[s.node]
-        scale = max(e.latency_cost for e in cs.estimates)
-        before = cons.hop_utility(cs.estimate_for(s.from_hop), (1.0, 1.0), scale)
-        after = cons.hop_utility(cs.estimate_for(s.to_hop), (1.0, 1.0), scale)
+        options = {o.next_hop: o for o in t.choices[s.node]}
+        scale = max(o.cost for o in options.values())
+        before = cons.hop_utility(options[s.from_hop], (1.0, 1.0), scale)
+        after = cons.hop_utility(options[s.to_hop], (1.0, 1.0), scale)
         assert after > before
 
 
-def _mutual_switch_state():
-    # nodes 1 and 2 both strictly prefer each other over leader 0
-    better = cons.HopEstimate(10.0, 0.9)
-    worse = cons.HopEstimate(100.0, 0.1)
-    return {
-        1: cons.ChoiceSet(1, (0, 2), (worse, better), current=0),
-        2: cons.ChoiceSet(2, (0, 1), (worse, better), current=0),
-    }
-
-
 def test_cycle_creating_switch_is_blocked():
-    state = _mutual_switch_state()
-    new_state, switches, ties, blocked = cons.consensus_round(state, cons.utility_table(state, W))
+    # nodes 1 and 2 both strictly prefer each other over leader 0
+    worse = topo.ChoiceOption(0, 100.0, 0.1)
+    choices = {
+        1: (worse, topo.ChoiceOption(2, 10.0, 0.9)),
+        2: (worse, topo.ChoiceOption(1, 10.0, 0.9)),
+    }
+    new_state, switches, ties, blocked = cons.consensus_round(
+        {1: 0, 2: 0}, choices, cons.utility_table(choices, W)
+    )
     assert [s.node for s in switches] == [1]
     assert blocked == [{"node": 2, "to": 1, "reason": "cycle"}]
-    assert new_state[1].current == 2
-    assert new_state[2].current == 0
+    assert new_state == {1: 2, 2: 0}
     assert ties == []
 
 
@@ -150,25 +171,26 @@ def test_ewl_accept_reduces_to_utility_comparison(gamma, magnitude, sign, d_payo
 def test_quantum_round_equals_classical_without_ties():
     t = topo.build_scenario2([3, 4], seed=12)
     state = cons.choice_state(t)
-    utilities = cons.utility_table(state, W)
-    classical_state, classical_switches, _, _ = cons.consensus_round(state, utilities)
+    utilities = cons.utility_table(t.choices, W)
+    classical_state, classical_switches, _, _ = cons.consensus_round(state, t.choices, utilities)
     rng = np.random.default_rng(5)
-    quantum_state, quantum_switches, ties, _ = cons.consensus_round(state, utilities, rng)
+    quantum_state, quantum_switches, ties, _ = cons.consensus_round(
+        state, t.choices, utilities, rng
+    )
     assert ties == []
-    assert {n: cs.current for n, cs in quantum_state.items()} == {
-        n: cs.current for n, cs in classical_state.items()
-    }
+    assert quantum_state == classical_state
     assert [s.node for s in quantum_switches] == [s.node for s in classical_switches]
 
 
 def test_tie_coin_agreement_over_seeds():
-    state = cons.choice_state(canonical())
-    utilities = cons.utility_table(state, W)
+    t = canonical()
+    state = cons.choice_state(t)
+    utilities = cons.utility_table(t.choices, W)
     flips = []
     for seed in range(1000):
         settled: set[int] = set()
         _, _, ties, _ = cons.consensus_round(
-            state, utilities, np.random.default_rng(seed), settled
+            state, t.choices, utilities, np.random.default_rng(seed), settled
         )
         assert len(ties) == 1 and ties[0]["node"] == 8
         assert ties[0]["agree"] is True
@@ -179,12 +201,13 @@ def test_tie_coin_agreement_over_seeds():
 
 
 def test_settled_tie_is_not_reflipped():
-    state = cons.choice_state(canonical())
+    t = canonical()
+    state = cons.choice_state(t)
     settled: set[int] = set()
-    utilities = cons.utility_table(state, W)
+    utilities = cons.utility_table(t.choices, W)
     rng = np.random.default_rng(3)
-    state, _, first, _ = cons.consensus_round(state, utilities, rng, settled)
-    state, _, second, _ = cons.consensus_round(state, utilities, rng, settled)
+    state, _, first, _ = cons.consensus_round(state, t.choices, utilities, rng, settled)
+    state, _, second, _ = cons.consensus_round(state, t.choices, utilities, rng, settled)
     assert len(first) == 1 and second == []
 
 
@@ -358,7 +381,8 @@ def test_realized_topology_moves_switched_link():
 
 
 # ---------------------------------------------------------------------------
-# differential test against the two rounds before `consensus_round`
+# differential test against the two rounds before `consensus_round`, on
+# the per-node `ChoiceSet` state that `oracles` keeps
 # ---------------------------------------------------------------------------
 
 
@@ -366,8 +390,8 @@ def _utilities(cs, weights):
     """A node's (current, alternative) hop utilities, scored afresh in every
     round as `consensus_round` did before its per-game utility table."""
     scale = max(e.latency_cost for e in cs.estimates)
-    cur = cons.hop_utility(cs.estimate_for(cs.current), weights, scale)
-    alt = cons.hop_utility(cs.estimate_for(cs.alternative()), weights, scale)
+    cur = oracles.hop_utility(cs.estimate_for(cs.current), weights, scale)
+    alt = oracles.hop_utility(cs.estimate_for(cs.alternative()), weights, scale)
     return cur, alt
 
 
@@ -382,7 +406,7 @@ def _old_apply_switches(state, desires, tie_nodes=frozenset()):
         cs = new_state[node]
         if target == cs.current:
             continue
-        if cons._creates_cycle(new_state, node, target):
+        if oracles._creates_cycle(new_state, node, target):
             blocked.append({"node": node, "to": target, "reason": "cycle"})
             continue
         old = cs.estimate_for(cs.current)
@@ -466,10 +490,11 @@ def _old_quantum_round(
 
 def _old_run_consensus(topology, source, destination, weights, variant, seed, gamma=math.pi / 2):
     """The round loop of `run_consensus` before `consensus_round`, verbatim
-    apart from the endpoint checks, which are unchanged and run first.
+    apart from the endpoint checks, which are unchanged and run first, and
+    from taking the state helpers from `oracles`.
     Returns the outcome and the fidelity trial's value, run eagerly as it was
     before `ConsensusOutcome.end_to_end_fidelity` ran it on first read."""
-    state = cons.choice_state(topology)
+    state = oracles.choice_state(topology)
     rng = np.random.default_rng(seed)
     rounds_cap = 2 * len(topology.nodes)
     switches, tie_events, blocked, trace = [], [], [], []
@@ -487,8 +512,8 @@ def _old_run_consensus(topology, source, destination, weights, variant, seed, ga
         switches.extend(new_switches)
         for t in new_ties:
             tie_events.append({"round": rounds, **t})
-        path = cons.current_path(state, topology, source, destination)
-        cost, proxy = cons.path_cost_and_payoff(state, topology, path)
+        path = oracles.current_path(state, topology, source, destination)
+        cost, proxy = oracles.path_cost_and_payoff(state, topology, path)
         trace.append(
             {
                 "round": rounds,
@@ -500,9 +525,9 @@ def _old_run_consensus(topology, source, destination, weights, variant, seed, ga
         if not new_switches and not new_ties:
             converged = True
             break
-    path = cons.current_path(state, topology, source, destination)
-    total_cost, _ = cons.path_cost_and_payoff(state, topology, path)
-    realized = cons.realize_topology(topology, state)
+    path = oracles.current_path(state, topology, source, destination)
+    total_cost, _ = oracles.path_cost_and_payoff(state, topology, path)
+    realized = oracles.realize_topology(topology, state)
     rng = np.random.default_rng([seed, 0xC0F1])
     fidelity = tr.run_trial(realized, path, tr.SimConfig(), rng).end_to_end_fidelity
     outcome = cons.ConsensusOutcome(
@@ -516,7 +541,11 @@ def _old_run_consensus(topology, source, destination, weights, variant, seed, ga
 @st.composite
 def _consensus_games(draw):
     """Random scenario-2 trees; half draw every choice link from two values,
-    which makes utility ties and mutual sibling preferences (cycles) common."""
+    which makes utility ties and mutual sibling preferences (cycles) common.
+    Half give some links a cost apart from their options' costs: a moved
+    link's latency then scales by a drawn ratio, or by 1 where its cost is
+    not positive, and such a cost on the trunk or a lone leaf's uplink fails
+    the path's cost check. Some of those also give one option a cost of 0."""
     sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=3))
     t = topo.build_scenario2(sizes)
     link_weights = None
@@ -530,6 +559,19 @@ def _consensus_games(draw):
             for node, opts in t.choices.items() for opt in opts
         }
     topology = topo.build_scenario2(sizes, link_weights=link_weights, seed=draw(st.integers(0, 99)))
+    if draw(st.booleans()):
+        costs = st.sampled_from((-5.0, 0.0, 1.0, 45.0, 150.0))
+        links = tuple(
+            replace(l, cost=draw(costs)) if draw(st.integers(0, 3)) == 0 else l
+            for l in topology.links
+        )
+        choices = dict(topology.choices)
+        if choices and draw(st.integers(0, 3)) == 0:
+            node = draw(st.sampled_from(sorted(choices)))
+            k = draw(st.integers(0, 1))
+            choices[node] = tuple(replace(o, cost=0.0) if i == k else o
+                                  for i, o in enumerate(choices[node]))
+        topology = topo.NetworkTopology(topology.nodes, links, topology.scenario, choices)
     first = range(1, sizes[0] + 1)
     second = range(sizes[0] + 2, sizes[0] + sizes[1] + 2)
     weights = draw(st.sampled_from([(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)]) | st.tuples(
@@ -544,13 +586,29 @@ def _consensus_games(draw):
     )
 
 
+def _result_or_error(run):
+    """What `run()` returns, or the (type, message) of the error it raises."""
+    try:
+        return run()
+    except (ParameterError, UnreachableError) as e:
+        return type(e), str(e)
+
+
+def _new_run_consensus(*game):
+    out = cons.run_consensus(*game)
+    return out, out.end_to_end_fidelity
+
+
 @settings(max_examples=300, deadline=None)
 @given(game=_consensus_games())
 def test_run_consensus_matches_old_rounds(game):
-    topology, source, destination, weights, variant, seed = game
-    new = cons.run_consensus(topology, source, destination, weights, variant, seed)
-    old, fidelity = _old_run_consensus(topology, source, destination, weights, variant, seed)
-    assert new.end_to_end_fidelity == fidelity
+    new = _result_or_error(lambda: _new_run_consensus(*game))
+    old = _result_or_error(lambda: _old_run_consensus(*game))
+    if isinstance(new[0], type) or isinstance(old[0], type):
+        assert new == old
+        return
+    (new, new_fidelity), (old, fidelity) = new, old
+    assert new_fidelity == fidelity
     assert new.to_json_dict() == old.to_json_dict()
     assert new.trace == old.trace
     assert new.realized_topology.to_json_dict() == old.realized_topology.to_json_dict()
