@@ -587,11 +587,12 @@ def _consensus_games(draw):
 
 
 def _result_or_error(run):
-    """What `run()` returns, or the (type, message) of the error it raises."""
+    """(what `run()` returns, None), or (None, the (type, message) of the
+    error it raises)."""
     try:
-        return run()
+        return run(), None
     except (ParameterError, UnreachableError) as e:
-        return type(e), str(e)
+        return None, (type(e), str(e))
 
 
 def _new_run_consensus(*game):
@@ -602,10 +603,10 @@ def _new_run_consensus(*game):
 @settings(max_examples=300, deadline=None)
 @given(game=_consensus_games())
 def test_run_consensus_matches_old_rounds(game):
-    new = _result_or_error(lambda: _new_run_consensus(*game))
-    old = _result_or_error(lambda: _old_run_consensus(*game))
-    if isinstance(new[0], type) or isinstance(old[0], type):
-        assert new == old
+    new, new_error = _result_or_error(lambda: _new_run_consensus(*game))
+    old, old_error = _result_or_error(lambda: _old_run_consensus(*game))
+    assert new_error == old_error
+    if new_error:
         return
     (new, new_fidelity), (old, fidelity) = new, old
     assert new_fidelity == fidelity
