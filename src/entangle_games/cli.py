@@ -155,22 +155,17 @@ class RunConfig:
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
+    """The run's settings: the config file's keys, each flag the command was
+    given in place of its key, typed and validated once by from_dict."""
     doc = {}
     if args.config:
         doc = _read_json(args.config, "config file")
         if not isinstance(doc, dict):
             raise ParameterError("config file must hold a JSON object")
-    cfg = RunConfig.from_dict(doc)
-    for flag in ("seed", "scenario", "variant", "gamma", "trials"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, flag, value)
-    if getattr(args, "out", None) is not None:
-        cfg.out_dir = args.out
-    if getattr(args, "quiet", False):
-        cfg.quiet = True
-    cfg.validate()
-    return cfg
+    _, _, keys = _COMMANDS[args.command]
+    flags = {"out_dir": args.out, "quiet": args.quiet, **{key: getattr(args, key) for key in keys}}
+    doc.update((key, value) for key, value in flags.items() if value is not None)
+    return RunConfig.from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -329,30 +324,42 @@ def cmd_chsh(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+# each command's function, help and the config keys it takes as flags; every
+# command also takes --config, --out and --quiet, and sweep takes --kind
+_COMMANDS = {
+    "gen": (cmd_gen, "generate and write a topology", ("seed", "scenario")),
+    "coalition": (cmd_coalition, "run the coalition game", ("seed", "scenario", "variant", "gamma")),
+    "consensus": (cmd_consensus, "run the next-hop consensus game", ("seed", "variant")),
+    "sweep": (cmd_sweep, "run a metric sweep", ("seed", "trials")),
+    "chsh": (cmd_chsh, "print the CHSH win probabilities", ()),
+}
+
+_FLAGS = {
+    "seed": {"type": int},
+    "scenario": {"type": int, "choices": (1, 2)},
+    "variant": {"choices": ("classical", "quantum")},
+    "gamma": {"type": float},
+    "trials": {"type": int},
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing never changes it."""
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="JSON config file; flags override its values")
-    shared.add_argument("--seed", type=int, default=None)
-    shared.add_argument("--out", help="output directory")
-    shared.add_argument("--scenario", type=int, choices=(1, 2), default=None)
-    shared.add_argument("--variant", choices=("classical", "quantum"), default=None)
-    shared.add_argument("--gamma", type=float, default=None)
-    shared.add_argument("--trials", type=int, default=None)
-    shared.add_argument("--quiet", action="store_true")
-
     parser = argparse.ArgumentParser(
         prog="entangle-games",
         description="Entanglement-distribution games on fixed network topologies.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    commands.add_parser("gen", parents=[shared], help="generate and write a topology")
-    commands.add_parser("coalition", parents=[shared], help="run the coalition game")
-    commands.add_parser("consensus", parents=[shared], help="run the next-hop consensus game")
-    sweep = commands.add_parser("sweep", parents=[shared], help="run a metric sweep")
-    sweep.add_argument("--kind", choices=("nodes", "decoherence"), default="nodes")
-    commands.add_parser("chsh", parents=[shared], help="print the CHSH win probabilities")
+    for name, (_, help_text, keys) in _COMMANDS.items():
+        command = commands.add_parser(name, help=help_text)
+        command.add_argument("--config", help="JSON config file; flags override its values")
+        command.add_argument("--out", help="output directory")
+        command.add_argument("--quiet", action="store_true", default=None)
+        for key in keys:
+            command.add_argument(f"--{key}", **_FLAGS[key])
+        if name == "sweep":
+            command.add_argument("--kind", choices=("nodes", "decoherence"), default="nodes")
     return parser
 
 
@@ -360,15 +367,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        if args.command == "gen":
-            return cmd_gen(cfg)
-        if args.command == "coalition":
-            return cmd_coalition(cfg)
-        if args.command == "consensus":
-            return cmd_consensus(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.kind)
-        return cmd_chsh(cfg)  # the subparsers admit no other command
+        run, _, _ = _COMMANDS[args.command]
+        return run(cfg, args.kind) if args.command == "sweep" else run(cfg)
     except ParameterError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -562,8 +562,8 @@ def quantum_coalition_form(
 
     for rounds in range(1, MAX_ROUNDS + 1):
         profile, cdf = engine.round(rounds - 1)
-        # Generator.choice(n, p=table), as q.measure_computational draws,
-        # takes one uniform and searches this CDF up to its last bits
+        # one uniform searched in the outcome CDF, as Generator.choice(n,
+        # p=table) and q.measure_computational draw
         outcome = int(cdf.searchsorted(draw(), side="right"))
         outcome_bits, members, _, value, path = engine.outcome(outcome)
         history.append(

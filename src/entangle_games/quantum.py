@@ -175,9 +175,9 @@ def _conjugate(rho: np.ndarray, n: int, qubit: int, u: np.ndarray) -> np.ndarray
 
 
 def cdf_of(table: np.ndarray) -> np.ndarray:
-    """The normalized CDF that Generator.choice(n, p=table) searches. Of an
-    unnormalized |amps|**2 it is, up to the last bits, the CDF that
-    measure_computational searches."""
+    """The normalized CDF that Generator.choice(n, p=table) searches. Every
+    draw of the package searches one, with one rng.random(), as choice does:
+    measure_computational, the referee game and the coin flip."""
     cdf = table.cumsum()
     cdf /= cdf[-1]
     return cdf
@@ -280,7 +280,7 @@ def measure_computational(state, rng: np.random.Generator) -> tuple[str, np.ndar
     seeded generator.
     """
     probs = measurement_probabilities(state)
-    outcome = int(rng.choice(probs.size, p=probs))
+    outcome = int(cdf_of(probs).searchsorted(rng.random(), side="right"))
     return format(outcome, f"0{state.n_qubits}b"), probs
 
 

@@ -296,7 +296,7 @@ class NetworkTopology:
 def _structure_errors(topology: NetworkTopology) -> list[str]:
     """Violations of the graph every game relies on: node ids 0..n-1, links
     between two distinct nodes, at most one link per node pair, and choices
-    of two options at a node, each naming a node as its next hop."""
+    of two options at a node, each naming a different node as its next hop."""
     out: list[str] = []
     ids = [n.id for n in topology.nodes]
     if ids != list(range(len(ids))):
@@ -317,6 +317,8 @@ def _structure_errors(topology: NetworkTopology) -> list[str]:
             out.append(f"{tag}: node is not a node id")
         if len(opts) != 2:
             out.append(f"{tag}: needs exactly two options, got {len(opts)}")
+        elif opts[0].next_hop == opts[1].next_hop:
+            out.append(f"{tag}: both options name next_hop {opts[0].next_hop}")
         out += [
             f"{tag}: next_hop {o.next_hop} is not a node id"
             for o in opts
@@ -410,7 +412,7 @@ def build_scenario1(
         raise ParameterError(f"unknown placement {placement!r}")
     defaults = link_defaults or LinkParams()
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if placement == "random" or probabilistic_links else None
     if n_leaders <= 3:
         pairs = [(i, j) for i in range(n_leaders) for j in range(i + 1, n_leaders)]
     else:

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,26 @@ def test_more_failed_operations_at_the_change_is_no_gain():
     assert judged(change)["gain"]
     assert not judged(change, failed=(0, 1))["gain"]
     assert judged(change, failed=(2, 2))["gain"]
+
+
+
+@pytest.mark.parametrize("argv, seconds", [([], 7), (["--seconds", "3"], 3)])
+def test_seconds_default_to_run_seconds_of_the_change(tmp_path, monkeypatch, argv, seconds):
+    # one workload and one metric; every run reads 1.0
+    spec = {"run_seconds": 7, "workloads": [{"name": "games"}],
+            "end_to_end": [{"name": "pass_s", **LOWER}]}
+    run = {"correct": True, "failed": 0, "attempted": 1, "metrics": {"pass_s": {"value": 1.0}}}
+    ran = []
+
+    def run_bench(checkout, seed, seconds):
+        ran.append(seconds)
+        return {"games": run}
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: json.dumps(spec) if args[0] == "show" else "c0ffee")
+    monkeypatch.setattr(bench_pairs, "extract", lambda commit, into: into)
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", "HEAD~1", "--pairs", "2", "--out", str(out), "--workdir", str(tmp_path), *argv]
+    assert bench_pairs.main(argv) == 0
+    assert ran == [seconds] * 4
+    assert json.loads(out.read_text())["command"].endswith(f"--seconds {seconds} --seed <pair>")

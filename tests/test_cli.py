@@ -157,6 +157,11 @@ def _choice_with_one_option(tmp_path):
     return _tree_with_first_choice(tmp_path, options=1), "needs exactly two options, got 1"
 
 
+def _choice_with_one_hop_twice(tmp_path):
+    # node 1's second option names leader 0, as its first does
+    return _tree_with_first_choice(tmp_path, next_hop=0), "both options name next_hop 0"
+
+
 def _negative_seed(tmp_path):
     return write_config(tmp_path, {"seed": -1}), "seed"
 
@@ -253,7 +258,9 @@ def test_bad_config_input_exits_2(tmp_path, capsys, make_config):
 
 
 @pytest.mark.parametrize(
-    "make_config", [_unknown_choice_node, _unknown_choice_next_hop, _choice_with_one_option]
+    "make_config",
+    [_unknown_choice_node, _unknown_choice_next_hop, _choice_with_one_option,
+     _choice_with_one_hop_twice],
 )
 @pytest.mark.parametrize("command", ["coalition", "consensus"])
 def test_bad_choice_exits_2_in_both_games(tmp_path, capsys, make_config, command):
@@ -265,7 +272,7 @@ def test_bad_choice_exits_2_in_both_games(tmp_path, capsys, make_config, command
 
 @pytest.mark.parametrize("command", ["gen", "coalition", "consensus", "sweep"])
 def test_negative_seed_flag_exits_2(tmp_path, capsys, command):
-    rc = main([command, "--seed", "-1", "--trials", "1", "--out", str(tmp_path), "--quiet"])
+    rc = main([command, "--seed", "-1", "--out", str(tmp_path), "--quiet"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
@@ -285,7 +292,12 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys, command):
     ids=["gen", "coalition", "consensus-classical", "consensus-quantum", "sweep", "chsh"],
 )
 def test_gamma_flag_out_of_range_exits_2(tmp_path, capsys, argv):
-    rc = main([*argv, "--gamma", "5", "--trials", "1", "--out", str(tmp_path), "--quiet"])
+    # only coalition takes the flag; every other command checks the file key
+    if argv[0] == "coalition":
+        argv = [*argv, "--gamma", "5"]
+    else:
+        argv = [*argv, "--config", write_config(tmp_path, {"gamma": 5})]
+    rc = main([*argv, "--out", str(tmp_path / "out"), "--quiet"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
@@ -674,7 +686,8 @@ def test_generated_topology_file_plays_as_the_built_one(tmp_path, strict, comman
     doc = {"topology_file": str(tmp_path / "gen/topology.json"), "source": 1, "destination": 8}
     argv = [command, "--variant", variant, "--quiet"]
     assert main([*argv, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "file")]) == 0
-    assert main([*argv, "--scenario", "2", "--out", str(tmp_path / "built")]) == 0
+    built = write_config(tmp_path, {"scenario": 2}, "built.json")
+    assert main([*argv, "--config", built, "--out", str(tmp_path / "built")]) == 0
     for name in ("outcome.json", "trace.jsonl"):
         assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "built" / name).read_bytes()
 
@@ -747,6 +760,55 @@ def test_cached_parser_runs_commands_like_a_fresh_one(tmp_path, capsys, monkeypa
     assert [run[0] for run in runs["cached"]] == [0, 0, 2, 0, 0, "SystemExit(2)", 0, 0, 0]
     assert all(files for rc, files, _, _ in runs["cached"] if rc == 0)
     assert runs["cached"] == runs["fresh"]
+
+
+# the 15 (command, flag) pairs no command reads, with a value each flag
+# would take where it is read
+_UNREAD_FLAGS = [
+    ("gen", "--variant", "quantum"), ("gen", "--gamma", "0"), ("gen", "--trials", "1"),
+    ("coalition", "--trials", "1"),
+    ("consensus", "--scenario", "1"), ("consensus", "--gamma", "0"),
+    ("consensus", "--trials", "1"),
+    ("sweep", "--scenario", "1"), ("sweep", "--variant", "quantum"), ("sweep", "--gamma", "0"),
+    ("chsh", "--seed", "5"), ("chsh", "--scenario", "1"), ("chsh", "--variant", "quantum"),
+    ("chsh", "--gamma", "0"), ("chsh", "--trials", "1"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", _UNREAD_FLAGS)
+def test_flag_a_command_does_not_read_exits_2(tmp_path, capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, value, "--out", str(tmp_path / "out"), "--quiet"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", ["3", "0"])
+def test_seed_flag_overrides_the_file_seed(tmp_path, capsys, seed):
+    # a file's quiet holds when --quiet is not given
+    cfg = write_config(tmp_path, {"seed": -1, "quiet": True})
+    assert main(["gen", "--config", cfg, "--seed", seed, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out == ""
+    flagged = tmp_path / "flagged/topology.json"
+    main(["gen", "--seed", seed, "--out", str(flagged.parent), "--quiet"])
+    assert (tmp_path / "out/topology.json").read_bytes() == flagged.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "--seed", "2"], ["coalition", "--gamma", "0"], ["consensus", "--variant", "quantum"],
+     ["sweep", "--kind", "decoherence", "--trials", "1"], ["chsh"]],
+    ids=lambda argv: argv[0],
+)
+def test_each_command_validates_its_settings_once(tmp_path, monkeypatch, argv):
+    calls = []
+    validate = RunConfig.validate
+    monkeypatch.setattr(RunConfig, "validate", lambda cfg: calls.append(validate(cfg)))
+    assert main([*argv, "--out", str(tmp_path), "--quiet"]) == 0
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

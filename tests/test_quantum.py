@@ -478,6 +478,16 @@ def test_channel_matches_the_tensordot_kernel(state, kind, strength):
 
 
 @settings(max_examples=300, deadline=None)
+@given(state=st.one_of(_pure_states(), _mixed_states()), seed=st.integers(0, 2**63 - 1))
+def test_measure_draw_matches_generator_choice(state, seed):
+    state, _ = state
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(5):
+        bits, probs = q.measure_computational(state, fast)
+        assert int(bits, 2) == int(slow.choice(probs.size, p=probs))
+
+
+@settings(max_examples=300, deadline=None)
 @given(angle=st.floats(0.0, math.pi / 2), seed=st.integers(0, 2**63 - 1))
 @example(angle=0.0, seed=0)
 @example(angle=math.pi / 4, seed=0)

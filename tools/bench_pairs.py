@@ -1,7 +1,8 @@
 """Compare two commits on the perfbench benchmark in alternating pairs.
 
 Each pair runs `python3 perfbench/run.py --workload all --seconds S --seed
-<pair>` once on the parent commit and once on the change, each in a fresh
+<pair>` (S defaults to `run_seconds` in the change's `BENCHMARK.json`) once
+on the parent commit and once on the change, each in a fresh
 `git archive` extraction of its commit. Odd pairs run the change first, even
 pairs the parent first. The end-to-end metrics of every run are written to
 one JSON file in the layout of the repository's `BENCH_*.json` files. With
@@ -117,22 +118,25 @@ def verdict(workload: dict, metric: str, pairs: int) -> dict:
     }
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="commit measured as the parent")
     parser.add_argument("--change", default="HEAD", help="commit measured as the change")
     parser.add_argument("--pairs", type=int, default=20)
-    parser.add_argument("--seconds", type=int, default=25)
+    parser.add_argument("--seconds", type=int,
+                        help="seconds per workload (default: run_seconds of the change's BENCHMARK.json)")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the metric a gain is claimed on")
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--workdir", type=Path, help="where the copies go (default: a temp dir)")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     claim_workload, _, claim_metric = (args.claim or "").partition(":")
-    if args.pairs < 2 or args.seconds < 1:
+    if args.pairs < 2 or (args.seconds is not None and args.seconds < 1):
         parser.error("--pairs must be >= 2 and --seconds >= 1")
 
     commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
     spec = json.loads(git("show", f"{commits['change']}:BENCHMARK.json"))
+    if args.seconds is None:
+        args.seconds = spec["run_seconds"]
     work = args.workdir or Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     results: dict[str, list[dict]] = {"parent": [], "change": []}
     for pair in range(1, args.pairs + 1):
