@@ -165,6 +165,12 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     _, _, keys = _COMMANDS[args.command]
     flags = {"out_dir": args.out, "quiet": args.quiet, **{key: getattr(args, key) for key in keys}}
     doc.update((key, value) for key, value in flags.items() if value is not None)
+    if args.command == "consensus" and not doc.get("topology_file"):
+        # consensus plays the scenario-2 network unless given a topology file
+        if doc.setdefault("scenario", 2) != 2:
+            raise ParameterError(
+                f"config key scenario must be 2 for consensus, got {doc['scenario']!r}"
+            )
     return RunConfig.from_dict(doc)
 
 
@@ -270,8 +276,6 @@ def cmd_coalition(cfg: RunConfig) -> int:
 
 
 def cmd_consensus(cfg: RunConfig) -> int:
-    if cfg.scenario != 2 and not cfg.topology_file:
-        cfg.scenario = 2
     topology = _build_topology(cfg)
     source, destination = _endpoints(cfg, topology)
     outcome = cons.run_consensus(

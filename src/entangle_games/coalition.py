@@ -600,11 +600,12 @@ def quantum_coalition_form(
         if engine.paths[chosen] is None:
             chosen = 2**m - 1  # the grand coalition
 
-    _, ordered, members, value, path = engine.outcome(chosen)
+    _, _, members, value, path = engine.outcome(chosen)
+    coalition = Coalition(members, value)
     return CoalitionOutcome(
-        stable_coalition=Coalition(members, value),
+        stable_coalition=coalition,
         path=list(path),
-        per_node_payoff={p: value / len(ordered) for p in ordered},
+        per_node_payoff=model.split_payoffs(coalition),
         rounds=rounds,
         history=history,
         referee=find_referee(topology, cfg.source),

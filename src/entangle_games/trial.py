@@ -26,20 +26,17 @@ one numpy pass that replays numpy's SeedSequence and PCG64 seeding (O'Neill,
 trials) uint32 block with each trial's index last, and SeedSequence's pool
 of four words is hashed and mixed as one block, each pool word into the
 other three at once and each word past the pool into all four. PCG64 is a
-128-bit LCG, so the streams then jump ahead a block of k hops at once (the
-arbitrary-stride jump of Brown, 1994): the states after 1 .. k steps are
-A_j * state + C_j * inc mod 2**128 for cached constants, one (k, trials)
-array in uint64 words, with k * trials near _BLOCK_DRAWS and k = 1, the
-plain step, on large chunks. Each state gives numpy's next double from its
-XSL-RR output. At gen_prob >= 1/3 numpy's geometric compares that one double
-with a running sum of the probabilities of 1, 2, ... attempts, so a table of
-those sums and one searchsorted per block and gen_prob give the attempts of
-all trials. Below 1/3 numpy inverts an exponential that takes a varying
-number of words: from the first such hop on, each trial draws its remaining
-hops on one reused generator, set to the state its stream jumped to. A check
-run once per process compares states, doubles and geometric draws of two
-cells hashed in one pass with `default_rng`; on a mismatch every trial draws
-from its own `default_rng`.
+128-bit LCG, so every stream then steps once per hop as state * multiplier
++ inc mod 2**128 on (trials,) arrays of uint64 words, and each state gives
+numpy's next double from its XSL-RR output. At gen_prob >= 1/3 numpy's
+geometric compares that one double with a running sum of the probabilities
+of 1, 2, ... attempts, so a table of those sums and one searchsorted per hop
+give the attempts of all trials. Below 1/3 numpy inverts an exponential
+that takes a varying number of words: from the first such hop on, each
+trial draws its remaining hops on one reused generator, set to the state
+its stream reached. A check run once per process compares states, doubles
+and geometric draws of two cells hashed in one pass with `default_rng`; on
+a mismatch every trial draws from its own `default_rng`.
 
 One kernel times every trial, `run_trial`'s single trial and all trials of a
 sweep cell alike: given each trial's attempts per hop, it builds the trial's
@@ -59,7 +56,6 @@ its trial's value and stddev 0.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
@@ -250,10 +246,10 @@ def run_trials(
     every hop of every trial of every cell, and times trials [start, start +
     n) of all cells in one kernel call per chunk, with n the most trials per
     cell that keep a chunk within CHUNK_DRAWS hop draws. Hops at gen_prob >=
-    1/3 take one double from every trial's stream, a block of hops in one
-    vector pass, and from the first hop below 1/3 on each trial draws on one
-    reused generator. A lossy cell of more than MAX_CELL_DRAWS hops x trials
-    is a CapacityError before any draw.
+    1/3 take one double from every trial's stream, one vector pass per hop,
+    and from the first hop below 1/3 on each trial draws on one reused
+    generator. A lossy cell of more than MAX_CELL_DRAWS hops x trials is a
+    CapacityError before any draw.
     """
     for seed_parts in cells:
         check_seed(seed_parts)
@@ -295,13 +291,10 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _U16 = np.uint32(16)
 _U32, _LOW32 = np.uint64(32), np.uint64(_MASK32)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# hop draws stepped in one block: blocks of max(1, _BLOCK_DRAWS // n) hops
-# over n streams, so a chunk of many trials steps one hop at a time. A jump
-# does about 1.5 times the elementwise work of single steps, so it pays only
-# where numpy's per-call cost dominates: at 2**13, 2,000 streams x 11 hops
-# (a 1,000-trial node sweep) took 1.2 times as long as single steps
-_BLOCK_DRAWS = 2**12
+# PCG64's LCG multiplier 0x2360ED051FC65DA44385DF649FCCF645 as the words
+# `_mul128` takes: hi, lo, and the low and high 32-bit halves of lo
+_PCG64_MULT = tuple(map(np.uint64, (0x2360ED051FC65DA4, 0x4385DF649FCCF645,
+                                    0x9FCCF645, 0x4385DF64)))
 # from this gen_prob up numpy's geometric searches its partial sums with one
 # double; below, it inverts an exponential that takes one to five words
 _SEARCH_MIN_P = 1 / 3
@@ -374,8 +367,7 @@ def _hashed_states(spans):
     seed_hi, seed_lo, seq_hi, seq_lo = pairs.view("<u8")[..., 0].astype(np.uint64, copy=False)
     # PCG64's srandom: state 0, step, add the seed, step
     inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
-    mult, _ = _jump_constants(1)
-    return (*_add128(*_mul128(*_add128(seed_hi, seed_lo, *inc), mult), *inc), *inc)
+    return (*_add128(*_mul128(*_add128(seed_hi, seed_lo, *inc), _PCG64_MULT), *inc), *inc)
 
 
 def _add128(a_hi, a_lo, b_hi, b_lo):
@@ -384,8 +376,9 @@ def _add128(a_hi, a_lo, b_hi, b_lo):
 
 
 def _mul128(hi, lo, c):
-    """(hi, lo) * c mod 2**128 as words, for a constant c given as its
-    `_columns`; the high word of lo * c lo comes from 32-bit halves."""
+    """(hi, lo) * c mod 2**128 as words, for a constant c given as words
+    like `_PCG64_MULT`'s; the high word of lo * c lo comes from 32-bit
+    halves."""
     c_hi, c_lo, c0, c1 = c
     a0, a1 = lo & _LOW32, lo >> _U32
     t = a1 * c0 + (a0 * c0 >> _U32)
@@ -393,47 +386,15 @@ def _mul128(hi, lo, c):
     return a1 * c1 + (t >> _U32) + (w >> _U32) + lo * c_hi + hi * c_lo, lo * c_lo
 
 
-def _columns(values) -> tuple[np.ndarray, ...]:
-    """128-bit constants (reduced mod 2**128) as the (k, 1) uint64 columns
-    `_mul128` takes: hi, lo, and the two 32-bit halves of lo. One constant
-    is numpy scalars, so a single step runs on (n,) words."""
-    values = list(values)
-    columns = tuple(np.array([v >> s & m for v in values], dtype=np.uint64)[:, None]
-                    for s, m in ((64, 2**64 - 1), (0, 2**64 - 1), (0, _MASK32), (32, _MASK32)))
-    return tuple(col[0, 0] for col in columns) if len(values) == 1 else columns
-
-
-@functools.lru_cache(maxsize=16)
-def _jump_constants(k: int):
-    """A and C as `_mul128` columns: j LCG steps, j = 1 .. k, take a state s
-    to A[j] * s + C[j] * inc mod 2**128, where A[j] is _PCG64_MULT**j and
-    C[j] = _PCG64_MULT**(j - 1) + ... + 1 (Brown, "Random Number Generation
-    with Arbitrary Strides", 1994)."""
-    powers = [pow(_PCG64_MULT, j, 2**128) for j in range(k + 1)]
-    return _columns(powers[1:]), _columns(itertools.accumulate(powers[:-1]))
-
-
 def _next_doubles(state, k: int):
-    """Every stream stepped k times, in blocks of b = max(1, _BLOCK_DRAWS //
-    n) steps: yields, per block, the state its last step reaches and numpy's
-    next_double at each of its steps as a (b, n) array, the top 53 bits of
-    the XSL-RR output word times 2**-53.
-
-    A block jumps ahead from the last state of the one before. C * inc is
-    the same for every block, so it is computed once; a block of one step
-    adds inc, as the LCG does."""
+    """Every stream stepped k times: yields, per step, the state it reaches
+    and numpy's next_double of each stream as an (n,) array, the top 53 bits
+    of the XSL-RR output word times 2**-53."""
     hi, lo, inc_hi, inc_lo = state
-    b = max(1, min(k, _BLOCK_DRAWS // len(hi)))
-    a, c = _jump_constants(b)
-    step = (inc_hi[None], inc_lo[None]) if b == 1 else _mul128(inc_hi, inc_lo, c)
-    for first in range(0, k, b):
-        if k - first < b:
-            # the last block takes the steps it needs
-            a, step = [col[:k - first] for col in a], [w[:k - first] for w in step]
-        hi, lo = _add128(*_mul128(hi, lo, a), *step)
+    for _ in range(k):
+        hi, lo = _add128(*_mul128(hi, lo, _PCG64_MULT), inc_hi, inc_lo)
         word, rot = hi ^ lo, hi >> 58
         word = word >> rot | word << (64 - rot & 63)
-        hi, lo = hi[-1], lo[-1]
         yield (hi, lo, inc_hi, inc_lo), (word >> 11) * 2.0**-53
 
 
@@ -468,17 +429,10 @@ def _numpy_states(rngs) -> list[tuple[int, int]]:
 
 def _search_draws(state, probs: list[float]):
     """Every stream's geometric draws at probs, all >= 1/3, as an (hops, n)
-    array, and the states they leave: one searchsorted per run of hops at
-    the same gen_prob in a block."""
+    array, and the states they leave: one searchsorted per hop."""
     draws = np.empty((len(probs), len(state[0])), dtype=np.intp)
-    hop = 0
-    for state, u in _next_doubles(state, len(probs)):
-        row = 0
-        for p, run in itertools.groupby(probs[hop:hop + len(u)]):
-            end = row + len(list(run))
-            draws[hop + row:hop + end] = np.searchsorted(_search_sums(p), u[row:end])
-            row = end
-        hop += len(u)
+    for hop, (state, u) in enumerate(_next_doubles(state, len(probs))):
+        draws[hop] = np.searchsorted(_search_sums(probs[hop]), u)
     draws += 1
     return state, draws
 
@@ -499,7 +453,7 @@ def _hashing_matches_numpy() -> bool:
     if _as_ints(state) != _numpy_states(rngs):
         return False
     [(state, u)] = _next_doubles(state, 1)
-    if u[0].tolist() != [r.random() for r in rngs]:
+    if u.tolist() != [r.random() for r in rngs]:
         return False
     state, draws = _search_draws(state, probs)
     if draws.T.tolist() != [[r.geometric(p) for p in probs] for r in rngs]:
@@ -514,9 +468,9 @@ def _attempts(spans, probs: list[float]) -> np.ndarray:
     `geometric(probs[h])`.
 
     Hops at gen_prob >= 1/3 take one double per trial, drawn for all trials
-    and a block of hops at once. From the first hop below 1/3 on, each trial
-    draws its remaining hops on one reused generator, set to the state its
-    stream jumped to."""
+    at once, hop by hop. From the first hop below 1/3 on, each trial draws
+    its remaining hops on one reused generator, set to the state its stream
+    reached."""
     if not _hashing_matches_numpy():
         rngs = (np.random.default_rng([*parts, i]) for parts, start, count in spans
                 for i in range(start, start + count))

@@ -468,6 +468,31 @@ def test_consensus_unreachable_exit_3(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [{"scenario": 1}, {"scenario": 1, "tree_sizes": [3, 3]}])
+def test_consensus_scenario_1_without_topology_file_exits_2(tmp_path, capsys, doc):
+    out = tmp_path / "out"
+    rc = main(["consensus", "--config", write_config(tmp_path, doc), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: config key scenario must be 2 for consensus, got 1\n"
+    assert not out.exists()
+
+
+def test_consensus_plays_the_scenario_2_network(tmp_path):
+    # without the key, with scenario 2, or on a topology file, whatever its
+    # scenario key, the canonical fixture gives the same files
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(topo.canonical_two_tree_topology().to_json())
+    docs = {"none": {}, "two": {"scenario": 2},
+            "file": {"topology_file": str(fixture), "source": 1, "destination": 8, "scenario": 1}}
+    for name, doc in docs.items():
+        cfg = write_config(tmp_path, doc, f"{name}.json")
+        assert main(["consensus", "--config", cfg, "--out", str(tmp_path / name), "--quiet"]) == 0
+    for name in ("two", "file"):
+        for file in ("outcome.json", "trace.jsonl"):
+            assert (tmp_path / name / file).read_bytes() == (tmp_path / "none" / file).read_bytes()
+
+
 def test_consensus_bad_weights_without_choice_sets_exit_2(tmp_path, capsys):
     # the minimal trees carry no choice set, so no hop utility reads the weights
     doc = {"scenario": 2, "tree_sizes": [1, 1], "weights": {"fidelity": -1.0, "cost": 0.0}}

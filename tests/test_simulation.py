@@ -861,7 +861,7 @@ def test_vector_stream_equals_default_rng(seed_parts, start, n, k, probs):
     state = tr._hashed_states([(seed_parts, start, n)])
     for _ in range(k):
         [(state, u)] = tr._next_doubles(state, 1)
-    assert u[0].tolist() == [r.random(k)[-1] for r in rngs]
+    assert u.tolist() == [r.random(k)[-1] for r in rngs]
     assert tr._as_ints(state) == pcg64_states(rngs)
     rngs = [np.random.default_rng([*seed_parts, i]) for i in indices]
     want = [[r.geometric(p) for r in rngs] for p in probs]
@@ -869,7 +869,7 @@ def test_vector_stream_equals_default_rng(seed_parts, start, n, k, probs):
 
 
 # gen_probs on both sides of 1/3: from the first one below, each trial draws
-# on a generator set to the state its stream jumped to
+# on a generator set to the state its stream reached
 _hop_probs = st.lists(
     st.sampled_from([1 / 3, 0.8, 1.0]) | st.floats(1 / 3, 1.0) | st.floats(0.05, 0.33),
     min_size=1,
@@ -884,18 +884,15 @@ _hop_probs = st.lists(
     ),
     starts=st.tuples(_starts, _starts),
     counts=st.tuples(st.integers(1, 150), st.integers(1, 150)),
-    block=st.integers(1, 3),
     probs=_hop_probs,
 )
-def test_hop_blocks_equal_default_rng(cells, starts, counts, block, probs):
-    # blocks of 1, 2 and 3 hops over two cells of different word counts
+def test_hop_blocks_equal_default_rng(cells, starts, counts, probs):
+    # the hops of two cells of different word counts, stepped together
     spans = list(zip(cells, starts, counts))
     indices = [(parts, i) for parts, start, n in spans for i in range(start, start + n)]
     split = next((h for h, p in enumerate(probs) if p < 1 / 3), len(probs))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tr, "_BLOCK_DRAWS", block * sum(counts))
-        got = tr._attempts(spans, probs)
-        state, head = tr._search_draws(tr._hashed_states(spans), probs[:split])
+    got = tr._attempts(spans, probs)
+    state, head = tr._search_draws(tr._hashed_states(spans), probs[:split])
     rngs = [np.random.default_rng([*parts, i]) for parts, i in indices]
     assert got.tolist() == [[r.geometric(p) for r in rngs] for p in probs]
     rngs = [np.random.default_rng([*parts, i]) for parts, i in indices]

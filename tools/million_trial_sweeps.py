@@ -8,10 +8,11 @@ check bounds the peak memory of its whole process.
 `nodes` and `decoherence` run sweeps whose every cell draws nothing, so it
 is one trial: each stddev is 0.0, each mean the `--trials 1` value, and the
 peak stays far below a million trials' columns. `lossy` runs an 11-hop cell
-pair at a million trials: its streams step one hop per block at this chunk
-size, and the peak guards the block temporaries. Its sweep.json and the
-decoherence sweep's are the indented dump of their own rows. Each check
-prints its peak and fails with an AssertionError.
+pair at a million trials: its streams step one hop at a time over each
+chunk of trials, and the peak guards what a chunk holds at once, its stream
+words, draws and clocks. Its sweep.json and the decoherence sweep's are the
+indented dump of their own rows. Each check prints its peak and fails with
+an AssertionError.
 """
 
 import json
