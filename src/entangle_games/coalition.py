@@ -20,7 +20,12 @@ strategy trajectory: round r + 1 plays round r's profile with player r mod m's
 strategy replaced by its best response, and the seed only picks which outcomes
 are drawn. A ValueModel keeps one referee engine per gamma, which extends the
 trajectory as far as the games that share it play, keeping each round's
-profile and outcome CDF, which a draw searches as Generator.choice would.
+profile and outcome CDF, which a draw searches as Generator.choice would, and
+the outcome every draw finds, if there is one. Such a certain round draws
+nothing: a game makes its generator at its first uncertain round and skips the
+doubles of the rounds before it, so round r still searches the r-th double of
+the seed's stream. The classical moves are exact, so a gamma = 0 game on them
+is certain in every round and ignores its seed.
 Round r + 1 depends only on round r's profile and r mod m, so once such a
 pair recurs the trajectory repeats the cycle it closes and the engine plays
 no more best responses; a grid Nash equilibrium is a cycle of m rounds. Every
@@ -355,6 +360,14 @@ ALL_JOIN = GRID_STRATEGIES.index((math.pi, 0.0))
 _JOIN_ROWS = (GRID_MATRICES[:, 1, :, None] * GRID_MATRICES[:, 1, None, :].conj()).reshape(-1, 4)
 
 
+def _round_of(profile: tuple[int, ...], cdf: np.ndarray) -> tuple:
+    """A trajectory round: (profile, CDF, certain outcome). The certain
+    outcome is the one every uniform draw in [0, 1) finds in the CDF, the
+    first step that reaches 1.0, or None when draws can differ."""
+    j = int(cdf.searchsorted(0.0, side="right"))
+    return profile, cdf, j if cdf[j] == 1.0 else None
+
+
 class _QuantumRound:
     """Per-game machinery: one table indexed by outcome, and the game's one
     strategy trajectory. Outcome b holds player i when bit m - 1 - i is set;
@@ -365,11 +378,12 @@ class _QuantumRound:
     plays the all-join profile, and round r + 1 plays round r's profile with
     player r mod m replaced by its grid best response. No best response reads
     a measured outcome, so the trajectory depends on the game alone: the
-    engine extends it on demand and keeps each round's profile and outcome
-    CDF, for every game that shares it, until a (profile, r mod m) pair
-    recurs. `period` is then the length of the cycle, which starts at round
-    len(trajectory) - 1 - period. It keeps the amplitudes of the last round
-    only, as the next round's profile is at most one rotation away.
+    engine extends it on demand and keeps each round's profile, outcome CDF
+    and certain outcome, for every game that shares it, until a
+    (profile, r mod m) pair recurs. `period` is then the length of the
+    cycle, which starts at round len(trajectory) - 1 - period. It keeps the
+    amplitudes of the last round only, as the next round's profile is at
+    most one rotation away.
 
     `strategies(profile)` builds a profile's history record of the players'
     (theta, phi) once; the history records of every game that shares the
@@ -392,8 +406,8 @@ class _QuantumRound:
         self._amps = self.base.amplitudes
         for i in range(m):
             self._amps = q.rotate(self._amps, i, GRID_MATRICES[ALL_JOIN])
-        # (profile, CDF of its outcome table) of each round
-        self.trajectory = [((ALL_JOIN,) * m, q.cdf_of(np.abs(self._amps) ** 2))]
+        # (profile, CDF of its outcome table, certain outcome) of each round
+        self.trajectory = [_round_of((ALL_JOIN,) * m, q.cdf_of(np.abs(self._amps) ** 2))]
         # round at which each (profile, r mod m) first appeared, and the
         # length of the cycle once one of them recurs
         self._first = {((ALL_JOIN,) * m, 0): 0}
@@ -453,21 +467,22 @@ class _QuantumRound:
             }
         return got
 
-    def round(self, r: int) -> tuple[tuple[int, ...], np.ndarray]:
-        """Profile and outcome CDF of round r, counted from 0; a round past
-        the trajectory's end is mapped into its cycle."""
+    def round(self, r: int) -> tuple[tuple[int, ...], np.ndarray, int | None]:
+        """Profile, outcome CDF and certain outcome of round r, counted from
+        0; a round past the trajectory's end is mapped into its cycle."""
         m = len(self.players)
         while len(self.trajectory) <= r and self.period is None:
             n = len(self.trajectory)
-            profile, cdf = self.trajectory[-1]
+            step = self.trajectory[-1]
+            profile = step[0]
             i = (n - 1) % m
             k = self.best_response(i, self._amps, profile[i])
             if k != profile[i]:
                 turn = GRID_MATRICES[k] @ GRID_MATRICES[profile[i]].conj().T
                 self._amps = q.rotate(self._amps, i, turn)
                 profile = profile[:i] + (k,) + profile[i + 1:]
-                cdf = q.cdf_of(np.abs(self._amps) ** 2)
-            self.trajectory.append((profile, cdf))
+                step = _round_of(profile, q.cdf_of(np.abs(self._amps) ** 2))
+            self.trajectory.append(step)
             first = self._first.setdefault((profile, n % m), n)
             if first < n:
                 self.period = n - first
@@ -552,7 +567,7 @@ def quantum_coalition_form(
             raise CapacityError(f"{len(players)} candidate players exceed {q.MAX_QUBITS}")
         engine = model.referee_rounds[gamma] = _QuantumRound(model, players, gamma)
     m = len(engine.players)
-    draw = np.random.default_rng(seed).random
+    draw = None  # made at the first uncertain round
     history: list[dict] = []
     # (value, outcome) of the best-valued outcome seen that holds a path
     best_seen: tuple[float, int] | None = None
@@ -561,10 +576,15 @@ def quantum_coalition_form(
     rounds = 0
 
     for rounds in range(1, MAX_ROUNDS + 1):
-        profile, cdf = engine.round(rounds - 1)
-        # one uniform searched in the outcome CDF, as Generator.choice(n,
-        # p=table) and q.measure_computational draw
-        outcome = int(cdf.searchsorted(draw(), side="right"))
+        profile, cdf, outcome = engine.round(rounds - 1)
+        if draw is None and outcome is None:
+            rng = np.random.default_rng(seed)
+            rng.random(rounds - 1)  # the doubles of the certain rounds before
+            draw = rng.random
+        if draw is not None:
+            # round r searches the r-th uniform in the outcome CDF, as
+            # Generator.choice(n, p=table) and q.measure_computational draw
+            outcome = int(cdf.searchsorted(draw(), side="right"))
         outcome_bits, members, _, value, path = engine.outcome(outcome)
         history.append(
             {

@@ -6,6 +6,7 @@ these rather than bare ValueError/RuntimeError for the corresponding
 failure classes.
 """
 
+import numbers
 import sys
 
 
@@ -22,9 +23,13 @@ class CapacityError(ValueError):
 
 
 def check_seed(seed) -> None:
-    """numpy seeds take non-negative integers, or sequences of them."""
-    if any(part < 0 for part in (seed if isinstance(seed, (list, tuple)) else [seed])):
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    """numpy seeds take non-negative integers, or sequences of them. A bool
+    or a float part is rejected here, also where no generator gets made."""
+    for part in seed if isinstance(seed, (list, tuple)) else [seed]:
+        if not isinstance(part, numbers.Integral) or isinstance(part, bool):
+            raise ParameterError(f"seed must be an integer, got {seed!r}")
+        if part < 0:
+            raise ParameterError(f"seed must be >= 0, got {seed}")
 
 
 def is_int(value) -> bool:

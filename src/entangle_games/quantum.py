@@ -98,7 +98,8 @@ class SingleQubitUnitary:
     U(theta, phi) = [[e^{i phi} cos(theta/2),      sin(theta/2)],
                      [-sin(theta/2),  e^{-i phi} cos(theta/2)]]
 
-    The family contains the classical moves at phi = 0, theta in {0, pi}.
+    The family contains the classical moves at phi = 0, theta in {0, pi},
+    and their matrices are exact: I and [[0, 1], [-1, 0]].
     """
 
     theta: float
@@ -111,7 +112,8 @@ class SingleQubitUnitary:
             raise ParameterError(f"phi {self.phi} outside [0, 2*pi)")
 
     def matrix(self) -> np.ndarray:
-        c = math.cos(self.theta / 2.0)
+        # cos(theta/2) as a sine: exactly 0 at theta = pi, where cos gives 6e-17
+        c = math.sin((math.pi - self.theta) / 2.0)
         s = math.sin(self.theta / 2.0)
         e = np.exp(1j * self.phi)
         return np.array([[e * c, s], [-s, np.conj(e) * c]], dtype=complex)

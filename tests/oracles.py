@@ -3,8 +3,9 @@ stability check for the classical game, the decoherence time law, the linear
 cluster state, the identity rotation, a per-column trial aggregate, the
 gate kernels and coin count that `quantum` used before `rotate` and `cdf_of`,
 the referee's best response before it read only the paying outcomes, the
-node sweep's per-regime path choice before it took the classical game's, and
-the consensus game's helpers from when it copied each node's options into a
+referee game's loop when it drew a double in every round, the node sweep's
+per-regime path choice before it took the classical game's, and the
+consensus game's helpers from when it copied each node's options into a
 `ChoiceSet`. Those preserve the old game's every step: the order and
 messages of its input checks (a node's live-link count, then its options'
 costs; a link's cost where a path hop falls back on it), its hop scores and
@@ -162,6 +163,85 @@ def full_state_best_response(engine, player_index: int, amps: np.ndarray, own: i
         if val > scores[best] + tol:
             best = k
     return best
+
+
+# ---------------------------------------------------------------------------
+# the referee game's loop when it drew in every round
+# ---------------------------------------------------------------------------
+
+
+def per_round_draw_quantum_coalition_form(cfg, topology, gamma=math.pi / 2.0, seed=0, model=None):
+    """`coalition.quantum_coalition_form` when it made `default_rng(seed)`
+    up front and drew one double in every round, certain or not, verbatim
+    but for reading each engine round's (profile, CDF) and its module's
+    names. Round limits are read from `coalition`, as the game reads them."""
+    check_seed(seed)
+    model = model or co.ValueModel(cfg, topology)
+    engine = model.referee_rounds.get(gamma)
+    if engine is None:
+        players = tuple(model.candidate_nodes())
+        if len(players) > q.MAX_QUBITS:
+            raise CapacityError(f"{len(players)} candidate players exceed {q.MAX_QUBITS}")
+        engine = model.referee_rounds[gamma] = co._QuantumRound(model, players, gamma)
+    m = len(engine.players)
+    draw = np.random.default_rng(seed).random
+    history: list[dict] = []
+    # (value, outcome) of the best-valued outcome seen that holds a path
+    best_seen: tuple[float, int] | None = None
+    last, streak = None, 0
+    stable: int | None = None
+    rounds = 0
+
+    for rounds in range(1, co.MAX_ROUNDS + 1):
+        profile, cdf = engine.round(rounds - 1)[:2]
+        # one uniform searched in the outcome CDF, as Generator.choice(n,
+        # p=table) and q.measure_computational draw
+        outcome = int(cdf.searchsorted(draw(), side="right"))
+        outcome_bits, members, _, value, path = engine.outcome(outcome)
+        history.append(
+            {
+                "round": rounds,
+                "strategies": engine.strategies(profile),
+                "outcome": outcome_bits,
+                "members": list(members),
+                "value": value,
+            }
+        )
+        # the plain comparison spares most rounds working out the tolerance
+        if path is not None and (
+            best_seen is None
+            or value > best_seen[0] and value > best_seen[0] + co._tolerance(value, best_seen[0])
+        ):
+            best_seen = (value, outcome)
+        streak = streak + 1 if outcome == last else 1
+        last = outcome
+        if streak >= co.CONFIRM_WINDOW:
+            stable = outcome
+            break
+
+    if stable is not None and engine.paths[stable] is not None:
+        chosen = stable
+    elif best_seen is not None:
+        chosen = best_seen[1]
+    else:
+        # the profile the last best response left: none follows a
+        # confirmed round
+        marginals = engine.join_marginals(rounds if stable is None else rounds - 1)
+        # grid strategies give marginals of exactly 1/2 up to rounding
+        chosen = sum(1 << (m - 1 - i) for i in range(m) if marginals[i] >= 0.5 - co.STRICT_EPS)
+        if engine.paths[chosen] is None:
+            chosen = 2**m - 1  # the grand coalition
+
+    _, _, members, value, path = engine.outcome(chosen)
+    coalition = co.Coalition(members, value)
+    return co.CoalitionOutcome(
+        stable_coalition=coalition,
+        path=list(path),
+        per_node_payoff=model.split_payoffs(coalition),
+        rounds=rounds,
+        history=history,
+        referee=co.find_referee(topology, cfg.source),
+    )
 
 
 # ---------------------------------------------------------------------------

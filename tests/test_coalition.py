@@ -18,7 +18,8 @@ from entangle_games import topology as topo
 from entangle_games.errors import CapacityError, ParameterError, UnreachableError
 
 from conftest import line_topology
-from oracles import full_state_best_response, make_cluster_state, stability_violations
+from oracles import (full_state_best_response, make_cluster_state,
+                     per_round_draw_quantum_coalition_form, stability_violations)
 
 
 def five_line_cfg():
@@ -524,8 +525,11 @@ def test_quantum_outcome_deterministic_per_seed(five_line):
 
 
 def test_quantum_negative_seed_rejected(five_line):
-    with pytest.raises(ParameterError, match="seed"):
-        co.quantum_coalition_form(five_line_cfg(), five_line, seed=-1)
+    # a gamma = 0 game makes no generator, so the seed's type is checked too
+    for gamma in (0.0, math.pi / 2):
+        for seed in (-1, 1.5, "7", True):
+            with pytest.raises(ParameterError, match="seed"):
+                co.quantum_coalition_form(five_line_cfg(), five_line, gamma=gamma, seed=seed)
 
 
 def test_quantum_capacity_error():
@@ -776,7 +780,7 @@ def test_quantum_round_matches_state_scan(game):
     # profile stepped by the scanned best response
     strategies = unitaries(players, (co.ALL_JOIN,) * len(players))
     for r in range(len(players) + 1):
-        got, cdf = engine.round(r)
+        got, cdf, _ = engine.round(r)
         table = np.diff(cdf, prepend=0.0)
         assert unitaries(players, got) == strategies
         want = q.measurement_probabilities(dense_chain(engine, strategies))
@@ -885,7 +889,7 @@ def test_played_state_matches_apply_unitary_chain(m, gamma, data):
     # amplitudes are those of the trajectory's last round
     strategies = unitaries(players, (co.ALL_JOIN,) * m)
     for r in range(data.draw(st.integers(1, 2 * m + 2))):
-        got, cdf = engine.round(r)
+        got, cdf, _ = engine.round(r)
         table = np.diff(cdf, prepend=0.0)
         assert unitaries(players, got) == strategies
         chain = dense_chain(engine, unitaries(players, engine.trajectory[-1][0]))
@@ -1085,7 +1089,7 @@ def test_leader_mesh_trajectory_repeats_a_cycle_of_22_rounds(monkeypatch):
     # against a walk that plays every best response, on the dense chain
     strategies = unitaries(players, (co.ALL_JOIN,) * m)
     for r in range(201):
-        got, cdf = engine.round(r)
+        got, cdf, _ = engine.round(r)
         assert unitaries(players, got) == strategies
         want = q.measurement_probabilities(dense_chain(engine, strategies))
         np.testing.assert_allclose(cdf, q.cdf_of(want), rtol=0, atol=1e-12)
@@ -1275,3 +1279,89 @@ def test_quantum_game_never_calls_evaluate(monkeypatch):
     monkeypatch.setattr(co.ValueModel, "evaluate", fail)
     for game, (doc, history) in zip(games, want):
         assert play(*game) == (doc, history)
+
+
+# ---------------------------------------------------------------------------
+# certain rounds draw nothing; a generator is made at the first uncertain one
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    game=_random_graph_games().filter(lambda game: co.ValueModel(*game).paths),
+    gamma=st.sampled_from([0.0, 1e-9, math.pi / 2]) | st.floats(0.0, 1e-3),
+    seed=st.integers(0, 2**64 - 1),
+    max_rounds=st.integers(1, 80),
+    confirm_window=st.integers(1, 5),
+)
+def test_quantum_game_replays_the_per_round_draw(game, gamma, seed, max_rounds, confirm_window):
+    # a game that skips its certain rounds' draws gives what one drawing a
+    # double in every round gave, history included
+    cfg, t = game
+    with round_limits(max_rounds, confirm_window):
+        got = co.quantum_coalition_form(cfg, t, gamma=gamma, seed=seed)
+        want = per_round_draw_quantum_coalition_form(cfg, t, gamma=gamma, seed=seed)
+    assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    certain=st.lists(st.integers(0, 31), max_size=8),
+    uncertain=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+    tail=st.lists(st.integers(0, 31), max_size=3),
+    seed=st.integers(0, 2**64 - 1),
+    confirm_window=st.integers(1, 5),
+)
+@example(certain=[1, 2, 1, 2], uncertain=[0], tail=[3], seed=0, confirm_window=3)
+def test_certain_rounds_skip_their_doubles(certain, uncertain, tail, seed, confirm_window):
+    # the engine's trajectory, substituted: certain rounds, then a cycle of
+    # uncertain rounds and certain ones. The game makes its generator at the
+    # first uncertain round, past the doubles of the rounds before it, and
+    # then draws one double per round
+    t, cfg = line_topology(5), five_line_cfg()
+    model = co.ValueModel(cfg, t)
+    engine = co._QuantumRound(model, tuple(model.candidate_nodes()), math.pi / 2)
+    model.referee_rounds[math.pi / 2] = engine
+    profile = engine.trajectory[0][0]
+    rounds = [co._round_of(profile, q.cdf_of(np.eye(32)[j])) for j in certain]
+    rounds += [co._round_of(profile, q.cdf_of(np.random.default_rng(s).random(32))) for s in uncertain]
+    rounds += [co._round_of(profile, q.cdf_of(np.eye(32)[j])) for j in tail]
+    assert [r[2] for r in rounds] == certain + [None] * len(uncertain) + tail
+    engine.trajectory = rounds + [rounds[len(certain)]]
+    engine.period = len(uncertain) + len(tail)
+    made = []
+    default_rng = np.random.default_rng
+
+    def spy(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    with round_limits(co.MAX_ROUNDS, confirm_window):
+        want = per_round_draw_quantum_coalition_form(cfg, t, seed=seed, model=model)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(co.np.random, "default_rng", spy)
+            got = co.quantum_coalition_form(cfg, t, seed=seed, model=model)
+    assert got == want
+    if got.rounds <= len(certain):
+        assert made == []
+    else:
+        [rng] = made
+        stream = default_rng(seed)
+        stream.random(got.rounds)
+        assert rng.bit_generator.state == stream.bit_generator.state
+
+
+def test_classical_quantum_game_makes_no_generator(five_line, monkeypatch):
+    # at gamma = 0 the classical moves give exact point-mass rounds, so no
+    # seed changes the game and none is drawn from
+    cfg = five_line_cfg()
+    want = per_round_draw_quantum_coalition_form(cfg, five_line, gamma=0.0, seed=0)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a gamma = 0 game made a generator")
+
+    monkeypatch.setattr(co.np.random, "default_rng", fail)
+    model = co.ValueModel(cfg, five_line)
+    for seed in range(5):
+        assert co.quantum_coalition_form(cfg, five_line, gamma=0.0, seed=seed, model=model) == want
+    assert all(certain is not None for _, _, certain in model.referee_rounds[0.0].trajectory)

@@ -344,8 +344,9 @@ def test_same_tree_endpoints_rejected():
 
 def test_negative_seed_rejected():
     for variant in ("classical", "quantum"):
-        with pytest.raises(ParameterError, match="seed"):
-            cons.run_consensus(canonical(), 1, 8, variant=variant, seed=-1)
+        for seed in (-1, 1.5, "7", True):
+            with pytest.raises(ParameterError, match="seed"):
+                cons.run_consensus(canonical(), 1, 8, variant=variant, seed=seed)
 
 
 def test_bad_weights_rejected_without_choice_sets():

@@ -496,3 +496,10 @@ def test_coin_flip_cdf_matches_the_counted_draw(angle, seed):
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
     got = [q.coin_flip_consensus(fast, angle) for _ in range(20)]
     assert got == [counted_coin_flip(slow, angle) for _ in range(20)]
+
+
+def test_classical_moves_are_exact():
+    # cos(pi / 2) is 6e-17, which left a residue on every other outcome of
+    # a gamma = 0 game's tables
+    assert np.array_equal(q.SingleQubitUnitary(0.0).matrix(), np.eye(2))
+    assert np.array_equal(q.SingleQubitUnitary(math.pi).matrix(), [[0, 1], [-1, 0]])

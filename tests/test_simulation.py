@@ -484,8 +484,11 @@ def test_sim_config_domain():
 
 @pytest.mark.parametrize("sweep, grid", [(sim.sweep_nodes, [2]), (sim.sweep_decoherence, [1e-5])])
 def test_sweeps_reject_negative_seed(sweep, grid):
-    with pytest.raises(ParameterError, match="seed"):
-        sweep(tr.SimConfig(trials=1), grid, seed=-1)
+    # the node sweep's lossy cells once truncated a float seed
+    lossy = {"link_defaults": topo.LinkParams(gen_prob=0.8)} if sweep is sim.sweep_nodes else {}
+    for seed in (-1, 1.5, "7", True):
+        with pytest.raises(ParameterError, match="seed"):
+            sweep(tr.SimConfig(trials=1), grid, seed=seed, **lossy)
 
 
 # ---------------------------------------------------------------------------
@@ -915,8 +918,9 @@ def test_hashed_states_take_a_seed_of_any_length():
 
 def test_run_trials_rejects_negative_seed_parts():
     t = _line([topo.LinkParams(gen_prob=0.5)])
-    with pytest.raises(ParameterError, match="seed"):
-        tr.run_trials(t, [0, 1], quantum_cfg(trials=3), [(1, -1)])
+    for parts in [(1, -1), (1, 1.5), ("7",), (True,)]:
+        with pytest.raises(ParameterError, match="seed"):
+            tr.run_trials(t, [0, 1], quantum_cfg(trials=3), [parts])
 
 
 def test_lossy_cell_draws_are_capped_before_any_draw(monkeypatch):
